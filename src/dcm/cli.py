@@ -37,19 +37,19 @@ class AppContext:
         return replay(read_events(lines), weight_places=self.profile.weight_places)
 
     def append_new_events(self, ledger: Ledger, known: int) -> None:
-        new_lines = ledger.to_lines()[known:]
-        if not new_lines:
+        new_events = ledger.events[known:]
+        if not new_events:
             return
         with self.ledger_path.open("a", encoding="utf-8") as handle:
-            for line in new_lines:
-                handle.write(line + "\n")
+            for event in new_events:
+                handle.write(event.to_line() + "\n")
 
     def market_quote(self, cert, dt: int, premium: float) -> MarketQuote:
         if self.prices_path is None:
             raise ConfigError("this command needs a price series; pass --prices")
         series = load_series(self.prices_path.read_text(encoding="utf-8"))
         when = cert.issue_date + timedelta(days=dt)
-        return MarketQuote(quotation=quote_at(series, when) / self.per_units, premium=premium, as_of=when)
+        return MarketQuote(quotation=quote_at(series, when) / self.per_units, premium=premium)
 
 
 def _parse_iso_date(_ctx, _param, value):

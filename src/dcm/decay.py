@@ -17,6 +17,13 @@ from .errors import DerivationError, DomainError, UnboundedCostError
 DAYS_PER_YEAR = 365.0
 
 
+def require_finite(**values: float) -> None:
+    """Raise DomainError for the first named value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LogisticsParams:
     """Procurement cost inputs for one commodity at one warehouse.
@@ -41,6 +48,7 @@ class LogisticsParams:
     order_quantity: float | None = None
 
     def __post_init__(self):
+        require_finite(**{name: value for name, value in vars(self).items() if value is not None})
         for name in ("ordering_cost", "purchase_price", "unit_warehouse_cost", "transport_cost"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0")
@@ -68,6 +76,7 @@ class CifQuote:
     as_of: date | None = None
 
     def __post_init__(self):
+        require_finite(price_per_unit=self.price_per_unit)
         if self.price_per_unit <= 0:
             raise DomainError("price_per_unit must be > 0")
 
@@ -81,6 +90,11 @@ class StorageTariff:
     bank_rate: float = 0.0  # annual interest rate, fraction per year
 
     def __post_init__(self):
+        require_finite(
+            daily_warehouse_charge=self.daily_warehouse_charge,
+            outbound_transfer_charge=self.outbound_transfer_charge,
+            bank_rate=self.bank_rate,
+        )
         if self.daily_warehouse_charge < 0:
             raise DomainError("daily_warehouse_charge must be >= 0")
         if self.outbound_transfer_charge < 0:
@@ -282,6 +296,7 @@ def residual_weight(
     Geometric daily decay, evaluated as exp(dt * ln theta) to hold 15-16
     significant digits across decade-scale horizons.
     """
+    require_finite(face_weight=face_weight)
     if face_weight <= 0:
         raise DomainError("face_weight must be > 0")
     if isinstance(delta_t, float) and not delta_t.is_integer():

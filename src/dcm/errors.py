@@ -1,6 +1,5 @@
 """Exception hierarchy and the process exit codes the CLI maps it to."""
 
-EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SETTLEMENT = 3
 EXIT_INTEGRITY = 4

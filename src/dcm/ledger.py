@@ -41,7 +41,8 @@ class EventKind(str, Enum):
 
 
 def canonical_payload(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    """Sorted-key, whitespace-free, ASCII JSON; raises ValueError on NaN or infinity."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
 
 
 def _digest(seq: int, timestamp: str, kind: str, cert_id: str, payload_json: str, prev_hash: str) -> str:
@@ -64,6 +65,14 @@ class LedgerEvent:
             f"{self.seq}|{self.timestamp.isoformat()}|{self.kind.value}|{self.cert_id}|"
             f"{canonical_payload(self.payload)}|{self.prev_hash}|{self.hash}"
         )
+
+
+def _check_link(event: LedgerEvent, last_seq: int, head_hash: str) -> None:
+    """Chain continuity: ``event`` must directly follow the record ending in (last_seq, head_hash)."""
+    if event.seq != last_seq + 1:
+        raise LedgerIntegrityError(f"expected seq {last_seq + 1}, found {event.seq}", seq=event.seq)
+    if event.prev_hash != head_hash:
+        raise LedgerIntegrityError("chain break: prev_hash mismatch", seq=event.seq)
 
 
 def validate_cert_id(cert_id: str) -> str:
@@ -120,6 +129,11 @@ class Ledger:
         self._events.append(event)
         return event
 
+    def append_sealed(self, event: LedgerEvent) -> None:
+        """Append an event sealed elsewhere (e.g. read from the wire) once it links to the head."""
+        _check_link(event, self.last_seq, self.head_hash)
+        self._events.append(event)
+
     def to_lines(self) -> list[str]:
         return [event.to_line() for event in self._events]
 
@@ -160,7 +174,11 @@ def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
         payload = json.loads(payload_json)
     except json.JSONDecodeError:
         raise LedgerIntegrityError("unreadable payload", seq=seq) from None
-    if not isinstance(payload, dict) or canonical_payload(payload) != payload_json:
+    try:
+        canonical = isinstance(payload, dict) and canonical_payload(payload) == payload_json
+    except ValueError:  # NaN or Infinity: readable by json.loads, but not JSON
+        canonical = False
+    if not canonical:
         raise LedgerIntegrityError("payload is not in canonical form", seq=seq)
     return LedgerEvent(seq, timestamp, kind, cert_id, payload, prev_hash, line_hash)
 
@@ -171,22 +189,15 @@ def read_events(lines: Iterable[str]) -> Iterator[LedgerEvent]:
     Checks per line: digest over the raw bytes.  Across lines: seq starts at 1
     and increases without gaps, and each prev_hash equals the previous hash.
     """
-    prev = GENESIS_HASH
-    expected_seq = 1
+    last_seq, head_hash = 0, GENESIS_HASH
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line:
             raise LedgerIntegrityError(f"line {lineno}: empty record")
         event = parse_line(line, lineno=lineno)
-        if event.seq != expected_seq:
-            raise LedgerIntegrityError(
-                f"expected seq {expected_seq}, found {event.seq}", seq=event.seq
-            )
-        if event.prev_hash != prev:
-            raise LedgerIntegrityError("chain break: prev_hash mismatch", seq=event.seq)
+        _check_link(event, last_seq, head_hash)
         yield event
-        prev = event.hash
-        expected_seq += 1
+        last_seq, head_hash = event.seq, event.hash
 
 
 def load_ledger(lines: Iterable[str]) -> Ledger:

@@ -1,4 +1,4 @@
-"""Dated market quotations and bank-rate schedules with carry-forward lookup."""
+"""Dated market quotations with carry-forward lookup."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
 
+from .decay import require_finite
 from .errors import NoQuoteError, ParseError, ValidationError
 
 
@@ -22,21 +23,9 @@ class PriceSeries:
     def __post_init__(self):
         _check_monotone_dates([d for d, _ in self.points])
         for d, price in self.points:
+            require_finite(price=price)
             if price <= 0:
                 raise ValidationError(f"price at {d.isoformat()} must be > 0")
-
-
-@dataclass(frozen=True)
-class RateSchedule:
-    """Ordered annual bank rates; negative rates down to -5% are allowed."""
-
-    points: tuple[tuple[date, float], ...]
-
-    def __post_init__(self):
-        _check_monotone_dates([d for d, _ in self.points])
-        for d, rate in self.points:
-            if not -0.05 <= rate < 1.0:
-                raise ValidationError(f"rate at {d.isoformat()} must lie in [-0.05, 1)")
 
 
 def _check_monotone_dates(dates: list[date]) -> None:
@@ -47,14 +36,15 @@ def _check_monotone_dates(dates: list[date]) -> None:
             raise ValidationError(f"dates not increasing at {current.isoformat()}")
 
 
-def _parse_points(text: str, value_column: str) -> tuple[tuple[date, float], ...]:
+def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSeries:
+    """Parse ``date,price`` CSV text: header required, ISO dates, strictly increasing."""
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows:
         raise ParseError("missing header row", lineno=1)
     header = [cell.strip().lower() for cell in rows[0]]
-    if header != ["date", value_column]:
-        raise ParseError(f"expected header 'date,{value_column}'", lineno=1)
+    if header != ["date", "price"]:
+        raise ParseError("expected header 'date,price'", lineno=1)
     points: list[tuple[date, float]] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -78,17 +68,7 @@ def _parse_points(text: str, value_column: str) -> tuple[tuple[date, float], ...
         points.append((when, value))
     if not points:
         raise ValidationError("empty series: no data rows")
-    return tuple(points)
-
-
-def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSeries:
-    """Parse ``date,price`` CSV text: header required, ISO dates, strictly increasing."""
-    return PriceSeries(material=material, currency=currency, points=_parse_points(text, "price"))
-
-
-def load_rates(text: str) -> RateSchedule:
-    """Parse ``date,rate`` CSV text with the same shape rules as load_series."""
-    return RateSchedule(points=_parse_points(text, "rate"))
+    return PriceSeries(material=material, currency=currency, points=tuple(points))
 
 
 def serialize(series: PriceSeries) -> str:
@@ -98,19 +78,9 @@ def serialize(series: PriceSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lookup(points: tuple[tuple[date, float], ...], when: date, what: str) -> float:
-    dates = [d for d, _ in points]
-    i = bisect_right(dates, when)
-    if i == 0:
-        raise NoQuoteError(f"no {what} on or before {when.isoformat()}")
-    return points[i - 1][1]
-
-
 def quote_at(series: PriceSeries, when: date) -> float:
     """Latest quotation on or before ``when``: carry-forward steps, no interpolation."""
-    return _lookup(series.points, when, f"{series.material or 'price'} quotation")
-
-
-def rate_at(schedule: RateSchedule, when: date) -> float:
-    """Annual rate in force on ``when`` (carry-forward)."""
-    return _lookup(schedule.points, when, "bank rate")
+    i = bisect_right([d for d, _ in series.points], when)
+    if i == 0:
+        raise NoQuoteError(f"no {series.material or 'price'} quotation on or before {when.isoformat()}")
+    return series.points[i - 1][1]

@@ -1,7 +1,8 @@
 """Certificate lifecycle over the event ledger.
 
 Issue, transfer, quote, deliver, buy back, expire - every mutation appends one
-ledger event, and ``replay`` rebuilds the registry from the verified stream.
+ledger event and applies it through ``Registry._apply``; ``replay`` rebuilds the
+registry by feeding the verified stream through that same function.
 
 The registry is a single-writer, multi-reader component: callers must
 serialize mutating operations through one writer; reads see the state as of
@@ -21,7 +22,7 @@ from datetime import date, timedelta
 from enum import Enum
 from typing import Iterable
 
-from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, residual_weight
+from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, require_finite, residual_weight
 from .errors import (
     DomainError,
     ExpiryError,
@@ -46,6 +47,13 @@ TERMINAL_STATUSES = frozenset(
     {CertStatus.DELIVERED, CertStatus.BOUGHT_BACK, CertStatus.EXPIRED}
 )
 
+# the terminal status each settling event leaves its certificate in
+_SETTLED_STATUS = {
+    EventKind.DELIVER: CertStatus.DELIVERED,
+    EventKind.BUYBACK: CertStatus.BOUGHT_BACK,
+    EventKind.EXPIRE: CertStatus.EXPIRED,
+}
+
 
 @dataclass(frozen=True)
 class DeliveryRules:
@@ -60,6 +68,7 @@ class DeliveryRules:
     def __post_init__(self):
         for name in ("delivery_charge_ratio", "withdrawal_charge_ratio", "min_delivery_weight"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        require_finite(min_delivery_weight=self.min_delivery_weight)
         for name in ("delivery_charge_ratio", "withdrawal_charge_ratio"):
             ratio = getattr(self, name)
             if not 0.0 <= ratio <= 0.1:
@@ -76,9 +85,9 @@ class MarketQuote:
 
     quotation: float
     premium: float = 0.0  # issuer adjustment; may be negative or zero
-    as_of: date | None = None
 
     def __post_init__(self):
+        require_finite(quotation=self.quotation, premium=self.premium)
         if self.quotation <= 0:
             raise DomainError("quotation must be > 0")
 
@@ -103,6 +112,7 @@ class Certificate:
         validate_cert_id(self.cert_id)
         self.face_weight = float(self.face_weight)
         self.purity = float(self.purity)
+        require_finite(face_weight=self.face_weight)
         if self.face_weight <= 0:
             raise DomainError("face_weight must be > 0")
         if not 0.0 < self.purity <= 1.0:
@@ -156,6 +166,7 @@ class RegistrySnapshot:
     """Value-compared registry state for replay checks."""
 
     certificates: dict[str, Certificate]
+    issue_counts: dict[tuple[str, str], int]  # (issuer, material) -> certificates issued
     last_seq: int
     head_hash: str
 
@@ -177,6 +188,8 @@ class Registry:
         denoms = frozenset(float(d) for d in denominations)
         if not denoms:
             raise DomainError("denomination set must not be empty")
+        for d in denoms:
+            require_finite(denomination=d)
         if any(d <= 0 for d in denoms):
             raise DomainError("denominations must be > 0")
         self._denominations[issuer] = denoms
@@ -196,11 +209,18 @@ class Registry:
     def snapshot(self) -> RegistrySnapshot:
         return RegistrySnapshot(
             certificates={cid: replace(cert) for cid, cert in self._certs.items()},
+            issue_counts=dict(self._issue_counts),
             last_seq=self.ledger.last_seq,
             head_hash=self.ledger.head_hash,
         )
 
     # -- operations ---------------------------------------------------------
+    #
+    # Each operation checks its input against the current state and raises
+    # before anything is recorded (StateError and friends: exit 2/3).  It then
+    # appends one event and hands it to ``_apply``, the only code that changes
+    # registry state.  Replay feeds the same ``_apply`` from the ledger, so live
+    # and replayed state cannot drift apart.
 
     def issue(
         self,
@@ -247,10 +267,8 @@ class Registry:
             owner=owner,
             weight_unit=weight_unit,
         )
-        self.ledger.append(EventKind.ISSUE, cert_id, _issue_payload(cert), issue_date)
-        self._certs[cert_id] = cert
-        self._issue_counts[(issuer, material)] = self._issue_counts.get((issuer, material), 0) + 1
-        return cert
+        self._record(EventKind.ISSUE, cert_id, _issue_payload(cert), issue_date)
+        return self._certs[cert_id]
 
     def _active(self, cert_id: str) -> Certificate:
         cert = self.certificate(cert_id)
@@ -270,6 +288,44 @@ class Registry:
     def _event_date(self, cert: Certificate, t: int, timestamp: date | None) -> date:
         return timestamp if timestamp is not None else cert.issue_date + timedelta(days=t)
 
+    def _record(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date) -> None:
+        self._apply(self.ledger.append(kind, cert_id, payload, timestamp))
+
+    def _apply(self, event: LedgerEvent) -> None:
+        """Apply one sealed event to the registry: the single state transition.
+
+        Runs after the append, for live operations and replay alike, so its
+        legality checks raise LedgerIntegrityError (exit 4): a live operation
+        has already refused anything they would catch.
+        """
+        kind = event.kind
+        if kind is EventKind.ISSUE:
+            if event.cert_id in self._certs:
+                raise LedgerIntegrityError(f"duplicate issue of {event.cert_id}", seq=event.seq)
+            try:
+                cert = _cert_from_payload(event.cert_id, event.payload)
+            except (KeyError, TypeError, ValueError, DomainError) as exc:
+                raise LedgerIntegrityError(f"bad issue payload: {exc}", seq=event.seq) from None
+            self._certs[event.cert_id] = cert
+            key = (cert.issuer, cert.material)
+            self._issue_counts[key] = self._issue_counts.get(key, 0) + 1
+            return
+        cert = self._certs.get(event.cert_id)
+        if cert is None:
+            raise LedgerIntegrityError(f"event for unknown certificate {event.cert_id}", seq=event.seq)
+        if cert.status in TERMINAL_STATUSES:
+            raise LedgerIntegrityError(
+                f"event on {cert.status.value} certificate {event.cert_id}", seq=event.seq
+            )
+        if kind is EventKind.TRANSFER:
+            try:
+                cert.owner = event.payload["to_owner"]
+            except KeyError:
+                raise LedgerIntegrityError("transfer payload missing to_owner", seq=event.seq) from None
+        elif kind in _SETTLED_STATUS:
+            cert.status = _SETTLED_STATUS[kind]
+        # QUOTE advances the chain but does not change certificate state
+
     def quote_transaction_price(
         self,
         cert_id: str,
@@ -286,26 +342,16 @@ class Registry:
         self._check_window(cert, t1)
         residual = cert.residual_at(t1)
         docket = quantize_to_float(residual, self.weight_places)
-        price = (quote.quotation + quote.premium) * docket
-        result = QuoteResult(
-            cert_id=cert_id,
-            t=t1,
-            residual_weight=residual,
-            docket_weight=docket,
-            quotation=quote.quotation,
-            premium=quote.premium,
-            price=price,
-        )
         payload = {
             "t": t1,
             "quotation": quote.quotation,
             "premium": quote.premium,
             "residual_weight": residual,
             "docket_weight": docket,
-            "price": price,
+            "price": (quote.quotation + quote.premium) * docket,
         }
-        self.ledger.append(EventKind.QUOTE, cert_id, payload, self._event_date(cert, t1, timestamp))
-        return result
+        self._record(EventKind.QUOTE, cert_id, payload, self._event_date(cert, t1, timestamp))
+        return QuoteResult(cert_id=cert_id, **payload)
 
     def physical_delivery(
         self, cert_id: str, t2: int, *, timestamp: date | None = None
@@ -325,23 +371,14 @@ class Registry:
             )
         residual = cert.residual_at(t2)
         delivered = residual * (1.0 - cert.rules.delivery_charge_ratio)
-        charged = residual - delivered
-        result = DeliveryResult(
-            cert_id=cert_id,
-            t=t2,
-            residual_weight=residual,
-            delivered_weight=delivered,
-            charged_weight=charged,
-        )
         payload = {
             "t": t2,
             "residual_weight": residual,
             "delivered_weight": delivered,
-            "charged_weight": charged,
+            "charged_weight": residual - delivered,
         }
-        self.ledger.append(EventKind.DELIVER, cert_id, payload, self._event_date(cert, t2, timestamp))
-        cert.status = CertStatus.DELIVERED
-        return result
+        self._record(EventKind.DELIVER, cert_id, payload, self._event_date(cert, t2, timestamp))
+        return DeliveryResult(cert_id=cert_id, **payload)
 
     def buyback(
         self,
@@ -360,31 +397,18 @@ class Registry:
         self._check_window(cert, t)
         residual = cert.residual_at(t)
         weight = residual * (1.0 - cert.rules.withdrawal_charge_ratio)
-        charged = residual - weight
         docket = quantize_to_float(weight, self.weight_places)
-        cash = docket * quote.quotation
-        result = BuybackResult(
-            cert_id=cert_id,
-            t=t,
-            residual_weight=residual,
-            buyback_weight=weight,
-            charged_weight=charged,
-            docket_weight=docket,
-            quotation=quote.quotation,
-            cash=cash,
-        )
         payload = {
             "t": t,
             "quotation": quote.quotation,
             "residual_weight": residual,
             "buyback_weight": weight,
-            "charged_weight": charged,
+            "charged_weight": residual - weight,
             "docket_weight": docket,
-            "cash": cash,
+            "cash": docket * quote.quotation,
         }
-        self.ledger.append(EventKind.BUYBACK, cert_id, payload, self._event_date(cert, t, timestamp))
-        cert.status = CertStatus.BOUGHT_BACK
-        return result
+        self._record(EventKind.BUYBACK, cert_id, payload, self._event_date(cert, t, timestamp))
+        return BuybackResult(cert_id=cert_id, **payload)
 
     def transfer(
         self, cert_id: str, new_owner: str, t: int, *, timestamp: date | None = None
@@ -394,8 +418,7 @@ class Registry:
         if t < 0:
             raise DomainError("t must be >= 0")
         payload = {"t": t, "from_owner": cert.owner, "to_owner": new_owner}
-        self.ledger.append(EventKind.TRANSFER, cert_id, payload, self._event_date(cert, t, timestamp))
-        cert.owner = new_owner
+        self._record(EventKind.TRANSFER, cert_id, payload, self._event_date(cert, t, timestamp))
         return cert
 
     def expire(
@@ -406,12 +429,9 @@ class Registry:
         validity = cert.rules.validity_days
         if validity is None or t <= validity:
             raise StateError(f"certificate {cert_id} has not lapsed; cannot expire at day {t}")
-        accrued = cert.residual_at(validity)
-        result = ExpiryResult(cert_id=cert_id, t=t, issuer_accrued_weight=accrued)
-        payload = {"t": t, "issuer_accrued_weight": accrued}
-        self.ledger.append(EventKind.EXPIRE, cert_id, payload, self._event_date(cert, t, timestamp))
-        cert.status = CertStatus.EXPIRED
-        return result
+        payload = {"t": t, "issuer_accrued_weight": cert.residual_at(validity)}
+        self._record(EventKind.EXPIRE, cert_id, payload, self._event_date(cert, t, timestamp))
+        return ExpiryResult(cert_id=cert_id, **payload)
 
 
 # -- replay -----------------------------------------------------------------
@@ -425,55 +445,10 @@ def replay(events: Iterable[LedgerEvent], *, weight_places: int = 4) -> Registry
     event that is illegal for the certificate's replayed state.
     """
     registry = Registry(weight_places=weight_places)
-    certs = registry._certs
-    prev_hash = registry.ledger.head_hash
-    expected_seq = 1
     for event in events:
-        if event.seq != expected_seq:
-            raise LedgerIntegrityError(
-                f"expected seq {expected_seq}, found {event.seq}", seq=event.seq
-            )
-        if event.prev_hash != prev_hash:
-            raise LedgerIntegrityError("chain break: prev_hash mismatch", seq=event.seq)
-        _apply(certs, event)
-        registry.ledger._events.append(event)
-        prev_hash = event.hash
-        expected_seq += 1
+        registry.ledger.append_sealed(event)
+        registry._apply(event)
     return registry
-
-
-def _apply(certs: dict[str, Certificate], event: LedgerEvent) -> None:
-    kind = event.kind
-    if kind is EventKind.ISSUE:
-        if event.cert_id in certs:
-            raise LedgerIntegrityError(f"duplicate issue of {event.cert_id}", seq=event.seq)
-        try:
-            certs[event.cert_id] = _cert_from_payload(event.cert_id, event.payload)
-        except (KeyError, TypeError, ValueError, DomainError) as exc:
-            raise LedgerIntegrityError(f"bad issue payload: {exc}", seq=event.seq) from None
-        return
-    cert = certs.get(event.cert_id)
-    if cert is None:
-        raise LedgerIntegrityError(f"event for unknown certificate {event.cert_id}", seq=event.seq)
-    if cert.status in TERMINAL_STATUSES:
-        raise LedgerIntegrityError(
-            f"event on {cert.status.value} certificate {event.cert_id}", seq=event.seq
-        )
-    if kind is EventKind.TRANSFER:
-        try:
-            cert.owner = event.payload["to_owner"]
-        except KeyError:
-            raise LedgerIntegrityError("transfer payload missing to_owner", seq=event.seq) from None
-    elif kind is EventKind.DELIVER:
-        cert.status = CertStatus.DELIVERED
-    elif kind is EventKind.BUYBACK:
-        cert.status = CertStatus.BOUGHT_BACK
-    elif kind is EventKind.EXPIRE:
-        cert.status = CertStatus.EXPIRED
-    elif kind is EventKind.QUOTE:
-        pass  # quotes advance the chain but do not change certificate state
-    else:  # pragma: no cover - EventKind is closed
-        raise LedgerIntegrityError(f"unhandled event kind {kind}", seq=event.seq)
 
 
 # -- payload / metadata serialization ----------------------------------------

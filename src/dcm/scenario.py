@@ -27,7 +27,7 @@ import yaml
 
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, residual_weight
 from .errors import ConfigError, DCMError, DomainError, ScenarioStepError
-from .market import PriceSeries, RateSchedule, load_rates, load_series, quote_at
+from .market import PriceSeries, load_series, quote_at
 from .registry import DeliveryRules, MarketQuote, Registry
 from .rounding import RoundingProfile, fmt
 
@@ -71,7 +71,6 @@ class ScenarioConfig:
     script: tuple[ScriptStep, ...]
     prices: PriceSeries | None = None
     price_per_units: float = 1.0  # certificate weight units per quoted price unit
-    rates: RateSchedule | None = None
     rounding: RoundingProfile = RoundingProfile()
 
     def __post_init__(self):
@@ -164,13 +163,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if per_units <= 0:
             raise ConfigError("prices.per_units must be > 0")
 
-    rates = None
-    if "rates" in raw:
-        rates_path = path.parent / str(_require(raw["rates"], "path", "rates"))
-        if not rates_path.exists():
-            raise ConfigError(f"rate schedule file not found: {rates_path}")
-        rates = load_rates(rates_path.read_text(encoding="utf-8"))
-
     rounding_cfg = raw.get("rounding", {})
     rounding = RoundingProfile(
         weight_places=int(rounding_cfg.get("weight_places", 4)),
@@ -201,7 +193,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         script=tuple(steps),
         prices=prices,
         price_per_units=per_units,
-        rates=rates,
         rounding=rounding,
     )
 
@@ -269,7 +260,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[ScenarioReport, Registry]:
 
 def _market_quote(config: ScenarioConfig, when: date, premium: float) -> MarketQuote:
     unit_price = quote_at(config.prices, when) / config.price_per_units
-    return MarketQuote(quotation=unit_price, premium=premium, as_of=when)
+    return MarketQuote(quotation=unit_price, premium=premium)
 
 
 def _cert_id(aliases: dict[str, str], alias: str) -> str:

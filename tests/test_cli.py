@@ -104,6 +104,15 @@ class TestLifecycleFlow:
         assert verified.returncode == 0
         assert "ok: 3 events, 1 certificates" in verified.stdout
 
+    def test_second_issue_after_reload_takes_the_next_id(self, tmp_path):
+        first = dcm(*ISSUE_ARGS, cwd=tmp_path)
+        second = dcm(*ISSUE_ARGS, cwd=tmp_path)
+        assert (first.returncode, second.returncode) == (0, 0)
+        assert "code: LME-copper-0001" in first.stdout
+        assert "code: LME-copper-0002" in second.stdout
+        verified = dcm("replay-verify", cwd=tmp_path)
+        assert "ok: 2 events, 2 certificates" in verified.stdout
+
     def test_settling_twice_exits_settlement(self, tmp_path):
         dcm(*ISSUE_ARGS, cwd=tmp_path)
         assert dcm("deliver", "--cert", "LME-copper-0001", "--dt", "10", cwd=tmp_path).returncode == 0

@@ -7,7 +7,7 @@ from datetime import date
 import pytest
 
 from dcm import DomainError, EventKind, Ledger, LedgerIntegrityError, load_ledger, read_events, verify_lines
-from dcm.ledger import GENESIS_HASH, parse_line
+from dcm.ledger import GENESIS_HASH, _digest, canonical_payload, parse_line
 
 
 def small_ledger() -> Ledger:
@@ -98,6 +98,17 @@ class TestStreamValidation:
     def test_parse_line_rejects_wrong_field_count(self):
         with pytest.raises(LedgerIntegrityError):
             parse_line("1|2020-01-01|ISSUE|abc", lineno=1)
+
+    def test_digested_nan_payload_is_not_canonical(self):
+        payload = '{"x":NaN}'  # json.loads reads it; JSON does not allow it
+        digest = _digest(1, "2020-01-01", "ISSUE", "X-1", payload, GENESIS_HASH)
+        line = f"1|2020-01-01|ISSUE|X-1|{payload}|{GENESIS_HASH}|{digest}"
+        with pytest.raises(LedgerIntegrityError, match="seq 1: payload is not in canonical form"):
+            parse_line(line)
+
+    def test_canonical_payload_refuses_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            canonical_payload({"x": float("nan")})
 
 
 def _flip(line: str, position: int) -> str:

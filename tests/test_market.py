@@ -13,10 +13,8 @@ from dcm import (
     ParseError,
     PriceSeries,
     ValidationError,
-    load_rates,
     load_series,
     quote_at,
-    rate_at,
     serialize,
 )
 
@@ -116,20 +114,3 @@ class TestSerializeRoundTrip:
         series = PriceSeries(material="m", currency="c", points=tuple(points))
         assert load_series(serialize(series), material="m", currency="c") == series
 
-
-class TestRateSchedule:
-    def test_negative_rates_are_allowed(self):
-        schedule = load_rates("date,rate\n2020-01-01,-0.005\n2021-01-01,0.0365\n")
-        assert rate_at(schedule, date(2020, 6, 1)) == -0.005
-        assert rate_at(schedule, date(2021, 6, 1)) == 0.0365
-
-    def test_rate_bounds(self):
-        with pytest.raises(ValidationError):
-            load_rates("date,rate\n2020-01-01,-0.06\n")
-        with pytest.raises(ValidationError):
-            load_rates("date,rate\n2020-01-01,1.0\n")
-
-    def test_before_first_rate(self):
-        schedule = load_rates("date,rate\n2020-01-01,0.01\n")
-        with pytest.raises(NoQuoteError):
-            rate_at(schedule, date(2019, 12, 31))

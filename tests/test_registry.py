@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -12,19 +13,26 @@ from hypothesis import strategies as st
 from dcm import (
     AttenuationSpec,
     CertStatus,
+    Certificate,
+    CifQuote,
     DeliveryRules,
+    DomainError,
     EventKind,
     ExpiryError,
     IssuanceError,
     LedgerIntegrityError,
     LotSizeError,
+    LogisticsParams,
     MarketQuote,
+    PriceSeries,
     Registry,
     StateError,
+    StorageTariff,
     export_certificate,
     import_certificate,
     read_events,
     replay,
+    residual_weight,
 )
 from conftest import LME_ISSUE_DATE, assert_display_close
 
@@ -388,6 +396,33 @@ class TestReplay:
         with pytest.raises(LedgerIntegrityError):
             replay(read_events(lme_registry.ledger.to_lines()))
 
+    def test_replayed_registry_continues_the_issue_counter(self, lme_registry, lme_cert, lme_rules):
+        rebuilt = replay(read_events(lme_registry.ledger.to_lines()))
+        assert rebuilt.snapshot().issue_counts == lme_registry.snapshot().issue_counts == {("LME", "copper"): 1}
+        rebuilt.register_issuer("LME", [1, 10, 100, 1000])
+        again = rebuilt.issue(
+            issuer="LME",
+            material="copper",
+            face_weight=1000,
+            purity=0.9999,
+            issue_date=LME_ISSUE_DATE,
+            theta=AttenuationSpec(theta_daily=0.99996),
+            rules=lme_rules,
+            owner="client-2",
+        )
+        assert again.cert_id == "LME-copper-0002"
+
+    def test_replay_checks_continuity_of_events_it_did_not_parse(self, lme_registry, lme_cert):
+        lme_registry.transfer(lme_cert.cert_id, "client-2", 10)
+        lme_registry.transfer(lme_cert.cert_id, "client-3", 20)
+        first, second, third = lme_registry.ledger.events
+        with pytest.raises(LedgerIntegrityError) as gap:
+            replay([first, third])
+        assert gap.value.seq == 3
+        with pytest.raises(LedgerIntegrityError) as chain_break:
+            replay([first, replace(second, prev_hash="f" * 64)])
+        assert chain_break.value.seq == 2
+
 
 def rng_length(seed: int) -> int:
     return random.Random(10_000 + seed).randrange(1, 200)
@@ -411,3 +446,53 @@ class TestPaperFormat:
     def test_import_rejects_missing_fields(self):
         with pytest.raises(Exception):
             import_certificate("code: X-1\nissuer: X\n")
+
+
+def _certificate(face_weight: float) -> Certificate:
+    return Certificate(
+        cert_id="X-1",
+        issuer="X",
+        material="tin",
+        face_weight=face_weight,
+        purity=1.0,
+        issue_date=LME_ISSUE_DATE,
+        theta=AttenuationSpec(theta_daily=0.999),
+        rules=DeliveryRules(delivery_charge_ratio=0.0, withdrawal_charge_ratio=0.0, min_delivery_weight=1.0),
+        owner="a",
+    )
+
+
+def _logistics(**override: float) -> LogisticsParams:
+    fields = dict(
+        ordering_cost=1.0, annual_demand=1.0, purchase_price=1.0, unit_warehouse_cost=1.0,
+        transport_cost=1.0, transit_days=1.0, bank_rate=0.01, order_quantity=1.0,
+    )
+    return LogisticsParams(**{**fields, **override})
+
+
+NUMERIC_INPUTS = {
+    "MarketQuote.quotation": lambda x: MarketQuote(quotation=x),
+    "MarketQuote.premium": lambda x: MarketQuote(quotation=1.0, premium=x),
+    "Certificate.face_weight": _certificate,
+    "DeliveryRules.min_delivery_weight": lambda x: DeliveryRules(
+        delivery_charge_ratio=0.0, withdrawal_charge_ratio=0.0, min_delivery_weight=x
+    ),
+    "StorageTariff.daily_warehouse_charge": lambda x: StorageTariff(daily_warehouse_charge=x),
+    "StorageTariff.outbound_transfer_charge": lambda x: StorageTariff(0.1, outbound_transfer_charge=x),
+    "StorageTariff.bank_rate": lambda x: StorageTariff(0.1, bank_rate=x),
+    "CifQuote.price_per_unit": lambda x: CifQuote(price_per_unit=x),
+    "residual_weight.face_weight": lambda x: residual_weight(x, 0.999, 10),
+    "Registry.register_issuer": lambda x: Registry().register_issuer("X", [1.0, x]),
+    "PriceSeries.price": lambda x: PriceSeries("copper", "USD", ((LME_ISSUE_DATE, x),)),
+    **{
+        f"LogisticsParams.{name}": (lambda name: lambda x: _logistics(**{name: x}))(name)
+        for name in _logistics().__dataclass_fields__
+    },
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("target", sorted(NUMERIC_INPUTS))
+def test_non_finite_numbers_are_domain_errors(target, value):
+    with pytest.raises(DomainError, match="finite"):
+        NUMERIC_INPUTS[target](value)

@@ -169,15 +169,6 @@ class TestScenarioLoading:
         report, _ = run_scenario(load_scenario(path))
         assert report.steps[0]["theta_display"] == "0.999960"
 
-    def test_rate_schedule_block_loads(self, tmp_path):
-        path = write_scenario(tmp_path, "  []")
-        (tmp_path / "rates.csv").write_text("date,rate\n2020-01-01,0.0365\n", encoding="utf-8")
-        text = path.read_text(encoding="utf-8") + "rates:\n  path: rates.csv\n"
-        path.write_text(text, encoding="utf-8")
-        config = load_scenario(path)
-        assert config.rates is not None
-        assert config.rates.points[0][1] == 0.0365
-
     def test_expire_step_accrues_to_the_issuer(self, tmp_path):
         path = write_scenario(
             tmp_path,
