@@ -42,7 +42,7 @@ class AppContext:
             return
         with self.ledger_path.open("a", encoding="utf-8") as handle:
             for event in new_events:
-                handle.write(event.to_line() + "\n")
+                handle.write(event.line + "\n")
 
     def market_quote(self, cert, dt: int, premium: float) -> MarketQuote:
         if self.prices_path is None:
@@ -225,8 +225,7 @@ def replay_verify(app: AppContext):
     """Verify the ledger's hash chain and replayability end to end."""
     if not app.ledger_path.exists():
         raise ConfigError(f"ledger file not found: {app.ledger_path}")
-    lines = app.ledger_path.read_text(encoding="utf-8").splitlines()
-    registry = replay(read_events(lines))
+    registry = app.load_registry()
     click.echo(
         f"ok: {len(registry.ledger)} events, {len(registry.certificates)} certificates, "
         f"head {registry.ledger.head_hash}"

@@ -4,9 +4,11 @@ Wire format, one event per line, fields pipe-delimited in fixed order:
 
     seq|timestamp|kind|cert_id|payload|prev_hash|hash
 
-``payload`` is canonical JSON (sorted keys, no whitespace, ASCII only); hashes
-are lowercase hex SHA-256.  ``hash`` digests every byte of the line that
-precedes it, so changing any byte of a stored record breaks verification.
+``seq`` is ``str(int)``, ``timestamp`` is ``date.isoformat()`` and ``payload``
+is canonical JSON (sorted keys, no whitespace, ASCII only); hashes are
+lowercase hex SHA-256.  ``hash`` digests exactly the stored bytes before it,
+and a reader accepts only canonical fields, so every verified line is the
+event's stored line and changing any byte of a record breaks verification.
 The first event chains from a prev_hash of 64 zeros.  ``cert_id`` is
 restricted to a charset without the field separator, which keeps parsing
 unambiguous (the JSON payload is bracketed by fixed-shape fields on both
@@ -18,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from typing import Iterable, Iterator
@@ -27,8 +29,8 @@ from .errors import DomainError, LedgerIntegrityError
 
 GENESIS_HASH = "0" * 64
 
-_CERT_ID_RE = re.compile(r"^[A-Za-z0-9_.:-]+$")
-_HASH_RE = re.compile(r"^[0-9a-f]{64}$")
+_CERT_ID_RE = re.compile(r"[A-Za-z0-9_.:-]+")
+_HASH_RE = re.compile(r"[0-9a-f]{64}")
 
 
 class EventKind(str, Enum):
@@ -45,13 +47,24 @@ def canonical_payload(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
 
 
-def _digest(seq: int, timestamp: str, kind: str, cert_id: str, payload_json: str, prev_hash: str) -> str:
-    body = f"{seq}|{timestamp}|{kind}|{cert_id}|{payload_json}|{prev_hash}"
+def _sha256(body: str) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+def _seal(seq: int, timestamp: str, kind: str, cert_id: str, payload_json: str, prev_hash: str) -> str:
+    """The wire line of these fields: the body, then ``|`` and the body's digest."""
+    body = f"{seq}|{timestamp}|{kind}|{cert_id}|{payload_json}|{prev_hash}"
+    return f"{body}|{_sha256(body)}"
+
+
+def _digest(seq: int, timestamp: str, kind: str, cert_id: str, payload_json: str, prev_hash: str) -> str:
+    return _seal(seq, timestamp, kind, cert_id, payload_json, prev_hash)[-64:]
 
 
 @dataclass(frozen=True)
 class LedgerEvent:
+    """One sealed record; ``line`` is its wire text, set once when sealed or parsed."""
+
     seq: int
     timestamp: date
     kind: EventKind
@@ -59,12 +72,7 @@ class LedgerEvent:
     payload: dict
     prev_hash: str
     hash: str
-
-    def to_line(self) -> str:
-        return (
-            f"{self.seq}|{self.timestamp.isoformat()}|{self.kind.value}|{self.cert_id}|"
-            f"{canonical_payload(self.payload)}|{self.prev_hash}|{self.hash}"
-        )
+    line: str = field(repr=False)
 
 
 def _check_link(event: LedgerEvent, last_seq: int, head_hash: str) -> None:
@@ -76,7 +84,7 @@ def _check_link(event: LedgerEvent, last_seq: int, head_hash: str) -> None:
 
 
 def validate_cert_id(cert_id: str) -> str:
-    if not _CERT_ID_RE.match(cert_id):
+    if not _CERT_ID_RE.fullmatch(cert_id):
         raise DomainError(
             f"cert_id {cert_id!r} must be non-empty and use only [A-Za-z0-9_.:-]"
         )
@@ -86,8 +94,8 @@ def validate_cert_id(cert_id: str) -> str:
 class Ledger:
     """In-memory event log; one writer, atomic per-event append."""
 
-    def __init__(self, events: Iterable[LedgerEvent] = ()):
-        self._events: list[LedgerEvent] = list(events)
+    def __init__(self):
+        self._events: list[LedgerEvent] = []
 
     def __len__(self) -> int:
         return len(self._events)
@@ -112,20 +120,18 @@ class Ledger:
 
         The stored payload is the JSON round-trip of the argument, so the
         in-memory event equals what a reader reconstructs from the wire line.
+        A payload canonical JSON cannot encode raises DomainError.
         """
         validate_cert_id(cert_id)
-        payload_json = canonical_payload(payload)
+        kind = EventKind(kind)
+        try:
+            payload_json = canonical_payload(payload)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"payload cannot be recorded as canonical JSON: {exc}") from None
         seq = self.last_seq + 1
         prev = self.head_hash
-        event = LedgerEvent(
-            seq=seq,
-            timestamp=timestamp,
-            kind=EventKind(kind),
-            cert_id=cert_id,
-            payload=json.loads(payload_json),
-            prev_hash=prev,
-            hash=_digest(seq, timestamp.isoformat(), EventKind(kind).value, cert_id, payload_json, prev),
-        )
+        line = _seal(seq, timestamp.isoformat(), kind.value, cert_id, payload_json, prev)
+        event = LedgerEvent(seq, timestamp, kind, cert_id, json.loads(payload_json), prev, line[-64:], line)
         self._events.append(event)
         return event
 
@@ -135,40 +141,44 @@ class Ledger:
         self._events.append(event)
 
     def to_lines(self) -> list[str]:
-        return [event.to_line() for event in self._events]
+        return [event.line for event in self._events]
 
 
 def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
-    """Parse one wire line into an event, recomputing and checking its digest.
+    """Parse one wire line into an event, checking its digest and canonical form.
 
-    Chain linkage (prev_hash continuity, seq continuity) is checked by
-    read_events; this checks everything observable from a single line.
+    The digest covers the exact text before the last ``|``.  Chain linkage
+    (prev_hash continuity, seq continuity) is checked by read_events; this
+    checks everything observable from a single line.
     """
     where = lineno if lineno is not None else "?"
     try:
-        head, prev_hash, line_hash = line.rsplit("|", 2)
-        seq_text, ts_text, kind_text, rest = head.split("|", 3)
-        cert_id, payload_json = rest.split("|", 1)
+        body, line_hash = line.rsplit("|", 1)
+        head, prev_hash = body.rsplit("|", 1)
+        seq_text, ts_text, kind_text, cert_id, payload_json = head.split("|", 4)
     except ValueError:
         raise LedgerIntegrityError(f"line {where}: malformed record (wrong field count)") from None
     try:
         seq = int(seq_text)
+        if str(seq) != seq_text:
+            raise ValueError(seq_text)
     except ValueError:
         raise LedgerIntegrityError(f"line {where}: bad sequence number {seq_text!r}") from None
-    if not _HASH_RE.match(prev_hash) or not _HASH_RE.match(line_hash):
+    if not _HASH_RE.fullmatch(prev_hash) or not _HASH_RE.fullmatch(line_hash):
         raise LedgerIntegrityError("malformed hash field", seq=seq)
-    recomputed = _digest(seq, ts_text, kind_text, cert_id, payload_json, prev_hash)
-    if recomputed != line_hash:
+    if _sha256(body) != line_hash:
         raise LedgerIntegrityError("hash mismatch: record bytes do not match their digest", seq=seq)
     try:
         timestamp = date.fromisoformat(ts_text)
+        if timestamp.isoformat() != ts_text:
+            raise ValueError(ts_text)
     except ValueError:
         raise LedgerIntegrityError(f"bad timestamp {ts_text!r}", seq=seq) from None
     try:
         kind = EventKind(kind_text)
     except ValueError:
         raise LedgerIntegrityError(f"unknown event kind {kind_text!r}", seq=seq) from None
-    if not _CERT_ID_RE.match(cert_id):
+    if not _CERT_ID_RE.fullmatch(cert_id):
         raise LedgerIntegrityError(f"bad cert_id {cert_id!r}", seq=seq)
     try:
         payload = json.loads(payload_json)
@@ -180,14 +190,15 @@ def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
         canonical = False
     if not canonical:
         raise LedgerIntegrityError("payload is not in canonical form", seq=seq)
-    return LedgerEvent(seq, timestamp, kind, cert_id, payload, prev_hash, line_hash)
+    return LedgerEvent(seq, timestamp, kind, cert_id, payload, prev_hash, line_hash, line)
 
 
 def read_events(lines: Iterable[str]) -> Iterator[LedgerEvent]:
     """Parse and verify a whole stream; raises at the first bad record.
 
-    Checks per line: digest over the raw bytes.  Across lines: seq starts at 1
-    and increases without gaps, and each prev_hash equals the previous hash.
+    Checks per line: digest over the raw bytes, canonical fields.  Across
+    lines: seq starts at 1 and increases without gaps, and each prev_hash
+    equals the previous hash.
     """
     last_seq, head_hash = 0, GENESIS_HASH
     for lineno, raw in enumerate(lines, start=1):
@@ -199,15 +210,3 @@ def read_events(lines: Iterable[str]) -> Iterator[LedgerEvent]:
         yield event
         last_seq, head_hash = event.seq, event.hash
 
-
-def load_ledger(lines: Iterable[str]) -> Ledger:
-    """Verified ledger from wire lines."""
-    return Ledger(read_events(lines))
-
-
-def verify_lines(lines: Iterable[str]) -> int:
-    """Run full verification; returns the number of events."""
-    count = 0
-    for _ in read_events(lines):
-        count += 1
-    return count

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 
 from .decay import require_finite
@@ -19,16 +19,18 @@ class PriceSeries:
     material: str
     currency: str
     points: tuple[tuple[date, float], ...]
+    dates: tuple[date, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_monotone_dates([d for d, _ in self.points])
+        object.__setattr__(self, "dates", tuple(d for d, _ in self.points))
+        _check_monotone_dates(self.dates)
         for d, price in self.points:
             require_finite(price=price)
             if price <= 0:
                 raise ValidationError(f"price at {d.isoformat()} must be > 0")
 
 
-def _check_monotone_dates(dates: list[date]) -> None:
+def _check_monotone_dates(dates: tuple[date, ...]) -> None:
     for previous, current in zip(dates, dates[1:]):
         if current == previous:
             raise ValidationError(f"duplicate date {current.isoformat()}")
@@ -80,7 +82,7 @@ def serialize(series: PriceSeries) -> str:
 
 def quote_at(series: PriceSeries, when: date) -> float:
     """Latest quotation on or before ``when``: carry-forward steps, no interpolation."""
-    i = bisect_right([d for d, _ in series.points], when)
+    i = bisect_right(series.dates, when)
     if i == 0:
         raise NoQuoteError(f"no {series.material or 'price'} quotation on or before {when.isoformat()}")
     return series.points[i - 1][1]

@@ -234,7 +234,6 @@ class Registry:
         owner: str,
         *,
         weight_unit: str = "kg",
-        cert_id: str | None = None,
     ) -> Certificate:
         """Issue an ACTIVE certificate and append its ISSUE event.
 
@@ -250,10 +249,9 @@ class Registry:
             raise IssuanceError(
                 f"face weight {face_weight} not offered by {issuer}; denominations: {offered}"
             )
-        if cert_id is None:
-            count = self._issue_counts.get((issuer, material), 0) + 1
-            cert_id = f"{issuer}-{material}-{count:04d}"
-        if cert_id in self._certs:
+        count = self._issue_counts.get((issuer, material), 0) + 1
+        cert_id = f"{issuer}-{material}-{count:04d}"
+        if cert_id in self._certs:  # ids of different pairs can collide: ("A-b", "c") and ("A", "b-c")
             raise IssuanceError(f"certificate {cert_id!r} already exists")
         cert = Certificate(
             cert_id=cert_id,

@@ -270,6 +270,14 @@ def test_criterion_6_replay_determinism_and_tamper_detection():
     )
 
 
+def test_verified_lines_are_the_stored_lines():
+    sources = [run_scenario(load_scenario(bundled_scenario_path(name)))[1] for name in ("lme_copper", "shfe_steel")]
+    sources.append(_random_operations(random.Random(0x5EED06), 1000))
+    for registry in sources:
+        lines = registry.ledger.to_lines()
+        assert [event.line for event in read_events(lines)] == lines
+
+
 def test_criterion_7_wealth_projection():
     result = wealth_projection(0.4e9, 0.999945, 3650)
     assert 3.272e8 <= result.residual_weight <= 3.274e8

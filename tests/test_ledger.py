@@ -6,7 +6,7 @@ from datetime import date
 
 import pytest
 
-from dcm import DomainError, EventKind, Ledger, LedgerIntegrityError, load_ledger, read_events, verify_lines
+from dcm import DomainError, EventKind, Ledger, LedgerIntegrityError, read_events
 from dcm.ledger import GENESIS_HASH, _digest, canonical_payload, parse_line
 
 
@@ -38,18 +38,18 @@ class TestChain:
 
     def test_wire_round_trip_preserves_events(self):
         ledger = small_ledger()
-        again = load_ledger(ledger.to_lines())
-        assert again.events == ledger.events
+        again = tuple(read_events(ledger.to_lines()))
+        assert again == ledger.events
 
     def test_verify_counts_events(self):
-        assert verify_lines(small_ledger().to_lines()) == 4
+        assert len(list(read_events(small_ledger().to_lines()))) == 4
 
     def test_payload_with_pipes_and_unicode_survives(self):
         ledger = Ledger()
         payload = {"note": "crossing | the µ delimiter", "n": 3}
         ledger.append(EventKind.QUOTE, "X-1", payload, date(2020, 1, 1))
-        again = load_ledger(ledger.to_lines())
-        assert again.events[0].payload == payload
+        again = list(read_events(ledger.to_lines()))
+        assert again[0].payload == payload
 
     def test_payload_is_normalized_to_its_wire_form(self):
         ledger = Ledger()
@@ -62,37 +62,46 @@ class TestChain:
             ledger.append(EventKind.ISSUE, "bad|id", {}, date(2020, 1, 1))
         with pytest.raises(DomainError):
             ledger.append(EventKind.ISSUE, "", {}, date(2020, 1, 1))
+        with pytest.raises(DomainError):
+            ledger.append(EventKind.ISSUE, "X-1\n", {}, date(2020, 1, 1))
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), object()], ids=["inf", "nan", "object"])
+    def test_payload_canonical_json_cannot_encode_is_a_domain_error(self, value):
+        ledger = Ledger()
+        with pytest.raises(DomainError, match="canonical JSON"):
+            ledger.append(EventKind.QUOTE, "X-1", {"x": value}, date(2020, 1, 1))
+        assert len(ledger) == 0
 
 
 class TestStreamValidation:
     def test_empty_stream_is_an_empty_ledger(self):
-        assert load_ledger([]).events == ()
+        assert list(read_events([])) == []
 
     def test_dropped_line_is_a_gap(self):
         lines = small_ledger().to_lines()
         with pytest.raises(LedgerIntegrityError, match="seq"):
-            verify_lines([lines[0]] + lines[2:])
+            list(read_events([lines[0]] + lines[2:]))
 
     def test_reordered_lines_break_the_chain(self):
         lines = small_ledger().to_lines()
         with pytest.raises(LedgerIntegrityError):
-            verify_lines([lines[1], lines[0]] + lines[2:])
+            list(read_events([lines[1], lines[0]] + lines[2:]))
 
     def test_truncation_from_the_front_is_detected(self):
         lines = small_ledger().to_lines()
         with pytest.raises(LedgerIntegrityError):
-            verify_lines(lines[1:])
+            list(read_events(lines[1:]))
 
     def test_empty_line_is_rejected(self):
         lines = small_ledger().to_lines()
         with pytest.raises(LedgerIntegrityError, match="empty"):
-            verify_lines(lines + [""])
+            list(read_events(lines + [""]))
 
     def test_error_names_the_first_bad_seq(self):
         lines = small_ledger().to_lines()
         mutated = lines[:2] + [_flip(lines[2], lines[2].index("{") + 2)] + lines[3:]
         with pytest.raises(LedgerIntegrityError) as excinfo:
-            verify_lines(mutated)
+            list(read_events(mutated))
         assert excinfo.value.seq == 3
 
     def test_parse_line_rejects_wrong_field_count(self):
@@ -105,6 +114,28 @@ class TestStreamValidation:
         line = f"1|2020-01-01|ISSUE|X-1|{payload}|{GENESIS_HASH}|{digest}"
         with pytest.raises(LedgerIntegrityError, match="seq 1: payload is not in canonical form"):
             parse_line(line)
+
+    @pytest.mark.parametrize("seq_text", ["0_1", " 1"])
+    def test_seq_text_must_be_the_digested_one(self, seq_text):
+        line = small_ledger().to_lines()[0]  # its hash covers "1|..."
+        forged = seq_text + line[line.index("|"):]
+        with pytest.raises(LedgerIntegrityError):
+            list(read_events([forged]))
+
+    @pytest.mark.parametrize(
+        ("seq_text", "ts_text", "cert_id", "message"),
+        [
+            ("01", "2020-01-01", "X-1", "bad sequence number"),
+            ("1", "20200101", "X-1", "bad timestamp"),
+            ("1", "2020-01-01", "X-1\n", "bad cert_id"),
+        ],
+    )
+    def test_digested_non_canonical_fields_are_rejected(self, seq_text, ts_text, cert_id, message):
+        payload = '{"x":1}'
+        digest = _digest(seq_text, ts_text, "ISSUE", cert_id, payload, GENESIS_HASH)
+        line = f"{seq_text}|{ts_text}|ISSUE|{cert_id}|{payload}|{GENESIS_HASH}|{digest}"
+        with pytest.raises(LedgerIntegrityError, match=message):
+            list(read_events([line]))
 
     def test_canonical_payload_refuses_non_finite_numbers(self):
         with pytest.raises(ValueError):
@@ -126,11 +157,11 @@ class TestTamperDetection:
         for position in range(len(text)):
             mutated = _flip(text, position)
             with pytest.raises(LedgerIntegrityError):
-                verify_lines(mutated.split("\n"))
+                list(read_events(mutated.split("\n")))
 
     def test_hash_field_mutations_are_caught(self):
         lines = small_ledger().to_lines()
         tail = lines[-1]
         for position in range(len(tail) - 64, len(tail)):
             with pytest.raises(LedgerIntegrityError):
-                verify_lines(lines[:-1] + [_flip(tail, position)])
+                list(read_events(lines[:-1] + [_flip(tail, position)]))

@@ -109,6 +109,20 @@ class TestIssue:
         assert issue().cert_id == "LME-copper-0001"
         assert issue().cert_id == "LME-copper-0002"
 
+    def test_generated_ids_of_different_pairs_collide_and_the_second_is_refused(self, lme_rules):
+        registry = Registry()
+        registry.register_issuer("A-b", [1])
+        registry.register_issuer("A", [1])
+        issue = lambda issuer, material: registry.issue(
+            issuer=issuer, material=material, face_weight=1, purity=1.0,
+            issue_date=LME_ISSUE_DATE, theta=AttenuationSpec(theta_daily=0.99996),
+            rules=lme_rules, owner="x",
+        )
+        assert issue("A-b", "c").cert_id == "A-b-c-0001"
+        with pytest.raises(IssuanceError, match="'A-b-c-0001' already exists"):
+            issue("A", "b-c")
+        assert len(registry.ledger) == 1
+
     def test_issue_appends_an_event(self, lme_registry, lme_cert):
         events = lme_registry.ledger.events
         assert len(events) == 1
