@@ -157,7 +157,7 @@ class AttenuationSpec:
     def __post_init__(self):
         if not 0.0 < self.theta_daily < 1.0:
             raise DerivationError(
-                f"theta_daily {self.theta_daily:.6f} outside the open interval (0, 1)"
+                f"theta_daily {self.theta_daily:.6f} ({self.mode.value}) outside the open interval (0, 1)"
             )
         if self.mode is not ThetaMode.EXPLICIT:
             if self.tariff is None or self.cif is None:
@@ -276,15 +276,7 @@ def attenuation_coefficient(
     relative to the anchor value, or a rate pathology (INTEREST_CREDITED with
     interest outweighing the charges pushes theta above 1).
     """
-    if mode is ThetaMode.EXPLICIT:
-        raise DomainError("explicit mode carries no derivation inputs")
-    fraction = _daily_decay_fraction(tariff, cif, mode)
-    theta = 1.0 - fraction
-    if not 0.0 < theta < 1.0:
-        raise DerivationError(
-            f"derived theta {theta:.6f} outside (0, 1): tariffs too high relative "
-            f"to anchor value, or rate pathology (mode {mode.value})"
-        )
+    theta = 1.0 - _daily_decay_fraction(tariff, cif, mode)
     return AttenuationSpec(theta_daily=theta, mode=mode, tariff=tariff, cif=cif)
 
 

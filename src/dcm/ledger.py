@@ -57,10 +57,6 @@ def _seal(seq: int, timestamp: str, kind: str, cert_id: str, payload_json: str, 
     return f"{body}|{_sha256(body)}"
 
 
-def _digest(seq: int, timestamp: str, kind: str, cert_id: str, payload_json: str, prev_hash: str) -> str:
-    return _seal(seq, timestamp, kind, cert_id, payload_json, prev_hash)[-64:]
-
-
 @dataclass(frozen=True)
 class LedgerEvent:
     """One sealed record; ``line`` is its wire text, set once when sealed or parsed."""
@@ -115,10 +111,10 @@ class Ledger:
     def last_seq(self) -> int:
         return self._events[-1].seq if self._events else 0
 
-    def append(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date) -> LedgerEvent:
-        """Seal and append one event; returns it.
+    def seal(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date) -> LedgerEvent:
+        """The event that would follow the head, sealed but not stored.
 
-        The stored payload is the JSON round-trip of the argument, so the
+        The event's payload is the JSON round-trip of the argument, so the
         in-memory event equals what a reader reconstructs from the wire line.
         A payload canonical JSON cannot encode raises DomainError.
         """
@@ -131,12 +127,16 @@ class Ledger:
         seq = self.last_seq + 1
         prev = self.head_hash
         line = _seal(seq, timestamp.isoformat(), kind.value, cert_id, payload_json, prev)
-        event = LedgerEvent(seq, timestamp, kind, cert_id, json.loads(payload_json), prev, line[-64:], line)
-        self._events.append(event)
+        return LedgerEvent(seq, timestamp, kind, cert_id, json.loads(payload_json), prev, line[-64:], line)
+
+    def append(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date) -> LedgerEvent:
+        """Seal and append one event; returns it."""
+        event = self.seal(kind, cert_id, payload, timestamp)
+        self.append_sealed(event)
         return event
 
     def append_sealed(self, event: LedgerEvent) -> None:
-        """Append an event sealed elsewhere (e.g. read from the wire) once it links to the head."""
+        """Append a sealed event (from ``seal`` or read from the wire) once it links to the head."""
         _check_link(event, self.last_seq, self.head_hash)
         self._events.append(event)
 

@@ -1,8 +1,9 @@
 """Certificate lifecycle over the event ledger.
 
-Issue, transfer, quote, deliver, buy back, expire - every mutation appends one
-ledger event and applies it through ``Registry._apply``; ``replay`` rebuilds the
-registry by feeding the verified stream through that same function.
+Issue, transfer, quote, deliver, buy back, expire - every mutation seals one
+ledger event, applies it through ``Registry._apply`` and then appends it;
+``replay`` rebuilds the registry by feeding the verified stream through that
+same function.
 
 The registry is a single-writer, multi-reader component: callers must
 serialize mutating operations through one writer; reads see the state as of
@@ -24,6 +25,7 @@ from typing import Iterable
 
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, require_finite, residual_weight
 from .errors import (
+    DCMError,
     DomainError,
     ExpiryError,
     IssuanceError,
@@ -174,8 +176,8 @@ class RegistrySnapshot:
 class Registry:
     """Single-writer certificate registry with an append-only ledger behind it."""
 
-    def __init__(self, ledger: Ledger | None = None, *, weight_places: int = 4):
-        self.ledger = ledger if ledger is not None else Ledger()
+    def __init__(self, *, weight_places: int = 4):
+        self.ledger = Ledger()
         self.weight_places = weight_places
         self._certs: dict[str, Certificate] = {}
         self._denominations: dict[str, frozenset[float]] = {}
@@ -216,11 +218,12 @@ class Registry:
 
     # -- operations ---------------------------------------------------------
     #
-    # Each operation checks its input against the current state and raises
-    # before anything is recorded (StateError and friends: exit 2/3).  It then
-    # appends one event and hands it to ``_apply``, the only code that changes
-    # registry state.  Replay feeds the same ``_apply`` from the ledger, so live
-    # and replayed state cannot drift apart.
+    # Each operation checks the inputs its computation needs, builds its
+    # payload and seals one event.  ``_apply``, the only code that decides an
+    # event's legality and changes registry state, runs before the append, so
+    # a refused event (StateError and friends: exit 2/3) records nothing.
+    # Replay feeds the same ``_apply`` from the ledger, so live and replayed
+    # state cannot drift apart.
 
     def issue(
         self,
@@ -238,8 +241,8 @@ class Registry:
         """Issue an ACTIVE certificate and append its ISSUE event.
 
         The face weight must be one of the issuer's registered denominations.
-        Theta validity, purity and the delivery rules are enforced by the
-        value types themselves.
+        A duplicate id and purity are refused by ``_apply`` before anything
+        is recorded; theta and the delivery rules by their own value types.
         """
         denominations = self._denominations.get(issuer)
         if denominations is None:
@@ -251,21 +254,18 @@ class Registry:
             )
         count = self._issue_counts.get((issuer, material), 0) + 1
         cert_id = f"{issuer}-{material}-{count:04d}"
-        if cert_id in self._certs:  # ids of different pairs can collide: ("A-b", "c") and ("A", "b-c")
-            raise IssuanceError(f"certificate {cert_id!r} already exists")
-        cert = Certificate(
-            cert_id=cert_id,
-            issuer=issuer,
-            material=material,
-            face_weight=float(face_weight),
-            purity=purity,
-            issue_date=issue_date,
-            theta=theta,
-            rules=rules,
-            owner=owner,
-            weight_unit=weight_unit,
-        )
-        self._record(EventKind.ISSUE, cert_id, _issue_payload(cert), issue_date)
+        payload = {
+            "issuer": issuer,
+            "material": material,
+            "face_weight": float(face_weight),
+            "purity": float(purity),
+            "issue_date": issue_date.isoformat(),
+            "weight_unit": weight_unit,
+            "owner": owner,
+            "theta": _theta_to_payload(theta),
+            "rules": dict(vars(rules)),
+        }
+        self._record(EventKind.ISSUE, cert_id, payload, issue_date)
         return self._certs[cert_id]
 
     def _active(self, cert_id: str) -> Certificate:
@@ -287,39 +287,29 @@ class Registry:
         return timestamp if timestamp is not None else cert.issue_date + timedelta(days=t)
 
     def _record(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date) -> None:
-        self._apply(self.ledger.append(kind, cert_id, payload, timestamp))
+        event = self.ledger.seal(kind, cert_id, payload, timestamp)
+        self._apply(event)
+        self.ledger.append_sealed(event)
 
     def _apply(self, event: LedgerEvent) -> None:
-        """Apply one sealed event to the registry: the single state transition.
+        """Apply one sealed event to the registry: the single legality check and state transition.
 
-        Runs after the append, for live operations and replay alike, so its
-        legality checks raise LedgerIntegrityError (exit 4): a live operation
-        has already refused anything they would catch.
+        Runs before the append, for live operations and replay alike, and
+        raises the engine's own errors; ``replay`` reports them as
+        LedgerIntegrityError at the event's seq.
         """
         kind = event.kind
         if kind is EventKind.ISSUE:
-            if event.cert_id in self._certs:
-                raise LedgerIntegrityError(f"duplicate issue of {event.cert_id}", seq=event.seq)
-            try:
-                cert = _cert_from_payload(event.cert_id, event.payload)
-            except (KeyError, TypeError, ValueError, DomainError) as exc:
-                raise LedgerIntegrityError(f"bad issue payload: {exc}", seq=event.seq) from None
+            if event.cert_id in self._certs:  # ids of different pairs can collide: ("A-b", "c") and ("A", "b-c")
+                raise IssuanceError(f"certificate {event.cert_id!r} already exists")
+            cert = _cert_from_payload(event.cert_id, event.payload)
             self._certs[event.cert_id] = cert
             key = (cert.issuer, cert.material)
             self._issue_counts[key] = self._issue_counts.get(key, 0) + 1
             return
-        cert = self._certs.get(event.cert_id)
-        if cert is None:
-            raise LedgerIntegrityError(f"event for unknown certificate {event.cert_id}", seq=event.seq)
-        if cert.status in TERMINAL_STATUSES:
-            raise LedgerIntegrityError(
-                f"event on {cert.status.value} certificate {event.cert_id}", seq=event.seq
-            )
+        cert = self._active(event.cert_id)
         if kind is EventKind.TRANSFER:
-            try:
-                cert.owner = event.payload["to_owner"]
-            except KeyError:
-                raise LedgerIntegrityError("transfer payload missing to_owner", seq=event.seq) from None
+            cert.owner = event.payload["to_owner"]
         elif kind in _SETTLED_STATUS:
             cert.status = _SETTLED_STATUS[kind]
         # QUOTE advances the chain but does not change certificate state
@@ -439,13 +429,18 @@ def replay(events: Iterable[LedgerEvent], *, weight_places: int = 4) -> Registry
     """Rebuild a registry from an event stream.
 
     The stream must already be hash-verified (see ledger.read_events); replay
-    re-checks linkage and applies the recorded state transitions, refusing any
-    event that is illegal for the certificate's replayed state.
+    re-checks linkage and applies the recorded state transitions.  An event
+    that ``_apply`` refuses is a LedgerIntegrityError at its seq.
     """
     registry = Registry(weight_places=weight_places)
     for event in events:
         registry.ledger.append_sealed(event)
-        registry._apply(event)
+        try:
+            registry._apply(event)
+        except (DCMError, KeyError, TypeError, ValueError) as exc:
+            raise LedgerIntegrityError(
+                f"{event.kind.value} refused: {type(exc).__name__}: {exc}", seq=event.seq
+            ) from None
     return registry
 
 
@@ -455,11 +450,7 @@ def replay(events: Iterable[LedgerEvent], *, weight_places: int = 4) -> Registry
 def _theta_to_payload(theta: AttenuationSpec) -> dict:
     payload: dict = {"theta_daily": theta.theta_daily, "mode": theta.mode.value}
     if theta.tariff is not None:
-        payload["tariff"] = {
-            "daily_warehouse_charge": theta.tariff.daily_warehouse_charge,
-            "outbound_transfer_charge": theta.tariff.outbound_transfer_charge,
-            "bank_rate": theta.tariff.bank_rate,
-        }
+        payload["tariff"] = dict(vars(theta.tariff))
     if theta.cif is not None:
         payload["cif"] = {
             "price_per_unit": theta.cif.price_per_unit,
@@ -493,26 +484,6 @@ def _theta_from_payload(payload: dict) -> AttenuationSpec:
         tariff=tariff,
         cif=cif,
     )
-
-
-def _issue_payload(cert: Certificate) -> dict:
-    return {
-        "issuer": cert.issuer,
-        "material": cert.material,
-        "face_weight": cert.face_weight,
-        "purity": cert.purity,
-        "issue_date": cert.issue_date.isoformat(),
-        "weight_unit": cert.weight_unit,
-        "owner": cert.owner,
-        "theta": _theta_to_payload(cert.theta),
-        "rules": {
-            "delivery_charge_ratio": cert.rules.delivery_charge_ratio,
-            "withdrawal_charge_ratio": cert.rules.withdrawal_charge_ratio,
-            "min_delivery_weight": cert.rules.min_delivery_weight,
-            "delivery_location": cert.rules.delivery_location,
-            "validity_days": cert.rules.validity_days,
-        },
-    }
 
 
 def _cert_from_payload(cert_id: str, payload: dict) -> Certificate:

@@ -21,7 +21,7 @@ from datetime import date, timedelta
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import AbstractSet, Any
 
 import yaml
 
@@ -31,7 +31,16 @@ from .market import PriceSeries, load_series, quote_at
 from .registry import DeliveryRules, MarketQuote, Registry
 from .rounding import RoundingProfile, fmt
 
-_ACTIONS = frozenset({"issue", "quote", "transfer", "deliver", "buyback", "expire"})
+# each action and the step arguments it reads
+_ACTIONS = {
+    "issue": frozenset({"face_weight", "owner"}),
+    "quote": frozenset({"premium"}),
+    "transfer": frozenset({"new_owner"}),
+    "deliver": frozenset(),
+    "buyback": frozenset(),
+    "expire": frozenset(),
+}
+_STEP_FIELDS = frozenset({"dt", "action", "cert", "date"})
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,15 @@ def _require(mapping: dict, key: str, context: str) -> Any:
     return mapping[key]
 
 
+def _check_keys(mapping: Any, allowed: AbstractSet[str], context: str) -> None:
+    """Refuse a section that is not a mapping or holds a key the loader does not read."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a mapping")
+    for key in mapping:
+        if key not in allowed:
+            raise ConfigError(f"{context}: unknown key {key!r}")
+
+
 def _as_date(value: Any, context: str) -> date:
     if isinstance(value, date):
         return value
@@ -106,6 +124,11 @@ def _theta_from_config(issuer_cfg: dict) -> AttenuationSpec:
         raise ConfigError("issuer must set exactly one of 'theta' or 'theta_derivation'")
     if explicit is not None:
         return AttenuationSpec(theta_daily=float(explicit))
+    _check_keys(
+        derivation,
+        {"mode", "daily_warehouse_charge", "outbound_transfer_charge", "bank_rate", "cif_price"},
+        "theta_derivation",
+    )
     mode = ThetaMode(_require(derivation, "mode", "theta_derivation"))
     tariff = StorageTariff(
         daily_warehouse_charge=float(_require(derivation, "daily_warehouse_charge", "theta_derivation")),
@@ -125,11 +148,20 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse scenario {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"scenario {path} must be a mapping")
+    _check_keys(raw, {"name", "currency", "issue_date", "issuer", "prices", "rounding", "script"}, f"scenario {path}")
 
     issuer_cfg = _require(raw, "issuer", "scenario")
+    _check_keys(
+        issuer_cfg,
+        {"id", "material", "weight_unit", "purity", "denominations", "theta", "theta_derivation", "delivery_rules"},
+        "issuer",
+    )
     rules_cfg = _require(issuer_cfg, "delivery_rules", "issuer")
+    _check_keys(
+        rules_cfg,
+        {"delivery_charge_ratio", "withdrawal_charge_ratio", "min_delivery_weight", "delivery_location", "validity_days"},
+        "delivery_rules",
+    )
     validity = rules_cfg.get("validity_days")
     issuer = IssuerTerms(
         issuer_id=str(_require(issuer_cfg, "id", "issuer")),
@@ -151,6 +183,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     per_units = 1.0
     if "prices" in raw:
         prices_cfg = raw["prices"]
+        _check_keys(prices_cfg, {"path", "per_units"}, "prices")
         series_path = path.parent / str(_require(prices_cfg, "path", "prices"))
         if not series_path.exists():
             raise ConfigError(f"price series file not found: {series_path}")
@@ -164,6 +197,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise ConfigError("prices.per_units must be > 0")
 
     rounding_cfg = raw.get("rounding", {})
+    _check_keys(rounding_cfg, {"weight_places", "money_places"}, "rounding")
     rounding = RoundingProfile(
         weight_places=int(rounding_cfg.get("weight_places", 4)),
         money_places=int(rounding_cfg.get("money_places", 4)),
@@ -173,17 +207,16 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     for index, step_cfg in enumerate(raw.get("script", []) or [], start=1):
         if not isinstance(step_cfg, dict):
             raise ConfigError(f"script step {index} must be a mapping")
-        known = {"dt", "action", "cert", "date"}
-        args = {k: v for k, v in step_cfg.items() if k not in known}
-        steps.append(
-            ScriptStep(
-                dt=int(_require(step_cfg, "dt", f"script step {index}")),
-                action=str(_require(step_cfg, "action", f"script step {index}")),
-                cert=str(_require(step_cfg, "cert", f"script step {index}")),
-                date=_as_date(step_cfg["date"], f"script step {index}") if "date" in step_cfg else None,
-                args=args,
-            )
+        where = f"script step {index}"
+        step = ScriptStep(
+            dt=int(_require(step_cfg, "dt", where)),
+            action=str(_require(step_cfg, "action", where)),
+            cert=str(_require(step_cfg, "cert", where)),
+            date=_as_date(step_cfg["date"], where) if "date" in step_cfg else None,
+            args={k: v for k, v in step_cfg.items() if k not in _STEP_FIELDS},
         )
+        _check_keys(step.args, _ACTIONS[step.action], f"{where} ({step.action})")
+        steps.append(step)
 
     return ScenarioConfig(
         name=str(raw.get("name", path.stem)),

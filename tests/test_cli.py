@@ -5,7 +5,10 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
+
+from dcm import EventKind, read_events, replay
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -146,6 +149,20 @@ class TestLifecycleFlow:
         result = dcm("replay-verify", cwd=tmp_path)
         assert result.returncode == 4
         assert "hash mismatch" in result.stderr
+
+    def test_sealed_illegal_event_exits_integrity(self, tmp_path):
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        assert dcm("deliver", "--cert", "LME-copper-0001", "--dt", "10", cwd=tmp_path).returncode == 0
+        ledger_file = tmp_path / "dcm-ledger.log"
+        ledger = replay(read_events(ledger_file.read_text(encoding="utf-8").splitlines())).ledger
+        second = ledger.append(EventKind.DELIVER, "LME-copper-0001", {"t": 20}, date(2020, 1, 21))
+        with ledger_file.open("a", encoding="utf-8") as handle:
+            handle.write(second.line + "\n")
+        for args in (["replay-verify"], ["deliver", "--cert", "LME-copper-0001", "--dt", "30"]):
+            result = dcm(*args, cwd=tmp_path)
+            assert result.returncode == 4
+            assert "seq 3" in result.stderr
+            assert "Traceback" not in result.stderr
 
     def test_missing_ledger_exits_validation(self, tmp_path):
         result = dcm("replay-verify", cwd=tmp_path)

@@ -7,7 +7,7 @@ from datetime import date
 import pytest
 
 from dcm import DomainError, EventKind, Ledger, LedgerIntegrityError, read_events
-from dcm.ledger import GENESIS_HASH, _digest, canonical_payload, parse_line
+from dcm.ledger import GENESIS_HASH, _seal, canonical_payload, parse_line
 
 
 def small_ledger() -> Ledger:
@@ -110,8 +110,7 @@ class TestStreamValidation:
 
     def test_digested_nan_payload_is_not_canonical(self):
         payload = '{"x":NaN}'  # json.loads reads it; JSON does not allow it
-        digest = _digest(1, "2020-01-01", "ISSUE", "X-1", payload, GENESIS_HASH)
-        line = f"1|2020-01-01|ISSUE|X-1|{payload}|{GENESIS_HASH}|{digest}"
+        line = _seal(1, "2020-01-01", "ISSUE", "X-1", payload, GENESIS_HASH)
         with pytest.raises(LedgerIntegrityError, match="seq 1: payload is not in canonical form"):
             parse_line(line)
 
@@ -132,8 +131,7 @@ class TestStreamValidation:
     )
     def test_digested_non_canonical_fields_are_rejected(self, seq_text, ts_text, cert_id, message):
         payload = '{"x":1}'
-        digest = _digest(seq_text, ts_text, "ISSUE", cert_id, payload, GENESIS_HASH)
-        line = f"{seq_text}|{ts_text}|ISSUE|{cert_id}|{payload}|{GENESIS_HASH}|{digest}"
+        line = _seal(seq_text, ts_text, "ISSUE", cert_id, payload, GENESIS_HASH)
         with pytest.raises(LedgerIntegrityError, match=message):
             list(read_events([line]))
 

@@ -123,6 +123,22 @@ class TestIssue:
             issue("A", "b-c")
         assert len(registry.ledger) == 1
 
+    def test_refused_issue_records_nothing(self, lme_registry, lme_cert, lme_rules):
+        before = lme_registry.snapshot()
+        with pytest.raises(DomainError, match="purity"):
+            lme_registry.issue(
+                issuer="LME",
+                material="copper",
+                face_weight=1000,
+                purity=1.5,
+                issue_date=LME_ISSUE_DATE,
+                theta=AttenuationSpec(theta_daily=0.99996),
+                rules=lme_rules,
+                owner="client-2",
+            )
+        assert len(lme_registry.ledger) == 1
+        assert lme_registry.snapshot() == before
+
     def test_issue_appends_an_event(self, lme_registry, lme_cert):
         events = lme_registry.ledger.events
         assert len(events) == 1
@@ -251,6 +267,14 @@ class TestTransfer:
         after = lme_registry.quote_transaction_price(lme_cert.cert_id, MarketQuote(quotation=5.0), 183)
         assert after.price == before.price
 
+    def test_refused_transfer_records_nothing(self, lme_registry, lme_cert):
+        lme_registry.physical_delivery(lme_cert.cert_id, 365)
+        before = lme_registry.snapshot()
+        with pytest.raises(StateError):
+            lme_registry.transfer(lme_cert.cert_id, "client-2", 400)
+        assert len(lme_registry.ledger) == 2
+        assert lme_registry.snapshot() == before
+
     def test_transfer_on_settled_certificate_is_a_state_error(self, lme_registry, lme_cert):
         lme_registry.physical_delivery(lme_cert.cert_id, 365)
         with pytest.raises(StateError):
@@ -376,6 +400,21 @@ def _random_walk(seed: int, length: int) -> Registry:
     return registry
 
 
+# correctly sealed events that replay must refuse, each following the fixture's
+# ISSUE of LME-copper-0001: (kind, cert_id, payload built from that ISSUE's payload)
+SEALED_REFUSALS = {
+    "duplicate-issue": (EventKind.ISSUE, "LME-copper-0001", lambda issue: issue),
+    "issue-purity-above-one": (EventKind.ISSUE, "LME-copper-0002", lambda issue: {**issue, "purity": 1.5}),
+    "issue-without-rules": (
+        EventKind.ISSUE, "LME-copper-0002", lambda issue: {k: v for k, v in issue.items() if k != "rules"}
+    ),
+    "unknown-certificate": (EventKind.DELIVER, "LME-copper-0009", lambda issue: {"t": 1}),
+    "transfer-without-to-owner": (
+        EventKind.TRANSFER, "LME-copper-0001", lambda issue: {"t": 1, "from_owner": "client-1"}
+    ),
+}
+
+
 class TestReplay:
     def test_empty_stream_gives_an_empty_registry(self):
         rebuilt = replay(read_events([]))
@@ -425,6 +464,15 @@ class TestReplay:
             owner="client-2",
         )
         assert again.cert_id == "LME-copper-0002"
+
+    @pytest.mark.parametrize("case", sorted(SEALED_REFUSALS))
+    def test_sealed_illegal_event_is_an_integrity_error_at_its_seq(self, lme_registry, lme_cert, case):
+        kind, cert_id, payload_of = SEALED_REFUSALS[case]
+        ledger = lme_registry.ledger
+        ledger.append(kind, cert_id, payload_of(ledger.events[0].payload), date(2020, 2, 1))
+        with pytest.raises(LedgerIntegrityError, match=f"seq 2: {kind.value} refused") as excinfo:
+            replay(read_events(ledger.to_lines()))
+        assert excinfo.value.seq == 2
 
     def test_replay_checks_continuity_of_events_it_did_not_parse(self, lme_registry, lme_cert):
         lme_registry.transfer(lme_cert.cert_id, "client-2", 10)

@@ -39,6 +39,8 @@ script:
 
 PRICES_CSV = "date,price\n2020-01-01,40\n"
 
+ISSUE_STEP = "  - {dt: 0, action: issue, cert: c1, face_weight: 5, owner: a}\n"
+
 
 def write_scenario(tmp_path, script: str, body_extras: str = ""):
     text = MINIMAL_SCENARIO.format(script=script)
@@ -168,6 +170,40 @@ class TestScenarioLoading:
         path.write_text(text, encoding="utf-8")
         report, _ = run_scenario(load_scenario(path))
         assert report.steps[0]["theta_display"] == "0.999960"
+
+    @pytest.mark.parametrize(
+        ("script", "edit", "message"),
+        [
+            (
+                ISSUE_STEP,
+                ("    min_delivery_weight: 5\n", "    min_delivery_weight: 5\n    valditiy_days: 30\n"),
+                "delivery_rules: unknown key 'valditiy_days'",
+            ),
+            (
+                ISSUE_STEP + "  - {dt: 1, action: quote, cert: c1, premuim: 0.5}\n",
+                None,
+                r"script step 2 \(quote\): unknown key 'premuim'",
+            ),
+            (
+                "  - {dt: 0, action: issue, cert: c1, face_weight: 5, ownr: alice}\n",
+                None,
+                r"script step 1 \(issue\): unknown key 'ownr'",
+            ),
+            (
+                ISSUE_STEP,
+                ("script:\n", "rates:\n  - {date: 2020-01-01, rate: 0.05}\nscript:\n"),
+                r"scenario .*toy\.yaml: unknown key 'rates'",
+            ),
+            (ISSUE_STEP, ("script:\n", "rounding: 4\nscript:\n"), "rounding must be a mapping"),
+        ],
+        ids=["misspelled-rule", "misspelled-quote-arg", "misspelled-issue-arg", "stale-rates-block", "scalar-section"],
+    )
+    def test_keys_the_loader_does_not_read_are_rejected(self, tmp_path, script, edit, message):
+        path = write_scenario(tmp_path, script)
+        if edit is not None:
+            path.write_text(path.read_text(encoding="utf-8").replace(*edit), encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(path)
 
     def test_expire_step_accrues_to_the_issuer(self, tmp_path):
         path = write_scenario(
