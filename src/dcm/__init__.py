@@ -1,4 +1,8 @@
-"""Decayed commodity money: issuance, pricing, settlement, and a replayable ledger."""
+"""Decayed commodity money: issuance, pricing, settlement, and a replayable ledger.
+
+The scenario names load ``dcm.scenario`` (and PyYAML) on first use, so a
+command that runs no scenario does not pay for importing them.
+"""
 
 from .decay import (
     AttenuationSpec,
@@ -51,16 +55,26 @@ from .registry import (
     replay,
 )
 from .rounding import RoundingProfile, fmt, quantize, quantize_to_float
-from .scenario import (
-    ScenarioConfig,
-    ScenarioReport,
-    ScriptStep,
-    WealthProjection,
-    bundled_scenario_path,
-    load_scenario,
-    run_scenario,
-    wealth_projection,
-)
+
+_SCENARIO_NAMES = frozenset({
+    "ScenarioConfig",
+    "ScenarioReport",
+    "ScriptStep",
+    "WealthProjection",
+    "bundled_scenario_path",
+    "load_scenario",
+    "run_scenario",
+    "wealth_projection",
+})
+
+
+def __getattr__(name: str):
+    if name not in _SCENARIO_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import scenario
+
+    value = globals()[name] = getattr(scenario, name)
+    return value
 
 __version__ = "0.1.0"
 

@@ -12,13 +12,13 @@ from pathlib import Path
 
 import click
 
+from .checkpoint import LedgerFile
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient
 from .errors import EXIT_VALIDATION, ConfigError, DCMError
-from .ledger import Ledger, read_events
+from .ledger import Ledger
 from .market import load_series, quote_at
-from .registry import DeliveryRules, MarketQuote, Registry, export_certificate, replay
+from .registry import DeliveryRules, MarketQuote, Registry, export_certificate
 from .rounding import RoundingProfile, fmt
-from .scenario import bundled_scenario_path, load_scenario, run_scenario, wealth_projection
 
 _MODE_CHOICES = [m.value for m in ThetaMode if m is not ThetaMode.EXPLICIT]
 
@@ -29,12 +29,33 @@ class AppContext:
         self.prices_path = prices_path
         self.per_units = per_units
         self.profile = profile
+        self.ledger_file = LedgerFile(ledger_path, profile.weight_places)
+
+    def _warn_if_ignored(self) -> None:
+        if self.ledger_file.ignored is not None:
+            click.echo(f"warning: ignoring checkpoint {self.ledger_file.sidecar}: {self.ledger_file.ignored}", err=True)
 
     def load_registry(self) -> Registry:
-        if not self.ledger_path.exists():
-            return Registry(weight_places=self.profile.weight_places)
-        lines = self.ledger_path.read_text(encoding="utf-8").splitlines()
-        return replay(read_events(lines), weight_places=self.profile.weight_places)
+        """The ledger file's registry, resumed from its checkpoint sidecar when that verifies."""
+        try:
+            return self.ledger_file.load()
+        finally:
+            self._warn_if_ignored()
+
+    def verify_registry(self) -> Registry:
+        """The ledger file's registry by a full replay, checked against its checkpoint sidecar."""
+        try:
+            return self.ledger_file.verify()
+        finally:
+            self._warn_if_ignored()
+
+    def save(self, registry: Registry, known: int) -> None:
+        """Append the events after the first ``known``, then rewrite the checkpoint sidecar."""
+        self.append_new_events(registry.ledger, known)
+        try:
+            self.ledger_file.write_checkpoint(registry, registry.ledger.events[known:])
+        except OSError as exc:
+            click.echo(f"warning: cannot write checkpoint {self.ledger_file.sidecar}: {exc}", err=True)
 
     def append_new_events(self, ledger: Ledger, known: int) -> None:
         new_events = ledger.events[known:]
@@ -140,7 +161,7 @@ def issue(app: AppContext, issuer, material, face_weight, purity, issue_date, th
         owner=owner,
         weight_unit=weight_unit,
     )
-    app.append_new_events(registry.ledger, known)
+    app.save(registry, known)
     click.echo(export_certificate(cert), nl=False)
 
 
@@ -155,7 +176,7 @@ def quote(app: AppContext, cert_id, dt, premium):
     known = len(registry.ledger)
     market = app.market_quote(registry.certificate(cert_id), dt, premium)
     result = registry.quote_transaction_price(cert_id, market, dt)
-    app.append_new_events(registry.ledger, known)
+    app.save(registry, known)
     click.echo(f"residual_weight: {app.profile.weight(result.residual_weight)}")
     click.echo(f"price: {app.profile.money(result.price)}")
 
@@ -169,7 +190,7 @@ def deliver(app: AppContext, cert_id, dt):
     registry = app.load_registry()
     known = len(registry.ledger)
     result = registry.physical_delivery(cert_id, dt)
-    app.append_new_events(registry.ledger, known)
+    app.save(registry, known)
     click.echo(f"residual_weight: {app.profile.weight(result.residual_weight)}")
     click.echo(f"delivered_weight: {app.profile.weight(result.delivered_weight)}")
 
@@ -184,7 +205,7 @@ def buyback(app: AppContext, cert_id, dt):
     known = len(registry.ledger)
     market = app.market_quote(registry.certificate(cert_id), dt, 0.0)
     result = registry.buyback(cert_id, dt, market)
-    app.append_new_events(registry.ledger, known)
+    app.save(registry, known)
     click.echo(f"buyback_weight: {app.profile.weight(result.buyback_weight)}")
     click.echo(f"cash: {app.profile.money(result.cash)}")
 
@@ -195,6 +216,8 @@ def buyback(app: AppContext, cert_id, dt):
 @click.option("--format", "output_format", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def run(scenario: str, report_path: Path | None, output_format: str):
     """Run a scenario file or a bundled scenario by name."""
+    from .scenario import bundled_scenario_path, load_scenario, run_scenario
+
     path = Path(scenario)
     if not path.exists():
         path = bundled_scenario_path(scenario)
@@ -214,6 +237,8 @@ def run(scenario: str, report_path: Path | None, output_format: str):
 @click.pass_obj
 def project(app: AppContext, weight, theta_value, days):
     """Project the holder/custodian split of an anchor stock."""
+    from .scenario import wealth_projection
+
     result = wealth_projection(weight, theta_value, days)
     click.echo(f"residual_weight: {app.profile.weight(result.residual_weight)}")
     click.echo(f"issuer_accrued_weight: {app.profile.weight(result.issuer_accrued_weight)}")
@@ -225,7 +250,7 @@ def replay_verify(app: AppContext):
     """Verify the ledger's hash chain and replayability end to end."""
     if not app.ledger_path.exists():
         raise ConfigError(f"ledger file not found: {app.ledger_path}")
-    registry = app.load_registry()
+    registry = app.verify_registry()
     click.echo(
         f"ok: {len(registry.ledger)} events, {len(registry.certificates)} certificates, "
         f"head {registry.ledger.head_hash}"

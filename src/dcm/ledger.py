@@ -42,9 +42,14 @@ class EventKind(str, Enum):
     EXPIRE = "EXPIRE"
 
 
+_KINDS = {kind.value: kind for kind in EventKind}
+# one encoder for every payload: json.dumps with these arguments would build it per call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+
+
 def canonical_payload(payload: dict) -> str:
     """Sorted-key, whitespace-free, ASCII JSON; raises ValueError on NaN or infinity."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+    return _CANONICAL.encode(payload)
 
 
 def _sha256(body: str) -> str:
@@ -88,10 +93,16 @@ def validate_cert_id(cert_id: str) -> str:
 
 
 class Ledger:
-    """In-memory event log; one writer, atomic per-event append."""
+    """In-memory event log; one writer, atomic per-event append.
 
-    def __init__(self):
+    A ledger may continue from a verified head (``last_seq``, ``head_hash``)
+    instead of genesis; it then holds only the events after that head.
+    """
+
+    def __init__(self, last_seq: int = 0, head_hash: str = GENESIS_HASH):
         self._events: list[LedgerEvent] = []
+        self._last_seq = last_seq
+        self._head_hash = head_hash
 
     def __len__(self) -> int:
         return len(self._events)
@@ -105,11 +116,11 @@ class Ledger:
 
     @property
     def head_hash(self) -> str:
-        return self._events[-1].hash if self._events else GENESIS_HASH
+        return self._head_hash
 
     @property
     def last_seq(self) -> int:
-        return self._events[-1].seq if self._events else 0
+        return self._last_seq
 
     def seal(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date) -> LedgerEvent:
         """The event that would follow the head, sealed but not stored.
@@ -137,8 +148,9 @@ class Ledger:
 
     def append_sealed(self, event: LedgerEvent) -> None:
         """Append a sealed event (from ``seal`` or read from the wire) once it links to the head."""
-        _check_link(event, self.last_seq, self.head_hash)
+        _check_link(event, self._last_seq, self._head_hash)
         self._events.append(event)
+        self._last_seq, self._head_hash = event.seq, event.hash
 
     def to_lines(self) -> list[str]:
         return [event.line for event in self._events]
@@ -174,10 +186,9 @@ def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
             raise ValueError(ts_text)
     except ValueError:
         raise LedgerIntegrityError(f"bad timestamp {ts_text!r}", seq=seq) from None
-    try:
-        kind = EventKind(kind_text)
-    except ValueError:
-        raise LedgerIntegrityError(f"unknown event kind {kind_text!r}", seq=seq) from None
+    kind = _KINDS.get(kind_text)
+    if kind is None:
+        raise LedgerIntegrityError(f"unknown event kind {kind_text!r}", seq=seq)
     if not _CERT_ID_RE.fullmatch(cert_id):
         raise LedgerIntegrityError(f"bad cert_id {cert_id!r}", seq=seq)
     try:
@@ -193,15 +204,16 @@ def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
     return LedgerEvent(seq, timestamp, kind, cert_id, payload, prev_hash, line_hash, line)
 
 
-def read_events(lines: Iterable[str]) -> Iterator[LedgerEvent]:
-    """Parse and verify a whole stream; raises at the first bad record.
+def read_events(lines: Iterable[str], *, last_seq: int = 0, head_hash: str = GENESIS_HASH) -> Iterator[LedgerEvent]:
+    """Parse and verify a stream; raises at the first bad record.
 
     Checks per line: digest over the raw bytes, canonical fields.  Across
-    lines: seq starts at 1 and increases without gaps, and each prev_hash
-    equals the previous hash.
+    lines: seq increases without gaps from ``last_seq`` + 1 and each prev_hash
+    equals the previous hash, the first one ``head_hash``.  By default the
+    stream is a whole ledger; a tail after a verified head passes that head,
+    and its line numbers continue from it (one line per event).
     """
-    last_seq, head_hash = 0, GENESIS_HASH
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=last_seq + 1):
         line = raw.rstrip("\n")
         if not line:
             raise LedgerIntegrityError(f"line {lineno}: empty record")

@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     StateError,
 )
-from .ledger import EventKind, Ledger, LedgerEvent, validate_cert_id
+from .ledger import GENESIS_HASH, EventKind, Ledger, LedgerEvent, validate_cert_id
 from .rounding import fmt, quantize_to_float
 
 
@@ -112,6 +112,7 @@ class Certificate:
 
     def __post_init__(self):
         validate_cert_id(self.cert_id)
+        _check_owner(self.owner)
         self.face_weight = float(self.face_weight)
         self.purity = float(self.purity)
         require_finite(face_weight=self.face_weight)
@@ -122,6 +123,11 @@ class Certificate:
 
     def residual_at(self, delta_t: int) -> float:
         return residual_weight(self.face_weight, self.theta, delta_t)
+
+
+def _check_owner(owner) -> None:
+    if not isinstance(owner, str) or not owner:
+        raise DomainError(f"owner must be a non-empty string, got {owner!r}")
 
 
 @dataclass(frozen=True)
@@ -216,6 +222,55 @@ class Registry:
             head_hash=self.ledger.head_hash,
         )
 
+    # -- state --------------------------------------------------------------
+
+    def to_state(self) -> list[list]:
+        """The reducer state as one JSON value: ``[cert_id, form]`` pairs in issue order.
+
+        A form is the certificate's ISSUE payload form with its current owner,
+        plus its status.  The issue counters are not stored: every ISSUE adds
+        one certificate, so they are the certificates per (issuer, material).
+        """
+        return [[cert_id, certificate_state(cert)] for cert_id, cert in self._certs.items()]
+
+    @classmethod
+    def from_state(
+        cls, state: list, last_seq: int = 0, head_hash: str = GENESIS_HASH, *, weight_places: int = 4
+    ) -> Registry:
+        """The registry holding ``state``, its ledger continuing from (last_seq, head_hash).
+
+        Every certificate is rebuilt through ``_cert_from_payload``, so every
+        value is revalidated; a malformed state raises DCMError, KeyError,
+        TypeError or ValueError.
+        """
+        registry = cls(weight_places=weight_places)
+        registry.ledger = Ledger(last_seq, head_hash)
+        certs, counts = registry._certs, registry._issue_counts
+        for cert_id, form in state:
+            if cert_id in certs:
+                raise IssuanceError(f"certificate {cert_id!r} already exists")
+            cert = certs[cert_id] = _cert_from_payload(cert_id, form)
+            cert.status = CertStatus(form["status"])
+            key = (cert.issuer, cert.material)
+            counts[key] = counts.get(key, 0) + 1
+        return registry
+
+    def apply_events(self, events: Iterable[LedgerEvent]) -> Registry:
+        """Append and apply verified events that follow the ledger's head; returns the registry.
+
+        Each event must link to the head; one that ``_apply`` refuses is a
+        LedgerIntegrityError at its seq.
+        """
+        for event in events:
+            self.ledger.append_sealed(event)
+            try:
+                self._apply(event)
+            except (DCMError, KeyError, TypeError, ValueError) as exc:
+                raise LedgerIntegrityError(
+                    f"{event.kind.value} refused: {type(exc).__name__}: {exc}", seq=event.seq
+                ) from None
+        return self
+
     # -- operations ---------------------------------------------------------
     #
     # Each operation checks the inputs its computation needs, builds its
@@ -309,7 +364,12 @@ class Registry:
             return
         cert = self._active(event.cert_id)
         if kind is EventKind.TRANSFER:
-            cert.owner = event.payload["to_owner"]
+            to_owner = event.payload["to_owner"]
+            _check_owner(to_owner)
+            from_owner = event.payload["from_owner"]
+            if from_owner != cert.owner:
+                raise StateError(f"certificate {cert.cert_id} is owned by {cert.owner!r}, not {from_owner!r}")
+            cert.owner = to_owner
         elif kind in _SETTLED_STATUS:
             cert.status = _SETTLED_STATUS[kind]
         # QUOTE advances the chain but does not change certificate state
@@ -432,16 +492,7 @@ def replay(events: Iterable[LedgerEvent], *, weight_places: int = 4) -> Registry
     re-checks linkage and applies the recorded state transitions.  An event
     that ``_apply`` refuses is a LedgerIntegrityError at its seq.
     """
-    registry = Registry(weight_places=weight_places)
-    for event in events:
-        registry.ledger.append_sealed(event)
-        try:
-            registry._apply(event)
-        except (DCMError, KeyError, TypeError, ValueError) as exc:
-            raise LedgerIntegrityError(
-                f"{event.kind.value} refused: {type(exc).__name__}: {exc}", seq=event.seq
-            ) from None
-    return registry
+    return Registry(weight_places=weight_places).apply_events(events)
 
 
 # -- payload / metadata serialization ----------------------------------------
@@ -484,6 +535,22 @@ def _theta_from_payload(payload: dict) -> AttenuationSpec:
         tariff=tariff,
         cif=cif,
     )
+
+
+def certificate_state(cert: Certificate) -> dict:
+    """The ISSUE payload form of ``cert`` with its current owner, plus its status."""
+    return {
+        "issuer": cert.issuer,
+        "material": cert.material,
+        "face_weight": cert.face_weight,
+        "purity": cert.purity,
+        "issue_date": cert.issue_date.isoformat(),
+        "weight_unit": cert.weight_unit,
+        "owner": cert.owner,
+        "theta": _theta_to_payload(cert.theta),
+        "rules": dict(vars(cert.rules)),
+        "status": cert.status.value,
+    }
 
 
 def _cert_from_payload(cert_id: str, payload: dict) -> Certificate:

@@ -40,6 +40,7 @@ _ACTIONS = {
     "buyback": frozenset(),
     "expire": frozenset(),
 }
+_NUMERIC_ARGS = frozenset({"face_weight", "premium"})
 _STEP_FIELDS = frozenset({"dt", "action", "cert", "date"})
 
 
@@ -108,6 +109,19 @@ def _check_keys(mapping: Any, allowed: AbstractSet[str], context: str) -> None:
             raise ConfigError(f"{context}: unknown key {key!r}")
 
 
+_REQUIRED = object()
+
+
+def _number(mapping: dict, key: str, context: str, kind: Any = float, default: Any = _REQUIRED) -> Any:
+    """``kind(mapping[key])``; a missing key or a value ``kind`` refuses is a ConfigError naming both."""
+    value = _require(mapping, key, context) if default is _REQUIRED else mapping.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        wanted = "an integer" if kind is int else "numeric"
+        raise ConfigError(f"{context}: {key} must be {wanted}, got {value!r}") from None
+
+
 def _as_date(value: Any, context: str) -> date:
     if isinstance(value, date):
         return value
@@ -123,19 +137,23 @@ def _theta_from_config(issuer_cfg: dict) -> AttenuationSpec:
     if (explicit is None) == (derivation is None):
         raise ConfigError("issuer must set exactly one of 'theta' or 'theta_derivation'")
     if explicit is not None:
-        return AttenuationSpec(theta_daily=float(explicit))
+        return AttenuationSpec(theta_daily=_number(issuer_cfg, "theta", "issuer"))
     _check_keys(
         derivation,
         {"mode", "daily_warehouse_charge", "outbound_transfer_charge", "bank_rate", "cif_price"},
         "theta_derivation",
     )
-    mode = ThetaMode(_require(derivation, "mode", "theta_derivation"))
+    mode = _require(derivation, "mode", "theta_derivation")
+    try:
+        mode = ThetaMode(mode)
+    except ValueError:
+        raise ConfigError(f"theta_derivation: unknown mode {mode!r}") from None
     tariff = StorageTariff(
-        daily_warehouse_charge=float(_require(derivation, "daily_warehouse_charge", "theta_derivation")),
-        outbound_transfer_charge=float(derivation.get("outbound_transfer_charge", 0.0)),
-        bank_rate=float(derivation.get("bank_rate", 0.0)),
+        daily_warehouse_charge=_number(derivation, "daily_warehouse_charge", "theta_derivation"),
+        outbound_transfer_charge=_number(derivation, "outbound_transfer_charge", "theta_derivation", default=0.0),
+        bank_rate=_number(derivation, "bank_rate", "theta_derivation", default=0.0),
     )
-    cif = CifQuote(price_per_unit=float(_require(derivation, "cif_price", "theta_derivation")))
+    cif = CifQuote(price_per_unit=_number(derivation, "cif_price", "theta_derivation"))
     return attenuation_coefficient(tariff, cif, mode)
 
 
@@ -162,20 +180,22 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         {"delivery_charge_ratio", "withdrawal_charge_ratio", "min_delivery_weight", "delivery_location", "validity_days"},
         "delivery_rules",
     )
-    validity = rules_cfg.get("validity_days")
     issuer = IssuerTerms(
         issuer_id=str(_require(issuer_cfg, "id", "issuer")),
         material=str(_require(issuer_cfg, "material", "issuer")),
         weight_unit=str(issuer_cfg.get("weight_unit", "kg")),
-        purity=float(issuer_cfg.get("purity", 1.0)),
-        denominations=tuple(float(d) for d in _require(issuer_cfg, "denominations", "issuer")),
+        purity=_number(issuer_cfg, "purity", "issuer", default=1.0),
+        denominations=_number(issuer_cfg, "denominations", "issuer", lambda values: tuple(map(float, values))),
         theta=_theta_from_config(issuer_cfg),
         rules=DeliveryRules(
-            delivery_charge_ratio=float(_require(rules_cfg, "delivery_charge_ratio", "delivery_rules")),
-            withdrawal_charge_ratio=float(_require(rules_cfg, "withdrawal_charge_ratio", "delivery_rules")),
-            min_delivery_weight=float(_require(rules_cfg, "min_delivery_weight", "delivery_rules")),
+            delivery_charge_ratio=_number(rules_cfg, "delivery_charge_ratio", "delivery_rules"),
+            withdrawal_charge_ratio=_number(rules_cfg, "withdrawal_charge_ratio", "delivery_rules"),
+            min_delivery_weight=_number(rules_cfg, "min_delivery_weight", "delivery_rules"),
             delivery_location=str(rules_cfg.get("delivery_location", "")),
-            validity_days=None if validity is None else int(validity),
+            validity_days=(
+                None if rules_cfg.get("validity_days") is None
+                else _number(rules_cfg, "validity_days", "delivery_rules", int)
+            ),
         ),
     )
 
@@ -192,15 +212,15 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             material=issuer.material,
             currency=str(raw.get("currency", "")),
         )
-        per_units = float(prices_cfg.get("per_units", 1.0))
+        per_units = _number(prices_cfg, "per_units", "prices", default=1.0)
         if per_units <= 0:
             raise ConfigError("prices.per_units must be > 0")
 
     rounding_cfg = raw.get("rounding", {})
     _check_keys(rounding_cfg, {"weight_places", "money_places"}, "rounding")
     rounding = RoundingProfile(
-        weight_places=int(rounding_cfg.get("weight_places", 4)),
-        money_places=int(rounding_cfg.get("money_places", 4)),
+        weight_places=_number(rounding_cfg, "weight_places", "rounding", int, 4),
+        money_places=_number(rounding_cfg, "money_places", "rounding", int, 4),
     )
 
     steps = []
@@ -209,13 +229,16 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"script step {index} must be a mapping")
         where = f"script step {index}"
         step = ScriptStep(
-            dt=int(_require(step_cfg, "dt", where)),
+            dt=_number(step_cfg, "dt", where, int),
             action=str(_require(step_cfg, "action", where)),
             cert=str(_require(step_cfg, "cert", where)),
             date=_as_date(step_cfg["date"], where) if "date" in step_cfg else None,
             args={k: v for k, v in step_cfg.items() if k not in _STEP_FIELDS},
         )
-        _check_keys(step.args, _ACTIONS[step.action], f"{where} ({step.action})")
+        where = f"{where} ({step.action})"
+        _check_keys(step.args, _ACTIONS[step.action], where)
+        for key in _NUMERIC_ARGS & step.args.keys():
+            step.args[key] = _number(step.args, key, where)
         steps.append(step)
 
     return ScenarioConfig(
@@ -324,7 +347,7 @@ def _run_step(
         cert = registry.issue(
             issuer=config.issuer.issuer_id,
             material=config.issuer.material,
-            face_weight=float(step.args.get("face_weight", 0.0)),
+            face_weight=step.args.get("face_weight", 0.0),
             purity=config.issuer.purity,
             issue_date=config.issue_date,
             theta=config.issuer.theta,
@@ -348,7 +371,7 @@ def _run_step(
     record["cert_id"] = cert_id
 
     if step.action == "quote":
-        quote = _market_quote(config, when, float(step.args.get("premium", 0.0)))
+        quote = _market_quote(config, when, step.args.get("premium", 0.0))
         result = registry.quote_transaction_price(cert_id, quote, step.dt, timestamp=when)
         record.update(
             quotation=result.quotation,

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from datetime import date
 from decimal import Decimal
 
 import pytest
 
 from dcm import AttenuationSpec, DeliveryRules, Registry
+from dcm.ledger import canonical_payload
 from dcm.rounding import quantize
 
 LME_ISSUE_DATE = date(2020, 1, 1)
@@ -21,6 +24,14 @@ def assert_display_close(value: float, places: int, pinned: str, tol: str = "0.0
     """
     shown = quantize(value, places)
     assert abs(shown - Decimal(pinned)) <= Decimal(tol), f"displayed {shown}, pinned {pinned}"
+
+
+def forge_sidecar(sidecar, edit) -> None:
+    """Rewrite a checkpoint sidecar's state lines with ``edit`` and recompute its state digest."""
+    header, *state = sidecar.read_text(encoding="utf-8").splitlines()
+    body = "".join(line + "\n" for line in edit(state)).encode("utf-8")
+    fields = {**json.loads(header), "state_sha256": hashlib.sha256(body).hexdigest()}
+    sidecar.write_bytes(canonical_payload(fields).encode("utf-8") + b"\n" + body)
 
 
 @pytest.fixture

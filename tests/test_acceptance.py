@@ -7,6 +7,7 @@ are reproducible.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from datetime import date
@@ -34,7 +35,7 @@ from dcm import (
     total_logistics_cost,
     wealth_projection,
 )
-from dcm.ledger import LedgerIntegrityError
+from dcm.ledger import LedgerIntegrityError, canonical_payload
 
 DAYS = 365.0
 
@@ -268,6 +269,17 @@ def test_criterion_6_replay_determinism_and_tamper_detection():
         f"({total_events} events) replay to identical state; all {mutations} "
         f"single-byte mutations caught as integrity errors ({elapsed:.1f}s)"
     )
+
+
+def test_reducer_state_round_trips_through_its_json_form():
+    rng = random.Random(0x5EED07)
+    for _ in range(100):
+        registry = _random_operations(rng, rng.randrange(1, 1001))
+        state = registry.to_state()
+        head = registry.ledger
+        restored = Registry.from_state(json.loads(canonical_payload(state)), head.last_seq, head.head_hash)
+        assert restored.to_state() == state
+        assert restored.snapshot() == registry.snapshot()
 
 
 def test_verified_lines_are_the_stored_lines():

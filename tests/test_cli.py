@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 from datetime import date
 from pathlib import Path
 
+import pytest
+
 from dcm import EventKind, read_events, replay
+from dcm.checkpoint import LedgerFile
+from conftest import forge_sidecar
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -178,6 +183,85 @@ class TestLifecycleFlow:
         assert result.returncode == 2
 
 
+SIDECAR = "dcm-ledger.log.ckpt"
+PRICED = ["--prices", "prices.csv", "--price-per-units", "1000"]
+SESSION = [
+    ISSUE_ARGS,
+    ISSUE_ARGS,
+    [*PRICED, "quote", "--cert", "LME-copper-0001", "--dt", "183"],
+    ["deliver", "--cert", "LME-copper-0001", "--dt", "365"],
+    ["deliver", "--cert", "LME-copper-0001", "--dt", "366"],
+    [*PRICED, "buyback", "--cert", "LME-copper-0002", "--dt", "100"],
+    [*PRICED, "quote", "--cert", "LME-copper-0002", "--dt", "101"],
+    ISSUE_ARGS,
+]
+
+
+class TestCheckpoint:
+    def test_each_command_resumes_from_the_checkpoint_with_the_same_output(self, tmp_path):
+        with_sidecar, without = tmp_path / "with", tmp_path / "without"
+        outputs = {}
+        for where in (with_sidecar, without):
+            where.mkdir()
+            (where / "prices.csv").write_text(PRICES, encoding="utf-8")
+            outputs[where] = []
+            for args in SESSION:
+                (without / SIDECAR).unlink(missing_ok=True)
+                result = dcm(*args, cwd=where)
+                outputs[where].append((result.returncode, result.stdout))
+                assert "warning" not in result.stderr
+        assert [code for code, _ in outputs[with_sidecar]] == [0, 0, 0, 0, 3, 0, 3, 0]
+        assert outputs[with_sidecar] == outputs[without]
+        assert (with_sidecar / "dcm-ledger.log").read_bytes() == (without / "dcm-ledger.log").read_bytes()
+        resumed = LedgerFile(with_sidecar / "dcm-ledger.log", 4)
+        assert len(resumed.load().ledger) == 0 and resumed.ignored is None
+        assert "ok: 6 events, 3 certificates" in dcm("replay-verify", cwd=with_sidecar).stdout
+
+    def test_tampered_prefix_with_a_valid_checkpoint_exits_integrity(self, tmp_path):
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        ledger_file = tmp_path / "dcm-ledger.log"
+        text = ledger_file.read_text(encoding="utf-8")
+        position = text.index("1000.0")
+        ledger_file.write_text(text[:position] + "9" + text[position + 1 :], encoding="utf-8")
+        result = dcm("deliver", "--cert", "LME-copper-0002", "--dt", "10", cwd=tmp_path)
+        assert result.returncode == 4
+        assert "hash mismatch" in result.stderr
+        assert f"warning: ignoring checkpoint {SIDECAR}" in result.stderr
+
+    def test_forged_checkpoint_state_fails_replay_verify(self, tmp_path):
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        forge_sidecar(tmp_path / SIDECAR, lambda state: [line.replace('"client-1"', '"mallory"') for line in state])
+        result = dcm("replay-verify", cwd=tmp_path)
+        assert result.returncode == 4
+        assert "checkpoint disagrees with the ledger at seq 1" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("spoil", ["garbled", "truncated", "stale"])
+    def test_unusable_checkpoint_gives_the_same_output_as_none_and_a_warning(self, tmp_path, spoil):
+        spoiled, plain = tmp_path / "spoiled", tmp_path / "plain"
+        spoiled.mkdir()
+        (spoiled / "prices.csv").write_text(PRICES, encoding="utf-8")
+        dcm(*ISSUE_ARGS, cwd=spoiled)
+        sidecar = spoiled / SIDECAR
+        if spoil == "garbled":
+            sidecar.write_bytes(b"\x00\x01 not a checkpoint")
+        elif spoil == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
+        else:  # an older ledger file restored under a newer sidecar
+            older = (spoiled / "dcm-ledger.log").read_bytes()
+            dcm(*PRICED, "quote", "--cert", "LME-copper-0001", "--dt", "10", cwd=spoiled)
+            (spoiled / "dcm-ledger.log").write_bytes(older)
+        shutil.copytree(spoiled, plain)
+        (plain / SIDECAR).unlink()
+        command = [*PRICED, "buyback", "--cert", "LME-copper-0001", "--dt", "365"]
+        results = [dcm(*command, cwd=where) for where in (spoiled, plain)]
+        assert results[0].returncode == results[1].returncode == 0
+        assert results[0].stdout == results[1].stdout
+        assert f"warning: ignoring checkpoint {SIDECAR}" in results[0].stderr
+        assert results[1].stderr == ""
+
+
 class TestRun:
     def test_bundled_scenario_by_name(self, tmp_path):
         result = dcm("run", "lme_copper", cwd=tmp_path)
@@ -196,6 +280,13 @@ class TestRun:
         result = dcm("run", "failing.yaml", cwd=tmp_path)
         assert result.returncode == 3
         assert "step 3" in result.stderr
+
+    def test_non_numeric_scenario_value_exits_validation(self, tmp_path):
+        (tmp_path / "bad.yaml").write_text(FAILING_SCENARIO.replace("face_weight: 5", "face_weight: five"), encoding="utf-8")
+        result = dcm("run", "bad.yaml", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "face_weight must be numeric, got 'five'" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_unknown_scenario_exits_validation(self, tmp_path):
         result = dcm("run", "not-a-scenario", cwd=tmp_path)

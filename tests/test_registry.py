@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 from datetime import date
@@ -34,7 +35,9 @@ from dcm import (
     replay,
     residual_weight,
 )
-from conftest import LME_ISSUE_DATE, assert_display_close
+from dcm.checkpoint import LedgerFile
+from dcm.ledger import canonical_payload
+from conftest import LME_ISSUE_DATE, assert_display_close, forge_sidecar
 
 
 def shfe_registry_and_cert():
@@ -137,6 +140,23 @@ class TestIssue:
                 owner="client-2",
             )
         assert len(lme_registry.ledger) == 1
+        assert lme_registry.snapshot() == before
+
+    @pytest.mark.parametrize("owner", [None, "", ["a", 1]], ids=["none", "empty", "list"])
+    def test_owner_that_is_not_a_non_empty_string_is_refused_and_records_nothing(self, lme_registry, lme_rules, owner):
+        before = lme_registry.snapshot()
+        with pytest.raises(DomainError, match="owner"):
+            lme_registry.issue(
+                issuer="LME",
+                material="copper",
+                face_weight=1000,
+                purity=0.9999,
+                issue_date=LME_ISSUE_DATE,
+                theta=AttenuationSpec(theta_daily=0.99996),
+                rules=lme_rules,
+                owner=owner,
+            )
+        assert len(lme_registry.ledger) == 0
         assert lme_registry.snapshot() == before
 
     def test_issue_appends_an_event(self, lme_registry, lme_cert):
@@ -273,6 +293,14 @@ class TestTransfer:
         with pytest.raises(StateError):
             lme_registry.transfer(lme_cert.cert_id, "client-2", 400)
         assert len(lme_registry.ledger) == 2
+        assert lme_registry.snapshot() == before
+
+    @pytest.mark.parametrize("owner", [["a", 1], "", None], ids=["list", "empty", "none"])
+    def test_owner_that_is_not_a_non_empty_string_is_refused_and_records_nothing(self, lme_registry, lme_cert, owner):
+        before = lme_registry.snapshot()
+        with pytest.raises(DomainError, match="owner"):
+            lme_registry.transfer(lme_cert.cert_id, owner, 3)
+        assert len(lme_registry.ledger) == 1
         assert lme_registry.snapshot() == before
 
     def test_transfer_on_settled_certificate_is_a_state_error(self, lme_registry, lme_cert):
@@ -412,6 +440,16 @@ SEALED_REFUSALS = {
     "transfer-without-to-owner": (
         EventKind.TRANSFER, "LME-copper-0001", lambda issue: {"t": 1, "from_owner": "client-1"}
     ),
+    "issue-owner-not-a-string": (
+        EventKind.ISSUE, "LME-copper-0002", lambda issue: {**issue, "owner": ["a", 1]}
+    ),
+    "issue-empty-owner": (EventKind.ISSUE, "LME-copper-0002", lambda issue: {**issue, "owner": ""}),
+    "transfer-to-owner-not-a-string": (
+        EventKind.TRANSFER, "LME-copper-0001", lambda issue: {"t": 1, "from_owner": "client-1", "to_owner": ["a", 1]}
+    ),
+    "transfer-from-someone-else": (
+        EventKind.TRANSFER, "LME-copper-0001", lambda issue: {"t": 1, "from_owner": "client-2", "to_owner": "b"}
+    ),
 }
 
 
@@ -488,6 +526,133 @@ class TestReplay:
 
 def rng_length(seed: int) -> int:
     return random.Random(10_000 + seed).randrange(1, 200)
+
+
+class TestState:
+    def test_a_certificate_form_is_its_issue_payload_plus_status(self, lme_registry, lme_cert):
+        [(cert_id, form)] = lme_registry.to_state()
+        assert cert_id == lme_cert.cert_id
+        assert form == {**lme_registry.ledger.events[0].payload, "status": "ACTIVE"}
+
+    def test_restored_registry_continues_like_the_replayed_one(self):
+        registry = _random_walk(7, 120)
+        events = registry.ledger.events
+        head = events[59]
+        state = json.loads(canonical_payload(replay(events[:60]).to_state()))
+        restored = Registry.from_state(state, head.seq, head.hash).apply_events(events[60:])
+        assert restored.snapshot() == registry.snapshot()
+        assert [event.seq for event in restored.ledger] == [event.seq for event in events[60:]]
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda form: {**form, "purity": 1.5}, DomainError),
+            (lambda form: {**form, "owner": ["a", 1]}, DomainError),
+            (lambda form: {**form, "status": "LOST"}, ValueError),
+            (lambda form: {k: v for k, v in form.items() if k != "rules"}, KeyError),
+        ],
+        ids=["purity", "owner", "status", "no-rules"],
+    )
+    def test_restoring_revalidates_every_value(self, lme_registry, lme_cert, edit, error):
+        [(cert_id, form)] = lme_registry.to_state()
+        with pytest.raises(error):
+            Registry.from_state([[cert_id, edit(form)]])
+
+    def test_restoring_a_duplicate_id_is_refused(self, lme_registry, lme_cert):
+        state = lme_registry.to_state()
+        with pytest.raises(IssuanceError):
+            Registry.from_state(state + state)
+
+
+def _write_lines(path, lines) -> None:
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write("".join(line + "\n" for line in lines))
+
+
+def _checkpointed(tmp_path, lines) -> LedgerFile:
+    """A ledger file holding ``lines`` with a checkpoint sidecar written for it."""
+    ledger_file = LedgerFile(tmp_path / "ledger.log", 4)
+    _write_lines(ledger_file.path, lines)
+    ledger_file.write_checkpoint(ledger_file.load(), ())
+    return ledger_file
+
+
+class TestCheckpoint:
+    def test_load_restores_the_state_and_reads_only_the_tail(self, tmp_path):
+        registry = _random_walk(3, 150)
+        lines = registry.ledger.to_lines()
+        ledger_file = _checkpointed(tmp_path, lines[:100])
+        _write_lines(ledger_file.path, lines[100:])
+        resumed = ledger_file.load()
+        assert ledger_file.ignored is None
+        assert resumed.snapshot() == registry.snapshot()
+        assert [event.seq for event in resumed.ledger] == list(range(101, len(lines) + 1))
+
+    def test_checkpoint_after_an_append_covers_the_appended_events(self, tmp_path, lme_registry, lme_cert):
+        ledger_file = _checkpointed(tmp_path, lme_registry.ledger.to_lines())
+        registry = ledger_file.load()
+        registry.transfer(lme_cert.cert_id, "client-2", 10)
+        appended = registry.ledger.events
+        _write_lines(ledger_file.path, [event.line for event in appended])
+        ledger_file.write_checkpoint(registry, appended)
+        resumed = ledger_file.load()
+        assert ledger_file.ignored is None
+        assert len(resumed.ledger) == 0
+        assert resumed.certificate(lme_cert.cert_id).owner == "client-2"
+        assert resumed.snapshot() == replay(read_events(ledger_file.path.read_text().splitlines())).snapshot()
+        ledger_file.verify()
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda ledger_file: ledger_file.sidecar.write_bytes(b"\x00\xffnot a checkpoint"),
+            lambda ledger_file: ledger_file.sidecar.write_bytes(ledger_file.sidecar.read_bytes()[:-40]),
+            lambda ledger_file: ledger_file.path.write_text(ledger_file.path.read_text().replace("holder", "Holder", 1)),
+            lambda ledger_file: ledger_file.path.write_text(ledger_file.path.read_text().split("\n", 1)[0] + "\n"),
+            lambda ledger_file: _write_lines(ledger_file.path, [""]),
+            lambda ledger_file: forge_sidecar(
+                ledger_file.sidecar, lambda state: [line.replace('"ACTIVE"', '"LOST"') for line in state]
+            ),
+            lambda ledger_file: forge_sidecar(ledger_file.sidecar, lambda state: state + ["[1]"]),
+        ],
+        ids=["garbled", "truncated", "prefix-changed", "older-ledger", "bad-tail", "invalid-state", "unreadable-state"],
+    )
+    def test_an_unusable_sidecar_means_a_full_replay(self, tmp_path, spoil):
+        registry = _random_walk(5, 40)
+        ledger_file = _checkpointed(tmp_path, registry.ledger.to_lines())
+        spoil(ledger_file)
+        lines = ledger_file.path.read_text(encoding="utf-8").splitlines()
+        try:
+            expected = replay(read_events(lines)).snapshot()
+        except LedgerIntegrityError as exc:
+            expected = str(exc)
+        try:
+            loaded = ledger_file.load().snapshot()
+        except LedgerIntegrityError as exc:
+            loaded = str(exc)
+        assert loaded == expected
+        assert ledger_file.ignored
+
+    def test_a_sidecar_the_ledger_does_not_continue_means_a_full_replay(self, tmp_path):
+        registry = _random_walk(5, 40)
+        lines = registry.ledger.to_lines()
+        ledger_file = _checkpointed(tmp_path, lines[:20])
+        _write_lines(ledger_file.path, lines[20:])
+        header, state = ledger_file.sidecar.read_bytes().split(b"\n", 1)
+        fields = {**json.loads(header), "last_seq": 19}
+        ledger_file.sidecar.write_bytes(canonical_payload(fields).encode("utf-8") + b"\n" + state)
+        assert ledger_file.load().snapshot() == registry.snapshot()
+        assert "does not continue" in ledger_file.ignored
+        with pytest.raises(LedgerIntegrityError, match="checkpoint disagrees with the ledger at seq 19"):
+            ledger_file.verify()
+
+    def test_no_checkpoint_is_written_after_lines_that_ran_into_an_open_last_line(self, tmp_path, lme_registry, lme_cert):
+        ledger_file = LedgerFile(tmp_path / "ledger.log", 4)
+        ledger_file.path.write_text(lme_registry.ledger.to_lines()[0], encoding="utf-8")
+        registry = ledger_file.load()
+        registry.transfer(lme_cert.cert_id, "client-2", 10)
+        ledger_file.write_checkpoint(registry, registry.ledger.events[1:])
+        assert not ledger_file.sidecar.exists()
 
 
 class TestPaperFormat:

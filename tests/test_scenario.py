@@ -205,6 +205,35 @@ class TestScenarioLoading:
         with pytest.raises(ConfigError, match=message):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "script, edit, message",
+        [
+            (
+                "  - {dt: 0, action: issue, cert: c1, face_weight: five, owner: a}\n",
+                None,
+                r"script step 1 \(issue\): face_weight must be numeric, got 'five'",
+            ),
+            (
+                "  - {dt: zero, action: issue, cert: c1, face_weight: 5, owner: a}\n",
+                None,
+                "script step 1: dt must be an integer, got 'zero'",
+            ),
+            (ISSUE_STEP, ("  theta: 0.9999\n", "  theta: 0.9999\n  purity: x\n"), "issuer: purity must be numeric, got 'x'"),
+            (
+                ISSUE_STEP,
+                ("  theta: 0.9999\n", "  theta_derivation: {mode: daily, daily_warehouse_charge: 0.2, cif_price: 5000}\n"),
+                "theta_derivation: unknown mode 'daily'",
+            ),
+        ],
+        ids=["face-weight", "dt", "purity", "theta-mode"],
+    )
+    def test_values_of_the_wrong_type_are_config_errors(self, tmp_path, script, edit, message):
+        path = write_scenario(tmp_path, script)
+        if edit is not None:
+            path.write_text(path.read_text(encoding="utf-8").replace(*edit), encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(path)
+
     def test_expire_step_accrues_to_the_issuer(self, tmp_path):
         path = write_scenario(
             tmp_path,
