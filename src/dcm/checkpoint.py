@@ -43,8 +43,14 @@ class CheckpointError(Exception):
     """The sidecar cannot be read, or it does not describe the ledger file."""
 
 
-def _lines(data: memoryview) -> list[str]:
-    return str(data, "utf-8").splitlines()
+def _lines(data: memoryview, start: int = 0, end: int | None = None) -> list[str]:
+    """The text lines of ``data[start:end]``, where ``data`` holds the whole ledger file."""
+    try:
+        return str(data[start:end], "utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        offset = start + exc.start
+        line = bytes(data[:offset]).count(b"\n") + 1
+        raise LedgerIntegrityError(f"line {line}, byte offset {offset}: not UTF-8 ({exc.reason})") from None
 
 
 def _agrees(line: str, cert_id: str, cert) -> bool:
@@ -86,16 +92,24 @@ class LedgerFile:
         self.ignored: str | None = None
         self._digest = hashlib.sha256()
         self._size = 0
-        self._open_end = False  # the bytes read end inside a line
+        self._open_line: int | None = None  # the number of the last line read, if the bytes end inside it
         self._state_lines: dict[str, str] = {}
 
     def _read(self) -> memoryview:
-        data = memoryview(self.path.read_bytes() if self.path.exists() else b"")
+        raw = self.path.read_bytes() if self.path.exists() else b""
         self.ignored = None
-        self._size = len(data)
-        self._open_end = bool(data) and data[-1] != 0x0A
+        self._size = len(raw)
+        self._open_line = raw.count(b"\n") + 1 if raw and raw[-1] != 0x0A else None
         self._state_lines = {}
-        return data
+        return memoryview(raw)
+
+    def check_appendable(self) -> None:
+        """Refuse to append after bytes that end inside a line: a new record would run into it."""
+        if self._open_line is not None:
+            raise LedgerIntegrityError(
+                f"line {self._open_line}: the ledger file ends inside this line, which has no final newline "
+                "(a torn record?); nothing was appended"
+            )
 
     def _checkpoint(self, data: memoryview) -> tuple | None:
         """The sidecar's header, state lines and prefix digest if its prefix opens ``data``.
@@ -145,7 +159,7 @@ class LedgerFile:
         except (DCMError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"bad state: {type(exc).__name__}: {exc}") from None
         try:
-            registry.apply_events(read_events(_lines(data[size:]), last_seq=last_seq, head_hash=head_hash))
+            registry.apply_events(read_events(_lines(data, size), last_seq=last_seq, head_hash=head_hash))
         except LedgerIntegrityError as exc:
             # the full replay reports the ledger's own error, or shows that the sidecar was wrong
             raise CheckpointError(f"the ledger does not continue it: {exc}") from None
@@ -163,7 +177,7 @@ class LedgerFile:
             self.ignored = str(exc)
             found = None
         size = 0 if found is None else found[0]["prefix_bytes"]
-        prefix, rest = _lines(data[:size]), _lines(data[size:])
+        prefix, rest = _lines(data, 0, size), _lines(data, size)
         del data
         registry = replay(read_events(prefix), weight_places=self.weight_places)
         ledger = registry.ledger
@@ -184,7 +198,7 @@ class LedgerFile:
         When the bytes read ended inside a line, the appended lines ran into
         it and no checkpoint describes the file, so the sidecar is left alone.
         """
-        if self._open_end:
+        if self._open_line is not None:
             return
         for event in appended:
             line = event.line.encode("utf-8") + b"\n"

@@ -50,7 +50,11 @@ class AppContext:
             self._warn_if_ignored()
 
     def save(self, registry: Registry, known: int) -> None:
-        """Append the events after the first ``known``, then rewrite the checkpoint sidecar."""
+        """Append the events after the first ``known``, then rewrite the checkpoint sidecar.
+
+        Refuses, writing nothing, when the file read ends inside a line.
+        """
+        self.ledger_file.check_appendable()
         self.append_new_events(registry.ledger, known)
         try:
             self.ledger_file.write_checkpoint(registry, registry.ledger.events[known:])
@@ -222,12 +226,10 @@ def run(scenario: str, report_path: Path | None, output_format: str):
     if not path.exists():
         path = bundled_scenario_path(scenario)
     report, _registry = run_scenario(load_scenario(path))
-    if output_format == "json":
-        click.echo(report.to_json_lines(), nl=False)
-    else:
-        click.echo(report.to_text(), nl=False)
+    json_lines = report.to_json_lines() if output_format == "json" or report_path is not None else ""
+    click.echo(json_lines if output_format == "json" else report.to_text(), nl=False)
     if report_path is not None:
-        report_path.write_text(report.to_json_lines(), encoding="utf-8")
+        report_path.write_text(json_lines, encoding="utf-8")
 
 
 @cli.command()

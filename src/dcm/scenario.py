@@ -15,7 +15,6 @@ issue_date + dt.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import date, timedelta
 from decimal import Decimal
@@ -27,6 +26,7 @@ import yaml
 
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, residual_weight
 from .errors import ConfigError, DCMError, DomainError, ScenarioStepError
+from .ledger import canonical_payload
 from .market import PriceSeries, load_series, quote_at
 from .registry import DeliveryRules, MarketQuote, Registry
 from .rounding import RoundingProfile, fmt
@@ -42,6 +42,9 @@ _ACTIONS = {
 }
 _NUMERIC_ARGS = frozenset({"face_weight", "premium"})
 _STEP_FIELDS = frozenset({"dt", "action", "cert", "date"})
+# libyaml's parser where PyYAML was built with it; both loaders build values
+# with the same SafeConstructor and resolver
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -112,13 +115,21 @@ def _check_keys(mapping: Any, allowed: AbstractSet[str], context: str) -> None:
 _REQUIRED = object()
 
 
+def _integer(value: Any) -> int:
+    """``int(value)``, refusing a fraction it would truncate."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError(value)
+    return number
+
+
 def _number(mapping: dict, key: str, context: str, kind: Any = float, default: Any = _REQUIRED) -> Any:
     """``kind(mapping[key])``; a missing key or a value ``kind`` refuses is a ConfigError naming both."""
     value = _require(mapping, key, context) if default is _REQUIRED else mapping.get(key, default)
     try:
         return kind(value)
-    except (TypeError, ValueError):
-        wanted = "an integer" if kind is int else "numeric"
+    except (TypeError, ValueError, OverflowError):
+        wanted = "an integer" if kind is _integer else "numeric"
         raise ConfigError(f"{context}: {key} must be {wanted}, got {value!r}") from None
 
 
@@ -157,13 +168,21 @@ def _theta_from_config(issuer_cfg: dict) -> AttenuationSpec:
     return attenuation_coefficient(tariff, cif, mode)
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Load and validate a scenario file; referenced data paths resolve relative to it."""
-    path = Path(path)
+def _read_text(path: Path, what: str) -> str:
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read scenario {path}: {exc}") from None
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {what} {path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+
+
+def load_scenario(path: str | Path) -> ScenarioConfig:
+    """Load and validate a UTF-8 scenario file; referenced data paths resolve relative to it."""
+    path = Path(path)
+    text = _read_text(path, "scenario")
+    try:
+        raw = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse scenario {path}: {exc}") from None
     _check_keys(raw, {"name", "currency", "issue_date", "issuer", "prices", "rounding", "script"}, f"scenario {path}")
@@ -194,7 +213,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             delivery_location=str(rules_cfg.get("delivery_location", "")),
             validity_days=(
                 None if rules_cfg.get("validity_days") is None
-                else _number(rules_cfg, "validity_days", "delivery_rules", int)
+                else _number(rules_cfg, "validity_days", "delivery_rules", _integer)
             ),
         ),
     )
@@ -208,7 +227,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if not series_path.exists():
             raise ConfigError(f"price series file not found: {series_path}")
         prices = load_series(
-            series_path.read_text(encoding="utf-8"),
+            _read_text(series_path, "price series"),
             material=issuer.material,
             currency=str(raw.get("currency", "")),
         )
@@ -219,8 +238,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     rounding_cfg = raw.get("rounding", {})
     _check_keys(rounding_cfg, {"weight_places", "money_places"}, "rounding")
     rounding = RoundingProfile(
-        weight_places=_number(rounding_cfg, "weight_places", "rounding", int, 4),
-        money_places=_number(rounding_cfg, "money_places", "rounding", int, 4),
+        weight_places=_number(rounding_cfg, "weight_places", "rounding", _integer, 4),
+        money_places=_number(rounding_cfg, "money_places", "rounding", _integer, 4),
     )
 
     steps = []
@@ -229,7 +248,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"script step {index} must be a mapping")
         where = f"script step {index}"
         step = ScriptStep(
-            dt=_number(step_cfg, "dt", where, int),
+            dt=_number(step_cfg, "dt", where, _integer),
             action=str(_require(step_cfg, "action", where)),
             cert=str(_require(step_cfg, "cert", where)),
             date=_as_date(step_cfg["date"], where) if "date" in step_cfg else None,
@@ -276,9 +295,8 @@ class ScenarioReport:
     steps: list[dict]
 
     def to_json_lines(self) -> str:
-        return "".join(
-            json.dumps(step, sort_keys=True, separators=(",", ":")) + "\n" for step in self.steps
-        )
+        # every number in a record was sealed into a ledger payload or checked finite
+        return "".join(canonical_payload(step) + "\n" for step in self.steps)
 
     def to_text(self) -> str:
         lines = [f"scenario {self.scenario} ({self.currency or 'no currency'})"]

@@ -169,6 +169,34 @@ class TestLifecycleFlow:
             assert "seq 3" in result.stderr
             assert "Traceback" not in result.stderr
 
+    def test_open_last_line_refuses_to_append(self, tmp_path):
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        ledger_file, sidecar = tmp_path / "dcm-ledger.log", tmp_path / SIDECAR
+        ledger_file.write_bytes(ledger_file.read_bytes()[:-1])
+        before = ledger_file.read_bytes(), sidecar.read_bytes()
+        result = dcm(*ISSUE_ARGS, cwd=tmp_path)
+        assert result.returncode == 4
+        assert "line 1: the ledger file ends inside this line, which has no final newline" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert (ledger_file.read_bytes(), sidecar.read_bytes()) == before
+
+    @pytest.mark.parametrize(
+        "args",
+        [["replay-verify"], ["deliver", "--cert", "LME-copper-0001", "--dt", "10"]],
+        ids=["replay-verify", "deliver"],
+    )
+    def test_byte_that_is_not_utf8_exits_integrity(self, tmp_path, args):
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        ledger_file = tmp_path / "dcm-ledger.log"
+        size = ledger_file.stat().st_size
+        with ledger_file.open("ab") as handle:
+            handle.write(b"\xff\n")
+        result = dcm(*args, cwd=tmp_path)
+        assert result.returncode == 4
+        assert f"error: line 2, byte offset {size}: not UTF-8" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_missing_ledger_exits_validation(self, tmp_path):
         result = dcm("replay-verify", cwd=tmp_path)
         assert result.returncode == 2
@@ -286,6 +314,14 @@ class TestRun:
         result = dcm("run", "bad.yaml", cwd=tmp_path)
         assert result.returncode == 2
         assert "face_weight must be numeric, got 'five'" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_scenario_that_is_not_utf8_exits_validation(self, tmp_path):
+        (tmp_path / "bad.yaml").write_bytes(FAILING_SCENARIO.encode("utf-8") + b"# \xff\n")
+        result = dcm("run", "bad.yaml", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "cannot read scenario bad.yaml: byte" in result.stderr
+        assert "is not UTF-8" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_unknown_scenario_exits_validation(self, tmp_path):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
+import yaml
 
+import dcm.scenario
 from dcm import (
     AttenuationSpec,
     CertStatus,
@@ -224,8 +228,28 @@ class TestScenarioLoading:
                 ("  theta: 0.9999\n", "  theta_derivation: {mode: daily, daily_warehouse_charge: 0.2, cif_price: 5000}\n"),
                 "theta_derivation: unknown mode 'daily'",
             ),
+            (
+                "  - {dt: 0.9, action: issue, cert: c1, face_weight: 5, owner: a}\n",
+                None,
+                "script step 1: dt must be an integer, got 0.9",
+            ),
+            (
+                "  - {dt: .inf, action: issue, cert: c1, face_weight: 5, owner: a}\n",
+                None,
+                "script step 1: dt must be an integer, got inf",
+            ),
+            (
+                ISSUE_STEP,
+                ("    min_delivery_weight: 5\n", "    min_delivery_weight: 5\n    validity_days: 30.5\n"),
+                "delivery_rules: validity_days must be an integer, got 30.5",
+            ),
+            (
+                ISSUE_STEP,
+                ("script:\n", "rounding: {weight_places: 2.5}\nscript:\n"),
+                "rounding: weight_places must be an integer, got 2.5",
+            ),
         ],
-        ids=["face-weight", "dt", "purity", "theta-mode"],
+        ids=["face-weight", "dt", "purity", "theta-mode", "dt-fraction", "dt-infinite", "validity-fraction", "places-fraction"],
     )
     def test_values_of_the_wrong_type_are_config_errors(self, tmp_path, script, edit, message):
         path = write_scenario(tmp_path, script)
@@ -251,6 +275,91 @@ class TestScenarioLoading:
         assert Decimal(expire["issuer_accrued_weight_display"]) > 0
         cert_id = report.steps[0]["cert_id"]
         assert registry.certificate(cert_id).status is CertStatus.EXPIRED
+
+
+def generated_scenario(tmp_path, n_steps: int = 300):
+    """A flow-style script of every action, with ``date:`` overrides, ints, floats and quoted owners."""
+    rng = random.Random(7)
+    validity = 400
+    start = date(2020, 1, 1)
+    prices = [f"{start + timedelta(days=day)},{40 + day % 17 + 0.25 * (day % 3)}" for day in range(0, 500, 7)]
+    (tmp_path / "prices.csv").write_text("date,price\n" + "\n".join(prices) + "\n", encoding="utf-8")
+    lines = [
+        "name: generated",
+        "currency: USD",
+        f"issue_date: {start}",
+        "issuer: {id: G, material: tin, purity: 0.995, denominations: [1, 10, 100.0], theta: 0.99995,",
+        f"  delivery_rules: {{delivery_charge_ratio: 0.003, withdrawal_charge_ratio: 0.002, "
+        f"min_delivery_weight: 1, validity_days: {validity}}}}}",
+        "prices: {path: prices.csv, per_units: 1000}",
+        "rounding: {weight_places: 3, money_places: 2}",
+        "script:",
+    ]
+    owners = ["plain-owner", '"double quoted: owner"', "'single # quoted'", '"caf\\u00e9"', "'123'"]
+    active, issued = [], 0
+
+    def step(dt, action, alias, extra=""):
+        when = f", date: {start + timedelta(days=dt + rng.randrange(3))}" if rng.random() < 0.2 else ""
+        lines.append(f"  - {{dt: {dt}, action: {action}, cert: {alias}{when}{extra}}}")
+
+    for index in range(n_steps):
+        dt = index * validity // n_steps
+        roll = rng.random()
+        if roll < 0.3 or not active:
+            issued += 1
+            active.append(f"c{issued}")
+            face = rng.choice(["1", "10", "10.0", "100", "1.0e+2", "1e2"])
+            step(dt, "issue", active[-1], f", face_weight: {face}, owner: {rng.choice(owners)}")
+        elif roll < 0.5:
+            step(dt, "transfer", rng.choice(active), f", new_owner: {rng.choice(owners)}")
+        elif roll < 0.7:
+            step(dt, "quote", rng.choice(active), f", premium: {rng.choice(['0', '2', '0.5', '1.25'])}")
+        else:
+            alias = active.pop(rng.randrange(len(active)))
+            step(dt, "deliver" if roll < 0.85 else "buyback", alias)
+    for offset, alias in enumerate(active, start=1):
+        step(validity + offset, "expire", alias)
+    path = tmp_path / "generated.yaml"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestLoaders:
+    """The default loader (libyaml's, where PyYAML has it) against PyYAML's pure-Python SafeLoader."""
+
+    @pytest.mark.parametrize(
+        "make_path",
+        [
+            lambda tmp_path: bundled_scenario_path("lme_copper"),
+            lambda tmp_path: bundled_scenario_path("shfe_steel"),
+            generated_scenario,
+        ],
+        ids=["lme_copper", "shfe_steel", "generated"],
+    )
+    def test_both_loaders_give_the_same_config_and_report(self, tmp_path, monkeypatch, make_path):
+        assert dcm.scenario._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+        path = make_path(tmp_path)
+        loaded = load_scenario(path)
+        monkeypatch.setattr(dcm.scenario, "_LOADER", yaml.SafeLoader)
+        reference = load_scenario(path)
+        assert loaded == reference
+        report = run_scenario(loaded)[0]
+        assert report.to_json_lines() == run_scenario(reference)[0].to_json_lines()
+        if path.name == "generated.yaml":
+            assert {record["action"] for record in report.steps} == {
+                "issue", "transfer", "quote", "deliver", "buyback", "expire"
+            }
+            assert any(step.date is not None for step in loaded.script)
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["default", "safe-loader"])
+    def test_malformed_yaml_is_a_config_error(self, tmp_path, monkeypatch, reference):
+        if reference:
+            monkeypatch.setattr(dcm.scenario, "_LOADER", yaml.SafeLoader)
+        path = tmp_path / "bad.yaml"
+        path.write_text("a: [1, 2\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="cannot parse scenario") as excinfo:
+            load_scenario(path)
+        assert excinfo.value.exit_code == 2
 
 
 class TestScenarioFailures:
