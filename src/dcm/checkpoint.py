@@ -103,13 +103,16 @@ class LedgerFile:
         self._state_lines = {}
         return memoryview(raw)
 
+    def _open_line_error(self, outcome: str) -> LedgerIntegrityError:
+        return LedgerIntegrityError(
+            f"line {self._open_line}: the ledger file ends inside this line, which has no final newline "
+            f"(a torn record?); {outcome}"
+        )
+
     def check_appendable(self) -> None:
         """Refuse to append after bytes that end inside a line: a new record would run into it."""
         if self._open_line is not None:
-            raise LedgerIntegrityError(
-                f"line {self._open_line}: the ledger file ends inside this line, which has no final newline "
-                "(a torn record?); nothing was appended"
-            )
+            raise self._open_line_error("nothing was appended")
 
     def _checkpoint(self, data: memoryview) -> tuple | None:
         """The sidecar's header, state lines and prefix digest if its prefix opens ``data``.
@@ -169,7 +172,10 @@ class LedgerFile:
         return registry
 
     def verify(self) -> Registry:
-        """Replay the whole file; raises LedgerIntegrityError if a sidecar for its prefix disagrees."""
+        """Replay the whole file; raises LedgerIntegrityError if a sidecar for its prefix disagrees.
+
+        A file that ends inside a line is refused once every line before that one verifies.
+        """
         data = self._read()
         try:
             found = self._checkpoint(data)
@@ -178,6 +184,8 @@ class LedgerFile:
             found = None
         size = 0 if found is None else found[0]["prefix_bytes"]
         prefix, rest = _lines(data, 0, size), _lines(data, size)
+        if self._open_line is not None:
+            del rest[-1]  # a checkpoint's prefix ends at a line end, so the open line is the rest's last
         del data
         registry = replay(read_events(prefix), weight_places=self.weight_places)
         ledger = registry.ledger
@@ -190,7 +198,10 @@ class LedgerFile:
                 and all(_agrees(line, *pair) for line, pair in zip(state_lines, certificates.items()))
             ):
                 raise LedgerIntegrityError(f"checkpoint disagrees with the ledger at seq {header['last_seq']}")
-        return registry.apply_events(read_events(rest, last_seq=ledger.last_seq, head_hash=ledger.head_hash))
+        registry.apply_events(read_events(rest, last_seq=ledger.last_seq, head_hash=ledger.head_hash))
+        if self._open_line is not None:
+            raise self._open_line_error("every line before it verifies")
+        return registry
 
     def write_checkpoint(self, registry: Registry, appended: tuple[LedgerEvent, ...]) -> None:
         """Rewrite the sidecar for the file as read plus ``appended``, the lines just written to it.

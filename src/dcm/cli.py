@@ -16,7 +16,7 @@ from .checkpoint import LedgerFile
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient
 from .errors import EXIT_VALIDATION, ConfigError, DCMError
 from .ledger import Ledger
-from .market import load_series, quote_at
+from .market import load_series, quote_at, read_text
 from .registry import DeliveryRules, MarketQuote, Registry, export_certificate
 from .rounding import RoundingProfile, fmt
 
@@ -72,7 +72,7 @@ class AppContext:
     def market_quote(self, cert, dt: int, premium: float) -> MarketQuote:
         if self.prices_path is None:
             raise ConfigError("this command needs a price series; pass --prices")
-        series = load_series(self.prices_path.read_text(encoding="utf-8"))
+        series = load_series(read_text(self.prices_path, "price series"))
         when = cert.issue_date + timedelta(days=dt)
         return MarketQuote(quotation=quote_at(series, when) / self.per_units, premium=premium)
 

@@ -18,7 +18,10 @@ DAYS_PER_YEAR = 365.0
 
 
 def require_finite(**values: float) -> None:
-    """Raise DomainError for the first named value that is NaN or infinite."""
+    """Raise DomainError for the first named value that is NaN or infinite.
+
+    Hot paths test ``math.isfinite`` themselves and call this only to raise.
+    """
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
@@ -123,6 +126,9 @@ class ThetaMode(str, Enum):
     EXPLICIT = "explicit"
 
 
+_EXPLICIT = ThetaMode.EXPLICIT  # a module global is cheaper to read than an Enum class attribute
+
+
 def _daily_decay_fraction(tariff: StorageTariff, cif: CifQuote, mode: ThetaMode) -> float:
     """Fraction of anchor value consumed per stored day under the given mode.
 
@@ -159,7 +165,7 @@ class AttenuationSpec:
             raise DerivationError(
                 f"theta_daily {self.theta_daily:.6f} ({self.mode.value}) outside the open interval (0, 1)"
             )
-        if self.mode is not ThetaMode.EXPLICIT:
+        if self.mode is not _EXPLICIT:
             if self.tariff is None or self.cif is None:
                 raise DomainError(f"mode {self.mode.value} requires tariff and cif inputs")
             rederived = 1.0 - _daily_decay_fraction(self.tariff, self.cif, self.mode)
@@ -288,7 +294,8 @@ def residual_weight(
     Geometric daily decay, evaluated as exp(dt * ln theta) to hold 15-16
     significant digits across decade-scale horizons.
     """
-    require_finite(face_weight=face_weight)
+    if not math.isfinite(face_weight):
+        require_finite(face_weight=face_weight)
     if face_weight <= 0:
         raise DomainError("face_weight must be > 0")
     if isinstance(delta_t, float) and not delta_t.is_integer():

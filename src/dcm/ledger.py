@@ -31,6 +31,11 @@ GENESIS_HASH = "0" * 64
 
 _CERT_ID_RE = re.compile(r"[A-Za-z0-9_.:-]+")
 _HASH_RE = re.compile(r"[0-9a-f]{64}")
+# bound once: parse_line calls these on every line it reads
+_is_cert_id = _CERT_ID_RE.fullmatch
+_is_hash = _HASH_RE.fullmatch
+_loads = json.loads
+_fromisoformat = date.fromisoformat
 
 
 class EventKind(str, Enum):
@@ -42,14 +47,29 @@ class EventKind(str, Enum):
     EXPIRE = "EXPIRE"
 
 
+def member_lookup(enum: type[Enum]):
+    """``enum(value)`` as a dict lookup; a value that is not a member's goes to ``enum``, which refuses it."""
+    members = {member.value: member for member in enum}
+
+    def lookup(value):
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            return enum(value)
+
+    return lookup
+
+
 _KINDS = {kind.value: kind for kind in EventKind}
+_kind_of = member_lookup(EventKind)
 # one encoder for every payload: json.dumps with these arguments would build it per call
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+_encode = _CANONICAL.encode
 
 
 def canonical_payload(payload: dict) -> str:
     """Sorted-key, whitespace-free, ASCII JSON; raises ValueError on NaN or infinity."""
-    return _CANONICAL.encode(payload)
+    return _encode(payload)
 
 
 def _sha256(body: str) -> str:
@@ -85,7 +105,7 @@ def _check_link(event: LedgerEvent, last_seq: int, head_hash: str) -> None:
 
 
 def validate_cert_id(cert_id: str) -> str:
-    if not _CERT_ID_RE.fullmatch(cert_id):
+    if not _is_cert_id(cert_id):
         raise DomainError(
             f"cert_id {cert_id!r} must be non-empty and use only [A-Za-z0-9_.:-]"
         )
@@ -130,7 +150,7 @@ class Ledger:
         A payload canonical JSON cannot encode raises DomainError.
         """
         validate_cert_id(cert_id)
-        kind = EventKind(kind)
+        kind = _kind_of(kind)
         try:
             payload_json = canonical_payload(payload)
         except (TypeError, ValueError) as exc:
@@ -176,12 +196,13 @@ def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
             raise ValueError(seq_text)
     except ValueError:
         raise LedgerIntegrityError(f"line {where}: bad sequence number {seq_text!r}") from None
-    if not _HASH_RE.fullmatch(prev_hash) or not _HASH_RE.fullmatch(line_hash):
-        raise LedgerIntegrityError("malformed hash field", seq=seq)
-    if _sha256(body) != line_hash:
+    # a line_hash equal to a hexdigest is well formed, so only a mismatch needs its regex
+    if _sha256(body) != line_hash or not _is_hash(prev_hash):
+        if not (_is_hash(prev_hash) and _is_hash(line_hash)):
+            raise LedgerIntegrityError("malformed hash field", seq=seq)
         raise LedgerIntegrityError("hash mismatch: record bytes do not match their digest", seq=seq)
     try:
-        timestamp = date.fromisoformat(ts_text)
+        timestamp = _fromisoformat(ts_text)
         if timestamp.isoformat() != ts_text:
             raise ValueError(ts_text)
     except ValueError:
@@ -189,14 +210,14 @@ def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
     kind = _KINDS.get(kind_text)
     if kind is None:
         raise LedgerIntegrityError(f"unknown event kind {kind_text!r}", seq=seq)
-    if not _CERT_ID_RE.fullmatch(cert_id):
+    if not _is_cert_id(cert_id):
         raise LedgerIntegrityError(f"bad cert_id {cert_id!r}", seq=seq)
     try:
-        payload = json.loads(payload_json)
+        payload = _loads(payload_json)
     except json.JSONDecodeError:
         raise LedgerIntegrityError("unreadable payload", seq=seq) from None
     try:
-        canonical = isinstance(payload, dict) and canonical_payload(payload) == payload_json
+        canonical = isinstance(payload, dict) and _encode(payload) == payload_json
     except ValueError:  # NaN or Infinity: readable by json.loads, but not JSON
         canonical = False
     if not canonical:

@@ -7,9 +7,20 @@ import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date
+from pathlib import Path
 
 from .decay import require_finite
-from .errors import NoQuoteError, ParseError, ValidationError
+from .errors import ConfigError, NoQuoteError, ParseError, ValidationError
+
+
+def read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of a file; one that cannot be read, or holds a byte that is not UTF-8, is a ConfigError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {what} {path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
 
 
 @dataclass(frozen=True)

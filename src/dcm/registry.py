@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
+from math import isfinite
 from typing import Iterable
 
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, require_finite, residual_weight
@@ -34,7 +35,7 @@ from .errors import (
     ParseError,
     StateError,
 )
-from .ledger import GENESIS_HASH, EventKind, Ledger, LedgerEvent, validate_cert_id
+from .ledger import GENESIS_HASH, EventKind, Ledger, LedgerEvent, member_lookup, validate_cert_id
 from .rounding import fmt, quantize_to_float
 
 
@@ -44,6 +45,9 @@ class CertStatus(str, Enum):
     BOUGHT_BACK = "BOUGHT_BACK"
     EXPIRED = "EXPIRED"
 
+
+_status_of = member_lookup(CertStatus)
+_mode_of = member_lookup(ThetaMode)
 
 TERMINAL_STATUSES = frozenset(
     {CertStatus.DELIVERED, CertStatus.BOUGHT_BACK, CertStatus.EXPIRED}
@@ -68,14 +72,19 @@ class DeliveryRules:
     validity_days: int | None = None  # None = open-ended
 
     def __post_init__(self):
-        for name in ("delivery_charge_ratio", "withdrawal_charge_ratio", "min_delivery_weight"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        require_finite(min_delivery_weight=self.min_delivery_weight)
-        for name in ("delivery_charge_ratio", "withdrawal_charge_ratio"):
-            ratio = getattr(self, name)
-            if not 0.0 <= ratio <= 0.1:
-                raise DomainError(f"{name} must lie in [0, 0.1]")
-        if self.min_delivery_weight <= 0:
+        delivery = float(self.delivery_charge_ratio)
+        withdrawal = float(self.withdrawal_charge_ratio)
+        minimum = float(self.min_delivery_weight)
+        object.__setattr__(self, "delivery_charge_ratio", delivery)
+        object.__setattr__(self, "withdrawal_charge_ratio", withdrawal)
+        object.__setattr__(self, "min_delivery_weight", minimum)
+        if not isfinite(minimum):
+            require_finite(min_delivery_weight=minimum)
+        if not 0.0 <= delivery <= 0.1:
+            raise DomainError("delivery_charge_ratio must lie in [0, 0.1]")
+        if not 0.0 <= withdrawal <= 0.1:
+            raise DomainError("withdrawal_charge_ratio must lie in [0, 0.1]")
+        if minimum <= 0:
             raise DomainError("min_delivery_weight must be > 0")
         if self.validity_days is not None and self.validity_days <= 0:
             raise DomainError("validity_days must be > 0 when set")
@@ -89,7 +98,8 @@ class MarketQuote:
     premium: float = 0.0  # issuer adjustment; may be negative or zero
 
     def __post_init__(self):
-        require_finite(quotation=self.quotation, premium=self.premium)
+        if not (isfinite(self.quotation) and isfinite(self.premium)):
+            require_finite(quotation=self.quotation, premium=self.premium)
         if self.quotation <= 0:
             raise DomainError("quotation must be > 0")
 
@@ -113,12 +123,13 @@ class Certificate:
     def __post_init__(self):
         validate_cert_id(self.cert_id)
         _check_owner(self.owner)
-        self.face_weight = float(self.face_weight)
-        self.purity = float(self.purity)
-        require_finite(face_weight=self.face_weight)
-        if self.face_weight <= 0:
+        face_weight = self.face_weight = float(self.face_weight)
+        purity = self.purity = float(self.purity)
+        if not isfinite(face_weight):
+            require_finite(face_weight=face_weight)
+        if face_weight <= 0:
             raise DomainError("face_weight must be > 0")
-        if not 0.0 < self.purity <= 1.0:
+        if not 0.0 < purity <= 1.0:
             raise DomainError("purity must lie in (0, 1]")
 
     def residual_at(self, delta_t: int) -> float:
@@ -250,7 +261,7 @@ class Registry:
             if cert_id in certs:
                 raise IssuanceError(f"certificate {cert_id!r} already exists")
             cert = certs[cert_id] = _cert_from_payload(cert_id, form)
-            cert.status = CertStatus(form["status"])
+            cert.status = _status_of(form["status"])
             key = (cert.issuer, cert.material)
             counts[key] = counts.get(key, 0) + 1
         return registry
@@ -531,7 +542,7 @@ def _theta_from_payload(payload: dict) -> AttenuationSpec:
         )
     return AttenuationSpec(
         theta_daily=payload["theta_daily"],
-        mode=ThetaMode(payload["mode"]),
+        mode=_mode_of(payload["mode"]),
         tariff=tariff,
         cif=cif,
     )

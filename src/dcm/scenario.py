@@ -27,7 +27,7 @@ import yaml
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, residual_weight
 from .errors import ConfigError, DCMError, DomainError, ScenarioStepError
 from .ledger import canonical_payload
-from .market import PriceSeries, load_series, quote_at
+from .market import PriceSeries, load_series, quote_at, read_text
 from .registry import DeliveryRules, MarketQuote, Registry
 from .rounding import RoundingProfile, fmt
 
@@ -115,15 +115,24 @@ def _check_keys(mapping: Any, allowed: AbstractSet[str], context: str) -> None:
 _REQUIRED = object()
 
 
+def _float(value: Any) -> float:
+    """``float(value)``, refusing a boolean: YAML reads ``true`` and ``yes`` as one, and ``float`` takes it as 1.0."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
+
+
 def _integer(value: Any) -> int:
-    """``int(value)``, refusing a fraction it would truncate."""
+    """``int(value)``, refusing a boolean and a fraction it would truncate."""
+    if isinstance(value, bool):
+        raise TypeError(value)
     number = int(value)
     if isinstance(value, float) and number != value:
         raise ValueError(value)
     return number
 
 
-def _number(mapping: dict, key: str, context: str, kind: Any = float, default: Any = _REQUIRED) -> Any:
+def _number(mapping: dict, key: str, context: str, kind: Any = _float, default: Any = _REQUIRED) -> Any:
     """``kind(mapping[key])``; a missing key or a value ``kind`` refuses is a ConfigError naming both."""
     value = _require(mapping, key, context) if default is _REQUIRED else mapping.get(key, default)
     try:
@@ -168,19 +177,10 @@ def _theta_from_config(issuer_cfg: dict) -> AttenuationSpec:
     return attenuation_coefficient(tariff, cif, mode)
 
 
-def _read_text(path: Path, what: str) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"cannot read {what} {path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
-
-
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load and validate a UTF-8 scenario file; referenced data paths resolve relative to it."""
     path = Path(path)
-    text = _read_text(path, "scenario")
+    text = read_text(path, "scenario")
     try:
         raw = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
@@ -204,7 +204,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         material=str(_require(issuer_cfg, "material", "issuer")),
         weight_unit=str(issuer_cfg.get("weight_unit", "kg")),
         purity=_number(issuer_cfg, "purity", "issuer", default=1.0),
-        denominations=_number(issuer_cfg, "denominations", "issuer", lambda values: tuple(map(float, values))),
+        denominations=_number(issuer_cfg, "denominations", "issuer", lambda values: tuple(map(_float, values))),
         theta=_theta_from_config(issuer_cfg),
         rules=DeliveryRules(
             delivery_charge_ratio=_number(rules_cfg, "delivery_charge_ratio", "delivery_rules"),
@@ -227,7 +227,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if not series_path.exists():
             raise ConfigError(f"price series file not found: {series_path}")
         prices = load_series(
-            _read_text(series_path, "price series"),
+            read_text(series_path, "price series"),
             material=issuer.material,
             currency=str(raw.get("currency", "")),
         )

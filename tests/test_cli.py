@@ -169,12 +169,13 @@ class TestLifecycleFlow:
             assert "seq 3" in result.stderr
             assert "Traceback" not in result.stderr
 
-    def test_open_last_line_refuses_to_append(self, tmp_path):
+    @pytest.mark.parametrize("args", [ISSUE_ARGS, ["replay-verify"]], ids=["issue", "replay-verify"])
+    def test_open_last_line_refuses_to_append(self, tmp_path, args):
         dcm(*ISSUE_ARGS, cwd=tmp_path)
         ledger_file, sidecar = tmp_path / "dcm-ledger.log", tmp_path / SIDECAR
         ledger_file.write_bytes(ledger_file.read_bytes()[:-1])
         before = ledger_file.read_bytes(), sidecar.read_bytes()
-        result = dcm(*ISSUE_ARGS, cwd=tmp_path)
+        result = dcm(*args, cwd=tmp_path)
         assert result.returncode == 4
         assert "line 1: the ledger file ends inside this line, which has no final newline" in result.stderr
         assert "Traceback" not in result.stderr
@@ -196,6 +197,24 @@ class TestLifecycleFlow:
         assert result.returncode == 4
         assert f"error: line 2, byte offset {size}: not UTF-8" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_price_file_that_is_not_utf8_exits_validation(self, tmp_path):
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        (tmp_path / "p.csv").write_bytes(b"date,price\n2020-01-01,4\xff0\n")
+        result = dcm("--prices", "p.csv", "quote", "--cert", "LME-copper-0001", "--dt", "3", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "error: cannot read price series p.csv: byte 23 is not UTF-8" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_priced_command_does_not_import_the_scenario_loader(self, tmp_path, monkeypatch):
+        (tmp_path / "prices.csv").write_text(PRICES, encoding="utf-8")
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")  # the child prints one stderr line per import
+        result = dcm("--prices", "prices.csv", "quote", "--cert", "LME-copper-0001", "--dt", "3", cwd=tmp_path)
+        assert result.returncode == 0
+        imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+        assert "dcm.checkpoint" in imported
+        assert not imported & {"dcm.scenario", "yaml"}
 
     def test_missing_ledger_exits_validation(self, tmp_path):
         result = dcm("replay-verify", cwd=tmp_path)

@@ -122,16 +122,23 @@ class TestStreamValidation:
             list(read_events([forged]))
 
     @pytest.mark.parametrize(
-        ("seq_text", "ts_text", "cert_id", "message"),
+        ("seq_text", "ts_text", "cert_id", "prev_hash", "forge_digest", "message"),
         [
-            ("01", "2020-01-01", "X-1", "bad sequence number"),
-            ("1", "20200101", "X-1", "bad timestamp"),
-            ("1", "2020-01-01", "X-1\n", "bad cert_id"),
+            ("01", "2020-01-01", "X-1", GENESIS_HASH, None, "bad sequence number"),
+            ("1", "20200101", "X-1", GENESIS_HASH, None, "bad timestamp"),
+            ("1", "2020-01-01", "X-1\n", GENESIS_HASH, None, "bad cert_id"),
+            ("1", "2020-01-01", "X-1", "A" * 64, None, "seq 1: malformed hash field"),
+            ("1", "2020-01-01", "X-1", "A" * 64, lambda digest: "0" * 64, "seq 1: malformed hash field"),
+            ("1", "2020-01-01", "X-1", GENESIS_HASH, lambda digest: digest[:63], "seq 1: malformed hash field"),
         ],
+        ids=["seq", "timestamp", "cert-id", "upper-case-prev-hash", "upper-case-prev-hash-wrong-digest", "short-digest"],
     )
-    def test_digested_non_canonical_fields_are_rejected(self, seq_text, ts_text, cert_id, message):
+    def test_digested_non_canonical_fields_are_rejected(self, seq_text, ts_text, cert_id, prev_hash, forge_digest, message):
         payload = '{"x":1}'
-        line = _seal(seq_text, ts_text, "ISSUE", cert_id, payload, GENESIS_HASH)
+        line = _seal(seq_text, ts_text, "ISSUE", cert_id, payload, prev_hash)
+        if forge_digest is not None:
+            body, digest = line.rsplit("|", 1)
+            line = f"{body}|{forge_digest(digest)}"
         with pytest.raises(LedgerIntegrityError, match=message):
             list(read_events([line]))
 

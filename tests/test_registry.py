@@ -17,6 +17,7 @@ from dcm import (
     Certificate,
     CifQuote,
     DeliveryRules,
+    DerivationError,
     DomainError,
     EventKind,
     ExpiryError,
@@ -428,28 +429,91 @@ def _random_walk(seed: int, length: int) -> Registry:
     return registry
 
 
-# correctly sealed events that replay must refuse, each following the fixture's
-# ISSUE of LME-copper-0001: (kind, cert_id, payload built from that ISSUE's payload)
-SEALED_REFUSALS = {
-    "duplicate-issue": (EventKind.ISSUE, "LME-copper-0001", lambda issue: issue),
-    "issue-purity-above-one": (EventKind.ISSUE, "LME-copper-0002", lambda issue: {**issue, "purity": 1.5}),
-    "issue-without-rules": (
-        EventKind.ISSUE, "LME-copper-0002", lambda issue: {k: v for k, v in issue.items() if k != "rules"}
+def _with_rules(**fields):
+    return lambda form: {**form, "rules": {**form["rules"], **fields}}
+
+
+def _with_theta(**fields):
+    return lambda form: {**form, "theta": {**form["theta"], **fields}}
+
+
+# edits of an ISSUE payload (or of a state form, which extends it) that a value
+# type refuses: (edit, error type, message)
+VALUE_REFUSALS = {
+    "delivery-charge-below": (
+        _with_rules(delivery_charge_ratio=-0.001), DomainError, "delivery_charge_ratio must lie in [0, 0.1]"
     ),
-    "unknown-certificate": (EventKind.DELIVER, "LME-copper-0009", lambda issue: {"t": 1}),
+    "delivery-charge-above": (
+        _with_rules(delivery_charge_ratio=0.2), DomainError, "delivery_charge_ratio must lie in [0, 0.1]"
+    ),
+    "withdrawal-charge-below": (
+        _with_rules(withdrawal_charge_ratio=-0.001), DomainError, "withdrawal_charge_ratio must lie in [0, 0.1]"
+    ),
+    "withdrawal-charge-above": (
+        _with_rules(withdrawal_charge_ratio=0.2), DomainError, "withdrawal_charge_ratio must lie in [0, 0.1]"
+    ),
+    "min-delivery-zero": (_with_rules(min_delivery_weight=0), DomainError, "min_delivery_weight must be > 0"),
+    # json.loads reads the token Infinity, so a forged state can hold it; a ledger cannot (not canonical)
+    "min-delivery-infinite": (
+        _with_rules(min_delivery_weight=json.loads("Infinity")), DomainError,
+        "min_delivery_weight must be finite, got inf",
+    ),
+    "validity-zero": (_with_rules(validity_days=0), DomainError, "validity_days must be > 0 when set"),
+    "theta-one": (
+        _with_theta(theta_daily=1.0), DerivationError,
+        "theta_daily 1.000000 (explicit) outside the open interval (0, 1)",
+    ),
+    "theta-mode-unknown": (_with_theta(mode="daily"), ValueError, "'daily' is not a valid ThetaMode"),
+    "face-weight-text": (
+        lambda form: {**form, "face_weight": "five"}, ValueError, "could not convert string to float: 'five'"
+    ),
+}
+
+# correctly sealed events that replay must refuse, each following the fixture's
+# ISSUE of LME-copper-0001: (kind, cert_id, payload built from that ISSUE's
+# payload, the refusal's message after "seq 2: ")
+SEALED_REFUSALS = {
+    "duplicate-issue": (
+        EventKind.ISSUE, "LME-copper-0001", lambda issue: issue,
+        "ISSUE refused: IssuanceError: certificate 'LME-copper-0001' already exists",
+    ),
+    "issue-purity-above-one": (
+        EventKind.ISSUE, "LME-copper-0002", lambda issue: {**issue, "purity": 1.5},
+        "ISSUE refused: DomainError: purity must lie in (0, 1]",
+    ),
+    "issue-without-rules": (
+        EventKind.ISSUE, "LME-copper-0002", lambda issue: {k: v for k, v in issue.items() if k != "rules"},
+        "ISSUE refused: KeyError: 'rules'",
+    ),
+    "unknown-certificate": (
+        EventKind.DELIVER, "LME-copper-0009", lambda issue: {"t": 1},
+        "DELIVER refused: DomainError: unknown certificate 'LME-copper-0009'",
+    ),
     "transfer-without-to-owner": (
-        EventKind.TRANSFER, "LME-copper-0001", lambda issue: {"t": 1, "from_owner": "client-1"}
+        EventKind.TRANSFER, "LME-copper-0001", lambda issue: {"t": 1, "from_owner": "client-1"},
+        "TRANSFER refused: KeyError: 'to_owner'",
     ),
     "issue-owner-not-a-string": (
-        EventKind.ISSUE, "LME-copper-0002", lambda issue: {**issue, "owner": ["a", 1]}
+        EventKind.ISSUE, "LME-copper-0002", lambda issue: {**issue, "owner": ["a", 1]},
+        "ISSUE refused: DomainError: owner must be a non-empty string, got ['a', 1]",
     ),
-    "issue-empty-owner": (EventKind.ISSUE, "LME-copper-0002", lambda issue: {**issue, "owner": ""}),
+    "issue-empty-owner": (
+        EventKind.ISSUE, "LME-copper-0002", lambda issue: {**issue, "owner": ""},
+        "ISSUE refused: DomainError: owner must be a non-empty string, got ''",
+    ),
     "transfer-to-owner-not-a-string": (
-        EventKind.TRANSFER, "LME-copper-0001", lambda issue: {"t": 1, "from_owner": "client-1", "to_owner": ["a", 1]}
+        EventKind.TRANSFER, "LME-copper-0001", lambda issue: {"t": 1, "from_owner": "client-1", "to_owner": ["a", 1]},
+        "TRANSFER refused: DomainError: owner must be a non-empty string, got ['a', 1]",
     ),
     "transfer-from-someone-else": (
-        EventKind.TRANSFER, "LME-copper-0001", lambda issue: {"t": 1, "from_owner": "client-2", "to_owner": "b"}
+        EventKind.TRANSFER, "LME-copper-0001", lambda issue: {"t": 1, "from_owner": "client-2", "to_owner": "b"},
+        "TRANSFER refused: StateError: certificate LME-copper-0001 is owned by 'client-1', not 'client-2'",
     ),
+    **{
+        f"issue-{name}": (EventKind.ISSUE, "LME-copper-0002", edit, f"ISSUE refused: {error.__name__}: {message}")
+        for name, (edit, error, message) in VALUE_REFUSALS.items()
+        if name != "min-delivery-infinite"
+    },
 }
 
 
@@ -505,12 +569,13 @@ class TestReplay:
 
     @pytest.mark.parametrize("case", sorted(SEALED_REFUSALS))
     def test_sealed_illegal_event_is_an_integrity_error_at_its_seq(self, lme_registry, lme_cert, case):
-        kind, cert_id, payload_of = SEALED_REFUSALS[case]
+        kind, cert_id, payload_of, message = SEALED_REFUSALS[case]
         ledger = lme_registry.ledger
         ledger.append(kind, cert_id, payload_of(ledger.events[0].payload), date(2020, 2, 1))
-        with pytest.raises(LedgerIntegrityError, match=f"seq 2: {kind.value} refused") as excinfo:
+        with pytest.raises(LedgerIntegrityError) as excinfo:
             replay(read_events(ledger.to_lines()))
         assert excinfo.value.seq == 2
+        assert str(excinfo.value) == f"seq 2: {message}"
 
     def test_replay_checks_continuity_of_events_it_did_not_parse(self, lme_registry, lme_cert):
         lme_registry.transfer(lme_cert.cert_id, "client-2", 10)
@@ -544,19 +609,22 @@ class TestState:
         assert [event.seq for event in restored.ledger] == [event.seq for event in events[60:]]
 
     @pytest.mark.parametrize(
-        "edit, error",
+        "edit, error, message",
         [
-            (lambda form: {**form, "purity": 1.5}, DomainError),
-            (lambda form: {**form, "owner": ["a", 1]}, DomainError),
-            (lambda form: {**form, "status": "LOST"}, ValueError),
-            (lambda form: {k: v for k, v in form.items() if k != "rules"}, KeyError),
+            (lambda form: {**form, "purity": 1.5}, DomainError, "purity must lie in (0, 1]"),
+            (lambda form: {**form, "owner": ["a", 1]}, DomainError, "owner must be a non-empty string, got ['a', 1]"),
+            (lambda form: {**form, "status": "LOST"}, ValueError, "'LOST' is not a valid CertStatus"),
+            (lambda form: {k: v for k, v in form.items() if k != "rules"}, KeyError, "'rules'"),
+            *VALUE_REFUSALS.values(),
         ],
-        ids=["purity", "owner", "status", "no-rules"],
+        ids=["purity", "owner", "status", "no-rules", *VALUE_REFUSALS],
     )
-    def test_restoring_revalidates_every_value(self, lme_registry, lme_cert, edit, error):
+    def test_restoring_revalidates_every_value(self, lme_registry, lme_cert, edit, error, message):
         [(cert_id, form)] = lme_registry.to_state()
-        with pytest.raises(error):
+        with pytest.raises(error) as excinfo:
             Registry.from_state([[cert_id, edit(form)]])
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
 
     def test_restoring_a_duplicate_id_is_refused(self, lme_registry, lme_cert):
         state = lme_registry.to_state()

@@ -248,8 +248,26 @@ class TestScenarioLoading:
                 ("script:\n", "rounding: {weight_places: 2.5}\nscript:\n"),
                 "rounding: weight_places must be an integer, got 2.5",
             ),
+            (
+                "  - {dt: true, action: issue, cert: c1, face_weight: 5, owner: a}\n",
+                None,
+                "script step 1: dt must be an integer, got True",
+            ),
+            (
+                "  - {dt: 0, action: issue, cert: c1, face_weight: yes, owner: a}\n",
+                None,
+                r"script step 1 \(issue\): face_weight must be numeric, got True",
+            ),
+            (
+                ISSUE_STEP,
+                ("  denominations: [5]\n", "  denominations: [1, true]\n"),
+                r"issuer: denominations must be numeric, got \[1, True\]",
+            ),
         ],
-        ids=["face-weight", "dt", "purity", "theta-mode", "dt-fraction", "dt-infinite", "validity-fraction", "places-fraction"],
+        ids=[
+            "face-weight", "dt", "purity", "theta-mode", "dt-fraction", "dt-infinite", "validity-fraction",
+            "places-fraction", "dt-boolean", "face-weight-boolean", "denomination-boolean",
+        ],
     )
     def test_values_of_the_wrong_type_are_config_errors(self, tmp_path, script, edit, message):
         path = write_scenario(tmp_path, script)
