@@ -1,20 +1,21 @@
 """Command-line front door for the certificate engine.
 
-Exit codes: 0 success, 2 validation error, 3 settlement/state error,
-4 ledger-integrity error.
+Exit codes: 0 success, 2 validation or usage error, 3 settlement/state error,
+4 ledger-integrity error, 130 interrupted.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
+import re
 import sys
 from datetime import date, timedelta
 from pathlib import Path
 
-import click
-
 from .checkpoint import LedgerFile
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient
-from .errors import EXIT_VALIDATION, ConfigError, DCMError
+from .errors import ConfigError, DCMError
 from .ledger import Ledger
 from .market import load_series, quote_at, read_text
 from .registry import DeliveryRules, MarketQuote, Registry, export_certificate
@@ -33,7 +34,7 @@ class AppContext:
 
     def _warn_if_ignored(self) -> None:
         if self.ledger_file.ignored is not None:
-            click.echo(f"warning: ignoring checkpoint {self.ledger_file.sidecar}: {self.ledger_file.ignored}", err=True)
+            print(f"warning: ignoring checkpoint {self.ledger_file.sidecar}: {self.ledger_file.ignored}", file=sys.stderr)
 
     def load_registry(self) -> Registry:
         """The ledger file's registry, resumed from its checkpoint sidecar when that verifies."""
@@ -59,7 +60,7 @@ class AppContext:
         try:
             self.ledger_file.write_checkpoint(registry, registry.ledger.events[known:])
         except OSError as exc:
-            click.echo(f"warning: cannot write checkpoint {self.ledger_file.sidecar}: {exc}", err=True)
+            print(f"warning: cannot write checkpoint {self.ledger_file.sidecar}: {exc}", file=sys.stderr)
 
     def append_new_events(self, ledger: Ledger, known: int) -> None:
         new_events = ledger.events[known:]
@@ -77,199 +78,227 @@ class AppContext:
         return MarketQuote(quotation=quote_at(series, when) / self.per_units, premium=premium)
 
 
-def _parse_iso_date(_ctx, _param, value):
-    if value is None:
-        return None
-    try:
-        return date.fromisoformat(value)
-    except ValueError:
-        raise click.BadParameter(f"{value!r} is not an ISO date") from None
+# -- commands: each takes the context and the parsed arguments ---------------
 
 
-@click.group()
-@click.option("--ledger", "ledger_path", type=click.Path(path_type=Path), default=Path("dcm-ledger.log"), show_default=True, help="Event ledger file.")
-@click.option("--prices", "prices_path", type=click.Path(exists=True, path_type=Path), default=None, help="Price series CSV (date,price) for quote/buyback.")
-@click.option("--price-per-units", type=float, default=1.0, show_default=True, help="Certificate weight units per quoted price unit.")
-@click.option("--weight-places", type=int, default=4, show_default=True, help="Weight display and settlement-docket precision.")
-@click.option("--money-places", type=int, default=4, show_default=True, help="Money display precision.")
-@click.pass_context
-def cli(ctx: click.Context, ledger_path: Path, prices_path: Path | None, price_per_units: float, weight_places: int, money_places: int):
-    """Decayed commodity money: derive theta, manage certificates, run scenarios."""
-    if price_per_units <= 0:
-        raise ConfigError("--price-per-units must be > 0")
-    ctx.obj = AppContext(
-        ledger_path=ledger_path,
-        prices_path=prices_path,
-        per_units=price_per_units,
-        profile=RoundingProfile(weight_places=weight_places, money_places=money_places),
-    )
-
-
-@cli.command()
-@click.option("--warehouse-charge", type=float, required=True, help="Daily warehouse charge per unit.")
-@click.option("--transfer-charge", type=float, default=0.0, show_default=True, help="Outbound transfer charge per unit.")
-@click.option("--bank-rate", type=float, default=0.0, show_default=True, help="Annual interest rate (fraction).")
-@click.option("--cif", "cif_price_value", type=float, required=True, help="Landed price per unit.")
-@click.option("--mode", type=click.Choice(_MODE_CHOICES), default=ThetaMode.WAREHOUSE_ONLY.value, show_default=True)
-def theta(warehouse_charge: float, transfer_charge: float, bank_rate: float, cif_price_value: float, mode: str):
+def theta(_app: AppContext, args: argparse.Namespace) -> None:
     """Derive a daily retention factor from storage tariffs."""
     tariff = StorageTariff(
-        daily_warehouse_charge=warehouse_charge,
-        outbound_transfer_charge=transfer_charge,
-        bank_rate=bank_rate,
+        daily_warehouse_charge=args.warehouse_charge,
+        outbound_transfer_charge=args.transfer_charge,
+        bank_rate=args.bank_rate,
     )
-    spec = attenuation_coefficient(tariff, CifQuote(price_per_unit=cif_price_value), ThetaMode(mode))
-    click.echo(f"{fmt(spec.theta_daily, 6)} ({spec.mode.value})")
+    spec = attenuation_coefficient(tariff, CifQuote(price_per_unit=args.cif), ThetaMode(args.mode))
+    print(f"{fmt(spec.theta_daily, 6)} ({spec.mode.value})")
 
 
-@cli.command()
-@click.option("--issuer", required=True)
-@click.option("--material", required=True)
-@click.option("--face-weight", type=float, required=True)
-@click.option("--purity", type=float, default=1.0, show_default=True)
-@click.option("--issue-date", callback=_parse_iso_date, required=True, help="ISO date.")
-@click.option("--theta", "theta_value", type=float, required=True, help="Daily retention factor in (0, 1).")
-@click.option("--denominations", required=True, help="Comma-separated face weights the issuer offers.")
-@click.option("--delivery-charge", type=float, required=True, help="Delivery charge ratio (e.g. 0.003).")
-@click.option("--withdrawal-charge", type=float, required=True, help="Withdrawal charge ratio (e.g. 0.002).")
-@click.option("--min-delivery", type=float, required=True, help="Minimum deliverable face weight.")
-@click.option("--location", default="", help="Delivery location.")
-@click.option("--validity-days", type=int, default=None, help="Validity window; omit for open-ended.")
-@click.option("--weight-unit", default="kg", show_default=True)
-@click.option("--owner", required=True)
-@click.pass_obj
-def issue(app: AppContext, issuer, material, face_weight, purity, issue_date, theta_value, denominations,
-          delivery_charge, withdrawal_charge, min_delivery, location, validity_days, weight_unit, owner):
+def issue(app: AppContext, args: argparse.Namespace) -> None:
     """Issue a certificate and print its paper form."""
     try:
-        denoms = [float(d) for d in denominations.split(",") if d.strip()]
+        denoms = [float(d) for d in args.denominations.split(",") if d.strip()]
     except ValueError:
-        raise ConfigError(f"bad denomination list {denominations!r}") from None
+        raise ConfigError(f"bad denomination list {args.denominations!r}") from None
     registry = app.load_registry()
     known = len(registry.ledger)
-    registry.register_issuer(issuer, denoms)
+    registry.register_issuer(args.issuer, denoms)
     cert = registry.issue(
-        issuer=issuer,
-        material=material,
-        face_weight=face_weight,
-        purity=purity,
-        issue_date=issue_date,
-        theta=AttenuationSpec(theta_daily=theta_value),
+        issuer=args.issuer,
+        material=args.material,
+        face_weight=args.face_weight,
+        purity=args.purity,
+        issue_date=args.issue_date,
+        theta=AttenuationSpec(theta_daily=args.theta),
         rules=DeliveryRules(
-            delivery_charge_ratio=delivery_charge,
-            withdrawal_charge_ratio=withdrawal_charge,
-            min_delivery_weight=min_delivery,
-            delivery_location=location,
-            validity_days=validity_days,
+            delivery_charge_ratio=args.delivery_charge,
+            withdrawal_charge_ratio=args.withdrawal_charge,
+            min_delivery_weight=args.min_delivery,
+            delivery_location=args.location,
+            validity_days=args.validity_days,
         ),
-        owner=owner,
-        weight_unit=weight_unit,
+        owner=args.owner,
+        weight_unit=args.weight_unit,
     )
     app.save(registry, known)
-    click.echo(export_certificate(cert), nl=False)
+    sys.stdout.write(export_certificate(cert))
 
 
-@cli.command()
-@click.option("--cert", "cert_id", required=True)
-@click.option("--dt", type=int, required=True, help="Days since issuance.")
-@click.option("--premium", type=float, default=0.0, show_default=True)
-@click.pass_obj
-def quote(app: AppContext, cert_id, dt, premium):
+def quote(app: AppContext, args: argparse.Namespace) -> None:
     """Price a certificate against the market series."""
     registry = app.load_registry()
     known = len(registry.ledger)
-    market = app.market_quote(registry.certificate(cert_id), dt, premium)
-    result = registry.quote_transaction_price(cert_id, market, dt)
+    market = app.market_quote(registry.certificate(args.cert), args.dt, args.premium)
+    result = registry.quote_transaction_price(args.cert, market, args.dt)
     app.save(registry, known)
-    click.echo(f"residual_weight: {app.profile.weight(result.residual_weight)}")
-    click.echo(f"price: {app.profile.money(result.price)}")
+    print(f"residual_weight: {app.profile.weight(result.residual_weight)}")
+    print(f"price: {app.profile.money(result.price)}")
 
 
-@cli.command()
-@click.option("--cert", "cert_id", required=True)
-@click.option("--dt", type=int, required=True, help="Days since issuance.")
-@click.pass_obj
-def deliver(app: AppContext, cert_id, dt):
+def deliver(app: AppContext, args: argparse.Namespace) -> None:
     """Settle a certificate by physical delivery."""
     registry = app.load_registry()
     known = len(registry.ledger)
-    result = registry.physical_delivery(cert_id, dt)
+    result = registry.physical_delivery(args.cert, args.dt)
     app.save(registry, known)
-    click.echo(f"residual_weight: {app.profile.weight(result.residual_weight)}")
-    click.echo(f"delivered_weight: {app.profile.weight(result.delivered_weight)}")
+    print(f"residual_weight: {app.profile.weight(result.residual_weight)}")
+    print(f"delivered_weight: {app.profile.weight(result.delivered_weight)}")
 
 
-@cli.command()
-@click.option("--cert", "cert_id", required=True)
-@click.option("--dt", type=int, required=True, help="Days since issuance.")
-@click.pass_obj
-def buyback(app: AppContext, cert_id, dt):
+def buyback(app: AppContext, args: argparse.Namespace) -> None:
     """Settle a certificate for cash at the day's quotation."""
     registry = app.load_registry()
     known = len(registry.ledger)
-    market = app.market_quote(registry.certificate(cert_id), dt, 0.0)
-    result = registry.buyback(cert_id, dt, market)
+    market = app.market_quote(registry.certificate(args.cert), args.dt, 0.0)
+    result = registry.buyback(args.cert, args.dt, market)
     app.save(registry, known)
-    click.echo(f"buyback_weight: {app.profile.weight(result.buyback_weight)}")
-    click.echo(f"cash: {app.profile.money(result.cash)}")
+    print(f"buyback_weight: {app.profile.weight(result.buyback_weight)}")
+    print(f"cash: {app.profile.money(result.cash)}")
 
 
-@cli.command()
-@click.argument("scenario")
-@click.option("--report", "report_path", type=click.Path(path_type=Path), default=None, help="Write the machine-readable report (JSON lines) here.")
-@click.option("--format", "output_format", type=click.Choice(["text", "json"]), default="text", show_default=True)
-def run(scenario: str, report_path: Path | None, output_format: str):
+def run(_app: AppContext, args: argparse.Namespace) -> None:
     """Run a scenario file or a bundled scenario by name."""
     from .scenario import bundled_scenario_path, load_scenario, run_scenario
 
-    path = Path(scenario)
+    path = Path(args.scenario)
     if not path.exists():
-        path = bundled_scenario_path(scenario)
+        path = bundled_scenario_path(args.scenario)
     report, _registry = run_scenario(load_scenario(path))
-    json_lines = report.to_json_lines() if output_format == "json" or report_path is not None else ""
-    click.echo(json_lines if output_format == "json" else report.to_text(), nl=False)
-    if report_path is not None:
-        report_path.write_text(json_lines, encoding="utf-8")
+    json_lines = report.to_json_lines() if args.format == "json" or args.report is not None else ""
+    sys.stdout.write(json_lines if args.format == "json" else report.to_text())
+    if args.report is not None:
+        args.report.write_text(json_lines, encoding="utf-8")
 
 
-@cli.command()
-@click.option("--weight", type=float, required=True, help="Anchor weight at day 0.")
-@click.option("--theta", "theta_value", type=float, required=True)
-@click.option("--days", type=int, required=True, help="Projection horizon in days.")
-@click.pass_obj
-def project(app: AppContext, weight, theta_value, days):
+def project(app: AppContext, args: argparse.Namespace) -> None:
     """Project the holder/custodian split of an anchor stock."""
     from .scenario import wealth_projection
 
-    result = wealth_projection(weight, theta_value, days)
-    click.echo(f"residual_weight: {app.profile.weight(result.residual_weight)}")
-    click.echo(f"issuer_accrued_weight: {app.profile.weight(result.issuer_accrued_weight)}")
+    result = wealth_projection(args.weight, args.theta, args.days)
+    print(f"residual_weight: {app.profile.weight(result.residual_weight)}")
+    print(f"issuer_accrued_weight: {app.profile.weight(result.issuer_accrued_weight)}")
 
 
-@cli.command("replay-verify")
-@click.pass_obj
-def replay_verify(app: AppContext):
+def replay_verify(app: AppContext, _args: argparse.Namespace) -> None:
     """Verify the ledger's hash chain and replayability end to end."""
     if not app.ledger_path.exists():
         raise ConfigError(f"ledger file not found: {app.ledger_path}")
     registry = app.verify_registry()
-    click.echo(
+    print(
         f"ok: {len(registry.ledger)} events, {len(registry.certificates)} certificates, "
         f"head {registry.ledger.head_hash}"
     )
 
 
+# -- argument parsing --------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that matches only whole option names and reads ``-1e-3`` as a value.
+
+    Python before 3.12.7 takes a negative number in exponent form for an
+    option, so ``--premium -1e-3`` would be a usage error; this sets the
+    pattern that later Pythons use.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
+def _iso_date(value: str) -> date:
+    try:
+        return date.fromisoformat(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an ISO date") from None
+
+
+def _existing_path(value: str) -> Path:
+    path = Path(value)
+    if not path.exists():
+        raise argparse.ArgumentTypeError(f"path {value!r} does not exist")
+    return path
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="dcm", description="Decayed commodity money: derive theta, manage certificates, run scenarios.")
+    parser.add_argument("--ledger", dest="ledger_path", type=Path, default=Path("dcm-ledger.log"), metavar="PATH",
+                        help="event ledger file (default: %(default)s)")
+    parser.add_argument("--prices", dest="prices_path", type=_existing_path, metavar="PATH",
+                        help="price series CSV (date,price) for quote/buyback")
+    parser.add_argument("--price-per-units", metavar="N", type=float, default=1.0,
+                        help="certificate weight units per quoted price unit (default: %(default)s)")
+    parser.add_argument("--weight-places", metavar="N", type=int, default=4,
+                        help="weight display and settlement-docket precision (default: %(default)s)")
+    parser.add_argument("--money-places", metavar="N", type=int, default=4, help="money display precision (default: %(default)s)")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(handler, name: str | None = None) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name or handler.__name__, help=handler.__doc__, description=handler.__doc__)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    sub = command(theta)
+    sub.add_argument("--warehouse-charge", type=float, required=True, help="daily warehouse charge per unit")
+    sub.add_argument("--transfer-charge", type=float, default=0.0,
+                     help="outbound transfer charge per unit (default: %(default)s)")
+    sub.add_argument("--bank-rate", type=float, default=0.0, help="annual interest rate, a fraction (default: %(default)s)")
+    sub.add_argument("--cif", type=float, required=True, help="landed price per unit")
+    sub.add_argument("--mode", choices=_MODE_CHOICES, default=ThetaMode.WAREHOUSE_ONLY.value,
+                     help="(default: %(default)s)")
+
+    sub = command(issue)
+    sub.add_argument("--issuer", required=True)
+    sub.add_argument("--material", required=True)
+    sub.add_argument("--face-weight", type=float, required=True)
+    sub.add_argument("--purity", type=float, default=1.0, help="(default: %(default)s)")
+    sub.add_argument("--issue-date", type=_iso_date, required=True, help="ISO date")
+    sub.add_argument("--theta", type=float, required=True, help="daily retention factor in (0, 1)")
+    sub.add_argument("--denominations", required=True, help="comma-separated face weights the issuer offers")
+    sub.add_argument("--delivery-charge", type=float, required=True, help="delivery charge ratio (e.g. 0.003)")
+    sub.add_argument("--withdrawal-charge", type=float, required=True, help="withdrawal charge ratio (e.g. 0.002)")
+    sub.add_argument("--min-delivery", type=float, required=True, help="minimum deliverable face weight")
+    sub.add_argument("--location", default="", help="delivery location")
+    sub.add_argument("--validity-days", type=int, help="validity window; omit for open-ended")
+    sub.add_argument("--weight-unit", default="kg", help="(default: %(default)s)")
+    sub.add_argument("--owner", required=True)
+
+    for handler in (quote, deliver, buyback):
+        sub = command(handler)
+        sub.add_argument("--cert", required=True)
+        sub.add_argument("--dt", type=int, required=True, help="days since issuance")
+        if handler is quote:
+            sub.add_argument("--premium", type=float, default=0.0, help="(default: %(default)s)")
+
+    sub = command(run)
+    sub.add_argument("scenario")
+    sub.add_argument("--report", type=Path, help="write the machine-readable report (JSON lines) here")
+    sub.add_argument("--format", choices=["text", "json"], default="text", help="(default: %(default)s)")
+
+    sub = command(project)
+    sub.add_argument("--weight", type=float, required=True, help="anchor weight at day 0")
+    sub.add_argument("--theta", type=float, required=True)
+    sub.add_argument("--days", type=int, required=True, help="projection horizon in days")
+
+    command(replay_verify, "replay-verify")
+    return parser
+
+
 def main() -> None:
     try:
-        cli.main(standalone_mode=False)
+        args = _parser().parse_args()  # a usage error exits 2 here
+        if args.price_per_units <= 0:
+            raise ConfigError("--price-per-units must be > 0")
+        profile = RoundingProfile(weight_places=args.weight_places, money_places=args.money_places)
+        args.handler(AppContext(args.ledger_path, args.prices_path, args.price_per_units, profile), args)
+        sys.stdout.flush()  # so that a closed stdout pipe shows up here
     except DCMError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(exc.exit_code if exc.exit_code != 1 else EXIT_VALIDATION)
-    except click.exceptions.Abort:
+    except KeyboardInterrupt:
+        print(file=sys.stderr)
         sys.exit(130)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # leave nothing to flush at exit
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -540,12 +540,7 @@ def _theta_from_payload(payload: dict) -> AttenuationSpec:
             location=raw["location"],
             as_of=date.fromisoformat(raw["as_of"]) if raw["as_of"] else None,
         )
-    return AttenuationSpec(
-        theta_daily=payload["theta_daily"],
-        mode=_mode_of(payload["mode"]),
-        tariff=tariff,
-        cif=cif,
-    )
+    return AttenuationSpec(payload["theta_daily"], _mode_of(payload["mode"]), tariff, cif)
 
 
 def certificate_state(cert: Certificate) -> dict:
@@ -565,24 +560,26 @@ def certificate_state(cert: Certificate) -> dict:
 
 
 def _cert_from_payload(cert_id: str, payload: dict) -> Certificate:
+    # positional calls in field order: every replayed ISSUE and every restored certificate comes
+    # through here, and keyword calls cost about 1.5 us more per certificate
     rules = payload["rules"]
     return Certificate(
-        cert_id=cert_id,
-        issuer=payload["issuer"],
-        material=payload["material"],
-        face_weight=payload["face_weight"],
-        purity=payload["purity"],
-        issue_date=date.fromisoformat(payload["issue_date"]),
-        theta=_theta_from_payload(payload["theta"]),
-        rules=DeliveryRules(
-            delivery_charge_ratio=rules["delivery_charge_ratio"],
-            withdrawal_charge_ratio=rules["withdrawal_charge_ratio"],
-            min_delivery_weight=rules["min_delivery_weight"],
-            delivery_location=rules["delivery_location"],
-            validity_days=rules["validity_days"],
+        cert_id,
+        payload["issuer"],
+        payload["material"],
+        payload["face_weight"],
+        payload["purity"],
+        date.fromisoformat(payload["issue_date"]),
+        _theta_from_payload(payload["theta"]),
+        DeliveryRules(
+            rules["delivery_charge_ratio"],
+            rules["withdrawal_charge_ratio"],
+            rules["min_delivery_weight"],
+            rules["delivery_location"],
+            rules["validity_days"],
         ),
-        owner=payload["owner"],
-        weight_unit=payload["weight_unit"],
+        payload["owner"],
+        payload["weight_unit"],
     )
 
 

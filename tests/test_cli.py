@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -214,7 +215,26 @@ class TestLifecycleFlow:
         assert result.returncode == 0
         imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
         assert "dcm.checkpoint" in imported
-        assert not imported & {"dcm.scenario", "yaml"}
+        assert not imported & {"dcm.scenario", "yaml", "click"}
+
+    @pytest.mark.parametrize("args", [ISSUE_ARGS, ["replay-verify"]], ids=["issue", "replay-verify"])
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda data: data.replace(b"\n", b"\r\n"), lambda data: data.replace(b"\n", b"\x0c\n", 1)],
+        ids=["crlf", "form-feed"],
+    )
+    def test_a_byte_before_a_newline_fails_its_record(self, tmp_path, edit, args):
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        ledger_file, sidecar = tmp_path / "dcm-ledger.log", tmp_path / SIDECAR
+        ledger_file.write_bytes(edit(ledger_file.read_bytes()))
+        before = ledger_file.read_bytes(), sidecar.read_bytes()
+        result = dcm(*args, cwd=tmp_path)
+        assert result.returncode == 4
+        assert "error: seq 1: malformed hash field" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert (ledger_file.read_bytes(), sidecar.read_bytes()) == before
 
     def test_missing_ledger_exits_validation(self, tmp_path):
         result = dcm("replay-verify", cwd=tmp_path)
@@ -358,3 +378,162 @@ class TestProject:
         assert result.returncode == 0
         assert "residual_weight: 327244967.4214" in result.stdout
         assert "issuer_accrued_weight: 72755032.5786" in result.stdout
+
+
+GOLDEN_SESSION = [
+    (
+        ["theta", "--warehouse-charge", "0.2", "--transfer-charge", "0.5", "--bank-rate", "0.03", "--cif", "5000",
+         "--mode", "full-cost"],
+        "0.999778 (full-cost)\n",
+    ),
+    (
+        [*ISSUE_ARGS, "--validity-days", "400", "--location", "LME warehouse"],
+        "code: LME-copper-0001\nissuer: LME\nmaterial: copper\nface_weight: 1000.0\nweight_unit: kg\n"
+        "purity: 0.9999\nissue_date: 2020-01-01\ntheta: 0.999960\ndelivery_charge_ratio: 0.003\n"
+        "withdrawal_charge_ratio: 0.002\nmin_delivery_weight: 1000.0\ndelivery_location: LME warehouse\n"
+        "validity_days: 400\n",
+    ),
+    (
+        ISSUE_ARGS,
+        "code: LME-copper-0002\nissuer: LME\nmaterial: copper\nface_weight: 1000.0\nweight_unit: kg\n"
+        "purity: 0.9999\nissue_date: 2020-01-01\ntheta: 0.999960\ndelivery_charge_ratio: 0.003\n"
+        "withdrawal_charge_ratio: 0.002\nmin_delivery_weight: 1000.0\ndelivery_location: \n"
+        "validity_days: none\n",
+    ),
+    (
+        [*PRICED, "quote", "--cert", "LME-copper-0001", "--dt", "183", "--premium", "0.25"],
+        "residual_weight: 992.7066\nprice: 297.8120\n",
+    ),
+    (
+        ["deliver", "--cert", "LME-copper-0001", "--dt", "365"],
+        "residual_weight: 985.5058\ndelivered_weight: 982.5493\n",
+    ),
+    (
+        [*PRICED, "--money-places", "2", "buyback", "--cert", "LME-copper-0002", "--dt", "365"],
+        "buyback_weight: 983.5348\ncash: 49.18\n",
+    ),
+    (
+        ["project", "--weight", "4e8", "--theta", "0.999945", "--days", "3650"],
+        "residual_weight: 327244967.4214\nissuer_accrued_weight: 72755032.5786\n",
+    ),
+    (
+        ["replay-verify"],
+        "ok: 5 events, 2 certificates, head 2577f3cd98ede097e7e91d83616a7974bb379da1777702aaec07362e461da688\n",
+    ),
+    (
+        ["run", "lme_copper"],
+        "scenario lme_copper (USD)\n"
+        "  step 1: action=issue, cert_id=LME-copper-0001, dt=0, owner=LME-float, theta_display=0.999960\n"
+        "  step 2: action=issue, cert_id=LME-copper-0002, dt=0, owner=LME-float, theta_display=0.999960\n"
+        "  step 3: action=quote, cert_id=LME-copper-0001, dt=183, price_display=4963.5330, "
+        "residual_weight_display=992.7066\n"
+        "  step 4: action=transfer, cert_id=LME-copper-0001, dt=183, to_owner=customer-1\n"
+        "  step 5: action=deliver, cert_id=LME-copper-0001, charged_weight_display=2.9565, "
+        "delivered_weight_display=982.5493, dt=365, residual_weight_display=985.5058\n"
+        "  step 6: action=buyback, buyback_weight_display=983.5348, cash_display=5409.4414, "
+        "cert_id=LME-copper-0002, charged_weight_display=1.9710, dt=365, residual_weight_display=985.5058\n"
+        "  (6 steps)\n",
+    ),
+]
+GOLDEN_FILES = {
+    "dcm-ledger.log": "ad0b3f2d769a530b017c5425ec6a35d816d787a5e8156f94c2c2895b4b2b408a",
+    SIDECAR: "d41548ac389ef4178d6e2e243a17582809d36e39085c73091442030c754f72fa",
+}
+
+
+def test_each_command_prints_and_writes_the_pinned_bytes(tmp_path):
+    (tmp_path / "prices.csv").write_text(PRICES, encoding="utf-8")
+    for args, stdout in GOLDEN_SESSION:
+        result = dcm(*args, cwd=tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_FILES}
+    assert digests == GOLDEN_FILES
+
+
+# A valid argument list per subcommand; the contract rows mutate it.
+SUBCOMMANDS = {
+    "theta": ["theta", "--warehouse-charge", "0.2", "--cif", "5000"],
+    "issue": ISSUE_ARGS,
+    "quote": ["quote", "--cert", "LME-copper-0001", "--dt", "3", "--premium", "0.1"],
+    "deliver": ["deliver", "--cert", "LME-copper-0001", "--dt", "3"],
+    "buyback": ["buyback", "--cert", "LME-copper-0001", "--dt", "3"],
+    "run": ["run", "lme_copper", "--format", "text"],
+    "project": ["project", "--weight", "4e8", "--theta", "0.999945", "--days", "3650"],
+    "replay-verify": ["replay-verify"],
+}
+
+
+def _edit(name: str, flag: str, value: str | None = None) -> list[str]:
+    """The subcommand's valid arguments with ``flag``'s value replaced, or with the flag removed."""
+    args = SUBCOMMANDS[name]
+    if flag not in args:
+        return [*args, flag, value]
+    at = args.index(flag)
+    return [*args[:at], *args[at + 2 :]] if value is None else [*args[: at + 1], value, *args[at + 2 :]]
+
+
+# rows that need an option of the subcommand's own; every subcommand also gets the group-option rows below
+LOCAL_USAGE_ERRORS = {
+    "theta": {"missing": _edit("theta", "--cif"), "float": _edit("theta", "--cif", "1e3x"),
+              "mode": _edit("theta", "--mode", "explicit"), "abbreviated": ["theta", "--ware", "0.2", "--cif", "5000"]},
+    "issue": {"missing": _edit("issue", "--owner"), "float": _edit("issue", "--purity", "pure"),
+              "int": _edit("issue", "--validity-days", "0.5"), "date": _edit("issue", "--issue-date", "2020-13-01"),
+              "abbreviated": ["issue", "--own", "x", *ISSUE_ARGS[1:-2]]},
+    "quote": {"missing": _edit("quote", "--dt"), "float": _edit("quote", "--premium", "1,5"),
+              "int": _edit("quote", "--dt", "3.5"), "abbreviated": _edit("quote", "--prem", "0.1")},
+    "deliver": {"missing": _edit("deliver", "--cert"), "int": _edit("deliver", "--dt", "3.0"),
+                "abbreviated": ["deliver", "--ce", "LME-copper-0001", "--dt", "3"]},
+    "buyback": {"missing": _edit("buyback", "--dt"), "int": _edit("buyback", "--dt", "1e2"),
+                "abbreviated": ["buyback", "--cert", "LME-copper-0001", "--d", "3"]},
+    "run": {"missing": ["run"], "format": _edit("run", "--format", "yaml"), "abbreviated": _edit("run", "--form", "json")},
+    "project": {"missing": _edit("project", "--theta"), "float": _edit("project", "--weight", ""),
+                "int": _edit("project", "--days", "36.5"), "abbreviated": _edit("project", "--day", "3")},
+    "replay-verify": {},
+}
+GROUP_USAGE_ERRORS = {
+    "float": ["--price-per-units", "ten"],
+    "int": ["--weight-places", "2.5"],
+    "prices": ["--prices", "no-such-prices.csv"],
+    "abbreviated": ["--pri", "prices.csv"],
+}
+CONTRACT = [
+    *(pytest.param([*group, *SUBCOMMANDS[name]], id=f"{name}-group-{row}")
+      for name in SUBCOMMANDS for row, group in GROUP_USAGE_ERRORS.items()),
+    *(pytest.param(argv, id=f"{name}-{row}") for name, rows in LOCAL_USAGE_ERRORS.items() for row, argv in rows.items()),
+    *(pytest.param([*SUBCOMMANDS[name], "--no-such-flag"], id=f"{name}-unknown-flag") for name in SUBCOMMANDS),
+    pytest.param(["no-such-command"], id="unknown-subcommand"),
+]
+
+
+def _run_in_process(argv, monkeypatch, capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``dcm ARGV`` run by ``main`` in this process."""
+    from dcm.cli import main
+
+    monkeypatch.setattr(sys, "argv", ["dcm", *argv])
+    try:
+        main()
+        code = 0
+    except SystemExit as exc:
+        code = exc.code or 0
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("argv", CONTRACT)
+    def test_a_usage_error_exits_2_without_a_traceback(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "prices.csv").write_text(PRICES, encoding="utf-8")
+        code, out, err = _run_in_process(argv, monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert not any(tmp_path.glob("dcm-ledger.log*"))
+
+    @pytest.mark.parametrize("argv", [[], *([name] for name in SUBCOMMANDS)], ids=["group", *SUBCOMMANDS])
+    def test_help_exits_0(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run_in_process([*argv, "--help"], monkeypatch, capsys)
+        assert code == 0
+        assert "--help" in out
+        assert err == ""

@@ -682,8 +682,10 @@ class TestCheckpoint:
                 ledger_file.sidecar, lambda state: [line.replace('"ACTIVE"', '"LOST"') for line in state]
             ),
             lambda ledger_file: forge_sidecar(ledger_file.sidecar, lambda state: state + ["[1]"]),
+            lambda ledger_file: forge_sidecar(ledger_file.sidecar, lambda state: [",".join(state[:2]), *state[2:]]),
         ],
-        ids=["garbled", "truncated", "prefix-changed", "older-ledger", "bad-tail", "invalid-state", "unreadable-state"],
+        ids=["garbled", "truncated", "prefix-changed", "older-ledger", "bad-tail", "invalid-state", "unreadable-state",
+             "two-pairs-on-a-line"],
     )
     def test_an_unusable_sidecar_means_a_full_replay(self, tmp_path, spoil):
         registry = _random_walk(5, 40)
