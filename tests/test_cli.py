@@ -537,3 +537,10 @@ class TestExitCodeContract:
         assert code == 0
         assert "--help" in out
         assert err == ""
+
+    def test_a_negative_number_in_exponent_form_is_a_value(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "prices.csv").write_text(PRICES, encoding="utf-8")
+        assert _run_in_process(ISSUE_ARGS, monkeypatch, capsys)[0] == 0
+        quoted = [*PRICED, "quote", "--cert", "LME-copper-0001", "--dt", "183", "--premium", "-1e-3"]
+        assert _run_in_process(quoted, monkeypatch, capsys) == (0, "residual_weight: 992.7066\nprice: 48.6426\n", "")
