@@ -29,7 +29,6 @@ import hashlib
 import json
 import os
 import stat
-import tempfile
 from pathlib import Path
 
 from .errors import DCMError, LedgerIntegrityError
@@ -219,6 +218,8 @@ class LedgerFile:
         """
         if self._open_line is not None:
             return
+        import tempfile  # here: only a command that appends needs it
+
         for event in appended:
             line = event.line.encode("utf-8") + b"\n"
             self._digest.update(line)

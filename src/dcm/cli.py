@@ -2,11 +2,16 @@
 
 Exit codes: 0 success, 2 validation or usage error, 3 settlement/state error,
 4 ledger-integrity error, 130 interrupted.
+
+``main`` runs a command with the cyclic garbage collector off: a command
+builds its registry without reference cycles, so the collector's passes over
+it would free nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -283,6 +288,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main() -> None:
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = _parser().parse_args()  # a usage error exits 2 here
         if args.price_per_units <= 0:
@@ -299,6 +306,9 @@ def main() -> None:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # leave nothing to flush at exit
         sys.exit(1)
+    finally:
+        if collecting:  # for a caller that runs main in its own process
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -8,11 +8,14 @@ every quantity is carried in double precision (15-16 significant digits).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import date
 from enum import Enum
 
 from .errors import DerivationError, DomainError, UnboundedCostError
+from .values import Value
+
+_new = tuple.__new__
 
 DAYS_PER_YEAR = 365.0
 
@@ -27,8 +30,11 @@ def require_finite(**values: float) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class LogisticsParams:
+class LogisticsParams(Value, namedtuple(
+    "LogisticsParams",
+    "ordering_cost annual_demand purchase_price unit_warehouse_cost transport_cost transit_days bank_rate "
+    "order_quantity",
+)):
     """Procurement cost inputs for one commodity at one warehouse.
 
     ordering_cost        currency per order placed
@@ -41,17 +47,24 @@ class LogisticsParams:
     order_quantity       units per order; optional, may be solved for
     """
 
-    ordering_cost: float
-    annual_demand: float
-    purchase_price: float
-    unit_warehouse_cost: float
-    transport_cost: float
-    transit_days: float
-    bank_rate: float
-    order_quantity: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_finite(**{name: value for name, value in vars(self).items() if value is not None})
+    def __new__(
+        cls,
+        ordering_cost: float,
+        annual_demand: float,
+        purchase_price: float,
+        unit_warehouse_cost: float,
+        transport_cost: float,
+        transit_days: float,
+        bank_rate: float,
+        order_quantity: float | None = None,
+    ):
+        self = _new(cls, (
+            ordering_cost, annual_demand, purchase_price, unit_warehouse_cost, transport_cost, transit_days,
+            bank_rate, order_quantity,
+        ))
+        require_finite(**{name: value for name, value in zip(self._fields, self) if value is not None})
         for name in ("ordering_cost", "purchase_price", "unit_warehouse_cost", "transport_cost"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0")
@@ -63,47 +76,48 @@ class LogisticsParams:
             raise DomainError("bank_rate must lie in [0, 1)")
         if self.transit_days < 0:
             raise DomainError("transit_days must be >= 0")
+        return self
 
     def carrying_rate(self) -> float:
         """Annual cost of holding one unit: warehouse charge plus interest on tied-up capital."""
         return self.unit_warehouse_cost + (self.purchase_price + self.transport_cost) * self.bank_rate
 
 
-@dataclass(frozen=True)
-class CifQuote:
+class CifQuote(Value, namedtuple("CifQuote", "price_per_unit material location as_of")):
     """Landed unit price of the anchor commodity at a warehouse."""
 
-    price_per_unit: float
-    material: str = ""
-    location: str = ""
-    as_of: date | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_finite(price_per_unit=self.price_per_unit)
-        if self.price_per_unit <= 0:
+    def __new__(cls, price_per_unit: float, material: str = "", location: str = "", as_of: date | None = None):
+        require_finite(price_per_unit=price_per_unit)
+        if price_per_unit <= 0:
             raise DomainError("price_per_unit must be > 0")
+        return _new(cls, (price_per_unit, material, location, as_of))
 
 
-@dataclass(frozen=True)
-class StorageTariff:
-    """Custodian charges for one unit of anchor held in one warehouse."""
+class StorageTariff(Value, namedtuple("StorageTariff", "daily_warehouse_charge outbound_transfer_charge bank_rate")):
+    """Custodian charges for one unit of anchor held in one warehouse.
 
-    daily_warehouse_charge: float  # currency per unit per day
-    outbound_transfer_charge: float = 0.0  # currency per unit, on outbound delivery
-    bank_rate: float = 0.0  # annual interest rate, fraction per year
+    daily_warehouse_charge    currency per unit per day
+    outbound_transfer_charge  currency per unit, on outbound delivery
+    bank_rate                 annual interest rate, fraction per year
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, daily_warehouse_charge: float, outbound_transfer_charge: float = 0.0, bank_rate: float = 0.0):
         require_finite(
-            daily_warehouse_charge=self.daily_warehouse_charge,
-            outbound_transfer_charge=self.outbound_transfer_charge,
-            bank_rate=self.bank_rate,
+            daily_warehouse_charge=daily_warehouse_charge,
+            outbound_transfer_charge=outbound_transfer_charge,
+            bank_rate=bank_rate,
         )
-        if self.daily_warehouse_charge < 0:
+        if daily_warehouse_charge < 0:
             raise DomainError("daily_warehouse_charge must be >= 0")
-        if self.outbound_transfer_charge < 0:
+        if outbound_transfer_charge < 0:
             raise DomainError("outbound_transfer_charge must be >= 0")
-        if self.bank_rate < 0:
+        if bank_rate < 0:
             raise DomainError("bank_rate must be >= 0")
+        return _new(cls, (daily_warehouse_charge, outbound_transfer_charge, bank_rate))
 
 
 class ThetaMode(str, Enum):
@@ -147,33 +161,36 @@ def _daily_decay_fraction(tariff: StorageTariff, cif: CifQuote, mode: ThetaMode)
     raise DomainError("explicit mode carries no derivation inputs")
 
 
-@dataclass(frozen=True)
-class AttenuationSpec:
+class AttenuationSpec(Value, namedtuple("AttenuationSpec", "theta_daily mode tariff cif")):
     """A daily retention factor theta in (0, 1) with its provenance.
 
     For derived modes the tariff and cif inputs are retained so the value can
     be audited against its own derivation.
     """
 
-    theta_daily: float
-    mode: ThetaMode = ThetaMode.EXPLICIT
-    tariff: StorageTariff | None = None
-    cif: CifQuote | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.theta_daily < 1.0:
+    def __new__(
+        cls,
+        theta_daily: float,
+        mode: ThetaMode = ThetaMode.EXPLICIT,
+        tariff: StorageTariff | None = None,
+        cif: CifQuote | None = None,
+    ):
+        if not 0.0 < theta_daily < 1.0:
             raise DerivationError(
-                f"theta_daily {self.theta_daily:.6f} ({self.mode.value}) outside the open interval (0, 1)"
+                f"theta_daily {theta_daily:.6f} ({mode.value}) outside the open interval (0, 1)"
             )
-        if self.mode is not _EXPLICIT:
-            if self.tariff is None or self.cif is None:
-                raise DomainError(f"mode {self.mode.value} requires tariff and cif inputs")
-            rederived = 1.0 - _daily_decay_fraction(self.tariff, self.cif, self.mode)
-            if not math.isclose(self.theta_daily, rederived, rel_tol=1e-12):
+        if mode is not _EXPLICIT:
+            if tariff is None or cif is None:
+                raise DomainError(f"mode {mode.value} requires tariff and cif inputs")
+            rederived = 1.0 - _daily_decay_fraction(tariff, cif, mode)
+            if not math.isclose(theta_daily, rederived, rel_tol=1e-12):
                 raise DomainError(
-                    f"theta_daily {self.theta_daily!r} disagrees with its derivation "
+                    f"theta_daily {theta_daily!r} disagrees with its derivation "
                     f"inputs (recomputed {rederived!r})"
                 )
+        return _new(cls, (theta_daily, mode, tariff, cif))
 
 
 def total_logistics_cost(params: LogisticsParams, order_quantity: float) -> float:

@@ -20,12 +20,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from datetime import date
 from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import DomainError, LedgerIntegrityError
+from .values import Value
 
 GENESIS_HASH = "0" * 64
 
@@ -82,18 +83,20 @@ def _seal(seq: int, timestamp: str, kind: str, cert_id: str, payload_json: str, 
     return f"{body}|{_sha256(body)}"
 
 
-@dataclass(frozen=True)
-class LedgerEvent:
-    """One sealed record; ``line`` is its wire text, set once when sealed or parsed."""
+class LedgerEvent(Value, namedtuple("LedgerEvent", "seq timestamp kind cert_id payload prev_hash hash line")):
+    """One sealed record; ``line`` is its wire text, set once when sealed or parsed.
 
-    seq: int
-    timestamp: date
-    kind: EventKind
-    cert_id: str
-    payload: dict
-    prev_hash: str
-    hash: str
-    line: str = field(repr=False)
+    ``seq`` is an int, ``timestamp`` a date, ``kind`` an EventKind and
+    ``payload`` a dict; the rest are strings.  The repr leaves out ``line``.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return (
+            f"LedgerEvent(seq={self.seq!r}, timestamp={self.timestamp!r}, kind={self.kind!r}, "
+            f"cert_id={self.cert_id!r}, payload={self.payload!r}, prev_hash={self.prev_hash!r}, hash={self.hash!r})"
+        )
 
 
 def _check_link(event: LedgerEvent, last_seq: int, head_hash: str) -> None:

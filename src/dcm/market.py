@@ -5,12 +5,13 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from datetime import date
 from pathlib import Path
 
 from .decay import require_finite
 from .errors import ConfigError, NoQuoteError, ParseError, ValidationError
+from .values import Value
 
 
 def read_text(path: Path, what: str) -> str:
@@ -23,22 +24,28 @@ def read_text(path: Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
 
 
-@dataclass(frozen=True)
-class PriceSeries:
-    """Ordered quotations for one material in one currency."""
+class PriceSeries(Value, namedtuple("PriceSeries", "material currency points dates")):
+    """Ordered quotations for one material in one currency.
 
-    material: str
-    currency: str
-    points: tuple[tuple[date, float], ...]
-    dates: tuple[date, ...] = field(init=False, repr=False, compare=False)
+    ``dates`` is not an argument: it holds the points' dates, for lookup.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(d for d, _ in self.points))
-        _check_monotone_dates(self.dates)
-        for d, price in self.points:
+    __slots__ = ()
+
+    def __new__(cls, material: str, currency: str, points: tuple[tuple[date, float], ...]):
+        dates = tuple(d for d, _ in points)
+        _check_monotone_dates(dates)
+        for d, price in points:
             require_finite(price=price)
             if price <= 0:
                 raise ValidationError(f"price at {d.isoformat()} must be > 0")
+        return tuple.__new__(cls, (material, currency, points, dates))
+
+    def __getnewargs__(self):
+        return self[:3]  # the constructor's arguments, for copies and _replace: dates is derived
+
+    def __repr__(self):
+        return f"PriceSeries(material={self.material!r}, currency={self.currency!r}, points={self.points!r})"
 
 
 def _check_monotone_dates(dates: tuple[date, ...]) -> None:

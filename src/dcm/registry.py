@@ -18,7 +18,7 @@ reference case-study figures are only reproducible under this convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from datetime import date, timedelta
 from enum import Enum
 from math import isfinite
@@ -37,6 +37,7 @@ from .errors import (
 )
 from .ledger import GENESIS_HASH, EventKind, Ledger, LedgerEvent, member_lookup, validate_cert_id
 from .rounding import fmt, quantize_to_float
+from .values import Value
 
 
 class CertStatus(str, Enum):
@@ -46,6 +47,7 @@ class CertStatus(str, Enum):
     EXPIRED = "EXPIRED"
 
 
+_new = tuple.__new__
 _status_of = member_lookup(CertStatus)
 _mode_of = member_lookup(ThetaMode)
 
@@ -61,23 +63,31 @@ _SETTLED_STATUS = {
 }
 
 
-@dataclass(frozen=True)
-class DeliveryRules:
-    """Settlement terms printed on a certificate."""
+class DeliveryRules(Value, namedtuple(
+    "DeliveryRules",
+    "delivery_charge_ratio withdrawal_charge_ratio min_delivery_weight delivery_location validity_days",
+)):
+    """Settlement terms printed on a certificate.
 
-    delivery_charge_ratio: float  # deducted from residual weight on physical delivery
-    withdrawal_charge_ratio: float  # deducted from residual weight on cash buyback
-    min_delivery_weight: float  # smallest face weight eligible for delivery
-    delivery_location: str = ""
-    validity_days: int | None = None  # None = open-ended
+    delivery_charge_ratio    deducted from residual weight on physical delivery
+    withdrawal_charge_ratio  deducted from residual weight on cash buyback
+    min_delivery_weight      smallest face weight eligible for delivery
+    validity_days            None = open-ended
+    """
 
-    def __post_init__(self):
-        delivery = float(self.delivery_charge_ratio)
-        withdrawal = float(self.withdrawal_charge_ratio)
-        minimum = float(self.min_delivery_weight)
-        object.__setattr__(self, "delivery_charge_ratio", delivery)
-        object.__setattr__(self, "withdrawal_charge_ratio", withdrawal)
-        object.__setattr__(self, "min_delivery_weight", minimum)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        delivery_charge_ratio: float,
+        withdrawal_charge_ratio: float,
+        min_delivery_weight: float,
+        delivery_location: str = "",
+        validity_days: int | None = None,
+    ):
+        delivery = float(delivery_charge_ratio)
+        withdrawal = float(withdrawal_charge_ratio)
+        minimum = float(min_delivery_weight)
         if not isfinite(minimum):
             require_finite(min_delivery_weight=minimum)
         if not 0.0 <= delivery <= 0.1:
@@ -86,51 +96,66 @@ class DeliveryRules:
             raise DomainError("withdrawal_charge_ratio must lie in [0, 0.1]")
         if minimum <= 0:
             raise DomainError("min_delivery_weight must be > 0")
-        if self.validity_days is not None and self.validity_days <= 0:
+        if validity_days is not None and validity_days <= 0:
             raise DomainError("validity_days must be > 0 when set")
+        return _new(cls, (delivery, withdrawal, minimum, delivery_location, validity_days))
 
 
-@dataclass(frozen=True)
-class MarketQuote:
-    """A market quotation per certificate weight unit, with optional premium."""
+class MarketQuote(Value, namedtuple("MarketQuote", "quotation premium")):
+    """A market quotation per certificate weight unit, with optional premium.
 
-    quotation: float
-    premium: float = 0.0  # issuer adjustment; may be negative or zero
+    The premium is the issuer's adjustment; it may be negative or zero.
+    """
 
-    def __post_init__(self):
-        if not (isfinite(self.quotation) and isfinite(self.premium)):
-            require_finite(quotation=self.quotation, premium=self.premium)
-        if self.quotation <= 0:
+    __slots__ = ()
+
+    def __new__(cls, quotation: float, premium: float = 0.0):
+        if not (isfinite(quotation) and isfinite(premium)):
+            require_finite(quotation=quotation, premium=premium)
+        if quotation <= 0:
             raise DomainError("quotation must be > 0")
+        return _new(cls, (quotation, premium))
 
 
-@dataclass
-class Certificate:
-    """An issued decayed-commodity-money instrument."""
+class Certificate(Value, namedtuple(
+    "Certificate",
+    "cert_id issuer material face_weight purity issue_date theta rules owner weight_unit status",
+)):
+    """An issued decayed-commodity-money instrument.
 
-    cert_id: str
-    issuer: str
-    material: str
-    face_weight: float
-    purity: float
-    issue_date: date
-    theta: AttenuationSpec
-    rules: DeliveryRules
-    owner: str
-    weight_unit: str = "kg"
-    status: CertStatus = CertStatus.ACTIVE
+    Immutable: the registry stores a new certificate for each transfer or
+    settlement, so hold a certificate's ``cert_id``, not the object.
+    """
 
-    def __post_init__(self):
-        validate_cert_id(self.cert_id)
-        _check_owner(self.owner)
-        face_weight = self.face_weight = float(self.face_weight)
-        purity = self.purity = float(self.purity)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        cert_id: str,
+        issuer: str,
+        material: str,
+        face_weight: float,
+        purity: float,
+        issue_date: date,
+        theta: AttenuationSpec,
+        rules: DeliveryRules,
+        owner: str,
+        weight_unit: str = "kg",
+        status: CertStatus = CertStatus.ACTIVE,
+    ):
+        validate_cert_id(cert_id)
+        _check_owner(owner)
+        face_weight = float(face_weight)
+        purity = float(purity)
         if not isfinite(face_weight):
             require_finite(face_weight=face_weight)
         if face_weight <= 0:
             raise DomainError("face_weight must be > 0")
         if not 0.0 < purity <= 1.0:
             raise DomainError("purity must lie in (0, 1]")
+        return _new(
+            cls, (cert_id, issuer, material, face_weight, purity, issue_date, theta, rules, owner, weight_unit, status)
+        )
 
     def residual_at(self, delta_t: int) -> float:
         return residual_weight(self.face_weight, self.theta, delta_t)
@@ -141,53 +166,41 @@ def _check_owner(owner) -> None:
         raise DomainError(f"owner must be a non-empty string, got {owner!r}")
 
 
-@dataclass(frozen=True)
-class QuoteResult:
-    cert_id: str
-    t: int
-    residual_weight: float
-    docket_weight: float
-    quotation: float
-    premium: float
-    price: float  # (quotation + premium) x docket weight
+
+class QuoteResult(Value, namedtuple("QuoteResult", "cert_id t residual_weight docket_weight quotation premium price")):
+    """``price`` is (quotation + premium) x docket weight."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DeliveryResult:
-    cert_id: str
-    t: int
-    residual_weight: float
-    delivered_weight: float
-    charged_weight: float  # residual - delivered; the custodian's take
+class DeliveryResult(Value, namedtuple("DeliveryResult", "cert_id t residual_weight delivered_weight charged_weight")):
+    """``charged_weight`` is residual - delivered: the custodian's take."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BuybackResult:
-    cert_id: str
-    t: int
-    residual_weight: float
-    buyback_weight: float
-    charged_weight: float
-    docket_weight: float
-    quotation: float
-    cash: float  # docket buyback weight x quotation
+class BuybackResult(Value, namedtuple(
+    "BuybackResult", "cert_id t residual_weight buyback_weight charged_weight docket_weight quotation cash"
+)):
+    """``cash`` is the docket buyback weight x quotation."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExpiryResult:
-    cert_id: str
-    t: int
-    issuer_accrued_weight: float  # residual at the validity boundary, forfeited to the issuer
+class ExpiryResult(Value, namedtuple("ExpiryResult", "cert_id t issuer_accrued_weight")):
+    """``issuer_accrued_weight`` is the residual at the validity boundary, forfeited to the issuer."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RegistrySnapshot:
-    """Value-compared registry state for replay checks."""
+class RegistrySnapshot(Value, namedtuple("RegistrySnapshot", "certificates issue_counts last_seq head_hash")):
+    """Value-compared registry state for replay checks.
 
-    certificates: dict[str, Certificate]
-    issue_counts: dict[tuple[str, str], int]  # (issuer, material) -> certificates issued
-    last_seq: int
-    head_hash: str
+    ``certificates`` maps cert_id to Certificate; ``issue_counts`` maps
+    (issuer, material) to the number of certificates issued.
+    """
+
+    __slots__ = ()
 
 
 class Registry:
@@ -227,7 +240,7 @@ class Registry:
 
     def snapshot(self) -> RegistrySnapshot:
         return RegistrySnapshot(
-            certificates={cid: replace(cert) for cid, cert in self._certs.items()},
+            certificates=dict(self._certs),
             issue_counts=dict(self._issue_counts),
             last_seq=self.ledger.last_seq,
             head_hash=self.ledger.head_hash,
@@ -260,8 +273,7 @@ class Registry:
         for cert_id, form in state:
             if cert_id in certs:
                 raise IssuanceError(f"certificate {cert_id!r} already exists")
-            cert = certs[cert_id] = _cert_from_payload(cert_id, form)
-            cert.status = _status_of(form["status"])
+            cert = certs[cert_id] = _cert_from_payload(cert_id, form, _status_of(form["status"]))
             key = (cert.issuer, cert.material)
             counts[key] = counts.get(key, 0) + 1
         return registry
@@ -329,7 +341,7 @@ class Registry:
             "weight_unit": weight_unit,
             "owner": owner,
             "theta": _theta_to_payload(theta),
-            "rules": dict(vars(rules)),
+            "rules": rules._asdict(),
         }
         self._record(EventKind.ISSUE, cert_id, payload, issue_date)
         return self._certs[cert_id]
@@ -380,9 +392,9 @@ class Registry:
             from_owner = event.payload["from_owner"]
             if from_owner != cert.owner:
                 raise StateError(f"certificate {cert.cert_id} is owned by {cert.owner!r}, not {from_owner!r}")
-            cert.owner = to_owner
+            self._certs[cert.cert_id] = cert._replace(owner=to_owner)
         elif kind in _SETTLED_STATUS:
-            cert.status = _SETTLED_STATUS[kind]
+            self._certs[cert.cert_id] = cert._replace(status=_SETTLED_STATUS[kind])
         # QUOTE advances the chain but does not change certificate state
 
     def quote_transaction_price(
@@ -478,7 +490,7 @@ class Registry:
             raise DomainError("t must be >= 0")
         payload = {"t": t, "from_owner": cert.owner, "to_owner": new_owner}
         self._record(EventKind.TRANSFER, cert_id, payload, self._event_date(cert, t, timestamp))
-        return cert
+        return self._certs[cert_id]
 
     def expire(
         self, cert_id: str, t: int, *, timestamp: date | None = None
@@ -512,7 +524,7 @@ def replay(events: Iterable[LedgerEvent], *, weight_places: int = 4) -> Registry
 def _theta_to_payload(theta: AttenuationSpec) -> dict:
     payload: dict = {"theta_daily": theta.theta_daily, "mode": theta.mode.value}
     if theta.tariff is not None:
-        payload["tariff"] = dict(vars(theta.tariff))
+        payload["tariff"] = theta.tariff._asdict()
     if theta.cif is not None:
         payload["cif"] = {
             "price_per_unit": theta.cif.price_per_unit,
@@ -554,12 +566,12 @@ def certificate_state(cert: Certificate) -> dict:
         "weight_unit": cert.weight_unit,
         "owner": cert.owner,
         "theta": _theta_to_payload(cert.theta),
-        "rules": dict(vars(cert.rules)),
+        "rules": cert.rules._asdict(),
         "status": cert.status.value,
     }
 
 
-def _cert_from_payload(cert_id: str, payload: dict) -> Certificate:
+def _cert_from_payload(cert_id: str, payload: dict, status: CertStatus = CertStatus.ACTIVE) -> Certificate:
     # positional calls in field order: every replayed ISSUE and every restored certificate comes
     # through here, and keyword calls cost about 1.5 us more per certificate
     rules = payload["rules"]
@@ -580,6 +592,7 @@ def _cert_from_payload(cert_id: str, payload: dict) -> Certificate:
         ),
         payload["owner"],
         payload["weight_unit"],
+        status,
     )
 
 

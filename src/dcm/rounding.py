@@ -7,10 +7,11 @@ shortest round-tripping decimal form of the float, then rounds half-even.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Decimal
 
 from .errors import DomainError
+from .values import Value
 
 
 def quantize(value: float, places: int) -> Decimal:
@@ -30,20 +31,19 @@ def fmt(value: float, places: int) -> str:
     return str(quantize(value, places))
 
 
-@dataclass(frozen=True)
-class RoundingProfile:
+class RoundingProfile(Value, namedtuple("RoundingProfile", "weight_places money_places")):
     """Display precision for reports.
 
     ``weight_places`` doubles as the settlement-docket precision: cash legs
     settle on weights quantized to this many decimals.
     """
 
-    weight_places: int = 4
-    money_places: int = 4
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.weight_places < 0 or self.money_places < 0:
+    def __new__(cls, weight_places: int = 4, money_places: int = 4):
+        if weight_places < 0 or money_places < 0:
             raise DomainError("rounding places must be >= 0")
+        return tuple.__new__(cls, (weight_places, money_places))
 
     def weight(self, value: float) -> str:
         return fmt(value, self.weight_places)

@@ -54,18 +54,22 @@ script:
 """
 
 
-def dcm(*args, cwd):
-    """Run the CLI with the absolute ``src`` on PYTHONPATH: a relative entry would miss under ``cwd``."""
+def python(*args, cwd):
+    """Run Python with the absolute ``src`` on PYTHONPATH: a relative entry would miss under ``cwd``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "dcm.cli", *args],
+        [sys.executable, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def dcm(*args, cwd):
+    return python("-m", "dcm.cli", *args, cwd=cwd)
 
 
 class TestTheta:
@@ -216,6 +220,14 @@ class TestLifecycleFlow:
         imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
         assert "dcm.checkpoint" in imported
         assert not imported & {"dcm.scenario", "yaml", "click"}
+
+    def test_importing_the_cli_loads_no_dataclass_machinery(self, tmp_path):
+        listing = "import sys; before = set(sys.modules); import dcm.cli; print(*sorted(set(sys.modules) - before))"
+        result = python("-c", listing, cwd=tmp_path)
+        assert result.returncode == 0
+        imported = set(result.stdout.split())
+        assert "dcm.registry" in imported
+        assert not imported & {"dataclasses", "inspect"}
 
     @pytest.mark.parametrize("args", [ISSUE_ARGS, ["replay-verify"]], ids=["issue", "replay-verify"])
     @pytest.mark.parametrize(

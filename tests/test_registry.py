@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -310,6 +309,28 @@ class TestTransfer:
             lme_registry.transfer(lme_cert.cert_id, "buyer-2", 400)
 
 
+class TestImmutableState:
+    """A certificate a caller holds is a value: changing the registry goes only through its operations."""
+
+    def test_a_delivered_certificate_cannot_be_set_active_and_delivered_again(self, lme_registry, lme_cert):
+        lme_registry.physical_delivery(lme_cert.cert_id, 10)
+        with pytest.raises(AttributeError):
+            lme_registry.certificate(lme_cert.cert_id).status = CertStatus.ACTIVE
+        with pytest.raises(StateError):
+            lme_registry.physical_delivery(lme_cert.cert_id, 11)
+        assert len(lme_registry.ledger) == 2
+        assert replay(read_events(lme_registry.ledger.to_lines())).snapshot() == lme_registry.snapshot()
+
+    def test_a_transfer_leaves_earlier_snapshots_and_certificates_as_they_were(self, lme_registry, lme_cert):
+        before = lme_registry.snapshot()
+        held = lme_registry.certificate(lme_cert.cert_id)
+        moved = lme_registry.transfer(lme_cert.cert_id, "client-2", 10)
+        assert before.certificates[lme_cert.cert_id] == held == lme_cert
+        assert held.owner == "client-1"
+        assert moved == lme_registry.certificate(lme_cert.cert_id) == held._replace(owner="client-2")
+        assert lme_registry.snapshot() != before
+
+
 class TestExpire:
     def test_sweep_after_validity_accrues_to_issuer(self):
         registry, cert = shfe_registry_and_cert()
@@ -585,7 +606,7 @@ class TestReplay:
             replay([first, third])
         assert gap.value.seq == 3
         with pytest.raises(LedgerIntegrityError) as chain_break:
-            replay([first, replace(second, prev_hash="f" * 64)])
+            replay([first, second._replace(prev_hash="f" * 64)])
         assert chain_break.value.seq == 2
 
 
@@ -783,7 +804,7 @@ NUMERIC_INPUTS = {
     "PriceSeries.price": lambda x: PriceSeries("copper", "USD", ((LME_ISSUE_DATE, x),)),
     **{
         f"LogisticsParams.{name}": (lambda name: lambda x: _logistics(**{name: x}))(name)
-        for name in _logistics().__dataclass_fields__
+        for name in _logistics()._fields
     },
 }
 

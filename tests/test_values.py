@@ -1,0 +1,189 @@
+"""The value-type contract: fields in constructor order, immutable, equal by type and value."""
+
+from __future__ import annotations
+
+from datetime import date
+
+import pytest
+
+from dcm import (
+    AttenuationSpec,
+    BuybackResult,
+    CertStatus,
+    Certificate,
+    CifQuote,
+    DeliveryResult,
+    DeliveryRules,
+    DomainError,
+    EventKind,
+    ExpiryResult,
+    Ledger,
+    LedgerEvent,
+    LogisticsParams,
+    MarketQuote,
+    PriceSeries,
+    QuoteResult,
+    RegistrySnapshot,
+    RoundingProfile,
+    StorageTariff,
+    ThetaMode,
+)
+
+DAY = date(2020, 1, 1)
+TARIFF = StorageTariff(0.2, 0.1, 0.05)
+CIF = CifQuote(5000.0)
+EVENT = Ledger().append(EventKind.QUOTE, "X-tin-0001", {"t": 3, "price": 4.5}, DAY)
+RULES = DeliveryRules(0.003, 0.002, 1000.0, "warehouse", 365)
+THETA = AttenuationSpec(0.99996)
+
+# each type's fields in constructor order, and one field changed
+SAMPLES = {
+    LogisticsParams: (
+        {
+            "ordering_cost": 100.0, "annual_demand": 1000.0, "purchase_price": 5.0, "unit_warehouse_cost": 0.5,
+            "transport_cost": 0.1, "transit_days": 10.0, "bank_rate": 0.05, "order_quantity": 200.0,
+        },
+        {"order_quantity": None},
+    ),
+    CifQuote: (
+        {"price_per_unit": 5000.0, "material": "copper", "location": "Rotterdam", "as_of": DAY},
+        {"as_of": None},
+    ),
+    StorageTariff: (
+        {"daily_warehouse_charge": 0.2, "outbound_transfer_charge": 0.1, "bank_rate": 0.05},
+        {"bank_rate": 0.0},
+    ),
+    AttenuationSpec: (
+        {"theta_daily": 1.0 - 0.2 / 5000.0, "mode": ThetaMode.WAREHOUSE_ONLY, "tariff": TARIFF, "cif": CIF},
+        {"tariff": StorageTariff(0.2)},
+    ),
+    RoundingProfile: ({"weight_places": 2, "money_places": 3}, {"money_places": 4}),
+    PriceSeries: ({"material": "copper", "currency": "USD", "points": ((DAY, 40.0),)}, {"currency": "EUR"}),
+    LedgerEvent: (dict(zip(LedgerEvent._fields, EVENT)), {"payload": {}}),
+    DeliveryRules: (
+        {
+            "delivery_charge_ratio": 0.003, "withdrawal_charge_ratio": 0.002, "min_delivery_weight": 1000.0,
+            "delivery_location": "warehouse", "validity_days": 365,
+        },
+        {"validity_days": None},
+    ),
+    MarketQuote: ({"quotation": 5.0, "premium": -0.1}, {"premium": 0.0}),
+    Certificate: (
+        {
+            "cert_id": "LME-copper-0001", "issuer": "LME", "material": "copper", "face_weight": 1000.0,
+            "purity": 0.9999, "issue_date": DAY, "theta": THETA, "rules": RULES, "owner": "client-1",
+            "weight_unit": "kg", "status": CertStatus.DELIVERED,
+        },
+        {"owner": "client-2"},
+    ),
+    QuoteResult: (
+        {
+            "cert_id": "X-1", "t": 3, "residual_weight": 9.5, "docket_weight": 9.5, "quotation": 2.0,
+            "premium": 0.0, "price": 19.0,
+        },
+        {"t": 4},
+    ),
+    DeliveryResult: (
+        {"cert_id": "X-1", "t": 3, "residual_weight": 9.5, "delivered_weight": 9.0, "charged_weight": 0.5},
+        {"t": 4},
+    ),
+    BuybackResult: (
+        {
+            "cert_id": "X-1", "t": 3, "residual_weight": 9.5, "buyback_weight": 9.0, "charged_weight": 0.5,
+            "docket_weight": 9.0, "quotation": 2.0, "cash": 18.0,
+        },
+        {"t": 4},
+    ),
+    ExpiryResult: ({"cert_id": "X-1", "t": 400, "issuer_accrued_weight": 9.5}, {"t": 401}),
+    RegistrySnapshot: (
+        {"certificates": {}, "issue_counts": {("LME", "copper"): 1}, "last_seq": 1, "head_hash": EVENT.hash},
+        {"last_seq": 2},
+    ),
+}
+TYPES = pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
+
+
+def _sample(cls):
+    fields, _ = SAMPLES[cls]
+    return cls(**fields)
+
+
+@TYPES
+def test_keyword_and_positional_construction_agree(cls):
+    fields, _ = SAMPLES[cls]
+    value = cls(**fields)
+    assert value == cls(*fields.values())
+    assert {name: getattr(value, name) for name in fields} == fields
+    assert value._fields[: len(fields)] == tuple(fields)
+
+
+@TYPES
+def test_equality_is_by_type_and_value(cls):
+    fields, change = SAMPLES[cls]
+    value = cls(**fields)
+    assert value == cls(**fields)
+    assert not value != cls(**fields)
+    assert value != cls(**{**fields, **change})
+    assert value != tuple(value)
+    assert tuple(value) != value
+
+
+@TYPES
+def test_no_attribute_can_be_assigned(cls):
+    value = _sample(cls)
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@TYPES
+def test_replace_builds_a_new_value_and_leaves_the_old_one(cls):
+    fields, change = SAMPLES[cls]
+    value = cls(**fields)
+    assert value._replace(**change) == cls(**{**fields, **change})
+    assert value == cls(**fields)
+
+
+def test_defaults_match_the_documented_ones():
+    assert DeliveryRules(0.003, 0.002, 1000) == DeliveryRules(0.003, 0.002, 1000.0, "", None)
+    assert AttenuationSpec(0.5) == AttenuationSpec(0.5, ThetaMode.EXPLICIT, None, None)
+    assert CifQuote(1.0) == CifQuote(1.0, "", "", None)
+    assert StorageTariff(0.1) == StorageTariff(0.1, 0.0, 0.0)
+    assert MarketQuote(1.0).premium == 0.0
+    assert RoundingProfile() == RoundingProfile(4, 4)
+    assert LogisticsParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0).order_quantity is None
+    cert = Certificate("X-1", "X", "tin", 5, 1, DAY, THETA, RULES, "a")
+    assert (cert.weight_unit, cert.status) == ("kg", CertStatus.ACTIVE)
+    assert (type(cert.face_weight), type(cert.purity)) == (float, float)
+
+
+def test_replace_and_make_run_the_type_checks():
+    with pytest.raises(DomainError, match="quotation must be > 0"):
+        MarketQuote(5.0)._replace(quotation=-1.0)
+    with pytest.raises(DomainError, match="delivery_charge_ratio must lie in"):
+        DeliveryRules._make((0.5, 0.0, 1.0, "", None))
+    with pytest.raises(ValueError, match="unexpected field names"):
+        MarketQuote(5.0)._replace(price=1.0)
+
+
+def test_a_price_series_derives_its_dates_and_keeps_them_out_of_repr():
+    series = PriceSeries("copper", "USD", ((DAY, 40.0), (date(2020, 1, 2), 41.0)))
+    assert series.dates == (DAY, date(2020, 1, 2))
+    assert repr(series) == f"PriceSeries(material='copper', currency='USD', points={series.points!r})"
+    assert series._replace(points=((DAY, 1.0),)).dates == (DAY,)
+    with pytest.raises(ValueError, match="unexpected field names"):
+        series._replace(dates=())
+
+
+def test_ledger_event_repr_leaves_out_the_line():
+    text = repr(EVENT)
+    assert text.startswith("LedgerEvent(seq=1, timestamp=datetime.date(2020, 1, 1), kind=<EventKind.QUOTE: 'QUOTE'>, ")
+    assert text.endswith(f", hash={EVENT.hash!r})")
+    assert "line=" not in text
+    assert EVENT.line not in text
+
+
+def test_repr_names_every_field():
+    assert repr(MarketQuote(5.0)) == "MarketQuote(quotation=5.0, premium=0.0)"
