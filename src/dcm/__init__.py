@@ -10,6 +10,7 @@ from .decay import (
     LogisticsParams,
     StorageTariff,
     ThetaMode,
+    WealthProjection,
     accrued_capital_interest,
     accrued_storage_cost,
     attenuation_coefficient,
@@ -19,6 +20,7 @@ from .decay import (
     residual_weight,
     storage_increment,
     total_logistics_cost,
+    wealth_projection,
 )
 from .errors import (
     ConfigError,
@@ -60,11 +62,9 @@ _SCENARIO_NAMES = frozenset({
     "ScenarioConfig",
     "ScenarioReport",
     "ScriptStep",
-    "WealthProjection",
     "bundled_scenario_path",
     "load_scenario",
     "run_scenario",
-    "wealth_projection",
 })
 
 

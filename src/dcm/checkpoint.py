@@ -2,25 +2,32 @@
 
 ``<ledger>.ckpt`` sits next to the ledger file.  Every CLI command that
 appends rewrites it, through a temporary file and ``os.replace``.  It is text,
-one header line and then the state lines:
+one header line (wrapped here) and then the state lines:
 
-    {"head_hash":"...","last_seq":N,"prefix_bytes":L,"prefix_sha256":"...","state_sha256":"...","version":1}
+    {"head_hash":"...","issue_counts":[["X","copper",n],...],"last_seq":N,"prefix_bytes":L,
+     "prefix_sha256":"...","state_sha256":"...","version":2}
     ["X-copper-0001",{...}]
     ...
 
-The header and every state line are canonical JSON.  The state lines are the
-``[cert_id, form]`` pairs of ``Registry.to_state()``, in issue order.
+The header and every state line are canonical JSON.  The state lines are
+``Registry.state_lines()``: one ``[cert_id, form]`` pair per certificate, in
+issue order.  ``issue_counts`` holds the registry's issue counters, so that a
+resumed ``issue`` numbers its certificate without reading a state line.
 ``prefix_sha256`` digests the first ``prefix_bytes`` bytes of the ledger file,
 which hold events 1..N and end at a line end; ``state_sha256`` digests the
 state lines, newlines included.
 
 A command that finds both digests right trusts the state as the replay of
-that prefix.  It rebuilds the registry from the state, revalidating every
-value, and parses, verifies and applies only the bytes after the prefix.  A
-missing, unreadable or stale sidecar, or one that the lines after its prefix
-do not continue, means a full replay.  ``replay-verify``
-never trusts the sidecar: it replays the whole file and, when the sidecar's
-prefix is the file's, checks the sidecar's state against the replayed one.
+that prefix.  It indexes the state lines by the cert_id each opens with and
+decodes none of them: a certificate is built from its line, with every value
+revalidated, when it is first read.  The certificates the command names and
+those the events after the prefix touch are built before the command runs,
+and those events are parsed, verified and applied with every check.  A
+missing, unreadable or stale sidecar, one of another version, one that the
+lines after its prefix do not continue, or one with a touched line that does
+not build, means a full replay.  ``replay-verify`` never trusts the sidecar:
+it replays the whole file and, when the sidecar's prefix is the file's,
+checks the sidecar's counters and every state line against the replayed state.
 """
 
 from __future__ import annotations
@@ -28,14 +35,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import stat
 from pathlib import Path
+from typing import Iterable
 
-from .errors import DCMError, LedgerIntegrityError
-from .ledger import _HASH_RE, LedgerEvent, canonical_payload, read_events
-from .registry import Registry, certificate_state, replay
+from .errors import LedgerIntegrityError
+from .ledger import _CERT_ID_RE, _HASH_RE, LedgerEvent, canonical_payload, read_events
+from .registry import Registry, replay
 
-VERSION = 1
+VERSION = 2
+
+# the cert_id a state line opens with, matched after the newline before the line: the id charset has no quote or
+# backslash, so the JSON string is the id (a literal first character lets the scan skip ahead, where ``^`` cannot)
+_STATE_ID = re.compile(rf'\n\["({_CERT_ID_RE.pattern})",')
 
 
 class CheckpointError(Exception):
@@ -60,9 +73,15 @@ def _lines(data: memoryview, start: int = 0, end: int | None = None) -> list[str
         raise LedgerIntegrityError(f"line {line}, byte offset {offset}: not UTF-8 ({exc.reason})") from None
 
 
-def _state_line(cert_id: str, cert) -> str:
-    """The sidecar's state line of one certificate, without its newline."""
-    return canonical_payload([cert_id, certificate_state(cert)])
+def _is_counter(entry) -> bool:
+    """Whether ``entry`` is an ``[issuer, material, n]`` issue counter."""
+    return (
+        isinstance(entry, list)
+        and len(entry) == 3
+        and all(isinstance(name, str) and name for name in entry[:2])
+        and type(entry[2]) is int  # not bool, which is an int subclass
+        and entry[2] >= 1
+    )
 
 
 def _header(text: bytes) -> dict:
@@ -70,12 +89,18 @@ def _header(text: bytes) -> dict:
         header = json.loads(text)
     except ValueError:
         raise CheckpointError("unreadable header") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("unknown header")
+    if header.get("version") != VERSION:
+        raise CheckpointError(f"version {header.get('version')!r}, not {VERSION}")
+    counts = header.get("issue_counts")
     if not (
-        isinstance(header, dict)
-        and header.get("version") == VERSION
-        and all(isinstance(header.get(key), int) and header[key] >= 0 for key in ("last_seq", "prefix_bytes"))
+        all(type(header.get(key)) is int and header[key] >= 0 for key in ("last_seq", "prefix_bytes"))
         and all(isinstance(header.get(key), str) and _HASH_RE.fullmatch(header[key])
                 for key in ("head_hash", "prefix_sha256", "state_sha256"))
+        and isinstance(counts, list)
+        and all(_is_counter(entry) for entry in counts)
+        and len({(issuer, material) for issuer, material, _ in counts}) == len(counts)
     ):
         raise CheckpointError("unknown header")
     return header
@@ -85,9 +110,8 @@ class LedgerFile:
     """A ledger file read once by one command, with its checkpoint sidecar.
 
     ``load`` keeps what ``write_checkpoint`` needs after the command appends:
-    the running digest and size of the bytes read, and the state line of each
-    certificate the sidecar held.  ``ignored`` says why a sidecar that exists
-    was not used.
+    the running digest and size of the bytes read.  ``ignored`` says why a
+    sidecar that exists was not used.
     """
 
     def __init__(self, path: Path, weight_places: int):
@@ -98,14 +122,12 @@ class LedgerFile:
         self._digest = hashlib.sha256()
         self._size = 0
         self._open_line: int | None = None  # the number of the last line read, if the bytes end inside it
-        self._state_lines: dict[str, str] = {}
 
     def _read(self) -> memoryview:
         raw = self.path.read_bytes() if self.path.exists() else b""
         self.ignored = None
         self._size = len(raw)
         self._open_line = raw.count(b"\n") + 1 if raw and raw[-1] != 0x0A else None
-        self._state_lines = {}
         return memoryview(raw)
 
     def _open_line_error(self, outcome: str) -> LedgerIntegrityError:
@@ -120,7 +142,7 @@ class LedgerFile:
             raise self._open_line_error("nothing was appended")
 
     def _checkpoint(self, data: memoryview) -> tuple | None:
-        """The sidecar's header, state lines and prefix digest if its prefix opens ``data``.
+        """The sidecar's header, state text and prefix digest if its prefix opens ``data``.
 
         None when there is no sidecar; CheckpointError when it cannot be used.
         """
@@ -141,17 +163,22 @@ class LedgerFile:
         if digest.hexdigest() != header["prefix_sha256"]:
             raise CheckpointError("its prefix is not part of the ledger file")
         try:
-            return header, _split(state.decode("utf-8")), digest
+            return header, state.decode("utf-8"), digest
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"bad state: {exc}") from None
 
-    def load(self) -> Registry:
-        """The file's registry: the sidecar's state plus the verified tail, else a full replay."""
+    def load(self, touch: Iterable[str] = ()) -> Registry:
+        """The file's registry: the sidecar's state plus the verified tail, else a full replay.
+
+        From the sidecar, the certificates ``touch`` names and those the tail
+        touches are built here, so a line of theirs that does not build means
+        a full replay; the others are built when first read.
+        """
         data = self._read()
         try:
             found = self._checkpoint(data)
             if found is not None:
-                return self._resume(data, *found)
+                return self._resume(data, *found, touch)
         except CheckpointError as exc:
             self.ignored = str(exc)
         self._digest = hashlib.sha256(data)
@@ -159,23 +186,34 @@ class LedgerFile:
         del data  # the events keep their lines; the file's bytes need not outlive the replay
         return replay(read_events(lines), weight_places=self.weight_places)
 
-    def _resume(self, data: memoryview, header: dict, state_lines: list[str], digest) -> Registry:
+    def _resume(self, data: memoryview, header: dict, state: str, digest, touch: Iterable[str]) -> Registry:
         last_seq, head_hash, size = header["last_seq"], header["head_hash"], header["prefix_bytes"]
+        lines = _split(state)
+        ids = _STATE_ID.findall(f"\n{state}")  # at most one per line, at its start
+        index = dict(zip(ids, lines))
+        if not len(lines) == len(ids) == len(index):
+            raise CheckpointError("bad state: a line does not open with a cert_id, or a cert_id repeats")
+        if sum(n for _, _, n in header["issue_counts"]) != len(lines):
+            raise CheckpointError(f"bad state: the issue counters do not count its {len(lines)} certificates")
         try:
-            state = json.loads(f"[{','.join(state_lines)}]")  # one call: a call per line costs twice as much
-            if len(state) != len(state_lines):
-                raise ValueError(f"{len(state)} values on {len(state_lines)} lines")
-            registry = Registry.from_state(state, last_seq, head_hash, weight_places=self.weight_places)
-        except (DCMError, KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"bad state: {type(exc).__name__}: {exc}") from None
-        try:
-            registry.apply_events(read_events(_lines(data, size), last_seq=last_seq, head_hash=head_hash))
+            events = list(read_events(_lines(data, size), last_seq=last_seq, head_hash=head_hash))
         except LedgerIntegrityError as exc:
             # the full replay reports the ledger's own error, or shows that the sidecar was wrong
             raise CheckpointError(f"the ledger does not continue it: {exc}") from None
+        registry = Registry.from_state_lines(
+            index, header["issue_counts"], last_seq, head_hash, source=str(self.sidecar),
+            weight_places=self.weight_places,
+        )
+        try:
+            registry.build([*touch, *(event.cert_id for event in events)])
+        except LedgerIntegrityError as exc:
+            raise CheckpointError(str(exc)) from None
+        try:
+            registry.apply_events(events)
+        except LedgerIntegrityError as exc:
+            raise CheckpointError(f"the ledger does not continue it: {exc}") from None
         digest.update(data[size:])
         self._digest = digest
-        self._state_lines = {pair[0]: line for pair, line in zip(state, state_lines)}
         return registry
 
     def verify(self) -> Registry:
@@ -197,12 +235,11 @@ class LedgerFile:
         registry = replay(read_events(prefix), weight_places=self.weight_places)
         ledger = registry.ledger
         if found is not None:
-            header, state_lines, _ = found
-            certificates = registry.certificates
+            header, state, _ = found
             if not (
                 (ledger.last_seq, ledger.head_hash) == (header["last_seq"], header["head_hash"])
-                and len(state_lines) == len(certificates)
-                and all(line == _state_line(*pair) for line, pair in zip(state_lines, certificates.items()))
+                and header["issue_counts"] == registry.issue_counts()
+                and _split(state) == registry.state_lines()
             ):
                 raise LedgerIntegrityError(f"checkpoint disagrees with the ledger at seq {header['last_seq']}")
         registry.apply_events(read_events(rest, last_seq=ledger.last_seq, head_hash=ledger.head_hash))
@@ -224,29 +261,21 @@ class LedgerFile:
             line = event.line.encode("utf-8") + b"\n"
             self._digest.update(line)
             self._size += len(line)
-        changed = {event.cert_id for event in registry.ledger}
-        reuse = self._state_lines
-        state = [
-            (reuse[cert_id] if cert_id in reuse and cert_id not in changed else _state_line(cert_id, cert)) + "\n"
-            for cert_id, cert in registry.certificates.items()
-        ]
-        state_digest = hashlib.sha256()
-        for line in state:
-            state_digest.update(line.encode("utf-8"))
+        state = "".join(line + "\n" for line in registry.state_lines()).encode("utf-8")
         header = canonical_payload({
             "version": VERSION,
             "last_seq": registry.ledger.last_seq,
             "head_hash": registry.ledger.head_hash,
+            "issue_counts": registry.issue_counts(),
             "prefix_bytes": self._size,
             "prefix_sha256": self._digest.hexdigest(),
-            "state_sha256": state_digest.hexdigest(),
+            "state_sha256": hashlib.sha256(state).hexdigest(),
         })
         handle, temporary = tempfile.mkstemp(dir=self.sidecar.parent, prefix=self.sidecar.name, suffix=".tmp")
         try:
             os.chmod(temporary, stat.S_IMODE(self.path.stat().st_mode))  # readable by whoever reads the ledger
-            with open(handle, "w", encoding="utf-8", newline="\n") as out:
-                out.write(header + "\n")
-                out.writelines(state)
+            with open(handle, "wb") as out:
+                out.write(header.encode("utf-8") + b"\n" + state)
             os.replace(temporary, self.sidecar)
         except BaseException:
             os.unlink(temporary)

@@ -19,7 +19,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .checkpoint import LedgerFile
-from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient
+from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, wealth_projection
 from .errors import ConfigError, DCMError
 from .ledger import Ledger
 from .market import load_series, quote_at, read_text
@@ -41,10 +41,14 @@ class AppContext:
         if self.ledger_file.ignored is not None:
             print(f"warning: ignoring checkpoint {self.ledger_file.sidecar}: {self.ledger_file.ignored}", file=sys.stderr)
 
-    def load_registry(self) -> Registry:
-        """The ledger file's registry, resumed from its checkpoint sidecar when that verifies."""
+    def load_registry(self, touch: tuple[str, ...] = ()) -> Registry:
+        """The ledger file's registry, resumed from its checkpoint sidecar when that verifies.
+
+        ``touch`` names the certificates the command reads; a resumed load
+        builds them from the sidecar before the command runs.
+        """
         try:
-            return self.ledger_file.load()
+            return self.ledger_file.load(touch)
         finally:
             self._warn_if_ignored()
 
@@ -129,7 +133,7 @@ def issue(app: AppContext, args: argparse.Namespace) -> None:
 
 def quote(app: AppContext, args: argparse.Namespace) -> None:
     """Price a certificate against the market series."""
-    registry = app.load_registry()
+    registry = app.load_registry((args.cert,))
     known = len(registry.ledger)
     market = app.market_quote(registry.certificate(args.cert), args.dt, args.premium)
     result = registry.quote_transaction_price(args.cert, market, args.dt)
@@ -140,7 +144,7 @@ def quote(app: AppContext, args: argparse.Namespace) -> None:
 
 def deliver(app: AppContext, args: argparse.Namespace) -> None:
     """Settle a certificate by physical delivery."""
-    registry = app.load_registry()
+    registry = app.load_registry((args.cert,))
     known = len(registry.ledger)
     result = registry.physical_delivery(args.cert, args.dt)
     app.save(registry, known)
@@ -150,7 +154,7 @@ def deliver(app: AppContext, args: argparse.Namespace) -> None:
 
 def buyback(app: AppContext, args: argparse.Namespace) -> None:
     """Settle a certificate for cash at the day's quotation."""
-    registry = app.load_registry()
+    registry = app.load_registry((args.cert,))
     known = len(registry.ledger)
     market = app.market_quote(registry.certificate(args.cert), args.dt, 0.0)
     result = registry.buyback(args.cert, args.dt, market)
@@ -175,8 +179,6 @@ def run(_app: AppContext, args: argparse.Namespace) -> None:
 
 def project(app: AppContext, args: argparse.Namespace) -> None:
     """Project the holder/custodian split of an anchor stock."""
-    from .scenario import wealth_projection
-
     result = wealth_projection(args.weight, args.theta, args.days)
     print(f"residual_weight: {app.profile.weight(result.residual_weight)}")
     print(f"issuer_accrued_weight: {app.profile.weight(result.issuer_accrued_weight)}")

@@ -326,3 +326,25 @@ def residual_weight(
         if not 0.0 < daily < 1.0:
             raise DomainError("theta must lie in the open interval (0, 1)")
     return face_weight * math.exp(delta_t * math.log(daily))
+
+
+class WealthProjection(Value, namedtuple(
+    "WealthProjection", "anchor_weight horizon_days residual_weight issuer_accrued_weight"
+)):
+    """Decade-scale split of an anchor stock between holders and custodian."""
+
+    __slots__ = ()
+
+
+def wealth_projection(
+    anchor_weight: float, theta: AttenuationSpec | float, horizon_days: int
+) -> WealthProjection:
+    """Split ``anchor_weight`` after ``horizon_days`` of decay.
+
+    residual = anchor x theta^horizon; the issuer share is the complement, so
+    the pair sums back to the anchor weight.
+    """
+    if horizon_days < 0:
+        raise DomainError("horizon_days must be >= 0")
+    residual = residual_weight(anchor_weight, theta, horizon_days)
+    return WealthProjection(anchor_weight, horizon_days, residual, anchor_weight - residual)

@@ -18,6 +18,7 @@ reference case-study figures are only reproducible under this convention.
 
 from __future__ import annotations
 
+import json
 from collections import namedtuple
 from datetime import date, timedelta
 from enum import Enum
@@ -35,7 +36,7 @@ from .errors import (
     ParseError,
     StateError,
 )
-from .ledger import GENESIS_HASH, EventKind, Ledger, LedgerEvent, member_lookup, validate_cert_id
+from .ledger import GENESIS_HASH, EventKind, Ledger, LedgerEvent, canonical_payload, member_lookup, validate_cert_id
 from .rounding import fmt, quantize_to_float
 from .values import Value
 
@@ -209,7 +210,10 @@ class Registry:
     def __init__(self, *, weight_places: int = 4):
         self.ledger = Ledger()
         self.weight_places = weight_places
-        self._certs: dict[str, Certificate] = {}
+        # a certificate restored by ``from_state_lines`` stays its state line until first read
+        self._certs: dict[str, Certificate | str] = {}
+        self._unbuilt = 0
+        self._state_source = ""
         self._denominations: dict[str, frozenset[float]] = {}
         self._issue_counts: dict[tuple[str, str], int] = {}
 
@@ -230,15 +234,20 @@ class Registry:
 
     def certificate(self, cert_id: str) -> Certificate:
         try:
-            return self._certs[cert_id]
+            cert = self._certs[cert_id]
         except KeyError:
             raise DomainError(f"unknown certificate {cert_id!r}") from None
+        if cert.__class__ is str:
+            cert = self._build(cert_id, cert)
+        return cert
 
     @property
     def certificates(self) -> dict[str, Certificate]:
+        self.build(self._certs)
         return dict(self._certs)
 
     def snapshot(self) -> RegistrySnapshot:
+        self.build(self._certs)
         return RegistrySnapshot(
             certificates=dict(self._certs),
             issue_counts=dict(self._issue_counts),
@@ -255,7 +264,22 @@ class Registry:
         plus its status.  The issue counters are not stored: every ISSUE adds
         one certificate, so they are the certificates per (issuer, material).
         """
-        return [[cert_id, certificate_state(cert)] for cert_id, cert in self._certs.items()]
+        return [[cert_id, certificate_state(cert)] for cert_id, cert in self.certificates.items()]
+
+    def state_lines(self) -> list[str]:
+        """Each certificate's canonical JSON ``[cert_id, form]`` line, in issue order.
+
+        A certificate still unread since ``from_state_lines`` gives its line
+        as restored, without building it.
+        """
+        return [
+            cert if cert.__class__ is str else canonical_payload([cert_id, certificate_state(cert)])
+            for cert_id, cert in self._certs.items()
+        ]
+
+    def issue_counts(self) -> list[list]:
+        """The issue counters as ``[issuer, material, n]`` triples, in first-issue order."""
+        return [[issuer, material, n] for (issuer, material), n in self._issue_counts.items()]
 
     @classmethod
     def from_state(
@@ -277,6 +301,56 @@ class Registry:
             key = (cert.issuer, cert.material)
             counts[key] = counts.get(key, 0) + 1
         return registry
+
+    @classmethod
+    def from_state_lines(
+        cls,
+        lines: dict[str, str],
+        issue_counts: list,
+        last_seq: int,
+        head_hash: str,
+        *,
+        source: str,
+        weight_places: int = 4,
+    ) -> Registry:
+        """The registry holding the state ``lines`` index, built a certificate at a time on first read.
+
+        ``lines`` maps each cert_id, in issue order, to its ``state_lines()``
+        line; ``issue_counts`` holds ``issue_counts()`` triples.  Nothing is
+        decoded here: ``certificate`` builds a line through the checks of
+        ``from_state``, and a line that fails them is a LedgerIntegrityError
+        naming ``source`` and the cert_id.
+        """
+        registry = cls(weight_places=weight_places)
+        registry.ledger = Ledger(last_seq, head_hash)
+        registry._certs = dict(lines)
+        registry._unbuilt = len(lines)
+        registry._state_source = source
+        registry._issue_counts = {(issuer, material): n for issuer, material, n in issue_counts}
+        return registry
+
+    def build(self, cert_ids: Iterable[str]) -> None:
+        """Build each of ``cert_ids`` that is still a restored state line; other ids are skipped."""
+        if self._unbuilt:
+            certs = self._certs
+            for cert_id in list(cert_ids):
+                line = certs.get(cert_id)
+                if line.__class__ is str:
+                    self._build(cert_id, line)
+
+    def _build(self, cert_id: str, line: str) -> Certificate:
+        try:
+            state_id, form = json.loads(line)
+            if state_id != cert_id:
+                raise ValueError(f"the line holds {state_id!r}")
+            cert = _cert_from_payload(cert_id, form, _status_of(form["status"]))
+        except (DCMError, KeyError, TypeError, ValueError) as exc:
+            raise LedgerIntegrityError(
+                f"certificate {cert_id!r} in {self._state_source} does not build: {type(exc).__name__}: {exc}"
+            ) from None
+        self._certs[cert_id] = cert
+        self._unbuilt -= 1
+        return cert
 
     def apply_events(self, events: Iterable[LedgerEvent]) -> Registry:
         """Append and apply verified events that follow the ledger's head; returns the registry.

@@ -1,4 +1,4 @@
-"""Scripted end-to-end runs against a fresh registry, plus long-horizon projection.
+"""Scripted end-to-end runs against a fresh registry.
 
 A scenario file (YAML) declares the issuer's terms, optional price data, a
 rounding profile, and an ordered script of (dt, action) steps.  The runner
@@ -24,7 +24,7 @@ from typing import AbstractSet, Any
 
 import yaml
 
-from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, residual_weight
+from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient
 from .errors import ConfigError, DCMError, DomainError, ScenarioStepError
 from .ledger import canonical_payload
 from .market import PriceSeries, load_series, quote_at, read_text
@@ -441,32 +441,3 @@ def _run_step(
             issuer_accrued_weight_display=profile.weight(result.issuer_accrued_weight),
         )
     return record
-
-
-@dataclass(frozen=True)
-class WealthProjection:
-    """Decade-scale split of an anchor stock between holders and custodian."""
-
-    anchor_weight: float
-    horizon_days: int
-    residual_weight: float
-    issuer_accrued_weight: float
-
-
-def wealth_projection(
-    anchor_weight: float, theta: AttenuationSpec | float, horizon_days: int
-) -> WealthProjection:
-    """Split ``anchor_weight`` after ``horizon_days`` of decay.
-
-    residual = anchor x theta^horizon; the issuer share is the complement, so
-    the pair sums back to the anchor weight.
-    """
-    if horizon_days < 0:
-        raise DomainError("horizon_days must be >= 0")
-    residual = residual_weight(anchor_weight, theta, horizon_days)
-    return WealthProjection(
-        anchor_weight=anchor_weight,
-        horizon_days=horizon_days,
-        residual_weight=residual,
-        issuer_accrued_weight=anchor_weight - residual,
-    )

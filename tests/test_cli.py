@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 
 from dcm import EventKind, read_events, replay
 from dcm.checkpoint import LedgerFile
+from dcm.ledger import canonical_payload
 from conftest import forge_sidecar
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -221,6 +223,14 @@ class TestLifecycleFlow:
         assert "dcm.checkpoint" in imported
         assert not imported & {"dcm.scenario", "yaml", "click"}
 
+    def test_project_does_not_import_the_scenario_loader(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")  # the child prints one stderr line per import
+        result = dcm("project", "--weight", "4e8", "--theta", "0.999945", "--days", "3650", cwd=tmp_path)
+        assert result.returncode == 0
+        imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+        assert "dcm.decay" in imported
+        assert not imported & {"dcm.scenario", "yaml", "dataclasses", "inspect"}
+
     def test_importing_the_cli_loads_no_dataclass_machinery(self, tmp_path):
         listing = "import sys; before = set(sys.modules); import dcm.cli; print(*sorted(set(sys.modules) - before))"
         result = python("-c", listing, cwd=tmp_path)
@@ -316,7 +326,7 @@ class TestCheckpoint:
         assert "checkpoint disagrees with the ledger at seq 1" in result.stderr
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("spoil", ["garbled", "truncated", "stale"])
+    @pytest.mark.parametrize("spoil", ["garbled", "truncated", "version-1", "forged-state", "stale"])
     def test_unusable_checkpoint_gives_the_same_output_as_none_and_a_warning(self, tmp_path, spoil):
         spoiled, plain = tmp_path / "spoiled", tmp_path / "plain"
         spoiled.mkdir()
@@ -327,6 +337,12 @@ class TestCheckpoint:
             sidecar.write_bytes(b"\x00\x01 not a checkpoint")
         elif spoil == "truncated":
             sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
+        elif spoil == "version-1":  # the header of the format without issue counters
+            header, state = sidecar.read_bytes().split(b"\n", 1)
+            fields = {key: value for key, value in json.loads(header).items() if key != "issue_counts"}
+            sidecar.write_bytes(canonical_payload({**fields, "version": 1}).encode("utf-8") + b"\n" + state)
+        elif spoil == "forged-state":  # on the line of the certificate the command names
+            forge_sidecar(sidecar, lambda state: [line.replace('"ACTIVE"', '"LOST"') for line in state])
         else:  # an older ledger file restored under a newer sidecar
             older = (spoiled / "dcm-ledger.log").read_bytes()
             dcm(*PRICED, "quote", "--cert", "LME-copper-0001", "--dt", "10", cwd=spoiled)
@@ -339,6 +355,32 @@ class TestCheckpoint:
         assert results[0].stdout == results[1].stdout
         assert f"warning: ignoring checkpoint {SIDECAR}" in results[0].stderr
         assert results[1].stderr == ""
+        assert json.loads(sidecar.read_bytes().split(b"\n", 1)[0])["version"] == 2
+
+    def test_forged_issue_counters_fail_replay_verify(self, tmp_path):
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        sidecar = tmp_path / SIDECAR
+        header, state = sidecar.read_bytes().split(b"\n", 1)
+        assert json.loads(header)["issue_counts"] == [["LME", "copper", 2]]
+        forged = {**json.loads(header), "issue_counts": [["LME", "copper", 1], ["LME", "steel", 1]]}
+        sidecar.write_bytes(canonical_payload(forged).encode("utf-8") + b"\n" + state)
+        result = dcm("replay-verify", cwd=tmp_path)
+        assert result.returncode == 4
+        assert "checkpoint disagrees with the ledger at seq 2" in result.stderr
+
+    def test_a_forged_line_no_command_reads_is_carried_until_replay_verify(self, tmp_path):
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        forge_sidecar(tmp_path / SIDECAR, lambda state: [state[0].replace('"ACTIVE"', '"LOST"'), *state[1:]])
+        delivered = dcm("deliver", "--cert", "LME-copper-0002", "--dt", "10", cwd=tmp_path)
+        assert delivered.returncode == 0
+        assert delivered.stderr == ""
+        assert '"LOST"' in (tmp_path / SIDECAR).read_text(encoding="utf-8")
+        result = dcm("replay-verify", cwd=tmp_path)
+        assert result.returncode == 4
+        assert "checkpoint disagrees with the ledger at seq 3" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestRun:
@@ -449,7 +491,7 @@ GOLDEN_SESSION = [
 ]
 GOLDEN_FILES = {
     "dcm-ledger.log": "ad0b3f2d769a530b017c5425ec6a35d816d787a5e8156f94c2c2895b4b2b408a",
-    SIDECAR: "d41548ac389ef4178d6e2e243a17582809d36e39085c73091442030c754f72fa",
+    SIDECAR: "adffe46fe765f8b981ccbdc47464ce7ba8112656288252bd87c31d1b46ff1c3f",
 }
 
 

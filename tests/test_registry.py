@@ -35,6 +35,7 @@ from dcm import (
     replay,
     residual_weight,
 )
+import dcm.registry
 from dcm.checkpoint import LedgerFile
 from dcm.ledger import canonical_payload
 from conftest import LME_ISSUE_DATE, assert_display_close, forge_sidecar
@@ -652,6 +653,33 @@ class TestState:
         with pytest.raises(IssuanceError):
             Registry.from_state(state + state)
 
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda form: {**form, "status": "LOST"}, ValueError, "'LOST' is not a valid CertStatus"),
+            (lambda form: {k: v for k, v in form.items() if k != "rules"}, KeyError, "'rules'"),
+            *VALUE_REFUSALS.values(),
+        ],
+        ids=["status", "no-rules", *VALUE_REFUSALS],
+    )
+    def test_a_state_line_is_revalidated_when_first_read(self, lme_registry, lme_cert, edit, error, message):
+        [(cert_id, form)] = lme_registry.to_state()
+        line = json.dumps([cert_id, edit(form)], separators=(",", ":"))  # a forged line may hold Infinity
+        restored = Registry.from_state_lines({cert_id: line}, [["LME", "copper", 1]], 1, "0" * 64, source="state.ckpt")
+        assert restored.state_lines() == [line]
+        with pytest.raises(LedgerIntegrityError) as excinfo:
+            restored.certificate(cert_id)
+        assert str(excinfo.value) == (
+            f"certificate {cert_id!r} in state.ckpt does not build: {error.__name__}: {message}"
+        )
+
+    def test_a_state_line_must_hold_its_own_id(self, lme_registry, lme_cert):
+        [line] = Registry.from_state(lme_registry.to_state()).state_lines()
+        restored = Registry.from_state_lines({"LME-copper-0002": line}, [["LME", "copper", 1]], 1, "0" * 64,
+                                             source="state.ckpt")
+        with pytest.raises(LedgerIntegrityError, match="'LME-copper-0002' in state.ckpt does not build: ValueError"):
+            restored.snapshot()
+
 
 def _write_lines(path, lines) -> None:
     with path.open("a", encoding="utf-8") as handle:
@@ -664,6 +692,16 @@ def _checkpointed(tmp_path, lines) -> LedgerFile:
     _write_lines(ledger_file.path, lines)
     ledger_file.write_checkpoint(ledger_file.load(), ())
     return ledger_file
+
+
+@pytest.fixture
+def built(monkeypatch) -> list[str]:
+    """The cert_id of each certificate built from a payload or a state line, in order; clear it to start."""
+    ids = []
+    build = dcm.registry._cert_from_payload
+    monkeypatch.setattr(dcm.registry, "_cert_from_payload", lambda cert_id, *args: ids.append(cert_id) or
+                        build(cert_id, *args))
+    return ids
 
 
 class TestCheckpoint:
@@ -717,8 +755,10 @@ class TestCheckpoint:
             expected = replay(read_events(lines)).snapshot()
         except LedgerIntegrityError as exc:
             expected = str(exc)
+        # the load builds this certificate, as a command that names it does
+        touched = next(cert_id for cert_id, cert in registry.certificates.items() if cert.status is CertStatus.ACTIVE)
         try:
-            loaded = ledger_file.load().snapshot()
+            loaded = ledger_file.load(touch=(touched,)).snapshot()
         except LedgerIntegrityError as exc:
             loaded = str(exc)
         assert loaded == expected
@@ -744,6 +784,81 @@ class TestCheckpoint:
         registry.transfer(lme_cert.cert_id, "client-2", 10)
         ledger_file.write_checkpoint(registry, registry.ledger.events[1:])
         assert not ledger_file.sidecar.exists()
+
+    def test_a_resumed_load_builds_only_the_certificates_its_tail_touches(self, tmp_path, built):
+        registry = _random_walk(5, 40)
+        lines = registry.ledger.to_lines()
+        ledger_file = _checkpointed(tmp_path, lines[:30])
+        _write_lines(ledger_file.path, lines[30:])
+        built.clear()
+        resumed = ledger_file.load()
+        assert ledger_file.ignored is None
+        tail = {event.cert_id for event in registry.ledger.events[30:]}
+        assert sorted(built) == sorted(tail)
+        assert len(tail) < len(registry.certificates)
+        assert resumed.snapshot() == registry.snapshot()
+
+    def test_a_resumed_issue_numbers_like_a_full_replay(self, tmp_path, built):
+        registry = _random_walk(5, 40)
+        ledger_file = _checkpointed(tmp_path, registry.ledger.to_lines())
+        built.clear()
+        resumed = ledger_file.load()
+        issue = dict(
+            issuer="X", material="steel", face_weight=1.0, purity=1.0, issue_date=date(2020, 1, 1),
+            theta=AttenuationSpec(theta_daily=0.999), rules=DeliveryRules(0.0, 0.0, 1.0), owner="holder-1",
+        )
+        for each in (resumed, registry):
+            each.register_issuer("X", [1.0])
+        cert_id = resumed.issue(**issue).cert_id
+        assert built == [cert_id]
+        assert cert_id == registry.issue(**issue).cert_id
+        assert resumed.snapshot() == registry.snapshot()
+
+    def test_an_untouched_forged_line_fails_when_first_read(self, tmp_path):
+        registry = _random_walk(5, 40)
+        ledger_file = _checkpointed(tmp_path, registry.ledger.to_lines())
+        forged = next(cert_id for cert_id, cert in registry.certificates.items() if cert.status is CertStatus.ACTIVE)
+        forge_sidecar(ledger_file.sidecar, lambda state: [
+            line.replace('"ACTIVE"', '"LOST"') if line.startswith(f'["{forged}",') else line for line in state
+        ])
+        resumed = ledger_file.load()
+        assert ledger_file.ignored is None
+        with pytest.raises(LedgerIntegrityError, match=f"certificate '{forged}' in .*ledger.log.ckpt does not build"):
+            resumed.snapshot()
+        with pytest.raises(LedgerIntegrityError, match="checkpoint disagrees with the ledger at seq 40"):
+            ledger_file.verify()
+
+    @pytest.mark.parametrize(
+        "covered, fields",
+        [
+            (1, {"last_seq": True}),
+            (0, {"last_seq": False}),
+            (0, {"prefix_bytes": False}),
+            (1, {"version": 1}),
+            (1, {"issue_counts": None}),
+            (1, {"issue_counts": [["LME", "copper", True]]}),
+            (1, {"issue_counts": [["LME", "copper", 1.0]]}),
+            (1, {"issue_counts": [["", "copper", 1]]}),
+            (1, {"issue_counts": [["LME", None, 1]]}),
+            (1, {"issue_counts": [["LME", "copper"]]}),
+            (1, {"issue_counts": [["LME", "copper", 2]]}),
+            (2, {"issue_counts": [["LME", "copper", 1], ["LME", "copper", 1]]}),
+            (2, {"issue_counts": [["LME", "copper", 2], ["LME", "steel", 0]]}),
+        ],
+        ids=["last-seq-true", "last-seq-false", "prefix-bytes-false", "version-1", "no-counters", "count-true",
+             "count-float", "empty-issuer", "material-null", "count-missing", "count-wrong", "pair-repeated",
+             "count-zero"],
+    )
+    def test_a_malformed_header_means_a_full_replay(self, tmp_path, lme_registry, lme_cert, covered, fields):
+        lme_registry.issue("LME", "copper", 1000, 0.9999, LME_ISSUE_DATE, lme_cert.theta, lme_cert.rules, "client-2")
+        lines = lme_registry.ledger.to_lines()
+        ledger_file = _checkpointed(tmp_path, lines[:covered])
+        _write_lines(ledger_file.path, lines[covered:])
+        header, state = ledger_file.sidecar.read_bytes().split(b"\n", 1)
+        forged = canonical_payload({**json.loads(header), **fields})
+        ledger_file.sidecar.write_bytes(forged.encode("utf-8") + b"\n" + state)
+        assert ledger_file.load().snapshot() == lme_registry.snapshot()
+        assert ledger_file.ignored
 
 
 class TestPaperFormat:
