@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .ledger import EventKind, Ledger, LedgerEvent, read_events
-from .market import PriceSeries, load_series, quote_at, serialize
+from .market import PriceSeries, load_series, quote_at
 from .registry import (
     BuybackResult,
     CertStatus,
@@ -137,7 +137,6 @@ __all__ = [
     "replay",
     "residual_weight",
     "run_scenario",
-    "serialize",
     "storage_increment",
     "total_logistics_cost",
     "wealth_projection",

@@ -87,7 +87,7 @@ def _is_counter(entry) -> bool:
 def _header(text: bytes) -> dict:
     try:
         header = json.loads(text)
-    except ValueError:
+    except (ValueError, RecursionError):
         raise CheckpointError("unreadable header") from None
     if not isinstance(header, dict):
         raise CheckpointError("unknown header")

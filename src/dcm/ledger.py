@@ -217,7 +217,7 @@ def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
         raise LedgerIntegrityError(f"bad cert_id {cert_id!r}", seq=seq)
     try:
         payload = _loads(payload_json)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise LedgerIntegrityError("unreadable payload", seq=seq) from None
     try:
         canonical = isinstance(payload, dict) and _encode(payload) == payload_json

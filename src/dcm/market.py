@@ -91,13 +91,6 @@ def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSe
     return PriceSeries(material=material, currency=currency, points=tuple(points))
 
 
-def serialize(series: PriceSeries) -> str:
-    """Inverse of load_series: writes floats in round-tripping form."""
-    lines = ["date,price"]
-    lines.extend(f"{d.isoformat()},{price!r}" for d, price in series.points)
-    return "\n".join(lines) + "\n"
-
-
 def quote_at(series: PriceSeries, when: date) -> float:
     """Latest quotation on or before ``when``: carry-forward steps, no interpolation."""
     i = bisect_right(series.dates, when)

@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     StateError,
 )
-from .ledger import GENESIS_HASH, EventKind, Ledger, LedgerEvent, canonical_payload, member_lookup, validate_cert_id
+from .ledger import EventKind, Ledger, LedgerEvent, canonical_payload, member_lookup, validate_cert_id
 from .rounding import fmt, quantize_to_float
 from .values import Value
 
@@ -257,15 +257,6 @@ class Registry:
 
     # -- state --------------------------------------------------------------
 
-    def to_state(self) -> list[list]:
-        """The reducer state as one JSON value: ``[cert_id, form]`` pairs in issue order.
-
-        A form is the certificate's ISSUE payload form with its current owner,
-        plus its status.  The issue counters are not stored: every ISSUE adds
-        one certificate, so they are the certificates per (issuer, material).
-        """
-        return [[cert_id, certificate_state(cert)] for cert_id, cert in self.certificates.items()]
-
     def state_lines(self) -> list[str]:
         """Each certificate's canonical JSON ``[cert_id, form]`` line, in issue order.
 
@@ -282,27 +273,6 @@ class Registry:
         return [[issuer, material, n] for (issuer, material), n in self._issue_counts.items()]
 
     @classmethod
-    def from_state(
-        cls, state: list, last_seq: int = 0, head_hash: str = GENESIS_HASH, *, weight_places: int = 4
-    ) -> Registry:
-        """The registry holding ``state``, its ledger continuing from (last_seq, head_hash).
-
-        Every certificate is rebuilt through ``_cert_from_payload``, so every
-        value is revalidated; a malformed state raises DCMError, KeyError,
-        TypeError or ValueError.
-        """
-        registry = cls(weight_places=weight_places)
-        registry.ledger = Ledger(last_seq, head_hash)
-        certs, counts = registry._certs, registry._issue_counts
-        for cert_id, form in state:
-            if cert_id in certs:
-                raise IssuanceError(f"certificate {cert_id!r} already exists")
-            cert = certs[cert_id] = _cert_from_payload(cert_id, form, _status_of(form["status"]))
-            key = (cert.issuer, cert.material)
-            counts[key] = counts.get(key, 0) + 1
-        return registry
-
-    @classmethod
     def from_state_lines(
         cls,
         lines: dict[str, str],
@@ -317,9 +287,9 @@ class Registry:
 
         ``lines`` maps each cert_id, in issue order, to its ``state_lines()``
         line; ``issue_counts`` holds ``issue_counts()`` triples.  Nothing is
-        decoded here: ``certificate`` builds a line through the checks of
-        ``from_state``, and a line that fails them is a LedgerIntegrityError
-        naming ``source`` and the cert_id.
+        decoded here: ``certificate`` builds a line through the checks a
+        replayed ISSUE passes, so every value is revalidated, and a line that
+        fails them is a LedgerIntegrityError naming ``source`` and the cert_id.
         """
         registry = cls(weight_places=weight_places)
         registry.ledger = Ledger(last_seq, head_hash)
@@ -344,7 +314,7 @@ class Registry:
             if state_id != cert_id:
                 raise ValueError(f"the line holds {state_id!r}")
             cert = _cert_from_payload(cert_id, form, _status_of(form["status"]))
-        except (DCMError, KeyError, TypeError, ValueError) as exc:
+        except (DCMError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise LedgerIntegrityError(
                 f"certificate {cert_id!r} in {self._state_source} does not build: {type(exc).__name__}: {exc}"
             ) from None

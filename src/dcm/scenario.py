@@ -15,7 +15,7 @@ issue_date + dt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import date, timedelta
 from decimal import Decimal
 from importlib import resources
@@ -30,6 +30,7 @@ from .ledger import canonical_payload
 from .market import PriceSeries, load_series, quote_at, read_text
 from .registry import DeliveryRules, MarketQuote, Registry
 from .rounding import RoundingProfile, fmt
+from .values import Value
 
 # each action and the step arguments it reads
 _ACTIONS = {
@@ -47,54 +48,56 @@ _STEP_FIELDS = frozenset({"dt", "action", "cert", "date"})
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-@dataclass(frozen=True)
-class ScriptStep:
-    dt: int
-    action: str
-    cert: str  # script-local alias
-    date: date | None = None  # market/ledger date override
-    args: dict[str, Any] = None  # type: ignore[assignment]
+class ScriptStep(Value, namedtuple("ScriptStep", "dt action cert date args")):
+    """One script line: ``cert`` is a script-local alias, ``date`` overrides the market/ledger date."""
 
-    def __post_init__(self):
-        if self.dt < 0:
+    __slots__ = ()
+
+    def __new__(
+        cls, dt: int, action: str, cert: str, date: date | None = None, args: dict[str, Any] | None = None
+    ):
+        if dt < 0:
             raise ConfigError("step dt must be >= 0")
-        if self.action not in _ACTIONS:
-            raise ConfigError(f"unknown action {self.action!r}")
-        if self.args is None:
-            object.__setattr__(self, "args", {})
+        if action not in _ACTIONS:
+            raise ConfigError(f"unknown action {action!r}")
+        return tuple.__new__(cls, (dt, action, cert, date, {} if args is None else args))
 
 
-@dataclass(frozen=True)
-class IssuerTerms:
-    issuer_id: str
-    material: str
-    weight_unit: str
-    purity: float
-    denominations: tuple[float, ...]
-    theta: AttenuationSpec
-    rules: DeliveryRules
+class IssuerTerms(Value, namedtuple(
+    "IssuerTerms", "issuer_id material weight_unit purity denominations theta rules"
+)):
+    """The terms the scenario's issuer issues every certificate under."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    name: str
-    currency: str
-    issue_date: date
-    issuer: IssuerTerms
-    script: tuple[ScriptStep, ...]
-    prices: PriceSeries | None = None
-    price_per_units: float = 1.0  # certificate weight units per quoted price unit
-    rounding: RoundingProfile = RoundingProfile()
+class ScenarioConfig(Value, namedtuple(
+    "ScenarioConfig", "name currency issue_date issuer script prices price_per_units rounding"
+)):
+    """``price_per_units`` is the certificate weight units per quoted price unit."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        name: str,
+        currency: str,
+        issue_date: date,
+        issuer: IssuerTerms,
+        script: tuple[ScriptStep, ...],
+        prices: PriceSeries | None = None,
+        price_per_units: float = 1.0,
+        rounding: RoundingProfile = RoundingProfile(),
+    ):
         previous = 0
-        for step in self.script:
+        for step in script:
             if step.dt < previous:
                 raise ConfigError("script dt values must be non-decreasing")
             previous = step.dt
-        needs_prices = any(s.action in ("quote", "buyback") for s in self.script)
-        if needs_prices and self.prices is None:
+        needs_prices = any(s.action in ("quote", "buyback") for s in script)
+        if needs_prices and prices is None:
             raise ConfigError("script quotes or buys back but no price series is configured")
+        return tuple.__new__(cls, (name, currency, issue_date, issuer, script, prices, price_per_units, rounding))
 
 
 def _require(mapping: dict, key: str, context: str) -> Any:
@@ -282,17 +285,14 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(candidate))
 
 
-@dataclass
-class ScenarioReport:
+class ScenarioReport(Value, namedtuple("ScenarioReport", "scenario currency steps")):
     """Per-step records with exact and display-rounded fields.
 
     ``to_json_lines`` is the machine-readable form: one sorted-key JSON object
     per step, no wall-clock content, so identical runs are byte-identical.
     """
 
-    scenario: str
-    currency: str
-    steps: list[dict]
+    __slots__ = ()
 
     def to_json_lines(self) -> str:
         # every number in a record was sealed into a ledger payload or checked finite

@@ -1,11 +1,11 @@
 """The base of the engine's immutable value types.
 
-Each value type is a ``collections.namedtuple`` subclass with ``Value`` first
-among its bases and ``__slots__ = ()``; a type with checks makes them in
-``__new__`` and builds its instance with ``tuple.__new__``.  Creating such a
-class generates one small function, where a frozen dataclass generates
-several, and building an instance sets no attribute, so both cost a fraction
-of a frozen dataclass's.
+Every value type in the package, the scenario types included, is a
+``collections.namedtuple`` subclass with ``Value`` first among its bases and
+``__slots__ = ()``; a type with checks makes them in ``__new__`` and builds
+its instance with ``tuple.__new__``.  Creating such a class generates one
+small function, where a frozen dataclass generates several, and building an
+instance sets no attribute, so both cost a fraction of a frozen dataclass's.
 """
 
 from __future__ import annotations

@@ -26,11 +26,14 @@ def assert_display_close(value: float, places: int, pinned: str, tol: str = "0.0
     assert abs(shown - Decimal(pinned)) <= Decimal(tol), f"displayed {shown}, pinned {pinned}"
 
 
-def forge_sidecar(sidecar, edit) -> None:
-    """Rewrite a checkpoint sidecar's state lines with ``edit`` and recompute its state digest."""
+def forge_sidecar(sidecar, edit, edit_header=dict) -> None:
+    """Rewrite a checkpoint sidecar's state lines with ``edit`` and its header fields with ``edit_header``.
+
+    The state digest is recomputed to match the new state lines.
+    """
     header, *state = sidecar.read_text(encoding="utf-8").splitlines()
     body = "".join(line + "\n" for line in edit(state)).encode("utf-8")
-    fields = {**json.loads(header), "state_sha256": hashlib.sha256(body).hexdigest()}
+    fields = {**edit_header(json.loads(header)), "state_sha256": hashlib.sha256(body).hexdigest()}
     sidecar.write_bytes(canonical_payload(fields).encode("utf-8") + b"\n" + body)
 
 

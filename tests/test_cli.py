@@ -13,14 +13,17 @@ from pathlib import Path
 
 import pytest
 
+import dcm as package
 from dcm import EventKind, read_events, replay
 from dcm.checkpoint import LedgerFile
-from dcm.ledger import canonical_payload
+from dcm.ledger import GENESIS_HASH, _seal, canonical_payload
 from conftest import forge_sidecar
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PRICES = "date,price\n2020-01-01,40\n2020-07-01,50\n"
+
+DEEP = 100_000  # JSON arrays nested this deep exceed the decoder's recursion limit
 
 ISSUE_ARGS = [
     "issue",
@@ -176,6 +179,20 @@ class TestLifecycleFlow:
             assert "seq 3" in result.stderr
             assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [["replay-verify"], ["deliver", "--cert", "LME-copper-0001", "--dt", "10"]],
+        ids=["replay-verify", "deliver"],
+    )
+    def test_a_sealed_payload_nested_too_deep_exits_integrity(self, tmp_path, args):
+        payload = "[" * DEEP + "]" * DEEP
+        line = _seal(1, "2020-01-01", "ISSUE", "LME-copper-0001", payload, GENESIS_HASH)
+        (tmp_path / "dcm-ledger.log").write_text(line + "\n", encoding="utf-8")
+        result = dcm(*args, cwd=tmp_path)
+        assert result.returncode == 4
+        assert "error: seq 1: unreadable payload" in result.stderr
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("args", [ISSUE_ARGS, ["replay-verify"]], ids=["issue", "replay-verify"])
     def test_open_last_line_refuses_to_append(self, tmp_path, args):
         dcm(*ISSUE_ARGS, cwd=tmp_path)
@@ -231,6 +248,14 @@ class TestLifecycleFlow:
         assert "dcm.decay" in imported
         assert not imported & {"dcm.scenario", "yaml", "dataclasses", "inspect"}
 
+    def test_run_does_not_import_the_dataclass_machinery(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")  # the child prints one stderr line per import
+        result = dcm("run", "lme_copper", cwd=tmp_path)
+        assert result.returncode == 0
+        imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+        assert {"dcm.scenario", "yaml"} <= imported
+        assert not imported & {"dataclasses", "inspect"}
+
     def test_importing_the_cli_loads_no_dataclass_machinery(self, tmp_path):
         listing = "import sys; before = set(sys.modules); import dcm.cli; print(*sorted(set(sys.modules) - before))"
         result = python("-c", listing, cwd=tmp_path)
@@ -238,6 +263,10 @@ class TestLifecycleFlow:
         imported = set(result.stdout.split())
         assert "dcm.registry" in imported
         assert not imported & {"dataclasses", "inspect"}
+
+    def test_every_public_name_resolves_and_is_listed_once(self):
+        assert len(set(package.__all__)) == len(package.__all__)
+        assert [name for name in package.__all__ if not hasattr(package, name)] == []
 
     @pytest.mark.parametrize("args", [ISSUE_ARGS, ["replay-verify"]], ids=["issue", "replay-verify"])
     @pytest.mark.parametrize(
@@ -326,7 +355,9 @@ class TestCheckpoint:
         assert "checkpoint disagrees with the ledger at seq 1" in result.stderr
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("spoil", ["garbled", "truncated", "version-1", "forged-state", "stale"])
+    @pytest.mark.parametrize(
+        "spoil", ["garbled", "truncated", "version-1", "forged-state", "deep-header", "deep-state", "stale"]
+    )
     def test_unusable_checkpoint_gives_the_same_output_as_none_and_a_warning(self, tmp_path, spoil):
         spoiled, plain = tmp_path / "spoiled", tmp_path / "plain"
         spoiled.mkdir()
@@ -343,6 +374,11 @@ class TestCheckpoint:
             sidecar.write_bytes(canonical_payload({**fields, "version": 1}).encode("utf-8") + b"\n" + state)
         elif spoil == "forged-state":  # on the line of the certificate the command names
             forge_sidecar(sidecar, lambda state: [line.replace('"ACTIVE"', '"LOST"') for line in state])
+        elif spoil == "deep-header":
+            sidecar.write_bytes(b"[" * DEEP + b"]" * DEEP + b"\n" + sidecar.read_bytes().split(b"\n", 1)[1])
+        elif spoil == "deep-state":  # each line keeps its cert_id, and its form nests too deep to decode
+            deep = "[" * DEEP + "]" * DEEP
+            forge_sidecar(sidecar, lambda state: [f'{line.split(",", 1)[0]},{deep}]' for line in state])
         else:  # an older ledger file restored under a newer sidecar
             older = (spoiled / "dcm-ledger.log").read_bytes()
             dcm(*PRICED, "quote", "--cert", "LME-copper-0001", "--dt", "10", cwd=spoiled)

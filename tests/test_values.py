@@ -12,6 +12,7 @@ from dcm import (
     CertStatus,
     Certificate,
     CifQuote,
+    ConfigError,
     DeliveryResult,
     DeliveryRules,
     DomainError,
@@ -25,9 +26,13 @@ from dcm import (
     QuoteResult,
     RegistrySnapshot,
     RoundingProfile,
+    ScenarioConfig,
+    ScenarioReport,
+    ScriptStep,
     StorageTariff,
     ThetaMode,
 )
+from dcm.scenario import IssuerTerms
 
 DAY = date(2020, 1, 1)
 TARIFF = StorageTariff(0.2, 0.1, 0.05)
@@ -35,6 +40,10 @@ CIF = CifQuote(5000.0)
 EVENT = Ledger().append(EventKind.QUOTE, "X-tin-0001", {"t": 3, "price": 4.5}, DAY)
 RULES = DeliveryRules(0.003, 0.002, 1000.0, "warehouse", 365)
 THETA = AttenuationSpec(0.99996)
+ISSUER = IssuerTerms("LME", "copper", "kg", 0.9999, (1.0, 1000.0), THETA, RULES)
+SERIES = PriceSeries("copper", "USD", ((DAY, 40.0),))
+ISSUE = ScriptStep(0, "issue", "c1", None, {"face_weight": 1000.0, "owner": "a"})
+QUOTE = ScriptStep(3, "quote", "c1")
 
 # each type's fields in constructor order, and one field changed
 SAMPLES = {
@@ -99,6 +108,22 @@ SAMPLES = {
         {"certificates": {}, "issue_counts": {("LME", "copper"): 1}, "last_seq": 1, "head_hash": EVENT.hash},
         {"last_seq": 2},
     ),
+    ScriptStep: ({"dt": 3, "action": "quote", "cert": "c1", "date": DAY, "args": {"premium": 0.5}}, {"date": None}),
+    IssuerTerms: (
+        {
+            "issuer_id": "LME", "material": "copper", "weight_unit": "kg", "purity": 0.9999,
+            "denominations": (1.0, 1000.0), "theta": THETA, "rules": RULES,
+        },
+        {"purity": 1.0},
+    ),
+    ScenarioConfig: (
+        {
+            "name": "s", "currency": "USD", "issue_date": DAY, "issuer": ISSUER, "script": (ISSUE, QUOTE),
+            "prices": SERIES, "price_per_units": 1000.0, "rounding": RoundingProfile(3, 2),
+        },
+        {"script": (ISSUE,)},
+    ),
+    ScenarioReport: ({"scenario": "s", "currency": "USD", "steps": [{"step": 1, "action": "issue"}]}, {"steps": []}),
 }
 TYPES = pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
 
@@ -157,6 +182,11 @@ def test_defaults_match_the_documented_ones():
     cert = Certificate("X-1", "X", "tin", 5, 1, DAY, THETA, RULES, "a")
     assert (cert.weight_unit, cert.status) == ("kg", CertStatus.ACTIVE)
     assert (type(cert.face_weight), type(cert.purity)) == (float, float)
+    assert ScriptStep(0, "issue", "c1") == ScriptStep(0, "issue", "c1", None, {})
+    assert ScriptStep(0, "issue", "c1").args is not ScriptStep(0, "issue", "c1").args
+    assert ScenarioConfig("s", "", DAY, ISSUER, (ISSUE,)) == ScenarioConfig(
+        "s", "", DAY, ISSUER, (ISSUE,), None, 1.0, RoundingProfile()
+    )
 
 
 def test_replace_and_make_run_the_type_checks():
@@ -166,6 +196,30 @@ def test_replace_and_make_run_the_type_checks():
         DeliveryRules._make((0.5, 0.0, 1.0, "", None))
     with pytest.raises(ValueError, match="unexpected field names"):
         MarketQuote(5.0)._replace(price=1.0)
+    with pytest.raises(ConfigError, match="step dt must be >= 0"):
+        QUOTE._replace(dt=-1)
+    with pytest.raises(ConfigError, match="no price series is configured"):
+        _sample(ScenarioConfig)._replace(prices=None)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ScriptStep(-1, "melt", "c1"), "step dt must be >= 0"),
+        (lambda: ScriptStep(0, "melt", "c1"), "unknown action 'melt'"),
+        (lambda: ScenarioConfig("s", "", DAY, ISSUER, (QUOTE, ISSUE)), "script dt values must be non-decreasing"),
+        (
+            lambda: ScenarioConfig("s", "", DAY, ISSUER, (ISSUE, QUOTE)),
+            "script quotes or buys back but no price series is configured",
+        ),
+    ],
+    ids=["negative-dt", "unknown-action", "decreasing-dt", "quote-without-prices"],
+)
+def test_a_bad_script_is_a_config_error(build, message):
+    with pytest.raises(ConfigError) as excinfo:
+        build()
+    assert type(excinfo.value) is ConfigError
+    assert str(excinfo.value) == message
 
 
 def test_a_price_series_derives_its_dates_and_keeps_them_out_of_repr():
