@@ -23,6 +23,8 @@ from pathlib import Path
 from typing import AbstractSet, Any
 
 import yaml
+from yaml import AliasEvent, DocumentStartEvent, MappingEndEvent, MappingStartEvent, ScalarEvent, ScalarNode
+from yaml import SequenceEndEvent, SequenceStartEvent, StreamEndEvent
 
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient
 from .errors import ConfigError, DCMError, DomainError, ScenarioStepError
@@ -46,6 +48,12 @@ _STEP_FIELDS = frozenset({"dt", "action", "cert", "date"})
 # libyaml's parser where PyYAML was built with it; both loaders build values
 # with the same SafeConstructor and resolver
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# a scenario nests 3 deep; a document nested past this is refused before
+# libyaml's recursive composer, or the repr of one of its values, can
+# exhaust the stack
+_MAX_DEPTH = 32
+_SCALAR_TAGS = frozenset("tag:yaml.org,2002:" + kind for kind in ("null", "bool", "int", "float", "timestamp", "str"))
+_KEY = object()  # an open mapping awaits its next key; also a scalar not yet built
 
 
 class ScriptStep(Value, namedtuple("ScriptStep", "dt action cert date args")):
@@ -180,12 +188,123 @@ def _theta_from_config(issuer_cfg: dict) -> AttenuationSpec:
     return attenuation_coefficient(tariff, cif, mode)
 
 
+def _too_deep(event: Any) -> yaml.YAMLError:
+    mark = event.start_mark
+    return yaml.YAMLError(f"nested deeper than {_MAX_DEPTH} levels at line {mark.line + 1}, column {mark.column + 1}")
+
+
+def _load_yaml(text: str) -> Any:
+    """``yaml.load(text, Loader=_LOADER)``, built from the parser's events without a node graph.
+
+    The loader's own resolver and safe constructors build each scalar,
+    memoized by text and implicit flags: SafeLoader has no path resolvers and
+    its scalars are immutable.  An anchor, an alias, an explicit tag other
+    than ``!``, a merge or value key, a collection key, a second document or
+    a scalar its constructor refuses sends the document to ``yaml.load``,
+    once the rest of the stream is checked for depth.
+    """
+    loader = _LOADER(text)
+    try:
+        get_event, resolve, constructors = loader.get_event, loader.resolve, loader.yaml_constructors
+        built: dict = {}  # (value, implicit) -> the scalar built for it
+        root = top = None  # the document, and its innermost open collection
+        key: Any = _KEY  # in an open mapping, the key awaiting its value
+        outer: list = []  # (collection, key) of each enclosing open collection
+        documents = 0
+        while True:
+            event = get_event()
+            kind = event.__class__
+            if kind is ScalarEvent or kind is MappingStartEvent or kind is SequenceStartEvent:
+                if event.anchor is not None or event.tag not in (None, "!"):
+                    break
+                if kind is ScalarEvent:
+                    memo = (event.value, event.implicit)
+                    value = built.get(memo, _KEY)
+                    if value is _KEY:
+                        tag = resolve(ScalarNode, event.value, event.implicit)
+                        if tag not in _SCALAR_TAGS:
+                            break
+                        try:
+                            value = built[memo] = constructors[tag](loader, ScalarNode(tag, event.value))
+                        except ValueError:
+                            break
+                else:
+                    if len(outer) == _MAX_DEPTH:
+                        raise _too_deep(event)
+                    if key is _KEY and top.__class__ is dict:
+                        break
+                    value = {} if kind is MappingStartEvent else []
+                if top.__class__ is list:
+                    top.append(value)
+                elif top is None:
+                    root = value
+                elif key is _KEY:
+                    key = value
+                else:
+                    top[key] = value
+                    key = _KEY
+                if kind is not ScalarEvent:
+                    outer.append((top, key))
+                    top, key = value, _KEY
+            elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                top, key = outer.pop()
+            elif kind is AliasEvent:
+                break
+            elif kind is DocumentStartEvent:
+                documents += 1
+                if documents > 1:
+                    break
+            elif kind is StreamEndEvent:
+                return root
+        _check_depth(event, get_event, len(outer))
+    finally:
+        loader.dispose()
+    return yaml.load(text, Loader=_LOADER)
+
+
+def _check_depth(event: Any, get_event: Any, depth: int) -> None:
+    """Read the stream on from ``event``, inside ``depth`` open collections, refusing nesting past ``_MAX_DEPTH``.
+
+    An alias counts as deep as its anchor's collection, so the value
+    ``yaml.load`` builds is bounded too.  A parse error ends the reading, for
+    the load to raise.
+    """
+    anchored: dict = {}  # anchor -> height of its collection
+    heights: list = []  # [anchor, height] of each collection opened here
+    while True:
+        kind = event.__class__
+        if kind is MappingStartEvent or kind is SequenceStartEvent:
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise _too_deep(event)
+            heights.append([event.anchor, 1])
+        elif kind is MappingEndEvent or kind is SequenceEndEvent:
+            depth -= 1
+            if heights:
+                anchor, height = heights.pop()
+                anchored[anchor] = height
+                if heights:
+                    heights[-1][1] = max(heights[-1][1], height + 1)
+        elif kind is AliasEvent:
+            height = anchored.get(event.anchor, 0)
+            if depth + height > _MAX_DEPTH:
+                raise _too_deep(event)
+            if heights:
+                heights[-1][1] = max(heights[-1][1], height + 1)
+        elif kind is StreamEndEvent:
+            return
+        try:
+            event = get_event()
+        except yaml.YAMLError:
+            return
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load and validate a UTF-8 scenario file; referenced data paths resolve relative to it."""
     path = Path(path)
     text = read_text(path, "scenario")
     try:
-        raw = yaml.load(text, Loader=_LOADER)
+        raw = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse scenario {path}: {exc}") from None
     _check_keys(raw, {"name", "currency", "issue_date", "issuer", "prices", "rounding", "script"}, f"scenario {path}")

@@ -445,6 +445,27 @@ class TestRun:
         assert "face_weight must be numeric, got 'five'" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        ("step", "column"),
+        [
+            ("  - {dt: 0, action: issue, cert: d1, face_weight: 5, owner: " + "[" * DEEP + "]" * DEEP + "}", 90),
+            ("  - {dt: 0, action: issue, cert: d1, face_weight: " + "[" * 20_000 + "]" * 20_000 + ", owner: a}", 80),
+            ("  - {dt: 0, action: issue, cert: d1, face_weight: 5, owner: &deep " + "[" * 40 + "]" * 40 + "}", 96),
+            (
+                "  - {dt: 0, action: issue, cert: d1, face_weight: 5, owner: &a " + "[" * 29 + "]" * 29 + "}\n"
+                "  - {dt: 0, action: issue, cert: d2, face_weight: 5, owner: [*a]}",
+                None,
+            ),
+        ],
+        ids=["owner", "face-weight", "anchored", "alias"],
+    )
+    def test_a_scenario_nested_too_deep_exits_validation(self, tmp_path, step, column):
+        (tmp_path / "deep.yaml").write_text(FAILING_SCENARIO + step + "\n", encoding="utf-8")
+        result = dcm("run", "deep.yaml", cwd=tmp_path)
+        assert result.returncode == 2
+        where = "line 17, column 62" if column is None else f"line 16, column {column}"
+        assert result.stderr == f"error: cannot parse scenario deep.yaml: nested deeper than 32 levels at {where}\n"
+
     def test_scenario_that_is_not_utf8_exits_validation(self, tmp_path):
         (tmp_path / "bad.yaml").write_bytes(FAILING_SCENARIO.encode("utf-8") + b"# \xff\n")
         result = dcm("run", "bad.yaml", cwd=tmp_path)

@@ -342,6 +342,51 @@ def generated_scenario(tmp_path, n_steps: int = 300):
     return path
 
 
+def perfbench_shaped_scenario(tmp_path, n_steps: int = 300):
+    """A block-style header and one flow mapping per step, as in ``perfbench/gen.py``'s ``scenario_yaml``."""
+    rng = random.Random(11)
+    start = date(2020, 1, 1)
+    prices = [f"{start + timedelta(days=day)},{6000 + day % 97}" for day in range(n_steps)]
+    (tmp_path / "prices.csv").write_text("date,price\n" + "\n".join(prices) + "\n", encoding="utf-8")
+    lines = [
+        "name: perfbench_long", "currency: USD", f"issue_date: {start}",
+        "issuer:", "  id: LME", "  material: copper", "  weight_unit: kg", "  purity: 0.9999",
+        "  denominations: [1, 10, 100, 1000]", "  theta: 0.99996", "  delivery_rules:",
+        "    delivery_charge_ratio: 0.003", "    withdrawal_charge_ratio: 0.002", "    min_delivery_weight: 1",
+        "    delivery_location: designated warehouse",
+        "prices:", "  path: prices.csv", "  per_units: 1000",
+        "rounding:", "  weight_places: 4", "  money_places: 4",
+        "script:",
+    ]
+    active, issued = [], 0
+    for dt in range(n_steps):
+        roll = rng.random()
+        if roll < 0.3 or not active:
+            issued += 1
+            active.append(f"c{issued}")
+            lines.append(f"  - {{dt: {dt}, action: issue, cert: c{issued}, "
+                         f"face_weight: {rng.choice([1, 10, 100, 1000])}, owner: holder-{rng.randrange(50)}}}")
+        elif roll < 0.5:
+            lines.append(f"  - {{dt: {dt}, action: transfer, cert: {rng.choice(active)}, "
+                         f"new_owner: holder-{rng.randrange(50)}}}")
+        elif roll < 0.75:
+            lines.append(f"  - {{dt: {dt}, action: quote, cert: {rng.choice(active)}, "
+                         f"premium: {rng.randrange(500) / 10000}}}")
+        else:
+            alias = active.pop(rng.randrange(len(active)))
+            lines.append(f"  - {{dt: {dt}, action: {'deliver' if roll < 0.87 else 'buyback'}, cert: {alias}}}")
+    path = tmp_path / "perfbench_long.yaml"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def load_scenario_through_yaml_load(path, monkeypatch):
+    """``load_scenario`` as it was before the event builder: ``yaml.load`` with the same loader."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dcm.scenario, "_load_yaml", lambda text: yaml.load(text, Loader=dcm.scenario._LOADER))
+        return load_scenario(path)
+
+
 class TestLoaders:
     """The default loader (libyaml's, where PyYAML has it) against PyYAML's pure-Python SafeLoader."""
 
@@ -369,6 +414,32 @@ class TestLoaders:
             }
             assert any(step.date is not None for step in loaded.script)
 
+    @pytest.mark.parametrize(
+        "make_path",
+        [
+            lambda tmp_path: bundled_scenario_path("lme_copper"),
+            lambda tmp_path: bundled_scenario_path("shfe_steel"),
+            generated_scenario,
+            perfbench_shaped_scenario,
+        ],
+        ids=["lme_copper", "shfe_steel", "generated", "perfbench-shaped"],
+    )
+    def test_real_scenarios_load_without_yaml_load(self, tmp_path, monkeypatch, make_path):
+        path = make_path(tmp_path)
+        reference = load_scenario_through_yaml_load(path, monkeypatch)
+        monkeypatch.setattr(dcm.scenario.yaml, "load", None)
+        assert load_scenario(path) == reference
+
+    def test_an_anchored_issuer_block_loads_through_yaml_load(self, tmp_path, monkeypatch):
+        path = write_scenario(tmp_path, ISSUE_STEP)
+        path.write_text(path.read_text(encoding="utf-8").replace("issuer:\n", "issuer: &terms\n"), encoding="utf-8")
+        reference = load_scenario_through_yaml_load(path, monkeypatch)
+        calls = []
+        load = yaml.load
+        monkeypatch.setattr(dcm.scenario.yaml, "load", lambda *args, **kwargs: calls.append(args) or load(*args, **kwargs))
+        assert load_scenario(path) == reference
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("reference", [False, True], ids=["default", "safe-loader"])
     def test_malformed_yaml_is_a_config_error(self, tmp_path, monkeypatch, reference):
         if reference:
@@ -380,7 +451,155 @@ class TestLoaders:
         assert excinfo.value.exit_code == 2
 
 
-class TestScenarioFailures:
+def outcome(load, text):
+    """What loading ``text`` gives: the value's type and repr, or the exception's type and message."""
+    try:
+        value = load(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+def assert_builds_like_yaml_load(text):
+    reference = outcome(lambda text: yaml.load(text, Loader=dcm.scenario._LOADER), text)
+    assert outcome(dcm.scenario._load_yaml, text) == reference, text
+
+
+LOADERS = pytest.mark.parametrize("loader", ["default", "safe-loader"], indirect=True)
+
+
+@pytest.fixture
+def loader(request, monkeypatch):
+    if request.param == "safe-loader":
+        monkeypatch.setattr(dcm.scenario, "_LOADER", yaml.SafeLoader)
+
+
+DOCUMENTS = {
+    "booleans": "[yes, No, on, OFF, true, False, y, n, YES]",
+    "nulls": "a: ~\nb:\nc: null\nd: [~, Null, '']\n",
+    "ints": "[1_000, 0x1F, 017, 0b101, 1:20, -0x1f, +12, 0, -0, 08]",
+    "floats": "[1e3, 1.0e+3, .inf, -.Inf, .NaN, 6.8523015e+5, 685.230_15e+03, 190:20:30.15, 1., .5]",
+    "timestamps": "[2001-12-14t21:59:43.10-05:00, 2001-12-14 21:59:43.10 -5, 2002-12-14, 2001-12-15T02:59:43.1Z]",
+    "quoted": "['1', \"yes\", ! 3, '', \"a\\tb\", 'it''s', \"caf\\u00e9\"]",
+    "block-scalars": "a: |\n  x\n   y\nb: >-\n  folded\n  text\nc: |+\n  kept\n\n",
+    "duplicate-keys": "a: 1\nb: [2]\na: {c: 3}\n",
+    "duplicate-flow-keys": "{a: 1, b: 2, a: 3}",
+    "scalar-keys": "{1: a, 1.5: b, true: c, ~: d, 2020-01-01: e, '1': f, 0x10: g, .nan: h, -.inf: i}",
+    "colliding-keys": "{1: int, true: bool, 1.0: float}",
+    "explicit-key": "? a\n: 1\n? b\n",
+    "nested": "a:\n  - {b: [1, {c: d}], e: []}\n  - - x\n    - {}\nf: {g: {h: {i: j}}}\n",
+    "scenario-step": "script:\n  - {dt: 0, action: issue, cert: c1, face_weight: 1.0e+2, owner: 'caf\\u00e9'}\n",
+    # every construct that falls back to yaml.load
+    "anchored-scalar": "a: &x 1\nb: *x\n",
+    "anchored-mapping": "a: &x {k: [1, 2]}\nb: *x\nc: [*x, *x]\n",
+    "recursive-alias": "- &a [*a]\n",
+    "duplicate-anchor": "- &a 1\n- &a 2\n",
+    "undefined-alias": "- *nothing\n",
+    "explicit-str": "!!str 3",
+    "explicit-map": "!!map {a: 1}",
+    "binary": "!!binary aGVsbG8=",
+    "set": "!!set {a, b}",
+    "omap": "!!omap [a: 1, b: 2]",
+    "local-tag": "a: !foo bar\n",
+    "handle-tag": "%TAG !e! tag:example.com,2000:\n---\na: !e!x 1\n",
+    "tagged-collection": "a: ! [1, 2]\nb: ! {c: d}\n",
+    "merge-key": "base: &b {x: 1, y: 2}\nthis: {<<: *b, y: 3}\n",
+    "merge-without-alias": "{<<: {x: 1}, y: 2}",
+    "merge-list": "- &a {x: 1}\n- &b {y: 2}\n- {<<: [*a, *b], z: 3}\n",
+    "merge-scalar": "{<<: 1}",
+    "merge-as-value": "a: <<\n",
+    "value-key": "{=: 1, a: 2}",
+    "value-as-value": "a: =\n",
+    "sequence-key": "? [1, 2]\n: x\n",
+    "mapping-key": "? {a: 1}\n: x\n",
+    "second-document": "a: 1\n---\nb: 2\n",
+    "second-document-unparsable": "a: 1\n---\nb: [\n",
+    "bad-int": "a: 0b_\n",
+    "bad-date": "a: 2020-02-30\n",
+    "bad-date-then-parse-error": "a: 2020-02-30\nb: [\n",
+    # empty streams
+    "empty": "",
+    "comment-only": "# nothing\n",
+    "empty-document": "---\n",
+    "document-end": "---\na: 1\n...\n",
+    "directives": "%YAML 1.1\n%TAG !e! tag:example.com,2000:\n--- {a: 1, b: ! c}\n",
+    "byte-order-mark": "\ufeffa: 1\n",
+    # parse errors
+    "unclosed-flow": "a: [1, 2\n",
+    "mapping-in-scalar": "a: b: c\n",
+    "unterminated-quote": "a: 'open\n",
+    "extra-bracket": "{a: 1}}\n",
+    "tab-indent": "a:\n\t- 1\n",
+    "control-character": "a: \x07\n",
+}
+
+
+class TestEventBuilder:
+    """``_load_yaml`` against ``yaml.load`` with the same loader, and the depth limit on both of its paths."""
+
+    @LOADERS
+    @pytest.mark.parametrize("text", DOCUMENTS.values(), ids=DOCUMENTS.keys())
+    def test_builds_what_yaml_load_builds(self, loader, text):
+        assert_builds_like_yaml_load(text)
+
+    @LOADERS
+    def test_random_documents_build_what_yaml_load_builds(self, loader):
+        rng = random.Random(13)
+        words = ["yes", "No", "1e3", "0x1F", "1_000", "~", "", "null", "2020-01-01", "a: b", "- x", "#c", "'q'",
+                 "two\nlines", "tab\there", "caf\u00e9", "<<", "=", "&a", "*a", "!t", " lead", "trail ", "[]"]
+        scalars = [
+            lambda: rng.randrange(-10**6, 10**6),
+            lambda: rng.uniform(-1e6, 1e6),
+            lambda: rng.choice([True, False, None, float("inf"), float("-inf"), float("nan"), 0.0, 1e-300]),
+            lambda: date(2000, 1, 1) + timedelta(days=rng.randrange(10_000)),
+            lambda: rng.choice(words),
+        ]
+        shared = []  # a collection placed twice is dumped with an anchor and an alias
+
+        def value(depth):
+            roll = rng.random()
+            if depth < 3 and roll < 0.25:
+                built = {rng.choice(scalars)(): value(depth + 1) for _ in range(rng.randrange(4))}
+            elif depth < 3 and roll < 0.45:
+                built = [value(depth + 1) for _ in range(rng.randrange(4))]
+            elif shared and roll < 0.55:
+                return rng.choice(shared)
+            else:
+                return rng.choice(scalars)()
+            if rng.random() < 0.2:
+                shared.append(built)
+            return built
+
+        noise = ":-[]{},&*!|>'\"#%@?=< \n\tab1."
+        for _ in range(300):
+            shared.clear()
+            text = yaml.safe_dump(value(0), default_flow_style=rng.choice([True, False, None]), sort_keys=False)
+            if rng.random() < 0.3:
+                at = rng.randrange(len(text))
+                text = text[:at] + rng.choice(noise) + text[at + 1:]
+            assert_builds_like_yaml_load(text)
+
+    @LOADERS
+    @pytest.mark.parametrize("anchor", ["", "&deep "], ids=["plain", "anchored"])
+    def test_nesting_past_the_limit_is_refused_where_it_starts(self, loader, anchor, monkeypatch):
+        limit = dcm.scenario._MAX_DEPTH
+        assert_builds_like_yaml_load(f"a: {anchor}" + "[" * (limit - 1) + "]" * (limit - 1))
+        monkeypatch.setattr(dcm.scenario.yaml, "load", None)  # the limit holds before yaml.load could run
+        text = f"a: 1\nb: {anchor}" + "[" * limit + "]" * limit + "\n"
+        with pytest.raises(yaml.YAMLError) as excinfo:
+            dcm.scenario._load_yaml(text)
+        column = len(f"b: {anchor}") + limit
+        assert str(excinfo.value) == f"nested deeper than {limit} levels at line 2, column {column}"
+
+    @LOADERS
+    def test_an_alias_counts_as_deep_as_its_anchor(self, loader, monkeypatch):
+        limit = dcm.scenario._MAX_DEPTH
+        anchored = "[" * (limit - 1) + "]" * (limit - 1)
+        assert_builds_like_yaml_load(f"- &a {anchored}\n- *a\n")
+        monkeypatch.setattr(dcm.scenario.yaml, "load", None)
+        with pytest.raises(yaml.YAMLError, match=f"nested deeper than {limit} levels at line 2, column 4$"):
+            dcm.scenario._load_yaml(f"- &a {anchored}\n- [*a]\n")
+
     def test_failing_step_reports_its_index_and_keeps_the_cause(self, tmp_path):
         path = write_scenario(
             tmp_path,
