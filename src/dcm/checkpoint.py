@@ -28,6 +28,13 @@ lines after its prefix do not continue, or one with a touched line that does
 not build, means a full replay.  ``replay-verify`` never trusts the sidecar:
 it replays the whole file and, when the sidecar's prefix is the file's,
 checks the sidecar's counters and every state line against the replayed state.
+
+A full replay, ``verify`` or ``load``'s fallback, runs on two processes where
+it can (``_replay_checked``): a forked child checks every line with
+``read_events`` while the parent builds the events from the same lines and
+replays them.  The parent returns nothing before the child's verdict, and
+anything but a clean exit on both sides means the sequential replay, which
+decides what is wrong and raises the same error it always has.
 """
 
 from __future__ import annotations
@@ -37,11 +44,12 @@ import json
 import os
 import re
 import stat
+import threading
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, NoReturn
 
 from .errors import LedgerIntegrityError
-from .ledger import _CERT_ID_RE, _HASH_RE, LedgerEvent, canonical_payload, read_events
+from .ledger import _CERT_ID_RE, _HASH_RE, LedgerEvent, canonical_payload, decode_line, read_events
 from .registry import Registry, replay
 
 VERSION = 2
@@ -104,6 +112,65 @@ def _header(text: bytes) -> dict:
     ):
         raise CheckpointError("unknown header")
     return header
+
+
+def _decoded(lines: Iterable[str], **_link) -> Iterator[LedgerEvent]:
+    """``read_events(lines, **_link)`` without its checks, for lines a forked child checks.
+
+    ``apply_events`` still links each event to the head, so the chain
+    arguments are not needed.
+    """
+    return map(decode_line, lines)
+
+
+def _check_and_exit(lines: list[str]) -> NoReturn:
+    """In a forked child: exit 0 if ``read_events`` accepts every line, else 1, writing nothing."""
+    status = 1
+    try:
+        for _ in read_events(lines):
+            pass
+        status = 0
+    finally:
+        os._exit(status)  # no traceback, no flush of the parent's buffers, no exit handlers
+
+
+def _replay_checked(lines: list[str], replayed: Callable[[Callable], Registry]) -> Registry:
+    """``replayed(read_events)``, computed as ``replayed(_decoded)`` while a forked child checks ``lines``.
+
+    ``lines`` must be every line ``replayed`` reads, in order.  The result
+    is the parent's only when the child accepted every line and the parent
+    side returned; otherwise it is the sequential ``replayed(read_events)``,
+    which raises what is wrong.  The child is reaped before this returns or
+    raises.  The replay is sequential off Linux, on one CPU, where the two
+    sides would take turns, and with another thread alive, because a forked
+    child could wait forever on a lock that thread held.
+    """
+    if (
+        not hasattr(os, "sched_getaffinity")  # Linux, which also has fork
+        or len(os.sched_getaffinity(0)) < 2
+        or threading.active_count() > 1
+    ):
+        return replayed(read_events)
+    try:
+        pid = os.fork()
+    except OSError:
+        return replayed(read_events)
+    if pid == 0:
+        _check_and_exit(lines)
+    registry = None
+    try:
+        registry = replayed(_decoded)
+    except Exception:
+        pass  # the sequential replay below finds what is wrong and says it
+    finally:
+        if registry is None:
+            from signal import SIGKILL  # here: a command that replays without error does not import it
+
+            os.kill(pid, SIGKILL)  # its verdict is not needed
+        status = os.waitpid(pid, 0)[1]
+    if registry is None or status != 0:
+        return replayed(read_events)
+    return registry
 
 
 class LedgerFile:
@@ -184,7 +251,7 @@ class LedgerFile:
         self._digest = hashlib.sha256(data)
         lines = _lines(data)
         del data  # the events keep their lines; the file's bytes need not outlive the replay
-        return replay(read_events(lines), weight_places=self.weight_places)
+        return _replay_checked(lines, lambda read: replay(read(lines), weight_places=self.weight_places))
 
     def _resume(self, data: memoryview, header: dict, state: str, digest, touch: Iterable[str]) -> Registry:
         last_seq, head_hash, size = header["last_seq"], header["head_hash"], header["prefix_bytes"]
@@ -232,20 +299,26 @@ class LedgerFile:
         if self._open_line is not None:
             del rest[-1]  # a checkpoint's prefix ends at a line end, so the open line is the rest's last
         del data
-        registry = replay(read_events(prefix), weight_places=self.weight_places)
-        ledger = registry.ledger
-        if found is not None:
-            header, state, _ = found
-            if not (
-                (ledger.last_seq, ledger.head_hash) == (header["last_seq"], header["head_hash"])
-                and header["issue_counts"] == registry.issue_counts()
-                and _split(state) == registry.state_lines()
-            ):
-                raise LedgerIntegrityError(f"checkpoint disagrees with the ledger at seq {header['last_seq']}")
-        registry.apply_events(read_events(rest, last_seq=ledger.last_seq, head_hash=ledger.head_hash))
+
+        def verified(read: Callable) -> Registry:
+            registry = replay(read(prefix), weight_places=self.weight_places)
+            ledger = registry.ledger
+            if found is not None:
+                header, state, _ = found
+                if not (
+                    (ledger.last_seq, ledger.head_hash) == (header["last_seq"], header["head_hash"])
+                    and header["issue_counts"] == registry.issue_counts()
+                    and _split(state) == registry.state_lines()
+                ):
+                    raise LedgerIntegrityError(f"checkpoint disagrees with the ledger at seq {header['last_seq']}")
+            registry.apply_events(read(rest, last_seq=ledger.last_seq, head_hash=ledger.head_hash))
+            if self._open_line is not None:
+                raise self._open_line_error("every line before it verifies")
+            return registry
+
         if self._open_line is not None:
-            raise self._open_line_error("every line before it verifies")
-        return registry
+            return verified(read_events)  # refused either way: one sequential replay finds the first error
+        return _replay_checked(prefix + rest, verified)
 
     def write_checkpoint(self, registry: Registry, appended: tuple[LedgerEvent, ...]) -> None:
         """Rewrite the sidecar for the file as read plus ``appended``, the lines just written to it.

@@ -179,6 +179,14 @@ class Ledger:
         return [event.line for event in self._events]
 
 
+def _fields(line: str) -> tuple[str, str, str, str, str, str, str, str]:
+    """The digested body of a wire line and its seven fields, in wire order; ValueError on the wrong field count."""
+    body, line_hash = line.rsplit("|", 1)
+    head, prev_hash = body.rsplit("|", 1)
+    seq_text, ts_text, kind_text, cert_id, payload_json = head.split("|", 4)
+    return body, seq_text, ts_text, kind_text, cert_id, payload_json, prev_hash, line_hash
+
+
 def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
     """Parse one wire line into an event, checking its digest and canonical form.
 
@@ -188,9 +196,7 @@ def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
     """
     where = lineno if lineno is not None else "?"
     try:
-        body, line_hash = line.rsplit("|", 1)
-        head, prev_hash = body.rsplit("|", 1)
-        seq_text, ts_text, kind_text, cert_id, payload_json = head.split("|", 4)
+        body, seq_text, ts_text, kind_text, cert_id, payload_json, prev_hash, line_hash = _fields(line)
     except ValueError:
         raise LedgerIntegrityError(f"line {where}: malformed record (wrong field count)") from None
     try:
@@ -226,6 +232,20 @@ def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
     if not canonical:
         raise LedgerIntegrityError("payload is not in canonical form", seq=seq)
     return LedgerEvent(seq, timestamp, kind, cert_id, payload, prev_hash, line_hash, line)
+
+
+def decode_line(line: str) -> LedgerEvent:
+    """The event of a line that ``parse_line`` accepts, built without checking it.
+
+    For such a line the result equals ``parse_line(line)``; any other line
+    may give a wrong event or raise any exception, so a caller must have the
+    line verified before it trusts the result.
+    """
+    _, seq_text, ts_text, kind_text, cert_id, payload_json, prev_hash, line_hash = _fields(line)
+    return LedgerEvent(
+        int(seq_text), _fromisoformat(ts_text), _KINDS[kind_text], cert_id, _loads(payload_json), prev_hash,
+        line_hash, line,
+    )
 
 
 def read_events(lines: Iterable[str], *, last_seq: int = 0, head_hash: str = GENESIS_HASH) -> Iterator[LedgerEvent]:

@@ -44,6 +44,7 @@ _ACTIONS = {
     "expire": frozenset(),
 }
 _NUMERIC_ARGS = frozenset({"face_weight", "premium"})
+_OWNER_ARGS = frozenset({"owner", "new_owner"})
 _STEP_FIELDS = frozenset({"dt", "action", "cert", "date"})
 # libyaml's parser where PyYAML was built with it; both loaders build values
 # with the same SafeConstructor and resolver
@@ -305,7 +306,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     text = read_text(path, "scenario")
     try:
         raw = _load_yaml(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a scalar that resolves but does not build (2020-02-30)
         raise ConfigError(f"cannot parse scenario {path}: {exc}") from None
     _check_keys(raw, {"name", "currency", "issue_date", "issuer", "prices", "rounding", "script"}, f"scenario {path}")
 
@@ -380,6 +381,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         _check_keys(step.args, _ACTIONS[step.action], where)
         for key in _NUMERIC_ARGS & step.args.keys():
             step.args[key] = _number(step.args, key, where)
+        for key in _OWNER_ARGS & step.args.keys():
+            if not isinstance(step.args[key], str):
+                raise ConfigError(f"{where}: {key} must be a string, got {step.args[key]!r}")
         steps.append(step)
 
     return ScenarioConfig(
@@ -489,7 +493,7 @@ def _run_step(
             issue_date=config.issue_date,
             theta=config.issuer.theta,
             rules=config.issuer.rules,
-            owner=str(step.args.get("owner", "bearer")),
+            owner=step.args.get("owner", "bearer"),
             weight_unit=config.issuer.weight_unit,
         )
         if step.cert in aliases:
@@ -520,7 +524,7 @@ def _run_step(
             price_display=profile.money(result.price),
         )
     elif step.action == "transfer":
-        new_owner = str(_require(step.args, "new_owner", f"script step {index}"))
+        new_owner = _require(step.args, "new_owner", f"script step {index}")
         cert = registry.transfer(cert_id, new_owner, step.dt, timestamp=when)
         record.update(to_owner=cert.owner)
     elif step.action == "deliver":

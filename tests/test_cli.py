@@ -165,6 +165,28 @@ class TestLifecycleFlow:
         assert result.returncode == 4
         assert "hash mismatch" in result.stderr
 
+    def test_a_corrupt_ledger_gives_one_stderr_line(self, tmp_path):
+        for _ in range(3):
+            dcm(*ISSUE_ARGS, cwd=tmp_path)
+        ledger_file = tmp_path / "dcm-ledger.log"
+        first, second, third = ledger_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        ledger_file.write_text(first + second.replace("client-1", "client-2") + third, encoding="utf-8")
+        (tmp_path / SIDECAR).unlink()  # else the one line would follow a warning that the sidecar no longer fits
+        result = dcm("replay-verify", cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr == "error: seq 2: hash mismatch: record bytes do not match their digest\n"
+
+    def test_commands_leave_no_warning_in_development_mode(self, tmp_path):
+        # -X dev reports unclosed files and other resource warnings, which -W error makes fatal
+        (tmp_path / "prices.csv").write_text(PRICES, encoding="utf-8")
+        quote = [*PRICED, "quote", "--cert", "LME-copper-0001", "--dt", "183"]
+        for args in (ISSUE_ARGS, ISSUE_ARGS, quote, ["replay-verify"], ["deliver", "--cert", "LME-copper-0002", "--dt", "1"]):
+            if args[0] == "deliver":
+                (tmp_path / SIDECAR).unlink()  # so that this command replays the whole file
+            result = python("-X", "dev", "-W", "error", "-m", "dcm.cli", *args, cwd=tmp_path)
+            assert (result.returncode, result.stderr) == (0, ""), args
+        assert (tmp_path / SIDECAR).exists()
+
     def test_sealed_illegal_event_exits_integrity(self, tmp_path):
         dcm(*ISSUE_ARGS, cwd=tmp_path)
         assert dcm("deliver", "--cert", "LME-copper-0001", "--dt", "10", cwd=tmp_path).returncode == 0
@@ -465,6 +487,30 @@ class TestRun:
         assert result.returncode == 2
         where = "line 17, column 62" if column is None else f"line 16, column {column}"
         assert result.stderr == f"error: cannot parse scenario deep.yaml: nested deeper than 32 levels at {where}\n"
+
+    @pytest.mark.parametrize(
+        ("edit", "cause"),
+        [
+            (("issue_date: 2020-01-01", "issue_date: 2020-02-30"), "day is out of range for month"),
+            (("{dt: 1, action: deliver", "{dt: 0b_, action: deliver"), "invalid literal for int() with base 2: ''"),
+        ],
+        ids=["date", "binary-int"],
+    )
+    def test_a_scalar_that_does_not_build_exits_validation(self, tmp_path, edit, cause):
+        (tmp_path / "bad.yaml").write_text(FAILING_SCENARIO.replace(*edit), encoding="utf-8")
+        result = dcm("run", "bad.yaml", cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr == f"error: cannot parse scenario bad.yaml: {cause}\n"
+
+    @pytest.mark.parametrize(
+        ("owner", "shown"), [("~", "None"), ("[a, b]", "['a', 'b']")], ids=["null", "list"]
+    )
+    def test_an_owner_that_is_not_a_string_exits_validation(self, tmp_path, owner, shown):
+        (tmp_path / "bad.yaml").write_text(FAILING_SCENARIO.replace("owner: a", f"owner: {owner}"), encoding="utf-8")
+        result = dcm("run", "bad.yaml", cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr == f"error: script step 1 (issue): owner must be a string, got {shown}\n"
+        assert result.stdout == ""
 
     def test_scenario_that_is_not_utf8_exits_validation(self, tmp_path):
         (tmp_path / "bad.yaml").write_bytes(FAILING_SCENARIO.encode("utf-8") + b"# \xff\n")

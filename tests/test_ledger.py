@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import string
 from datetime import date
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dcm import DomainError, EventKind, Ledger, LedgerIntegrityError, read_events
-from dcm.ledger import GENESIS_HASH, _seal, canonical_payload, parse_line
+from dcm.ledger import GENESIS_HASH, _seal, canonical_payload, decode_line, parse_line
 
 
 def small_ledger() -> Ledger:
@@ -170,3 +173,32 @@ class TestTamperDetection:
         for position in range(len(tail) - 64, len(tail)):
             with pytest.raises(LedgerIntegrityError):
                 list(read_events(lines[:-1] + [_flip(tail, position)]))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestDecodeLine:
+    """``decode_line`` builds, without checking, the event ``parse_line`` gives for a line it accepts."""
+
+    @given(
+        seq=st.integers(1, 10**15),
+        timestamp=st.dates(),
+        kind=st.sampled_from(EventKind),
+        cert_id=st.text(string.ascii_letters + string.digits + "_.:-", min_size=1),
+        payload=st.dictionaries(st.text(), _JSON, max_size=6),
+        prev_hash=st.text("0123456789abcdef", min_size=64, max_size=64),
+    )
+    def test_a_sealed_line_decodes_to_its_parsed_event(self, seq, timestamp, kind, cert_id, payload, prev_hash):
+        line = _seal(seq, timestamp.isoformat(), kind.value, cert_id, canonical_payload(payload), prev_hash)
+        assert decode_line(line) == parse_line(line)
+
+    def test_written_lines_decode_to_their_parsed_events(self):
+        ledger = small_ledger()
+        ledger.append(EventKind.QUOTE, "X-1", {"note": "crossing | the \u00b5 delimiter", "n": -0.0}, date(1, 1, 1))
+        for line in ledger.to_lines():
+            assert decode_line(line) == parse_line(line)

@@ -263,10 +263,26 @@ class TestScenarioLoading:
                 ("  denominations: [5]\n", "  denominations: [1, true]\n"),
                 r"issuer: denominations must be numeric, got \[1, True\]",
             ),
+            (
+                "  - {dt: 0, action: issue, cert: c1, face_weight: 5, owner: ~}\n",
+                None,
+                r"script step 1 \(issue\): owner must be a string, got None",
+            ),
+            (
+                "  - {dt: 0, action: issue, cert: c1, face_weight: 5, owner: [a, b]}\n",
+                None,
+                r"script step 1 \(issue\): owner must be a string, got \['a', 'b'\]",
+            ),
+            (
+                ISSUE_STEP + "  - {dt: 1, action: transfer, cert: c1, new_owner: 123}\n",
+                None,
+                r"script step 2 \(transfer\): new_owner must be a string, got 123",
+            ),
         ],
         ids=[
             "face-weight", "dt", "purity", "theta-mode", "dt-fraction", "dt-infinite", "validity-fraction",
-            "places-fraction", "dt-boolean", "face-weight-boolean", "denomination-boolean",
+            "places-fraction", "dt-boolean", "face-weight-boolean", "denomination-boolean", "owner-null",
+            "owner-list", "new-owner-integer",
         ],
     )
     def test_values_of_the_wrong_type_are_config_errors(self, tmp_path, script, edit, message):
