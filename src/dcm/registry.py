@@ -51,17 +51,9 @@ class CertStatus(str, Enum):
 _new = tuple.__new__
 _status_of = member_lookup(CertStatus)
 _mode_of = member_lookup(ThetaMode)
-
-TERMINAL_STATUSES = frozenset(
-    {CertStatus.DELIVERED, CertStatus.BOUGHT_BACK, CertStatus.EXPIRED}
-)
-
-# the terminal status each settling event leaves its certificate in
-_SETTLED_STATUS = {
-    EventKind.DELIVER: CertStatus.DELIVERED,
-    EventKind.BUYBACK: CertStatus.BOUGHT_BACK,
-    EventKind.EXPIRE: CertStatus.EXPIRED,
-}
+# module globals, which every event reads: a global is cheaper to read than an Enum class attribute
+_ACTIVE = CertStatus.ACTIVE
+_ISSUE, _TRANSFER, _QUOTE, _DELIVER, _BUYBACK, _EXPIRE = EventKind  # the members in definition order
 
 
 class DeliveryRules(Value, namedtuple(
@@ -97,8 +89,13 @@ class DeliveryRules(Value, namedtuple(
             raise DomainError("withdrawal_charge_ratio must lie in [0, 0.1]")
         if minimum <= 0:
             raise DomainError("min_delivery_weight must be > 0")
-        if validity_days is not None and validity_days <= 0:
-            raise DomainError("validity_days must be > 0 when set")
+        if not isinstance(delivery_location, str):
+            raise DomainError(f"delivery_location must be a string, got {delivery_location!r}")
+        if validity_days is not None:
+            if isinstance(validity_days, bool) or not isinstance(validity_days, int):
+                raise DomainError(f"validity_days must be an integer or None, got {validity_days!r}")
+            if validity_days <= 0:
+                raise DomainError("validity_days must be > 0 when set")
         return _new(cls, (delivery, withdrawal, minimum, delivery_location, validity_days))
 
 
@@ -145,7 +142,11 @@ class Certificate(Value, namedtuple(
         status: CertStatus = CertStatus.ACTIVE,
     ):
         validate_cert_id(cert_id)
-        _check_owner(owner)
+        _check_text("issuer", issuer)
+        _check_text("material", material)
+        _check_text("owner", owner)
+        if not isinstance(weight_unit, str):
+            raise DomainError(f"weight_unit must be a string, got {weight_unit!r}")
         face_weight = float(face_weight)
         purity = float(purity)
         if not isfinite(face_weight):
@@ -162,10 +163,9 @@ class Certificate(Value, namedtuple(
         return residual_weight(self.face_weight, self.theta, delta_t)
 
 
-def _check_owner(owner) -> None:
-    if not isinstance(owner, str) or not owner:
-        raise DomainError(f"owner must be a non-empty string, got {owner!r}")
-
+def _check_text(name: str, value) -> None:
+    if not isinstance(value, str) or not value:
+        raise DomainError(f"{name} must be a non-empty string, got {value!r}")
 
 
 class QuoteResult(Value, namedtuple("QuoteResult", "cert_id t residual_weight docket_weight quotation premium price")):
@@ -202,6 +202,17 @@ class RegistrySnapshot(Value, namedtuple("RegistrySnapshot", "certificates issue
     """
 
     __slots__ = ()
+
+
+# per event kind: its payload keys (its result type's fields but cert_id and status) and the status it leaves
+_EVENT_RULES = {
+    _ISSUE: (frozenset(Certificate._fields[1:-1]), _ACTIVE),
+    _TRANSFER: (frozenset({"t", "from_owner", "to_owner"}), _ACTIVE),
+    _QUOTE: (frozenset(QuoteResult._fields[1:]), _ACTIVE),
+    _DELIVER: (frozenset(DeliveryResult._fields[1:]), CertStatus.DELIVERED),
+    _BUYBACK: (frozenset(BuybackResult._fields[1:]), CertStatus.BOUGHT_BACK),
+    _EXPIRE: (frozenset(ExpiryResult._fields[1:]), CertStatus.EXPIRED),
+}
 
 
 class Registry:
@@ -340,12 +351,18 @@ class Registry:
 
     # -- operations ---------------------------------------------------------
     #
-    # Each operation checks the inputs its computation needs, builds its
-    # payload and seals one event.  ``_apply``, the only code that decides an
-    # event's legality and changes registry state, runs before the append, so
-    # a refused event (StateError and friends: exit 2/3) records nothing.
-    # Replay feeds the same ``_apply`` from the ledger, so live and replayed
-    # state cannot drift apart.
+    # Each operation checks the inputs its computation needs and, through
+    # ``_legal``, the certificate and the day, then builds its payload and
+    # seals one event.  ``_apply``, the only code that decides an event's
+    # legality and changes registry state, runs before the append, so a
+    # refused event (StateError and friends: exit 2/3) records nothing; replay
+    # feeds it the ledger, so live and replayed state cannot drift apart.  On
+    # every event it checks a new cert_id and valid terms (ISSUE); through
+    # ``_legal``, a known certificate that is not terminal, t >= 0 (not EXPIRE),
+    # the validity window (not TRANSFER), the delivery lot (DELIVER) and the
+    # lapsed window (EXPIRE); the owners (TRANSFER); and that the payload has
+    # exactly its kind's top-level keys.  Settlement figures are recorded,
+    # not yet re-derived (ROADMAP D6).
 
     def issue(
         self,
@@ -376,39 +393,37 @@ class Registry:
             )
         count = self._issue_counts.get((issuer, material), 0) + 1
         cert_id = f"{issuer}-{material}-{count:04d}"
-        payload = {
-            "issuer": issuer,
-            "material": material,
-            "face_weight": float(face_weight),
-            "purity": float(purity),
-            "issue_date": issue_date.isoformat(),
-            "weight_unit": weight_unit,
-            "owner": owner,
-            "theta": _theta_to_payload(theta),
-            "rules": rules._asdict(),
-        }
-        self._record(EventKind.ISSUE, cert_id, payload, issue_date)
+        payload = _issue_form(
+            issuer, material, float(face_weight), float(purity), issue_date, theta, rules, owner, weight_unit
+        )
+        self._record(_ISSUE, cert_id, payload, issue_date)
         return self._certs[cert_id]
 
-    def _active(self, cert_id: str) -> Certificate:
+    def _legal(self, kind: EventKind, cert_id: str, t: int) -> Certificate:
+        """The certificate an event of ``kind`` on day ``t`` acts on; raises the operation's error if it may not."""
         cert = self.certificate(cert_id)
-        if cert.status in TERMINAL_STATUSES:
+        if cert.status is not _ACTIVE:
             raise StateError(f"certificate {cert_id} is {cert.status.value}; terminal states are absorbing")
+        validity = cert.rules.validity_days
+        if kind is _EXPIRE:
+            if validity is None or t <= validity:
+                raise StateError(f"certificate {cert_id} has not lapsed; cannot expire at day {t}")
+        elif t < 0:
+            raise DomainError("t must be >= 0")
+        elif kind is not _TRANSFER:
+            if validity is not None and t > validity:
+                raise ExpiryError(f"certificate {cert_id} expired: day {t} exceeds validity of {validity} days")
+            if kind is _DELIVER and cert.face_weight < cert.rules.min_delivery_weight:
+                raise LotSizeError(
+                    f"face weight {cert.face_weight} below minimum delivery lot "
+                    f"{cert.rules.min_delivery_weight}"
+                )
         return cert
 
-    def _check_window(self, cert: Certificate, t: int) -> None:
-        if t < 0:
-            raise DomainError("t must be >= 0")
-        validity = cert.rules.validity_days
-        if validity is not None and t > validity:
-            raise ExpiryError(
-                f"certificate {cert.cert_id} expired: day {t} exceeds validity of {validity} days"
-            )
-
-    def _event_date(self, cert: Certificate, t: int, timestamp: date | None) -> date:
-        return timestamp if timestamp is not None else cert.issue_date + timedelta(days=t)
-
-    def _record(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date) -> None:
+    def _record(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date | None) -> None:
+        """Seal, apply and append one event dated ``timestamp``, by default ``t`` days after the issue date."""
+        if timestamp is None:
+            timestamp = self._certs[cert_id].issue_date + timedelta(days=payload["t"])
         event = self.ledger.seal(kind, cert_id, payload, timestamp)
         self._apply(event)
         self.ledger.append_sealed(event)
@@ -418,28 +433,37 @@ class Registry:
 
         Runs before the append, for live operations and replay alike, and
         raises the engine's own errors; ``replay`` reports them as
-        LedgerIntegrityError at the event's seq.
+        LedgerIntegrityError at the event's seq.  The payload's keys are
+        checked after the fields the kind reads, so a missing one of those is
+        a KeyError that names it.
         """
         kind = event.kind
-        if kind is EventKind.ISSUE:
-            if event.cert_id in self._certs:  # ids of different pairs can collide: ("A-b", "c") and ("A", "b-c")
-                raise IssuanceError(f"certificate {event.cert_id!r} already exists")
-            cert = _cert_from_payload(event.cert_id, event.payload)
-            self._certs[event.cert_id] = cert
-            key = (cert.issuer, cert.material)
-            self._issue_counts[key] = self._issue_counts.get(key, 0) + 1
-            return
-        cert = self._active(event.cert_id)
-        if kind is EventKind.TRANSFER:
-            to_owner = event.payload["to_owner"]
-            _check_owner(to_owner)
-            from_owner = event.payload["from_owner"]
-            if from_owner != cert.owner:
-                raise StateError(f"certificate {cert.cert_id} is owned by {cert.owner!r}, not {from_owner!r}")
-            self._certs[cert.cert_id] = cert._replace(owner=to_owner)
-        elif kind in _SETTLED_STATUS:
-            self._certs[cert.cert_id] = cert._replace(status=_SETTLED_STATUS[kind])
-        # QUOTE advances the chain but does not change certificate state
+        cert_id = event.cert_id
+        payload = event.payload
+        keys, status = _EVENT_RULES[kind]
+        if kind is _ISSUE:
+            if cert_id in self._certs:  # ids of different pairs can collide: ("A-b", "c") and ("A", "b-c")
+                raise IssuanceError(f"certificate {cert_id!r} already exists")
+            cert = _cert_from_payload(cert_id, payload)
+        else:
+            cert = self._legal(kind, cert_id, payload["t"])
+            owner = cert.owner
+            if kind is _TRANSFER:
+                owner = payload["to_owner"]
+                _check_text("owner", owner)
+                from_owner = payload["from_owner"]
+                if from_owner != cert.owner:
+                    raise StateError(f"certificate {cert_id} is owned by {cert.owner!r}, not {from_owner!r}")
+            # built directly: the owner is checked above, and every other field was when the certificate was built
+            cert = _new(Certificate, (*cert[:8], owner, cert.weight_unit, status))
+        if payload.keys() != keys:
+            raise ParseError(
+                f"payload keys: missing {sorted(keys - payload.keys())}, unexpected {sorted(payload.keys() - keys)}"
+            )
+        if kind is _ISSUE:
+            pair = (cert.issuer, cert.material)
+            self._issue_counts[pair] = self._issue_counts.get(pair, 0) + 1
+        self._certs[cert_id] = cert
 
     def quote_transaction_price(
         self,
@@ -453,8 +477,7 @@ class Registry:
 
         (quotation + premium) x docket residual weight; appends a QUOTE event.
         """
-        cert = self._active(cert_id)
-        self._check_window(cert, t1)
+        cert = self._legal(_QUOTE, cert_id, t1)
         residual = cert.residual_at(t1)
         docket = quantize_to_float(residual, self.weight_places)
         payload = {
@@ -465,7 +488,7 @@ class Registry:
             "docket_weight": docket,
             "price": (quote.quotation + quote.premium) * docket,
         }
-        self._record(EventKind.QUOTE, cert_id, payload, self._event_date(cert, t1, timestamp))
+        self._record(_QUOTE, cert_id, payload, timestamp)
         return QuoteResult(cert_id=cert_id, **payload)
 
     def physical_delivery(
@@ -477,13 +500,7 @@ class Registry:
         the minimum lot stays deliverable even though decay pulls the residual
         below it).  Terminal: the certificate becomes DELIVERED.
         """
-        cert = self._active(cert_id)
-        self._check_window(cert, t2)
-        if cert.face_weight < cert.rules.min_delivery_weight:
-            raise LotSizeError(
-                f"face weight {cert.face_weight} below minimum delivery lot "
-                f"{cert.rules.min_delivery_weight}"
-            )
+        cert = self._legal(_DELIVER, cert_id, t2)
         residual = cert.residual_at(t2)
         delivered = residual * (1.0 - cert.rules.delivery_charge_ratio)
         payload = {
@@ -492,7 +509,7 @@ class Registry:
             "delivered_weight": delivered,
             "charged_weight": residual - delivered,
         }
-        self._record(EventKind.DELIVER, cert_id, payload, self._event_date(cert, t2, timestamp))
+        self._record(_DELIVER, cert_id, payload, timestamp)
         return DeliveryResult(cert_id=cert_id, **payload)
 
     def buyback(
@@ -508,8 +525,7 @@ class Registry:
         Buyback pays the raw quotation (no premium) on the docket weight.
         Terminal: the certificate becomes BOUGHT_BACK.
         """
-        cert = self._active(cert_id)
-        self._check_window(cert, t)
+        cert = self._legal(_BUYBACK, cert_id, t)
         residual = cert.residual_at(t)
         weight = residual * (1.0 - cert.rules.withdrawal_charge_ratio)
         docket = quantize_to_float(weight, self.weight_places)
@@ -522,30 +538,24 @@ class Registry:
             "docket_weight": docket,
             "cash": docket * quote.quotation,
         }
-        self._record(EventKind.BUYBACK, cert_id, payload, self._event_date(cert, t, timestamp))
+        self._record(_BUYBACK, cert_id, payload, timestamp)
         return BuybackResult(cert_id=cert_id, **payload)
 
     def transfer(
         self, cert_id: str, new_owner: str, t: int, *, timestamp: date | None = None
     ) -> Certificate:
         """Change the registered owner.  Decay depends only on the issue date, never on ownership."""
-        cert = self._active(cert_id)
-        if t < 0:
-            raise DomainError("t must be >= 0")
-        payload = {"t": t, "from_owner": cert.owner, "to_owner": new_owner}
-        self._record(EventKind.TRANSFER, cert_id, payload, self._event_date(cert, t, timestamp))
+        cert = self._legal(_TRANSFER, cert_id, t)
+        self._record(_TRANSFER, cert_id, {"t": t, "from_owner": cert.owner, "to_owner": new_owner}, timestamp)
         return self._certs[cert_id]
 
     def expire(
         self, cert_id: str, t: int, *, timestamp: date | None = None
     ) -> ExpiryResult:
         """Sweep a lapsed certificate: residual at the validity boundary accrues to the issuer."""
-        cert = self._active(cert_id)
-        validity = cert.rules.validity_days
-        if validity is None or t <= validity:
-            raise StateError(f"certificate {cert_id} has not lapsed; cannot expire at day {t}")
-        payload = {"t": t, "issuer_accrued_weight": cert.residual_at(validity)}
-        self._record(EventKind.EXPIRE, cert_id, payload, self._event_date(cert, t, timestamp))
+        cert = self._legal(_EXPIRE, cert_id, t)
+        payload = {"t": t, "issuer_accrued_weight": cert.residual_at(cert.rules.validity_days)}
+        self._record(_EXPIRE, cert_id, payload, timestamp)
         return ExpiryResult(cert_id=cert_id, **payload)
 
 
@@ -570,12 +580,7 @@ def _theta_to_payload(theta: AttenuationSpec) -> dict:
     if theta.tariff is not None:
         payload["tariff"] = theta.tariff._asdict()
     if theta.cif is not None:
-        payload["cif"] = {
-            "price_per_unit": theta.cif.price_per_unit,
-            "material": theta.cif.material,
-            "location": theta.cif.location,
-            "as_of": theta.cif.as_of.isoformat() if theta.cif.as_of else None,
-        }
+        payload["cif"] = {**theta.cif._asdict(), "as_of": theta.cif.as_of.isoformat() if theta.cif.as_of else None}
     return payload
 
 
@@ -599,20 +604,24 @@ def _theta_from_payload(payload: dict) -> AttenuationSpec:
     return AttenuationSpec(payload["theta_daily"], _mode_of(payload["mode"]), tariff, cif)
 
 
+def _issue_form(issuer, material, face_weight, purity, issue_date, theta, rules, owner, weight_unit) -> dict:
+    """The ISSUE payload of a certificate with these fields, which come in ``Certificate`` field order."""
+    return {
+        "issuer": issuer,
+        "material": material,
+        "face_weight": face_weight,
+        "purity": purity,
+        "issue_date": issue_date.isoformat(),
+        "weight_unit": weight_unit,
+        "owner": owner,
+        "theta": _theta_to_payload(theta),
+        "rules": rules._asdict(),
+    }
+
+
 def certificate_state(cert: Certificate) -> dict:
     """The ISSUE payload form of ``cert`` with its current owner, plus its status."""
-    return {
-        "issuer": cert.issuer,
-        "material": cert.material,
-        "face_weight": cert.face_weight,
-        "purity": cert.purity,
-        "issue_date": cert.issue_date.isoformat(),
-        "weight_unit": cert.weight_unit,
-        "owner": cert.owner,
-        "theta": _theta_to_payload(cert.theta),
-        "rules": cert.rules._asdict(),
-        "status": cert.status.value,
-    }
+    return {**_issue_form(*cert[1:10]), "status": cert.status.value}
 
 
 def _cert_from_payload(cert_id: str, payload: dict, status: CertStatus = CertStatus.ACTIVE) -> Certificate:

@@ -154,6 +154,14 @@ def _number(mapping: dict, key: str, context: str, kind: Any = _float, default: 
         raise ConfigError(f"{context}: {key} must be {wanted}, got {value!r}") from None
 
 
+def _text(mapping: dict, key: str, context: str, default: Any = _REQUIRED) -> str:
+    """``mapping[key]``, which must be a YAML string; a missing key or another value is a ConfigError naming both."""
+    value = _require(mapping, key, context) if default is _REQUIRED else mapping.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{context}: {key} must be a string, got {value!r}")
+    return value
+
+
 def _as_date(value: Any, context: str) -> date:
     if isinstance(value, date):
         return value
@@ -323,9 +331,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         "delivery_rules",
     )
     issuer = IssuerTerms(
-        issuer_id=str(_require(issuer_cfg, "id", "issuer")),
-        material=str(_require(issuer_cfg, "material", "issuer")),
-        weight_unit=str(issuer_cfg.get("weight_unit", "kg")),
+        issuer_id=_text(issuer_cfg, "id", "issuer"),
+        material=_text(issuer_cfg, "material", "issuer"),
+        weight_unit=_text(issuer_cfg, "weight_unit", "issuer", "kg"),
         purity=_number(issuer_cfg, "purity", "issuer", default=1.0),
         denominations=_number(issuer_cfg, "denominations", "issuer", lambda values: tuple(map(_float, values))),
         theta=_theta_from_config(issuer_cfg),
@@ -333,7 +341,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             delivery_charge_ratio=_number(rules_cfg, "delivery_charge_ratio", "delivery_rules"),
             withdrawal_charge_ratio=_number(rules_cfg, "withdrawal_charge_ratio", "delivery_rules"),
             min_delivery_weight=_number(rules_cfg, "min_delivery_weight", "delivery_rules"),
-            delivery_location=str(rules_cfg.get("delivery_location", "")),
+            delivery_location=_text(rules_cfg, "delivery_location", "delivery_rules", ""),
             validity_days=(
                 None if rules_cfg.get("validity_days") is None
                 else _number(rules_cfg, "validity_days", "delivery_rules", _integer)
@@ -341,6 +349,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         ),
     )
 
+    name = _text(raw, "name", "scenario", path.stem)
+    currency = _text(raw, "currency", "scenario", "")
     prices = None
     per_units = 1.0
     if "prices" in raw:
@@ -352,7 +362,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         prices = load_series(
             read_text(series_path, "price series"),
             material=issuer.material,
-            currency=str(raw.get("currency", "")),
+            currency=currency,
         )
         per_units = _number(prices_cfg, "per_units", "prices", default=1.0)
         if per_units <= 0:
@@ -382,13 +392,12 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         for key in _NUMERIC_ARGS & step.args.keys():
             step.args[key] = _number(step.args, key, where)
         for key in _OWNER_ARGS & step.args.keys():
-            if not isinstance(step.args[key], str):
-                raise ConfigError(f"{where}: {key} must be a string, got {step.args[key]!r}")
+            _text(step.args, key, where)
         steps.append(step)
 
     return ScenarioConfig(
-        name=str(raw.get("name", path.stem)),
-        currency=str(raw.get("currency", "")),
+        name=name,
+        currency=currency,
         issue_date=_as_date(_require(raw, "issue_date", "scenario"), "issue_date"),
         issuer=issuer,
         script=tuple(steps),

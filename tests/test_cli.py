@@ -18,6 +18,7 @@ from dcm import EventKind, read_events, replay
 from dcm.checkpoint import LedgerFile
 from dcm.ledger import GENESIS_HASH, _seal, canonical_payload
 from conftest import forge_sidecar
+from test_registry import SEALED_REFUSALS, sealed_refusal_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -200,6 +201,31 @@ class TestLifecycleFlow:
             assert result.returncode == 4
             assert "seq 3" in result.stderr
             assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "deliver-past-validity", "quote-empty", "expire-before-lapse", "buyback-cash-only", "deliver-below-lot",
+            "transfer-negative-day", "expire-open-ended", "issue-extra-key",
+        ],
+    )
+    def test_a_sealed_forgery_exits_integrity_also_when_a_command_resumes_before_it(
+        self, tmp_path, lme_registry, lme_cert, case
+    ):
+        issue, forged = sealed_refusal_lines(lme_registry.ledger.events[0], case)
+        ledger_file = tmp_path / "dcm-ledger.log"
+        ledger_file.write_text(issue + "\n", encoding="utf-8")
+        written = LedgerFile(ledger_file, 4)
+        written.write_checkpoint(written.load(), ())  # the sidecar covers the ISSUE, and the forgery follows it
+        with ledger_file.open("a", encoding="utf-8") as handle:
+            handle.write(forged + "\n")
+        error = f"error: seq 2: {SEALED_REFUSALS[case][-1]}\n"
+        verified = dcm("replay-verify", cwd=tmp_path)
+        assert (verified.returncode, verified.stdout, verified.stderr) == (4, "", error)
+        delivered = dcm("deliver", "--cert", "LME-copper-0001", "--dt", "1", cwd=tmp_path)
+        warning, refusal = delivered.stderr.splitlines(keepends=True)
+        assert (delivered.returncode, delivered.stdout, refusal) == (4, "", error)
+        assert warning.startswith(f"warning: ignoring checkpoint {SIDECAR}: the ledger does not continue it: seq 2: ")
 
     @pytest.mark.parametrize(
         "args",
@@ -511,6 +537,13 @@ class TestRun:
         assert result.returncode == 2
         assert result.stderr == f"error: script step 1 (issue): owner must be a string, got {shown}\n"
         assert result.stdout == ""
+
+    def test_a_text_field_that_is_not_a_string_exits_validation(self, tmp_path):
+        text = FAILING_SCENARIO.replace("name: failing", "name: ~\ncurrency: [1, 2]")
+        (tmp_path / "bad.yaml").write_text(text, encoding="utf-8")
+        result = dcm("run", "bad.yaml", cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: scenario: name must be a string, got None\n"
 
     def test_scenario_that_is_not_utf8_exits_validation(self, tmp_path):
         (tmp_path / "bad.yaml").write_bytes(FAILING_SCENARIO.encode("utf-8") + b"# \xff\n")

@@ -1,0 +1,179 @@
+"""A model-based test of the legality rules (QuickCheck-style state-machine testing).
+
+A Hypothesis state machine drives a ``Registry`` through issue, transfer,
+quote, deliver, buyback and expire, on certificates that are open-ended,
+short-lived, below the delivery lot, settled or unknown, on days from before
+issuance to past validity.  The model below is written from the rules the
+engine documents, not from its code: it predicts which operations are
+refused and with which error, and what each certificate's status and owner
+become.  After every step the live registry must equal its own replay.
+"""
+
+from __future__ import annotations
+
+import math
+from datetime import date
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
+
+from dcm import (
+    AttenuationSpec,
+    DeliveryRules,
+    DomainError,
+    ExpiryError,
+    LotSizeError,
+    MarketQuote,
+    Registry,
+    StateError,
+    read_events,
+    replay,
+)
+
+DAY = date(2020, 1, 1)
+LOT = 1000.0
+UNKNOWN = "M-tin-9999"  # never issued: the machine issues far fewer certificates
+OWNERS = st.sampled_from(["alice", "bob", "carol"])
+DAYS = st.integers(min_value=-3, max_value=40)  # a short-lived certificate is valid 1 to 30 days
+QUOTATIONS = st.floats(min_value=0.5, max_value=100.0)
+
+
+class ModelCert:
+    def __init__(self, face: float, theta: float, validity: int | None, owner: str):
+        self.face = face
+        self.theta = theta
+        self.validity = validity
+        self.owner = owner
+        self.status = "ACTIVE"
+
+    def residual(self, t: int) -> float:
+        return self.face * self.theta ** t
+
+
+class LegalityMachine(RuleBasedStateMachine):
+    certs = Bundle("certs")
+
+    def __init__(self):
+        super().__init__()
+        self.registry = Registry()
+        self.registry.register_issuer("M", [10.0, LOT])
+        self.model: dict[str, ModelCert] = {}
+
+    # -- the model ------------------------------------------------------------
+
+    def refusal(self, op: str, cert_id: str, t: int, new_owner: str = "x") -> type | None:
+        """The error the rules give ``op`` on ``cert_id`` at day ``t``, or None if it is legal."""
+        cert = self.model.get(cert_id)
+        if cert is None:
+            return DomainError  # unknown certificate
+        if cert.status != "ACTIVE":
+            return StateError  # settled certificates are absorbing
+        if op == "expire":  # only after the validity window has lapsed; an open-ended one never lapses
+            return None if cert.validity is not None and t > cert.validity else StateError
+        if t < 0:
+            return DomainError
+        if op == "transfer":  # ownership may change after the window, but only to a non-empty name
+            return DomainError if not new_owner else None
+        if cert.validity is not None and t > cert.validity:
+            return ExpiryError
+        if op == "deliver" and cert.face < LOT:
+            return LotSizeError
+        return None
+
+    def attempt(self, op: str, cert_id: str, t: int, call, new_owner: str = "x"):
+        """Run ``call``; it must succeed and append one event, or raise the model's error and append nothing."""
+        expected = self.refusal(op, cert_id, t, new_owner)
+        before = len(self.registry.ledger)
+        if expected is not None:
+            with pytest.raises(Exception) as excinfo:
+                call()
+            assert type(excinfo.value) is expected, (op, cert_id, t, excinfo.value)
+            assert len(self.registry.ledger) == before
+            return None
+        result = call()
+        assert len(self.registry.ledger) == before + 1
+        return result
+
+    # -- rules ----------------------------------------------------------------
+
+    @rule(
+        target=certs,
+        shape=st.sampled_from(["open", "short", "small"]),
+        validity=st.integers(min_value=1, max_value=30),
+        theta=st.sampled_from([0.99, 0.99996]),
+        owner=OWNERS,
+    )
+    def issue(self, shape, validity, theta, owner):
+        face = 10.0 if shape == "small" else LOT
+        days = validity if shape == "short" else None
+        cert = self.registry.issue(
+            issuer="M", material="tin", face_weight=face, purity=1.0, issue_date=DAY,
+            theta=AttenuationSpec(theta_daily=theta),
+            rules=DeliveryRules(delivery_charge_ratio=0.003, withdrawal_charge_ratio=0.002, min_delivery_weight=LOT,
+                                validity_days=days),
+            owner=owner,
+        )
+        self.model[cert.cert_id] = ModelCert(face, theta, days, owner)
+        return cert.cert_id
+
+    @rule(cert_id=certs | st.just(UNKNOWN), t=DAYS, new_owner=OWNERS | st.just(""))
+    def transfer(self, cert_id, t, new_owner="dave"):
+        if self.attempt("transfer", cert_id, t, lambda: self.registry.transfer(cert_id, new_owner, t), new_owner):
+            self.model[cert_id].owner = new_owner
+
+    @rule(cert_id=certs | st.just(UNKNOWN), t=DAYS, quotation=QUOTATIONS)
+    def quote(self, cert_id, t, quotation=5.0):
+        market = MarketQuote(quotation=quotation)
+        result = self.attempt("quote", cert_id, t, lambda: self.registry.quote_transaction_price(cert_id, market, t))
+        if result is not None:
+            assert math.isclose(result.residual_weight, self.model[cert_id].residual(t), rel_tol=1e-12)
+
+    @rule(cert_id=certs | st.just(UNKNOWN), t=DAYS)
+    def deliver(self, cert_id, t):
+        result = self.attempt("deliver", cert_id, t, lambda: self.registry.physical_delivery(cert_id, t))
+        if result is not None:
+            assert math.isclose(result.residual_weight, self.model[cert_id].residual(t), rel_tol=1e-12)
+            assert result.delivered_weight + result.charged_weight == result.residual_weight
+            self.model[cert_id].status = "DELIVERED"
+
+    @rule(cert_id=certs | st.just(UNKNOWN), t=DAYS, quotation=QUOTATIONS)
+    def buyback(self, cert_id, t, quotation=5.0):
+        market = MarketQuote(quotation=quotation)
+        result = self.attempt("buyback", cert_id, t, lambda: self.registry.buyback(cert_id, t, market))
+        if result is not None:
+            assert math.isclose(result.residual_weight, self.model[cert_id].residual(t), rel_tol=1e-12)
+            assert result.buyback_weight + result.charged_weight == result.residual_weight
+            self.model[cert_id].status = "BOUGHT_BACK"
+
+    @rule(cert_id=certs | st.just(UNKNOWN), t=DAYS)
+    def expire(self, cert_id, t):
+        result = self.attempt("expire", cert_id, t, lambda: self.registry.expire(cert_id, t))
+        if result is not None:
+            cert = self.model[cert_id]
+            assert math.isclose(result.issuer_accrued_weight, cert.residual(cert.validity), rel_tol=1e-12)
+            cert.status = "EXPIRED"
+
+    @rule(
+        cert_id=certs,
+        op=st.sampled_from(["transfer", "quote", "deliver", "buyback", "expire"]),
+        offset=st.integers(min_value=-1, max_value=1),
+    )
+    def near_the_end_of_the_window(self, cert_id, op, offset):
+        """One operation on the window's last day or a day either side of it; around day 0 if open-ended."""
+        getattr(self, op)(cert_id, (self.model[cert_id].validity or 0) + offset)
+
+    # -- invariants -----------------------------------------------------------
+
+    @invariant()
+    def replay_equals_the_live_registry(self):
+        snapshot = self.registry.snapshot()
+        assert snapshot == replay(read_events(self.registry.ledger.to_lines())).snapshot()
+        assert snapshot.certificates.keys() == self.model.keys()
+        for cert_id, cert in snapshot.certificates.items():
+            assert (cert.status.value, cert.owner) == (self.model[cert_id].status, self.model[cert_id].owner)
+
+
+LegalityMachine.TestCase.settings = settings(deadline=None)
+TestLegality = LegalityMachine.TestCase

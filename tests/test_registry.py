@@ -15,6 +15,7 @@ from dcm import (
     CertStatus,
     Certificate,
     CifQuote,
+    DCMError,
     DeliveryRules,
     DerivationError,
     DomainError,
@@ -37,7 +38,7 @@ from dcm import (
 )
 import dcm.registry
 from dcm.checkpoint import LedgerFile
-from dcm.ledger import canonical_payload
+from dcm.ledger import Ledger, LedgerEvent, canonical_payload
 from conftest import LME_ISSUE_DATE, assert_display_close, forge_sidecar
 
 
@@ -159,6 +160,20 @@ class TestIssue:
             )
         assert len(lme_registry.ledger) == 0
         assert lme_registry.snapshot() == before
+
+    @pytest.mark.parametrize("issuer", [5, ""], ids=["number", "empty"])
+    def test_an_issuer_that_is_not_a_non_empty_string_is_refused_and_records_nothing(self, lme_rules, issuer):
+        # such an issuer would head a sidecar counter that the checkpoint reader refuses
+        registry = Registry()
+        registry.register_issuer(issuer, [1000])
+        with pytest.raises(DomainError) as excinfo:
+            registry.issue(
+                issuer=issuer, material="copper", face_weight=1000, purity=0.9999, issue_date=LME_ISSUE_DATE,
+                theta=AttenuationSpec(theta_daily=0.99996), rules=lme_rules, owner="client-1",
+            )
+        assert str(excinfo.value) == f"issuer must be a non-empty string, got {issuer!r}"
+        assert len(registry.ledger) == 0
+        assert registry.issue_counts() == []
 
     def test_issue_appends_an_event(self, lme_registry, lme_cert):
         events = lme_registry.ledger.events
@@ -349,6 +364,83 @@ class TestExpire:
             lme_registry.expire(lme_cert.cert_id, 100000)
 
 
+def _refusal_registry() -> Registry:
+    """LME-copper-0001 open-ended, 0002 valid 100 days, 0003 below the 1000 kg lot, 0004 delivered."""
+    registry = Registry()
+    registry.register_issuer("LME", [10, 1000])
+    for face_weight, validity_days in ((1000, None), (1000, 100), (10, None), (1000, None)):
+        registry.issue(
+            issuer="LME", material="copper", face_weight=face_weight, purity=0.9999,
+            issue_date=LME_ISSUE_DATE, theta=AttenuationSpec(theta_daily=0.99996),
+            rules=DeliveryRules(
+                delivery_charge_ratio=0.003, withdrawal_charge_ratio=0.002, min_delivery_weight=1000,
+                validity_days=validity_days,
+            ),
+            owner="client-1",
+        )
+    registry.physical_delivery("LME-copper-0004", 10)
+    return registry
+
+
+OPERATIONS = {
+    "quote": lambda registry, cert_id, t: registry.quote_transaction_price(cert_id, MarketQuote(quotation=5.0), t),
+    "deliver": lambda registry, cert_id, t: registry.physical_delivery(cert_id, t),
+    "buyback": lambda registry, cert_id, t: registry.buyback(cert_id, t, MarketQuote(quotation=5.0)),
+    "transfer": lambda registry, cert_id, t: registry.transfer(cert_id, "client-2", t),
+    "expire": lambda registry, cert_id, t: registry.expire(cert_id, t),
+}
+UNKNOWN = (DomainError, "unknown certificate 'LME-copper-0099'")
+TERMINAL = (StateError, "certificate LME-copper-0004 is DELIVERED; terminal states are absorbing")
+NEGATIVE = (DomainError, "t must be >= 0")
+PAST_VALIDITY = (ExpiryError, "certificate LME-copper-0002 expired: day 101 exceeds validity of 100 days")
+
+# (operation, cert_id, t) -> the error type and message a live operation refuses with
+LIVE_REFUSALS = {
+    **{(op, "LME-copper-0099", 1): UNKNOWN for op in OPERATIONS},
+    **{(op, "LME-copper-0004", 20): TERMINAL for op in OPERATIONS},
+    **{(op, "LME-copper-0001", -1): NEGATIVE for op in ("quote", "deliver", "buyback", "transfer")},
+    **{(op, "LME-copper-0002", 101): PAST_VALIDITY for op in ("quote", "deliver", "buyback")},
+    ("deliver", "LME-copper-0003", 1): (LotSizeError, "face weight 10.0 below minimum delivery lot 1000.0"),
+    ("deliver", "LME-copper-0003", -1): NEGATIVE,
+    ("expire", "LME-copper-0001", -1): (
+        StateError, "certificate LME-copper-0001 has not lapsed; cannot expire at day -1"
+    ),
+    ("expire", "LME-copper-0002", 100): (
+        StateError, "certificate LME-copper-0002 has not lapsed; cannot expire at day 100"
+    ),
+    ("expire", "LME-copper-0002", -1): (
+        StateError, "certificate LME-copper-0002 has not lapsed; cannot expire at day -1"
+    ),
+    ("expire", "LME-copper-0001", 5000): (
+        StateError, "certificate LME-copper-0001 has not lapsed; cannot expire at day 5000"
+    ),
+}
+
+
+class TestLiveRefusals:
+    @pytest.mark.parametrize("case", list(LIVE_REFUSALS), ids=lambda case: "-".join(map(str, case)))
+    def test_a_refused_operation_raises_its_error_and_records_nothing(self, case):
+        registry = _refusal_registry()
+        before = registry.snapshot()
+        op, cert_id, t = case
+        error, message = LIVE_REFUSALS[case]
+        with pytest.raises(DCMError) as excinfo:
+            OPERATIONS[op](registry, cert_id, t)
+        assert (type(excinfo.value), str(excinfo.value)) == (error, message)
+        assert len(registry.ledger) == 5
+        assert registry.snapshot() == before
+
+    @pytest.mark.parametrize(
+        "case",
+        [("transfer", "LME-copper-0002", 101), ("quote", "LME-copper-0003", 1), ("expire", "LME-copper-0002", 101)],
+    )
+    def test_the_window_and_the_lot_bind_only_their_operations(self, case):
+        registry = _refusal_registry()
+        op, cert_id, t = case
+        OPERATIONS[op](registry, cert_id, t)
+        assert len(registry.ledger) == 6
+
+
 class TestConservation:
     @given(
         face=st.sampled_from([1.0, 10.0, 100.0, 1000.0]),
@@ -489,11 +581,26 @@ VALUE_REFUSALS = {
     "face-weight-text": (
         lambda form: {**form, "face_weight": "five"}, ValueError, "could not convert string to float: 'five'"
     ),
+    "location-number": (_with_rules(delivery_location=7), DomainError, "delivery_location must be a string, got 7"),
+    "validity-fraction": (
+        _with_rules(validity_days=2.5), DomainError, "validity_days must be an integer or None, got 2.5"
+    ),
+    "validity-boolean": (
+        _with_rules(validity_days=True), DomainError, "validity_days must be an integer or None, got True"
+    ),
+    "issuer-number": (lambda form: {**form, "issuer": 5}, DomainError, "issuer must be a non-empty string, got 5"),
+    "issuer-empty": (lambda form: {**form, "issuer": ""}, DomainError, "issuer must be a non-empty string, got ''"),
+    "material-empty": (
+        lambda form: {**form, "material": ""}, DomainError, "material must be a non-empty string, got ''"
+    ),
+    "weight-unit-number": (
+        lambda form: {**form, "weight_unit": 1}, DomainError, "weight_unit must be a string, got 1"
+    ),
 }
 
 # correctly sealed events that replay must refuse, each following the fixture's
-# ISSUE of LME-copper-0001: (kind, cert_id, payload built from that ISSUE's
-# payload, the refusal's message after "seq 2: ")
+# ISSUE of LME-copper-0001 as edited in ISSUE_EDITS: (kind, cert_id, payload
+# built from that ISSUE's payload, the refusal's message after "seq 2: ")
 SEALED_REFUSALS = {
     "duplicate-issue": (
         EventKind.ISSUE, "LME-copper-0001", lambda issue: issue,
@@ -536,7 +643,56 @@ SEALED_REFUSALS = {
         for name, (edit, error, message) in VALUE_REFUSALS.items()
         if name != "min-delivery-infinite"
     },
+    "deliver-past-validity": (
+        EventKind.DELIVER, "LME-copper-0001",
+        lambda issue: {"t": 5000, "residual_weight": 818.0, "delivered_weight": 1636.0, "charged_weight": -7},
+        "DELIVER refused: ExpiryError: certificate LME-copper-0001 expired: day 5000 exceeds validity of 100 days",
+    ),
+    "quote-empty": (EventKind.QUOTE, "LME-copper-0001", lambda issue: {}, "QUOTE refused: KeyError: 't'"),
+    "expire-before-lapse": (
+        EventKind.EXPIRE, "LME-copper-0001", lambda issue: {"t": 3, "issuer_accrued_weight": 999.0},
+        "EXPIRE refused: StateError: certificate LME-copper-0001 has not lapsed; cannot expire at day 3",
+    ),
+    "buyback-cash-only": (
+        EventKind.BUYBACK, "LME-copper-0001", lambda issue: {"t": 1, "cash": 1e12},
+        "BUYBACK refused: ParseError: payload keys: missing "
+        "['buyback_weight', 'charged_weight', 'docket_weight', 'quotation', 'residual_weight'], unexpected []",
+    ),
+    "deliver-below-lot": (
+        EventKind.DELIVER, "LME-copper-0001",
+        lambda issue: {"t": 1, "residual_weight": 999.96, "delivered_weight": 996.96, "charged_weight": 3.0},
+        "DELIVER refused: LotSizeError: face weight 1000.0 below minimum delivery lot 5000.0",
+    ),
+    "transfer-negative-day": (
+        EventKind.TRANSFER, "LME-copper-0001", lambda issue: {"t": -1, "from_owner": "client-1", "to_owner": "b"},
+        "TRANSFER refused: DomainError: t must be >= 0",
+    ),
+    "expire-open-ended": (
+        EventKind.EXPIRE, "LME-copper-0001", lambda issue: {"t": 5000, "issuer_accrued_weight": 818.0},
+        "EXPIRE refused: StateError: certificate LME-copper-0001 has not lapsed; cannot expire at day 5000",
+    ),
+    "issue-extra-key": (
+        EventKind.ISSUE, "LME-copper-0002", lambda issue: {**issue, "memo": "x"},
+        "ISSUE refused: ParseError: payload keys: missing [], unexpected ['memo']",
+    ),
 }
+
+# the fixture's ISSUE payload as the SEALED_REFUSALS cases that need another certificate edit it
+ISSUE_EDITS = {
+    "deliver-past-validity": _with_rules(validity_days=100),
+    "expire-before-lapse": _with_rules(validity_days=100),
+    "deliver-below-lot": _with_rules(min_delivery_weight=5000),
+}
+
+
+def sealed_refusal_lines(issue: LedgerEvent, case: str) -> list[str]:
+    """The wire lines of ``issue`` as ISSUE_EDITS edits it for ``case``, then the case's forged event."""
+    kind, cert_id, payload_of, _ = SEALED_REFUSALS[case]
+    payload = ISSUE_EDITS.get(case, dict)(issue.payload)
+    ledger = Ledger()
+    ledger.append(issue.kind, issue.cert_id, payload, issue.timestamp)
+    ledger.append(kind, cert_id, payload_of(payload), date(2020, 2, 1))
+    return ledger.to_lines()
 
 
 class TestReplay:
@@ -591,13 +747,12 @@ class TestReplay:
 
     @pytest.mark.parametrize("case", sorted(SEALED_REFUSALS))
     def test_sealed_illegal_event_is_an_integrity_error_at_its_seq(self, lme_registry, lme_cert, case):
-        kind, cert_id, payload_of, message = SEALED_REFUSALS[case]
-        ledger = lme_registry.ledger
-        ledger.append(kind, cert_id, payload_of(ledger.events[0].payload), date(2020, 2, 1))
+        lines = sealed_refusal_lines(lme_registry.ledger.events[0], case)
         with pytest.raises(LedgerIntegrityError) as excinfo:
-            replay(read_events(ledger.to_lines()))
+            replay(read_events(lines))
         assert excinfo.value.seq == 2
-        assert str(excinfo.value) == f"seq 2: {message}"
+        assert str(excinfo.value) == f"seq 2: {SEALED_REFUSALS[case][-1]}"
+        assert replay(read_events(lines[:1])).snapshot().last_seq == 1  # the edited ISSUE itself replays
 
     def test_replay_checks_continuity_of_events_it_did_not_parse(self, lme_registry, lme_cert):
         lme_registry.transfer(lme_cert.cert_id, "client-2", 10)

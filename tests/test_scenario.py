@@ -292,6 +292,33 @@ class TestScenarioLoading:
         with pytest.raises(ConfigError, match=message):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (("name: toy\n", "name: ~\n"), "scenario: name must be a string, got None"),
+            (("name: toy\n", "name: 2024\n"), "scenario: name must be a string, got 2024"),
+            (("currency: USD\n", "currency: [1, 2]\n"), "scenario: currency must be a string, got [1, 2]"),
+            (("  id: X\n", "  id: [X]\n"), "issuer: id must be a string, got ['X']"),
+            (("  material: tin\n", "  material: 7\n"), "issuer: material must be a string, got 7"),
+            (
+                ("  material: tin\n", "  material: tin\n  weight_unit: ~\n"),
+                "issuer: weight_unit must be a string, got None",
+            ),
+            (
+                ("    min_delivery_weight: 5\n", "    min_delivery_weight: 5\n    delivery_location: {a: 1}\n"),
+                "delivery_rules: delivery_location must be a string, got {'a': 1}",
+            ),
+        ],
+        ids=["name-null", "name-integer", "currency-list", "issuer-id-list", "material-integer", "weight-unit-null",
+             "location-mapping"],
+    )
+    def test_a_text_field_that_is_not_a_string_is_a_config_error(self, tmp_path, edit, message):
+        path = write_scenario(tmp_path, ISSUE_STEP)
+        path.write_text(path.read_text(encoding="utf-8").replace(*edit), encoding="utf-8")
+        with pytest.raises(ConfigError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value) == message
+
     def test_expire_step_accrues_to_the_issuer(self, tmp_path):
         path = write_scenario(
             tmp_path,

@@ -203,6 +203,36 @@ def test_replace_and_make_run_the_type_checks():
 
 
 @pytest.mark.parametrize(
+    "cls, field, value, message",
+    [
+        (DeliveryRules, "delivery_location", 7, "delivery_location must be a string, got 7"),
+        (DeliveryRules, "validity_days", 2.5, "validity_days must be an integer or None, got 2.5"),
+        (DeliveryRules, "validity_days", True, "validity_days must be an integer or None, got True"),
+        (DeliveryRules, "validity_days", "365", "validity_days must be an integer or None, got '365'"),
+        (Certificate, "issuer", 5, "issuer must be a non-empty string, got 5"),
+        (Certificate, "issuer", "", "issuer must be a non-empty string, got ''"),
+        (Certificate, "material", None, "material must be a non-empty string, got None"),
+        (Certificate, "material", "", "material must be a non-empty string, got ''"),
+        (Certificate, "weight_unit", 1, "weight_unit must be a string, got 1"),
+    ],
+    ids=[
+        "location-number", "validity-fraction", "validity-boolean", "validity-text", "issuer-number",
+        "issuer-empty", "material-none", "material-empty", "weight-unit-number",
+    ],
+)
+def test_a_text_or_integer_field_of_another_type_is_a_domain_error(cls, field, value, message):
+    fields, _ = SAMPLES[cls]
+    with pytest.raises(DomainError) as excinfo:
+        cls(**{**fields, field: value})
+    assert str(excinfo.value) == message
+
+
+def test_a_text_field_may_be_empty_where_it_is_optional():
+    assert _sample(DeliveryRules)._replace(delivery_location="").delivery_location == ""
+    assert _sample(Certificate)._replace(weight_unit="").weight_unit == ""
+
+
+@pytest.mark.parametrize(
     "build, message",
     [
         (lambda: ScriptStep(-1, "melt", "c1"), "step dt must be >= 0"),
