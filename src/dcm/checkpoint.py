@@ -250,7 +250,7 @@ class LedgerFile:
             self.ignored = str(exc)
         self._digest = hashlib.sha256(data)
         lines = _lines(data)
-        del data  # the events keep their lines; the file's bytes need not outlive the replay
+        del data  # the lines hold the file's text; its bytes need not outlive the replay
         return _replay_checked(lines, lambda read: replay(read(lines), weight_places=self.weight_places))
 
     def _resume(self, data: memoryview, header: dict, state: str, digest, touch: Iterable[str]) -> Registry:

@@ -21,7 +21,7 @@ from pathlib import Path
 from .checkpoint import LedgerFile
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, wealth_projection
 from .errors import ConfigError, DCMError
-from .ledger import Ledger
+from .ledger import Ledger, LedgerEvent
 from .market import load_series, quote_at, read_text
 from .registry import DeliveryRules, MarketQuote, Registry, export_certificate
 from .rounding import RoundingProfile, fmt
@@ -60,24 +60,23 @@ class AppContext:
             self._warn_if_ignored()
 
     def save(self, registry: Registry, known: int) -> None:
-        """Append the events after the first ``known``, then rewrite the checkpoint sidecar.
+        """Append the events after seq ``known``, the file's last, then rewrite the checkpoint sidecar.
 
         Refuses, writing nothing, when the file read ends inside a line.
         """
         self.ledger_file.check_appendable()
-        self.append_new_events(registry.ledger, known)
+        appended = self.append_new_events(registry.ledger, known)
         try:
-            self.ledger_file.write_checkpoint(registry, registry.ledger.events[known:])
+            self.ledger_file.write_checkpoint(registry, appended)
         except OSError as exc:
             print(f"warning: cannot write checkpoint {self.ledger_file.sidecar}: {exc}", file=sys.stderr)
 
-    def append_new_events(self, ledger: Ledger, known: int) -> None:
-        new_events = ledger.events[known:]
-        if not new_events:
-            return
-        with self.ledger_path.open("a", encoding="utf-8") as handle:
-            for event in new_events:
-                handle.write(event.line + "\n")
+    def append_new_events(self, ledger: Ledger, known: int) -> tuple[LedgerEvent, ...]:
+        new_events = tuple(event for event in ledger.events if event.seq > known)
+        if new_events:
+            with self.ledger_path.open("a", encoding="utf-8") as handle:
+                handle.write("".join(event.line + "\n" for event in new_events))
+        return new_events
 
     def market_quote(self, cert, dt: int, premium: float) -> MarketQuote:
         if self.prices_path is None:

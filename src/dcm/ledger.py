@@ -99,14 +99,6 @@ class LedgerEvent(Value, namedtuple("LedgerEvent", "seq timestamp kind cert_id p
         )
 
 
-def _check_link(event: LedgerEvent, last_seq: int, head_hash: str) -> None:
-    """Chain continuity: ``event`` must directly follow the record ending in (last_seq, head_hash)."""
-    if event.seq != last_seq + 1:
-        raise LedgerIntegrityError(f"expected seq {last_seq + 1}, found {event.seq}", seq=event.seq)
-    if event.prev_hash != head_hash:
-        raise LedgerIntegrityError("chain break: prev_hash mismatch", seq=event.seq)
-
-
 def validate_cert_id(cert_id: str) -> str:
     if not _is_cert_id(cert_id):
         raise DomainError(
@@ -118,8 +110,9 @@ def validate_cert_id(cert_id: str) -> str:
 class Ledger:
     """In-memory event log; one writer, atomic per-event append.
 
-    A ledger may continue from a verified head (``last_seq``, ``head_hash``)
-    instead of genesis; it then holds only the events after that head.
+    A ledger starts at genesis or at a verified head (``last_seq``,
+    ``head_hash``) and holds the events appended through it since, not those
+    ``link`` moves the head past, as a replay does; ``len`` is ``last_seq``.
     """
 
     def __init__(self, last_seq: int = 0, head_hash: str = GENESIS_HASH):
@@ -128,10 +121,7 @@ class Ledger:
         self._head_hash = head_hash
 
     def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[LedgerEvent]:
-        return iter(self._events)
+        return self._last_seq
 
     @property
     def events(self) -> tuple[LedgerEvent, ...]:
@@ -171,8 +161,15 @@ class Ledger:
 
     def append_sealed(self, event: LedgerEvent) -> None:
         """Append a sealed event (from ``seal`` or read from the wire) once it links to the head."""
-        _check_link(event, self._last_seq, self._head_hash)
+        self.link(event)
         self._events.append(event)
+
+    def link(self, event: LedgerEvent) -> None:
+        """Move the head to a sealed event that directly follows it, without keeping the event."""
+        if event.seq != self._last_seq + 1:
+            raise LedgerIntegrityError(f"expected seq {self._last_seq + 1}, found {event.seq}", seq=event.seq)
+        if event.prev_hash != self._head_hash:
+            raise LedgerIntegrityError("chain break: prev_hash mismatch", seq=event.seq)
         self._last_seq, self._head_hash = event.seq, event.hash
 
     def to_lines(self) -> list[str]:
@@ -257,12 +254,12 @@ def read_events(lines: Iterable[str], *, last_seq: int = 0, head_hash: str = GEN
     stream is a whole ledger; a tail after a verified head passes that head,
     and its line numbers continue from it (one line per event).
     """
+    link = Ledger(last_seq, head_hash).link
     for lineno, raw in enumerate(lines, start=last_seq + 1):
         line = raw.rstrip("\n")
         if not line:
             raise LedgerIntegrityError(f"line {lineno}: empty record")
         event = parse_line(line, lineno=lineno)
-        _check_link(event, last_seq, head_hash)
+        link(event)
         yield event
-        last_seq, head_hash = event.seq, event.hash
 

@@ -213,6 +213,7 @@ _EVENT_RULES = {
     _BUYBACK: (frozenset(BuybackResult._fields[1:]), CertStatus.BOUGHT_BACK),
     _EXPIRE: (frozenset(ExpiryResult._fields[1:]), CertStatus.EXPIRED),
 }
+_STATE_KEYS = frozenset(Certificate._fields[1:])  # a state line's form: the ISSUE payload's keys and the status
 
 
 class Registry:
@@ -325,6 +326,7 @@ class Registry:
             if state_id != cert_id:
                 raise ValueError(f"the line holds {state_id!r}")
             cert = _cert_from_payload(cert_id, form, _status_of(form["status"]))
+            _check_keys("state", form, _STATE_KEYS)
         except (DCMError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise LedgerIntegrityError(
                 f"certificate {cert_id!r} in {self._state_source} does not build: {type(exc).__name__}: {exc}"
@@ -334,13 +336,13 @@ class Registry:
         return cert
 
     def apply_events(self, events: Iterable[LedgerEvent]) -> Registry:
-        """Append and apply verified events that follow the ledger's head; returns the registry.
+        """Apply verified events that follow the ledger's head, keeping none of them; returns the registry.
 
-        Each event must link to the head; one that ``_apply`` refuses is a
-        LedgerIntegrityError at its seq.
+        Each event must link to the head, which ``Ledger.link`` moves past it;
+        one that ``_apply`` refuses is a LedgerIntegrityError at its seq.
         """
         for event in events:
-            self.ledger.append_sealed(event)
+            self.ledger.link(event)
             try:
                 self._apply(event)
             except (DCMError, KeyError, TypeError, ValueError) as exc:
@@ -357,12 +359,13 @@ class Registry:
     # legality and changes registry state, runs before the append, so a
     # refused event (StateError and friends: exit 2/3) records nothing; replay
     # feeds it the ledger, so live and replayed state cannot drift apart.  On
-    # every event it checks a new cert_id and valid terms (ISSUE); through
-    # ``_legal``, a known certificate that is not terminal, t >= 0 (not EXPIRE),
-    # the validity window (not TRANSFER), the delivery lot (DELIVER) and the
-    # lapsed window (EXPIRE); the owners (TRANSFER); and that the payload has
-    # exactly its kind's top-level keys.  Settlement figures are recorded,
-    # not yet re-derived (ROADMAP D6).
+    # every event it checks a new cert_id and valid terms with exact keys
+    # (ISSUE); through ``_legal``, an int day ``t``, a known certificate that
+    # is not terminal, t >= 0 (not EXPIRE), the validity window (not
+    # TRANSFER), the delivery lot (DELIVER) and the lapsed window (EXPIRE);
+    # the owners (TRANSFER); and that the payload has exactly its kind's
+    # top-level keys.  Settlement figures are recorded, not yet re-derived
+    # (ROADMAP D6).
 
     def issue(
         self,
@@ -401,6 +404,8 @@ class Registry:
 
     def _legal(self, kind: EventKind, cert_id: str, t: int) -> Certificate:
         """The certificate an event of ``kind`` on day ``t`` acts on; raises the operation's error if it may not."""
+        if t.__class__ is not int:  # a whole number of days: not a float, not a bool
+            raise DomainError(f"t must be a whole number of days, got {t!r}")
         cert = self.certificate(cert_id)
         if cert.status is not _ACTIVE:
             raise StateError(f"certificate {cert_id} is {cert.status.value}; terminal states are absorbing")
@@ -456,10 +461,7 @@ class Registry:
                     raise StateError(f"certificate {cert_id} is owned by {cert.owner!r}, not {from_owner!r}")
             # built directly: the owner is checked above, and every other field was when the certificate was built
             cert = _new(Certificate, (*cert[:8], owner, cert.weight_unit, status))
-        if payload.keys() != keys:
-            raise ParseError(
-                f"payload keys: missing {sorted(keys - payload.keys())}, unexpected {sorted(payload.keys() - keys)}"
-            )
+        _check_keys("payload", payload, keys)
         if kind is _ISSUE:
             pair = (cert.issuer, cert.material)
             self._issue_counts[pair] = self._issue_counts.get(pair, 0) + 1
@@ -566,8 +568,10 @@ def replay(events: Iterable[LedgerEvent], *, weight_places: int = 4) -> Registry
     """Rebuild a registry from an event stream.
 
     The stream must already be hash-verified (see ledger.read_events); replay
-    re-checks linkage and applies the recorded state transitions.  An event
-    that ``_apply`` refuses is a LedgerIntegrityError at its seq.
+    re-checks linkage and applies the recorded state transitions, keeping no
+    event: the ledger holds the head, ``events`` is empty and ``len`` is
+    ``last_seq``.  An event that ``_apply`` refuses is a LedgerIntegrityError
+    at its seq.
     """
     return Registry(weight_places=weight_places).apply_events(events)
 
@@ -584,14 +588,35 @@ def _theta_to_payload(theta: AttenuationSpec) -> dict:
     return payload
 
 
+def _check_keys(name: str, form: dict, keys: frozenset, optional: frozenset = frozenset()) -> None:
+    """Refuse a ``form`` without each of ``keys`` or with a key beyond them and ``optional``, naming ``name``.
+
+    Callers check after reading every key they need, so a missing one of
+    those is a KeyError that names it.
+    """
+    if form.keys() != keys and not keys < form.keys() <= keys | optional:
+        raise ParseError(
+            f"{name} keys: missing {sorted(keys - form.keys())}, unexpected {sorted(form.keys() - keys - optional)}"
+        )
+
+
+_THETA_KEYS = frozenset({"theta_daily", "mode"})
+_THETA_OPTIONAL = frozenset({"tariff", "cif"})
+_TARIFF_KEYS = frozenset(StorageTariff._fields)
+_CIF_KEYS = frozenset(CifQuote._fields)
+_RULES_KEYS = frozenset(DeliveryRules._fields)
+
+
 def _theta_from_payload(payload: dict) -> AttenuationSpec:
     tariff = None
     if "tariff" in payload:
+        raw = payload["tariff"]
         tariff = StorageTariff(
-            daily_warehouse_charge=payload["tariff"]["daily_warehouse_charge"],
-            outbound_transfer_charge=payload["tariff"]["outbound_transfer_charge"],
-            bank_rate=payload["tariff"]["bank_rate"],
+            daily_warehouse_charge=raw["daily_warehouse_charge"],
+            outbound_transfer_charge=raw["outbound_transfer_charge"],
+            bank_rate=raw["bank_rate"],
         )
+        _check_keys("tariff", raw, _TARIFF_KEYS)
     cif = None
     if "cif" in payload:
         raw = payload["cif"]
@@ -601,7 +626,10 @@ def _theta_from_payload(payload: dict) -> AttenuationSpec:
             location=raw["location"],
             as_of=date.fromisoformat(raw["as_of"]) if raw["as_of"] else None,
         )
-    return AttenuationSpec(payload["theta_daily"], _mode_of(payload["mode"]), tariff, cif)
+        _check_keys("cif", raw, _CIF_KEYS)
+    theta = AttenuationSpec(payload["theta_daily"], _mode_of(payload["mode"]), tariff, cif)
+    _check_keys("theta", payload, _THETA_KEYS, _THETA_OPTIONAL)
+    return theta
 
 
 def _issue_form(issuer, material, face_weight, purity, issue_date, theta, rules, owner, weight_unit) -> dict:
@@ -628,7 +656,7 @@ def _cert_from_payload(cert_id: str, payload: dict, status: CertStatus = CertSta
     # positional calls in field order: every replayed ISSUE and every restored certificate comes
     # through here, and keyword calls cost about 1.5 us more per certificate
     rules = payload["rules"]
-    return Certificate(
+    cert = Certificate(
         cert_id,
         payload["issuer"],
         payload["material"],
@@ -647,6 +675,8 @@ def _cert_from_payload(cert_id: str, payload: dict, status: CertStatus = CertSta
         payload["weight_unit"],
         status,
     )
+    _check_keys("rules", rules, _RULES_KEYS)
+    return cert
 
 
 # -- certificate paper format -------------------------------------------------

@@ -250,7 +250,7 @@ def test_criterion_6_replay_determinism_and_tamper_detection():
     # every byte of the wire text (separators included) mutated one at a time
     small = _random_operations(random.Random(0x7A6), 40)
     text = "\n".join(small.ledger.to_lines())
-    kinds = {event.kind.value for event in small.ledger}
+    kinds = {event.kind.value for event in small.ledger.events}
     assert kinds == {"ISSUE", "TRANSFER", "QUOTE", "DELIVER", "BUYBACK", "EXPIRE"}
     mutations = 0
     for position in range(len(text)):

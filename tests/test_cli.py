@@ -380,7 +380,7 @@ class TestCheckpoint:
         assert outputs[with_sidecar] == outputs[without]
         assert (with_sidecar / "dcm-ledger.log").read_bytes() == (without / "dcm-ledger.log").read_bytes()
         resumed = LedgerFile(with_sidecar / "dcm-ledger.log", 4)
-        assert len(resumed.load().ledger) == 0 and resumed.ignored is None
+        assert resumed.load().ledger.events == () and resumed.ignored is None
         assert "ok: 6 events, 3 certificates" in dcm("replay-verify", cwd=with_sidecar).stdout
 
     def test_tampered_prefix_with_a_valid_checkpoint_exits_integrity(self, tmp_path):

@@ -6,13 +6,17 @@ short-lived, below the delivery lot, settled or unknown, on days from before
 issuance to past validity.  The model below is written from the rules the
 engine documents, not from its code: it predicts which operations are
 refused and with which error, and what each certificate's status and owner
-become.  After every step the live registry must equal its own replay.
+become.  After every step the live registry must equal its own replay, and
+its ledger, saved to a file with a checkpoint sidecar for a drawn prefix, must
+resume to that replay.
 """
 
 from __future__ import annotations
 
 import math
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -31,6 +35,7 @@ from dcm import (
     read_events,
     replay,
 )
+from dcm.checkpoint import LedgerFile
 
 DAY = date(2020, 1, 1)
 LOT = 1000.0
@@ -60,6 +65,13 @@ class LegalityMachine(RuleBasedStateMachine):
         self.registry = Registry()
         self.registry.register_issuer("M", [10.0, LOT])
         self.model: dict[str, ModelCert] = {}
+        self.directory = tempfile.TemporaryDirectory()
+        self.prefix = 0  # the events the checkpoint sidecar covers, at most
+        self.touch: frozenset[int] = frozenset()  # the issue-order indices of the certificates a resumed load builds
+        self.resumed: tuple | None = None  # the (events, prefix, touch) last resumed: a refused step changes none
+
+    def teardown(self):
+        self.directory.cleanup()
 
     # -- the model ------------------------------------------------------------
 
@@ -164,15 +176,49 @@ class LegalityMachine(RuleBasedStateMachine):
         """One operation on the window's last day or a day either side of it; around day 0 if open-ended."""
         getattr(self, op)(cert_id, (self.model[cert_id].validity or 0) + offset)
 
+    @rule(prefix=st.integers(min_value=0, max_value=40), touch=st.frozensets(st.integers(min_value=0, max_value=12)))
+    def checkpoint_at(self, prefix, touch):
+        """Choose the prefix the sidecar covers and the certificates a resumed load names (by issue order)."""
+        self.prefix, self.touch = prefix, touch
+
+    def resume(self, lines: list[str]) -> Registry:
+        """``lines`` written to a file with a sidecar for the drawn prefix, loaded touching the drawn certificates.
+
+        An index past the issued certificates names one that was never issued.
+        """
+        path = Path(self.directory.name) / "ledger.log"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        covered = list(read_events(lines[: self.prefix]))
+        LedgerFile(path, 4).write_checkpoint(replay(covered), covered)  # a file read empty, plus the covered events
+        ids = list(self.model)
+        ledger_file = LedgerFile(path, 4)
+        loaded = ledger_file.load(touch=[ids[index] if index < len(ids) else UNKNOWN for index in sorted(self.touch)])
+        assert ledger_file.ignored is None
+        return loaded
+
     # -- invariants -----------------------------------------------------------
 
     @invariant()
-    def replay_equals_the_live_registry(self):
+    def replay_and_resume_equal_the_live_registry(self):
+        lines = self.registry.ledger.to_lines()
+        replayed = replay(read_events(lines))
         snapshot = self.registry.snapshot()
-        assert snapshot == replay(read_events(self.registry.ledger.to_lines())).snapshot()
+        assert snapshot == replayed.snapshot()
         assert snapshot.certificates.keys() == self.model.keys()
         for cert_id, cert in snapshot.certificates.items():
             assert (cert.status.value, cert.owner) == (self.model[cert_id].status, self.model[cert_id].owner)
+        # saved and resumed from a checkpoint, the ledger gives the replayed state; neither keeps the events
+        if self.resumed == (len(lines), self.prefix, self.touch):
+            return
+        self.resumed = (len(lines), self.prefix, self.touch)
+        loaded = self.resume(lines)
+        for registry in (loaded, replayed):
+            assert registry.ledger.events == ()
+            assert len(registry.ledger) == registry.ledger.last_seq == len(lines)
+        # the state lines first, while the certificates the load did not build are still their restored lines
+        assert loaded.state_lines() == replayed.state_lines()
+        assert loaded.issue_counts() == replayed.issue_counts()
+        assert loaded.snapshot() == replayed.snapshot()
 
 
 LegalityMachine.TestCase.settings = settings(deadline=None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from datetime import date
@@ -26,10 +27,13 @@ from dcm import (
     LotSizeError,
     LogisticsParams,
     MarketQuote,
+    ParseError,
     PriceSeries,
     Registry,
     StateError,
     StorageTariff,
+    ThetaMode,
+    attenuation_coefficient,
     export_certificate,
     import_certificate,
     read_events,
@@ -40,6 +44,7 @@ import dcm.registry
 from dcm.checkpoint import LedgerFile
 from dcm.ledger import Ledger, LedgerEvent, canonical_payload
 from conftest import LME_ISSUE_DATE, assert_display_close, forge_sidecar
+from test_acceptance import _random_operations
 
 
 def shfe_registry_and_cert():
@@ -414,6 +419,10 @@ LIVE_REFUSALS = {
     ("expire", "LME-copper-0001", 5000): (
         StateError, "certificate LME-copper-0001 has not lapsed; cannot expire at day 5000"
     ),
+    # a day is a whole number: a float, even a whole one, and a bool are refused before anything else
+    ("transfer", "LME-copper-0001", 2.5): (DomainError, "t must be a whole number of days, got 2.5"),
+    ("quote", "LME-copper-0001", 2.0): (DomainError, "t must be a whole number of days, got 2.0"),
+    ("deliver", "LME-copper-0001", True): (DomainError, "t must be a whole number of days, got True"),
 }
 
 
@@ -551,6 +560,18 @@ def _with_theta(**fields):
     return lambda form: {**form, "theta": {**form["theta"], **fields}}
 
 
+# the payload form of a theta derived from a tariff and a landed price, which records both
+DERIVED_THETA = dcm.registry._theta_to_payload(attenuation_coefficient(
+    StorageTariff(daily_warehouse_charge=0.2), CifQuote(price_per_unit=5000.0, as_of=date(2020, 1, 1)),
+    ThetaMode.WAREHOUSE_ONLY,
+))
+
+
+def _with_derived_theta(part: str, **fields):
+    """An edit that gives the form ``DERIVED_THETA`` with ``fields`` added to its ``part``, "tariff" or "cif"."""
+    return lambda form: {**form, "theta": {**DERIVED_THETA, part: {**DERIVED_THETA[part], **fields}}}
+
+
 # edits of an ISSUE payload (or of a state form, which extends it) that a value
 # type refuses: (edit, error type, message)
 VALUE_REFUSALS = {
@@ -596,6 +617,14 @@ VALUE_REFUSALS = {
     "weight-unit-number": (
         lambda form: {**form, "weight_unit": 1}, DomainError, "weight_unit must be a string, got 1"
     ),
+}
+
+# edits of an ISSUE payload (or of a state form) that add a key its nested terms do not have: (edit, message)
+NESTED_KEY_REFUSALS = {
+    "rules-extra-key": (_with_rules(memo=1), "rules keys: missing [], unexpected ['memo']"),
+    "theta-extra-key": (_with_theta(memo=1), "theta keys: missing [], unexpected ['memo']"),
+    "tariff-extra-key": (_with_derived_theta("tariff", memo=1), "tariff keys: missing [], unexpected ['memo']"),
+    "cif-extra-key": (_with_derived_theta("cif", memo=1), "cif keys: missing [], unexpected ['memo']"),
 }
 
 # correctly sealed events that replay must refuse, each following the fixture's
@@ -675,6 +704,25 @@ SEALED_REFUSALS = {
         EventKind.ISSUE, "LME-copper-0002", lambda issue: {**issue, "memo": "x"},
         "ISSUE refused: ParseError: payload keys: missing [], unexpected ['memo']",
     ),
+    **{
+        f"issue-{name}": (EventKind.ISSUE, "LME-copper-0002", edit, f"ISSUE refused: ParseError: {message}")
+        for name, (edit, message) in NESTED_KEY_REFUSALS.items()
+    },
+    "deliver-fractional-day": (
+        EventKind.DELIVER, "LME-copper-0001",
+        lambda issue: {"t": 2.5, "residual_weight": 999.9, "delivered_weight": 996.9, "charged_weight": 3.0},
+        "DELIVER refused: DomainError: t must be a whole number of days, got 2.5",
+    ),
+    "deliver-boolean-day": (
+        EventKind.DELIVER, "LME-copper-0001",
+        lambda issue: {"t": True, "residual_weight": 999.96, "delivered_weight": 996.96, "charged_weight": 3.0},
+        "DELIVER refused: DomainError: t must be a whole number of days, got True",
+    ),
+    "deliver-huge-day": (
+        EventKind.DELIVER, "LME-copper-0001",
+        lambda issue: {"t": 1e300, "residual_weight": 0.0, "delivered_weight": 0.0, "charged_weight": 0.0},
+        "DELIVER refused: DomainError: t must be a whole number of days, got 1e+300",
+    ),
 }
 
 # the fixture's ISSUE payload as the SEALED_REFUSALS cases that need another certificate edit it
@@ -682,6 +730,7 @@ ISSUE_EDITS = {
     "deliver-past-validity": _with_rules(validity_days=100),
     "expire-before-lapse": _with_rules(validity_days=100),
     "deliver-below-lot": _with_rules(min_delivery_weight=5000),
+    "deliver-huge-day": _with_rules(validity_days=100),  # a window the day would be past, were it a day
 }
 
 
@@ -786,7 +835,7 @@ class TestState:
         restored = Registry.from_state_lines(lines, partial.issue_counts(), head.seq, head.hash, source="state.ckpt")
         restored.apply_events(events[60:])
         assert restored.snapshot() == registry.snapshot()
-        assert [event.seq for event in restored.ledger] == [event.seq for event in events[60:]]
+        assert restored.ledger.events == () and len(restored.ledger) == restored.ledger.last_seq == events[-1].seq
 
     @pytest.mark.parametrize(
         "edit, error, message",
@@ -796,8 +845,10 @@ class TestState:
             (lambda form: {**form, "status": "LOST"}, ValueError, "'LOST' is not a valid CertStatus"),
             (lambda form: {k: v for k, v in form.items() if k != "rules"}, KeyError, "'rules'"),
             *VALUE_REFUSALS.values(),
+            *((edit, ParseError, message) for edit, message in NESTED_KEY_REFUSALS.values()),
+            (lambda form: {**form, "memo": 1}, ParseError, "state keys: missing [], unexpected ['memo']"),
         ],
-        ids=["purity", "owner", "status", "no-rules", *VALUE_REFUSALS],
+        ids=["purity", "owner", "status", "no-rules", *VALUE_REFUSALS, *NESTED_KEY_REFUSALS, "state-extra-key"],
     )
     def test_a_state_line_is_revalidated_when_first_read(self, lme_registry, lme_cert, edit, error, message):
         [(cert_id, form)] = map(json.loads, lme_registry.state_lines())
@@ -856,7 +907,7 @@ class TestCheckpoint:
         resumed = ledger_file.load()
         assert ledger_file.ignored is None
         assert resumed.snapshot() == registry.snapshot()
-        assert [event.seq for event in resumed.ledger] == list(range(101, len(lines) + 1))
+        assert resumed.ledger.events == () and len(resumed.ledger) == resumed.ledger.last_seq == len(lines)
 
     def test_checkpoint_after_an_append_covers_the_appended_events(self, tmp_path, lme_registry, lme_cert):
         ledger_file = _checkpointed(tmp_path, lme_registry.ledger.to_lines())
@@ -867,7 +918,7 @@ class TestCheckpoint:
         ledger_file.write_checkpoint(registry, appended)
         resumed = ledger_file.load()
         assert ledger_file.ignored is None
-        assert len(resumed.ledger) == 0
+        assert resumed.ledger.events == () and len(resumed.ledger) == resumed.ledger.last_seq == 2
         assert resumed.certificate(lme_cert.cert_id).owner == "client-2"
         assert resumed.snapshot() == replay(read_events(ledger_file.path.read_text().splitlines())).snapshot()
         ledger_file.verify()
@@ -927,7 +978,7 @@ class TestCheckpoint:
         ledger_file.path.write_text(lme_registry.ledger.to_lines()[0], encoding="utf-8")
         registry = ledger_file.load()
         registry.transfer(lme_cert.cert_id, "client-2", 10)
-        ledger_file.write_checkpoint(registry, registry.ledger.events[1:])
+        ledger_file.write_checkpoint(registry, registry.ledger.events)
         assert not ledger_file.sidecar.exists()
 
     def test_a_resumed_load_builds_only_the_certificates_its_tail_touches(self, tmp_path, built):
@@ -1004,6 +1055,49 @@ class TestCheckpoint:
         ledger_file.sidecar.write_bytes(forged.encode("utf-8") + b"\n" + state)
         assert ledger_file.load().snapshot() == lme_registry.snapshot()
         assert ledger_file.ignored
+
+
+def _rebuilt(tmp_path, how: str, lines: list[str]) -> Registry:
+    """The registry of ``lines`` rebuilt ``how``; a ledger file's checkpoint sidecar covers its first 100 lines."""
+    if how == "replay":
+        return replay(read_events(lines))
+    ledger_file = _checkpointed(tmp_path, lines[:100])
+    _write_lines(ledger_file.path, lines[100:])
+    if how == "full-load":
+        ledger_file.sidecar.unlink()
+        return ledger_file.load()
+    rebuilt = ledger_file.load() if how == "resumed-load" else ledger_file.verify()
+    assert ledger_file.ignored is None
+    return rebuilt
+
+
+class TestStateNotHistory:
+    """A registry rebuilt from a ledger holds its state and the chain's head, not the events it applied."""
+
+    @pytest.mark.parametrize("how", ["replay", "full-load", "resumed-load", "verify"])
+    def test_a_rebuilt_registry_holds_only_the_events_appended_to_it(self, tmp_path, how):
+        live = _random_walk(3, 150)
+        lines = live.ledger.to_lines()
+        rebuilt = _rebuilt(tmp_path, how, lines)
+        assert rebuilt.snapshot() == live.snapshot()
+        assert rebuilt.ledger.events == () and rebuilt.ledger.to_lines() == []
+        assert len(rebuilt.ledger) == rebuilt.ledger.last_seq == len(lines)
+        cert_id = next(cert_id for cert_id, cert in live.certificates.items() if cert.status is CertStatus.ACTIVE)
+        for registry in (live, rebuilt):
+            registry.transfer(cert_id, "holder-x", 1)
+        [event] = rebuilt.ledger.events
+        assert event == live.ledger.events[-1]
+        assert len(rebuilt.ledger) == event.seq == len(lines) + 1
+        assert rebuilt.ledger.to_lines() == [event.line]
+
+    def test_a_replay_leaves_no_event_alive(self):
+        lines = _random_operations(random.Random(0x5EED06), 1000).ledger.to_lines()  # the live registry is dropped
+        replayed = replay(read_events(lines))
+        gc.collect()
+        replayed_lines = set(lines)
+        alive = [obj for obj in gc.get_objects() if isinstance(obj, LedgerEvent) and obj.line in replayed_lines]
+        assert alive == []
+        assert len(replayed.ledger) == replayed.ledger.last_seq == len(lines)
 
 
 class TestPaperFormat:
