@@ -45,6 +45,7 @@ import os
 import re
 import stat
 import threading
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn
 
@@ -114,15 +115,6 @@ def _header(text: bytes) -> dict:
     return header
 
 
-def _decoded(lines: Iterable[str], **_link) -> Iterator[LedgerEvent]:
-    """``read_events(lines, **_link)`` without its checks, for lines a forked child checks.
-
-    ``apply_events`` still links each event to the head, so the chain
-    arguments are not needed.
-    """
-    return map(decode_line, lines)
-
-
 def _check_and_exit(lines: list[str]) -> NoReturn:
     """In a forked child: exit 0 if ``read_events`` accepts every line, else 1, writing nothing."""
     status = 1
@@ -134,32 +126,33 @@ def _check_and_exit(lines: list[str]) -> NoReturn:
         os._exit(status)  # no traceback, no flush of the parent's buffers, no exit handlers
 
 
-def _replay_checked(lines: list[str], replayed: Callable[[Callable], Registry]) -> Registry:
-    """``replayed(read_events)``, computed as ``replayed(_decoded)`` while a forked child checks ``lines``.
+def _replay_checked(lines: list[str], replayed: Callable[[Iterator[LedgerEvent]], Registry]) -> Registry:
+    """``replayed(read_events(lines))``, computed on the lines decoded unchecked while a forked child checks them.
 
-    ``lines`` must be every line ``replayed`` reads, in order.  The result
-    is the parent's only when the child accepted every line and the parent
-    side returned; otherwise it is the sequential ``replayed(read_events)``,
-    which raises what is wrong.  The child is reaped before this returns or
-    raises.  The replay is sequential off Linux, on one CPU, where the two
-    sides would take turns, and with another thread alive, because a forked
-    child could wait forever on a lock that thread held.
+    The parent passes ``replayed`` ``map(decode_line, lines)``, whose events
+    ``apply_events`` still links to the head.  The result is the parent's
+    only when the child accepted every line and the parent side returned;
+    otherwise it is the sequential ``replayed(read_events(lines))``, which
+    raises what is wrong.  The child is reaped before this returns or raises.
+    The replay is sequential off Linux, on one CPU, where the two sides would
+    take turns, and with another thread alive, because a forked child could
+    wait forever on a lock that thread held.
     """
     if (
         not hasattr(os, "sched_getaffinity")  # Linux, which also has fork
         or len(os.sched_getaffinity(0)) < 2
         or threading.active_count() > 1
     ):
-        return replayed(read_events)
+        return replayed(read_events(lines))
     try:
         pid = os.fork()
     except OSError:
-        return replayed(read_events)
+        return replayed(read_events(lines))
     if pid == 0:
         _check_and_exit(lines)
     registry = None
     try:
-        registry = replayed(_decoded)
+        registry = replayed(map(decode_line, lines))
     except Exception:
         pass  # the sequential replay below finds what is wrong and says it
     finally:
@@ -169,7 +162,7 @@ def _replay_checked(lines: list[str], replayed: Callable[[Callable], Registry]) 
             os.kill(pid, SIGKILL)  # its verdict is not needed
         status = os.waitpid(pid, 0)[1]
     if registry is None or status != 0:
-        return replayed(read_events)
+        return replayed(read_events(lines))
     return registry
 
 
@@ -251,7 +244,7 @@ class LedgerFile:
         self._digest = hashlib.sha256(data)
         lines = _lines(data)
         del data  # the lines hold the file's text; its bytes need not outlive the replay
-        return _replay_checked(lines, lambda read: replay(read(lines), weight_places=self.weight_places))
+        return _replay_checked(lines, lambda events: replay(events, weight_places=self.weight_places))
 
     def _resume(self, data: memoryview, header: dict, state: str, digest, touch: Iterable[str]) -> Registry:
         last_seq, head_hash, size = header["last_seq"], header["head_hash"], header["prefix_bytes"]
@@ -300,25 +293,26 @@ class LedgerFile:
             del rest[-1]  # a checkpoint's prefix ends at a line end, so the open line is the rest's last
         del data
 
-        def verified(read: Callable) -> Registry:
-            registry = replay(read(prefix), weight_places=self.weight_places)
-            ledger = registry.ledger
+        def verified(events: Iterator[LedgerEvent]) -> Registry:
+            registry = replay(islice(events, len(prefix)), weight_places=self.weight_places)
             if found is not None:
                 header, state, _ = found
+                ledger = registry.ledger
                 if not (
                     (ledger.last_seq, ledger.head_hash) == (header["last_seq"], header["head_hash"])
                     and header["issue_counts"] == registry.issue_counts()
                     and _split(state) == registry.state_lines()
                 ):
                     raise LedgerIntegrityError(f"checkpoint disagrees with the ledger at seq {header['last_seq']}")
-            registry.apply_events(read(rest, last_seq=ledger.last_seq, head_hash=ledger.head_hash))
+            registry.apply_events(events)
             if self._open_line is not None:
                 raise self._open_line_error("every line before it verifies")
             return registry
 
+        lines = prefix + rest
         if self._open_line is not None:
-            return verified(read_events)  # refused either way: one sequential replay finds the first error
-        return _replay_checked(prefix + rest, verified)
+            return verified(read_events(lines))  # refused either way: one sequential replay finds the first error
+        return _replay_checked(lines, verified)
 
     def write_checkpoint(self, registry: Registry, appended: tuple[LedgerEvent, ...]) -> None:
         """Rewrite the sidecar for the file as read plus ``appended``, the lines just written to it.

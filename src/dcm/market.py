@@ -7,10 +7,11 @@ import io
 from bisect import bisect_right
 from collections import namedtuple
 from datetime import date
+from math import isfinite
 from pathlib import Path
 
 from .decay import require_finite
-from .errors import ConfigError, NoQuoteError, ParseError, ValidationError
+from .errors import ConfigError, DomainError, NoQuoteError, ParseError, ValidationError
 from .values import Value
 
 
@@ -57,7 +58,7 @@ def _check_monotone_dates(dates: tuple[date, ...]) -> None:
 
 
 def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSeries:
-    """Parse ``date,price`` CSV text: header required, ISO dates, strictly increasing."""
+    """Parse ``date,price`` CSV text: header required, ISO dates strictly increasing, finite prices > 0."""
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows:
@@ -80,6 +81,10 @@ def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSe
             value = float(raw_value)
         except ValueError:
             raise ParseError(f"bad number {raw_value!r}", lineno=lineno) from None
+        if not isfinite(value):
+            raise DomainError(f"line {lineno}: price must be finite, got {value!r}")
+        if value <= 0:
+            raise ValidationError(f"line {lineno}: price at {when.isoformat()} must be > 0")
         if points:
             if when == points[-1][0]:
                 raise ValidationError(f"line {lineno}: duplicate date {raw_date}")
@@ -88,7 +93,8 @@ def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSe
         points.append((when, value))
     if not points:
         raise ValidationError("empty series: no data rows")
-    return PriceSeries(material=material, currency=currency, points=tuple(points))
+    # built directly: every row's date order and price were checked above
+    return tuple.__new__(PriceSeries, (material, currency, tuple(points), tuple(d for d, _ in points)))
 
 
 def quote_at(series: PriceSeries, when: date) -> float:

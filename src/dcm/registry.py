@@ -108,6 +108,10 @@ class MarketQuote(Value, namedtuple("MarketQuote", "quotation premium")):
     __slots__ = ()
 
     def __new__(cls, quotation: float, premium: float = 0.0):
+        if quotation.__class__ not in (int, float) or premium.__class__ not in (int, float):  # bool, "5", a subclass
+            for name, value in (("quotation", quotation), ("premium", premium)):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):  # a JSON number, not true or "5"
+                    raise DomainError(f"{name} must be a number, got {value!r}")
         if not (isfinite(quotation) and isfinite(premium)):
             require_finite(quotation=quotation, premium=premium)
         if quotation <= 0:
@@ -204,14 +208,42 @@ class RegistrySnapshot(Value, namedtuple("RegistrySnapshot", "certificates issue
     __slots__ = ()
 
 
-# per event kind: its payload keys (its result type's fields but cert_id and status) and the status it leaves
+# one pure function per settling kind: the figures of settling ``cert`` on day ``t``, which ``_legal`` has passed;
+# ``Registry._settle`` records the result's fields after cert_id as the event's payload
+def _settle_quote(cert: Certificate, t: int, quote: MarketQuote, places: int) -> QuoteResult:
+    residual = cert.residual_at(t)
+    docket = quantize_to_float(residual, places)
+    price = (quote.quotation + quote.premium) * docket
+    return QuoteResult(cert.cert_id, t, residual, docket, quote.quotation, quote.premium, price)
+
+
+def _settle_delivery(cert: Certificate, t: int, quote: None, places: int) -> DeliveryResult:
+    residual = cert.residual_at(t)
+    delivered = residual * (1.0 - cert.rules.delivery_charge_ratio)
+    return DeliveryResult(cert.cert_id, t, residual, delivered, residual - delivered)
+
+
+def _settle_buyback(cert: Certificate, t: int, quote: MarketQuote, places: int) -> BuybackResult:
+    residual = cert.residual_at(t)
+    weight = residual * (1.0 - cert.rules.withdrawal_charge_ratio)
+    docket = quantize_to_float(weight, places)
+    cash = docket * quote.quotation
+    return BuybackResult(cert.cert_id, t, residual, weight, residual - weight, docket, quote.quotation, cash)
+
+
+def _settle_expiry(cert: Certificate, t: int, quote: None, places: int) -> ExpiryResult:
+    return ExpiryResult(cert.cert_id, t, cert.residual_at(cert.rules.validity_days))
+
+
+# per event kind: its payload keys (its result type's fields but cert_id and status), the status it leaves
+# and, for a settling kind, its settlement function
 _EVENT_RULES = {
-    _ISSUE: (frozenset(Certificate._fields[1:-1]), _ACTIVE),
-    _TRANSFER: (frozenset({"t", "from_owner", "to_owner"}), _ACTIVE),
-    _QUOTE: (frozenset(QuoteResult._fields[1:]), _ACTIVE),
-    _DELIVER: (frozenset(DeliveryResult._fields[1:]), CertStatus.DELIVERED),
-    _BUYBACK: (frozenset(BuybackResult._fields[1:]), CertStatus.BOUGHT_BACK),
-    _EXPIRE: (frozenset(ExpiryResult._fields[1:]), CertStatus.EXPIRED),
+    _ISSUE: (frozenset(Certificate._fields[1:-1]), _ACTIVE, None),
+    _TRANSFER: (frozenset({"t", "from_owner", "to_owner"}), _ACTIVE, None),
+    _QUOTE: (frozenset(QuoteResult._fields[1:]), _ACTIVE, _settle_quote),
+    _DELIVER: (frozenset(DeliveryResult._fields[1:]), CertStatus.DELIVERED, _settle_delivery),
+    _BUYBACK: (frozenset(BuybackResult._fields[1:]), CertStatus.BOUGHT_BACK, _settle_buyback),
+    _EXPIRE: (frozenset(ExpiryResult._fields[1:]), CertStatus.EXPIRED, _settle_expiry),
 }
 _STATE_KEYS = frozenset(Certificate._fields[1:])  # a state line's form: the ISSUE payload's keys and the status
 
@@ -355,17 +387,19 @@ class Registry:
     #
     # Each operation checks the inputs its computation needs and, through
     # ``_legal``, the certificate and the day, then builds its payload and
-    # seals one event.  ``_apply``, the only code that decides an event's
-    # legality and changes registry state, runs before the append, so a
-    # refused event (StateError and friends: exit 2/3) records nothing; replay
-    # feeds it the ledger, so live and replayed state cannot drift apart.  On
-    # every event it checks a new cert_id and valid terms with exact keys
-    # (ISSUE); through ``_legal``, an int day ``t``, a known certificate that
-    # is not terminal, t >= 0 (not EXPIRE), the validity window (not
-    # TRANSFER), the delivery lot (DELIVER) and the lapsed window (EXPIRE);
-    # the owners (TRANSFER); and that the payload has exactly its kind's
-    # top-level keys.  Settlement figures are recorded, not yet re-derived
-    # (ROADMAP D6).
+    # seals one event.  Quote, deliver, buy back and expire share ``_settle``:
+    # each settlement's figures come from one function per kind, and its
+    # payload is the result's fields after cert_id.  ``_apply``, the only code
+    # that decides an event's legality and changes registry state, runs before
+    # the append, so a refused event (StateError and friends: exit 2/3)
+    # records nothing; replay feeds it the ledger, so live and replayed state
+    # cannot drift apart.  On every event it checks a new cert_id and valid
+    # terms with exact keys (ISSUE); through ``_legal``, an int day ``t``, a
+    # known certificate that is not terminal, t >= 0 (not EXPIRE), the
+    # validity window (not TRANSFER), the delivery lot (DELIVER) and the
+    # lapsed window (EXPIRE); the owners (TRANSFER); and that the payload has
+    # exactly its kind's top-level keys.  Replay does not call the settlement
+    # functions yet: their figures are recorded, not re-derived (ROADMAP D6).
 
     def issue(
         self,
@@ -445,7 +479,7 @@ class Registry:
         kind = event.kind
         cert_id = event.cert_id
         payload = event.payload
-        keys, status = _EVENT_RULES[kind]
+        keys, status, _ = _EVENT_RULES[kind]
         if kind is _ISSUE:
             if cert_id in self._certs:  # ids of different pairs can collide: ("A-b", "c") and ("A", "b-c")
                 raise IssuanceError(f"certificate {cert_id!r} already exists")
@@ -467,81 +501,39 @@ class Registry:
             self._issue_counts[pair] = self._issue_counts.get(pair, 0) + 1
         self._certs[cert_id] = cert
 
+    def _settle(self, kind: EventKind, cert_id: str, t: int, quote: MarketQuote | None, timestamp: date | None):
+        """Settle ``cert_id`` on day ``t`` by ``kind``'s settlement function and record its figures."""
+        result = _EVENT_RULES[kind][2](self._legal(kind, cert_id, t), t, quote, self.weight_places)
+        payload = result._asdict()
+        del payload["cert_id"]
+        self._record(kind, cert_id, payload, timestamp)
+        return result
+
     def quote_transaction_price(
-        self,
-        cert_id: str,
-        quote: MarketQuote,
-        t1: int,
-        *,
-        timestamp: date | None = None,
+        self, cert_id: str, quote: MarketQuote, t1: int, *, timestamp: date | None = None
     ) -> QuoteResult:
         """Cash price of the certificate ``t1`` days after issuance.
 
         (quotation + premium) x docket residual weight; appends a QUOTE event.
         """
-        cert = self._legal(_QUOTE, cert_id, t1)
-        residual = cert.residual_at(t1)
-        docket = quantize_to_float(residual, self.weight_places)
-        payload = {
-            "t": t1,
-            "quotation": quote.quotation,
-            "premium": quote.premium,
-            "residual_weight": residual,
-            "docket_weight": docket,
-            "price": (quote.quotation + quote.premium) * docket,
-        }
-        self._record(_QUOTE, cert_id, payload, timestamp)
-        return QuoteResult(cert_id=cert_id, **payload)
+        return self._settle(_QUOTE, cert_id, t1, quote, timestamp)
 
-    def physical_delivery(
-        self, cert_id: str, t2: int, *, timestamp: date | None = None
-    ) -> DeliveryResult:
+    def physical_delivery(self, cert_id: str, t2: int, *, timestamp: date | None = None) -> DeliveryResult:
         """Deliver the decayed anchor weight net of the delivery charge.
 
         Eligibility is judged on the face weight (a certificate denominated at
         the minimum lot stays deliverable even though decay pulls the residual
         below it).  Terminal: the certificate becomes DELIVERED.
         """
-        cert = self._legal(_DELIVER, cert_id, t2)
-        residual = cert.residual_at(t2)
-        delivered = residual * (1.0 - cert.rules.delivery_charge_ratio)
-        payload = {
-            "t": t2,
-            "residual_weight": residual,
-            "delivered_weight": delivered,
-            "charged_weight": residual - delivered,
-        }
-        self._record(_DELIVER, cert_id, payload, timestamp)
-        return DeliveryResult(cert_id=cert_id, **payload)
+        return self._settle(_DELIVER, cert_id, t2, None, timestamp)
 
-    def buyback(
-        self,
-        cert_id: str,
-        t: int,
-        quote: MarketQuote,
-        *,
-        timestamp: date | None = None,
-    ) -> BuybackResult:
+    def buyback(self, cert_id: str, t: int, quote: MarketQuote, *, timestamp: date | None = None) -> BuybackResult:
         """Cash out the certificate: residual net of the withdrawal charge, at the day's quotation.
 
         Buyback pays the raw quotation (no premium) on the docket weight.
         Terminal: the certificate becomes BOUGHT_BACK.
         """
-        cert = self._legal(_BUYBACK, cert_id, t)
-        residual = cert.residual_at(t)
-        weight = residual * (1.0 - cert.rules.withdrawal_charge_ratio)
-        docket = quantize_to_float(weight, self.weight_places)
-        payload = {
-            "t": t,
-            "quotation": quote.quotation,
-            "residual_weight": residual,
-            "buyback_weight": weight,
-            "charged_weight": residual - weight,
-            "docket_weight": docket,
-            "cash": docket * quote.quotation,
-        }
-        self._record(_BUYBACK, cert_id, payload, timestamp)
-        return BuybackResult(cert_id=cert_id, **payload)
+        return self._settle(_BUYBACK, cert_id, t, quote, timestamp)
 
     def transfer(
         self, cert_id: str, new_owner: str, t: int, *, timestamp: date | None = None
@@ -551,14 +543,9 @@ class Registry:
         self._record(_TRANSFER, cert_id, {"t": t, "from_owner": cert.owner, "to_owner": new_owner}, timestamp)
         return self._certs[cert_id]
 
-    def expire(
-        self, cert_id: str, t: int, *, timestamp: date | None = None
-    ) -> ExpiryResult:
+    def expire(self, cert_id: str, t: int, *, timestamp: date | None = None) -> ExpiryResult:
         """Sweep a lapsed certificate: residual at the validity boundary accrues to the issuer."""
-        cert = self._legal(_EXPIRE, cert_id, t)
-        payload = {"t": t, "issuer_accrued_weight": cert.residual_at(cert.rules.validity_days)}
-        self._record(_EXPIRE, cert_id, payload, timestamp)
-        return ExpiryResult(cert_id=cert_id, **payload)
+        return self._settle(_EXPIRE, cert_id, t, None, timestamp)
 
 
 # -- replay -----------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcm import (
+    DomainError,
     NoQuoteError,
     ParseError,
     PriceSeries,
@@ -62,6 +63,21 @@ class TestLoadSeries:
     def test_nonpositive_price_is_rejected(self):
         with pytest.raises(ValidationError):
             load_series("date,price\n2020-07-01,0\n")
+
+    @pytest.mark.parametrize(
+        "price, error, message",
+        [
+            ("nan", DomainError, "line 3: price must be finite, got nan"),
+            ("inf", DomainError, "line 3: price must be finite, got inf"),
+            ("-inf", DomainError, "line 3: price must be finite, got -inf"),
+            ("0", ValidationError, "line 3: price at 2020-08-01 must be > 0"),
+            ("-1", ValidationError, "line 3: price at 2020-08-01 must be > 0"),
+        ],
+    )
+    def test_a_bad_price_names_its_line(self, price, error, message):
+        with pytest.raises(ValidationError) as excinfo:
+            load_series(f"date,price\n2020-07-01,5000\n2020-08-01,{price}\n2020-07-15,5100\n")
+        assert (type(excinfo.value), str(excinfo.value)) == (error, message)
 
 
 class TestQuoteAt:

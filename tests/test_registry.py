@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import random
 from datetime import date
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -34,11 +36,14 @@ from dcm import (
     StorageTariff,
     ThetaMode,
     attenuation_coefficient,
+    bundled_scenario_path,
     export_certificate,
     import_certificate,
+    load_scenario,
     read_events,
     replay,
     residual_weight,
+    run_scenario,
 )
 import dcm.registry
 from dcm.checkpoint import LedgerFile
@@ -815,6 +820,51 @@ class TestReplay:
         assert chain_break.value.seq == 2
 
 
+def _every_kind() -> Registry:
+    """A live ledger of every event kind: three certificates valid 100 days, with a derived full-cost theta.
+
+    The first is quoted at a negative premium, transferred and delivered; the
+    second is bought back; the third expires at day 101.
+    """
+    registry = Registry()
+    registry.register_issuer("LME", [1, 1000])
+    theta = attenuation_coefficient(
+        StorageTariff(daily_warehouse_charge=0.2, outbound_transfer_charge=0.7, bank_rate=0.0365),
+        CifQuote(price_per_unit=5000.0, material="copper", location="Rotterdam", as_of=date(2020, 1, 1)),
+        ThetaMode.FULL_COST,
+    )
+    rules = DeliveryRules(0.003, 0.002, 1000, "LME designated warehouse", validity_days=100)
+    first, second, third = (
+        registry.issue("LME", "copper", 1000, 0.9999, LME_ISSUE_DATE, theta, rules, "client-1").cert_id
+        for _ in range(3)
+    )
+    registry.quote_transaction_price(first, MarketQuote(5000.0, -12.5), 30)
+    registry.transfer(first, "client-2", 31)
+    registry.physical_delivery(first, 60)
+    registry.buyback(second, 90, MarketQuote(5100.0))
+    registry.expire(third, 101)
+    return registry
+
+
+# the SHA-256 of each ledger's text, one line per event: any change to a payload's keys, figures or encoding shows
+WIRE_DIGESTS = {
+    "every-kind": "cb7bde76dc8acb3575c2311de8ab2aecfb1e51d92da6bedc3785fd1c8eb950d9",
+    "lme_copper": "452702c6a61fa371d15e41262c5cef2f4d91e7dc79bed182545573e489678eed",
+    "shfe_steel": "adc028aa1c45ae83e336ed1641da5a4f9dcb3fd29509487dc0d42b38c53f972d",
+}
+
+
+@pytest.mark.parametrize("source", list(WIRE_DIGESTS))
+def test_every_event_kind_writes_the_pinned_bytes(source):
+    if source == "every-kind":
+        registry = _every_kind()
+        assert {event.kind for event in registry.ledger.events} == set(EventKind)
+    else:
+        registry = run_scenario(load_scenario(bundled_scenario_path(source)))[1]
+    text = "".join(line + "\n" for line in registry.ledger.to_lines())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WIRE_DIGESTS[source]
+
+
 def rng_length(seed: int) -> int:
     return random.Random(10_000 + seed).randrange(1, 200)
 
@@ -1168,3 +1218,19 @@ NUMERIC_INPUTS = {
 def test_non_finite_numbers_are_domain_errors(target, value):
     with pytest.raises(DomainError, match="finite"):
         NUMERIC_INPUTS[target](value)
+
+
+@pytest.mark.parametrize("value", [True, False, "5", None, Decimal("5")], ids=repr)
+@pytest.mark.parametrize("field", ["quotation", "premium"])
+def test_a_market_quote_figure_is_a_number_not_a_bool(field, value):
+    with pytest.raises(DomainError) as excinfo:
+        MarketQuote(**{"quotation": 5.0, field: value})
+    assert str(excinfo.value) == f"{field} must be a number, got {value!r}"
+
+
+def test_a_market_quote_keeps_an_int_figure_as_given(lme_registry, lme_cert):
+    quote = MarketQuote(5, -1)
+    assert (quote.quotation.__class__, quote.premium.__class__) == (int, int)
+    lme_registry.quote_transaction_price(lme_cert.cert_id, quote, 1)
+    assert '"premium":-1,' in lme_registry.ledger.events[-1].line
+    assert '"quotation":5,' in lme_registry.ledger.events[-1].line
