@@ -30,6 +30,16 @@ def require_finite(**values: float) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+def require_number(**values) -> None:
+    """Raise DomainError for the first named value that is not an int or a float: a bool, "5" and None are not.
+
+    Hot paths test each value's exact class themselves and call this only for another class.
+    """
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):  # a JSON number, not true or "5"
+            raise DomainError(f"{name} must be a number, got {value!r}")
+
+
 class LogisticsParams(Value, namedtuple(
     "LogisticsParams",
     "ordering_cost annual_demand purchase_price unit_warehouse_cost transport_cost transit_days bank_rate "

@@ -73,6 +73,29 @@ def canonical_payload(payload: dict) -> str:
     return _encode(payload)
 
 
+# the classes json.loads gives back for a value of that very class; a subclass, a tuple or a list does not qualify
+_EXACT_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _exact(payload) -> bool:
+    """Whether ``payload`` equals the JSON round-trip of its canonical text in every value and class.
+
+    True for a dict whose keys are ``str`` and whose values are such dicts or
+    scalars of exactly the classes ``json.loads`` builds: CPython's float
+    repr reads back to the same float, so only a subclass (which reads back
+    as its base), a tuple (a list) or a non-str key (a str) changes.
+    """
+    if payload.__class__ is not dict:
+        return False
+    for key, value in payload.items():
+        if key.__class__ is not str:
+            return False
+        cls = value.__class__
+        if cls not in _EXACT_SCALARS and not (cls is dict and _exact(value)):
+            return False
+    return True
+
+
 def _sha256(body: str) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
@@ -142,16 +165,31 @@ class Ledger:
         in-memory event equals what a reader reconstructs from the wire line.
         A payload canonical JSON cannot encode raises DomainError.
         """
+        return self._sealed(kind, cert_id, payload, timestamp, False)
+
+    def _seal_fresh(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date) -> LedgerEvent:
+        """``seal`` for a payload built for this call alone, which the event keeps as its own payload.
+
+        A payload that ``_exact`` passes is kept as it is: it equals the
+        round-trip, value for value and class for class, but for key order.
+        Any other payload is round-tripped, as ``seal`` does.  The caller must
+        not keep or change the dict.
+        """
+        return self._sealed(kind, cert_id, payload, timestamp, True)
+
+    def _sealed(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date, keep: bool) -> LedgerEvent:
         validate_cert_id(cert_id)
         kind = _kind_of(kind)
         try:
-            payload_json = canonical_payload(payload)
+            payload_json = _encode(payload)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"payload cannot be recorded as canonical JSON: {exc}") from None
+        if not (keep and _exact(payload)):
+            payload = _loads(payload_json)
         seq = self.last_seq + 1
         prev = self.head_hash
         line = _seal(seq, timestamp.isoformat(), kind.value, cert_id, payload_json, prev)
-        return LedgerEvent(seq, timestamp, kind, cert_id, json.loads(payload_json), prev, line[-64:], line)
+        return LedgerEvent(seq, timestamp, kind, cert_id, payload, prev, line[-64:], line)
 
     def append(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date) -> LedgerEvent:
         """Seal and append one event; returns it."""

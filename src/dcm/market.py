@@ -10,7 +10,7 @@ from datetime import date
 from math import isfinite
 from pathlib import Path
 
-from .decay import require_finite
+from .decay import require_finite, require_number
 from .errors import ConfigError, DomainError, NoQuoteError, ParseError, ValidationError
 from .values import Value
 
@@ -37,6 +37,8 @@ class PriceSeries(Value, namedtuple("PriceSeries", "material currency points dat
         dates = tuple(d for d, _ in points)
         _check_monotone_dates(dates)
         for d, price in points:
+            if price.__class__ is not float and price.__class__ is not int:  # a bool, "5", None or a subclass
+                require_number(price=price)
             require_finite(price=price)
             if price <= 0:
                 raise ValidationError(f"price at {d.isoformat()} must be > 0")

@@ -25,7 +25,7 @@ from enum import Enum
 from math import isfinite
 from typing import Iterable
 
-from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, require_finite, residual_weight
+from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, require_finite, require_number, residual_weight
 from .errors import (
     DCMError,
     DomainError,
@@ -78,6 +78,16 @@ class DeliveryRules(Value, namedtuple(
         delivery_location: str = "",
         validity_days: int | None = None,
     ):
+        if (  # an int, or a bool, "5" or a subclass: anything a replayed payload does not hold
+            delivery_charge_ratio.__class__ is not float
+            or withdrawal_charge_ratio.__class__ is not float
+            or min_delivery_weight.__class__ is not float
+        ):
+            require_number(
+                delivery_charge_ratio=delivery_charge_ratio,
+                withdrawal_charge_ratio=withdrawal_charge_ratio,
+                min_delivery_weight=min_delivery_weight,
+            )
         delivery = float(delivery_charge_ratio)
         withdrawal = float(withdrawal_charge_ratio)
         minimum = float(min_delivery_weight)
@@ -109,9 +119,7 @@ class MarketQuote(Value, namedtuple("MarketQuote", "quotation premium")):
 
     def __new__(cls, quotation: float, premium: float = 0.0):
         if quotation.__class__ not in (int, float) or premium.__class__ not in (int, float):  # bool, "5", a subclass
-            for name, value in (("quotation", quotation), ("premium", premium)):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):  # a JSON number, not true or "5"
-                    raise DomainError(f"{name} must be a number, got {value!r}")
+            require_number(quotation=quotation, premium=premium)
         if not (isfinite(quotation) and isfinite(premium)):
             require_finite(quotation=quotation, premium=premium)
         if quotation <= 0:
@@ -151,8 +159,10 @@ class Certificate(Value, namedtuple(
         _check_text("owner", owner)
         if not isinstance(weight_unit, str):
             raise DomainError(f"weight_unit must be a string, got {weight_unit!r}")
-        face_weight = float(face_weight)
-        purity = float(purity)
+        if face_weight.__class__ is not float or purity.__class__ is not float:  # an int, or a bool, "5", a subclass
+            require_number(face_weight=face_weight, purity=purity)
+            face_weight = float(face_weight)
+            purity = float(purity)
         if not isfinite(face_weight):
             require_finite(face_weight=face_weight)
         if face_weight <= 0:
@@ -265,7 +275,10 @@ class Registry:
 
     def register_issuer(self, issuer: str, denominations: Iterable[float]) -> None:
         """Declare the face weights an issuer offers.  Membership is exact."""
-        denoms = frozenset(float(d) for d in denominations)
+        offered = tuple(denominations)
+        for d in offered:
+            require_number(denomination=d)
+        denoms = frozenset(map(float, offered))
         if not denoms:
             raise DomainError("denomination set must not be empty")
         for d in denoms:
@@ -420,6 +433,7 @@ class Registry:
         A duplicate id and purity are refused by ``_apply`` before anything
         is recorded; theta and the delivery rules by their own value types.
         """
+        require_number(face_weight=face_weight, purity=purity)
         denominations = self._denominations.get(issuer)
         if denominations is None:
             raise IssuanceError(f"issuer {issuer!r} has no registered denomination set")
@@ -459,11 +473,14 @@ class Registry:
                 )
         return cert
 
+    # Every payload ``_record`` receives is a dict built for that call alone: ``_issue_form``'s, nested dicts
+    # and all, ``_settle``'s ``_asdict()`` and ``transfer``'s literal.  The sealed event keeps it as its payload
+    # rather than parsing its own JSON back (``Ledger._seal_fresh``), so no caller may keep or change it.
     def _record(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date | None) -> None:
         """Seal, apply and append one event dated ``timestamp``, by default ``t`` days after the issue date."""
         if timestamp is None:
             timestamp = self._certs[cert_id].issue_date + timedelta(days=payload["t"])
-        event = self.ledger.seal(kind, cert_id, payload, timestamp)
+        event = self.ledger._seal_fresh(kind, cert_id, payload, timestamp)
         self._apply(event)
         self.ledger.append_sealed(event)
 

@@ -26,6 +26,24 @@ def assert_display_close(value: float, places: int, pinned: str, tol: str = "0.0
     assert abs(shown - Decimal(pinned)) <= Decimal(tol), f"displayed {shown}, pinned {pinned}"
 
 
+def same_json(a, b) -> bool:
+    """Whether two JSON values are equal with every key, value and element of the same class.
+
+    Dict key order is ignored; a float must match to its sign, so -0.0 differs from 0.0.
+    """
+    if a.__class__ is not b.__class__:
+        return False
+    if a.__class__ is dict:
+        return (
+            a.keys() == b.keys()
+            and all(key.__class__ is str for key in a) and all(key.__class__ is str for key in b)
+            and all(same_json(a[key], b[key]) for key in a)
+        )
+    if a.__class__ is list:
+        return len(a) == len(b) and all(map(same_json, a, b))
+    return a == b and (a.__class__ is not float or repr(a) == repr(b))
+
+
 def forge_sidecar(sidecar, edit, edit_header=dict) -> None:
     """Rewrite a checkpoint sidecar's state lines with ``edit`` and its header fields with ``edit_header``.
 

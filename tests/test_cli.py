@@ -227,6 +227,14 @@ class TestLifecycleFlow:
         assert (delivered.returncode, delivered.stdout, refusal) == (4, "", error)
         assert warning.startswith(f"warning: ignoring checkpoint {SIDECAR}: the ledger does not continue it: seq 2: ")
 
+    @pytest.mark.parametrize("case", ["issue-face-weight-true", "issue-face-weight-quoted", "issue-min-delivery-true"])
+    def test_a_sealed_issue_whose_weight_is_not_a_number_exits_integrity(self, tmp_path, lme_registry, lme_cert, case):
+        lines = sealed_refusal_lines(lme_registry.ledger.events[0], case)
+        (tmp_path / "dcm-ledger.log").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        verified = dcm("replay-verify", cwd=tmp_path)
+        assert (verified.returncode, verified.stdout) == (4, "")
+        assert verified.stderr == f"error: seq 2: {SEALED_REFUSALS[case][-1]}\n"
+
     @pytest.mark.parametrize(
         "args",
         [["replay-verify"], ["deliver", "--cert", "LME-copper-0001", "--dt", "10"]],

@@ -8,7 +8,8 @@ engine documents, not from its code: it predicts which operations are
 refused and with which error, and what each certificate's status and owner
 become.  After every step the live registry must equal its own replay, and
 its ledger, saved to a file with a checkpoint sidecar for a drawn prefix, must
-resume to that replay.
+resume to that replay, and each event it appended must hold the very payload
+its wire line reads back to.
 """
 
 from __future__ import annotations
@@ -36,13 +37,17 @@ from dcm import (
     replay,
 )
 from dcm.checkpoint import LedgerFile
+from dcm.ledger import parse_line
+from conftest import same_json
 
 DAY = date(2020, 1, 1)
 LOT = 1000.0
 UNKNOWN = "M-tin-9999"  # never issued: the machine issues far fewer certificates
 OWNERS = st.sampled_from(["alice", "bob", "carol"])
 DAYS = st.integers(min_value=-3, max_value=40)  # a short-lived certificate is valid 1 to 30 days
-QUOTATIONS = st.floats(min_value=0.5, max_value=100.0)
+# floats in range, and figures whose JSON text is unusual: subnormal, huge, integral, an int
+QUOTATIONS = st.floats(min_value=0.5, max_value=100.0) | st.sampled_from([5e-324, 1e300, 7.0]) | st.integers(1, 10**6)
+PREMIUMS = st.sampled_from([0.0, -0.0, 2, -1]) | st.floats(min_value=-1.0, max_value=1.0)
 
 
 class ModelCert:
@@ -69,6 +74,7 @@ class LegalityMachine(RuleBasedStateMachine):
         self.prefix = 0  # the events the checkpoint sidecar covers, at most
         self.touch: frozenset[int] = frozenset()  # the issue-order indices of the certificates a resumed load builds
         self.resumed: tuple | None = None  # the (events, prefix, touch) last resumed: a refused step changes none
+        self.checked = 0  # the events whose payloads have been compared with their lines
 
     def teardown(self):
         self.directory.cleanup()
@@ -135,9 +141,9 @@ class LegalityMachine(RuleBasedStateMachine):
         if self.attempt("transfer", cert_id, t, lambda: self.registry.transfer(cert_id, new_owner, t), new_owner):
             self.model[cert_id].owner = new_owner
 
-    @rule(cert_id=certs | st.just(UNKNOWN), t=DAYS, quotation=QUOTATIONS)
-    def quote(self, cert_id, t, quotation=5.0):
-        market = MarketQuote(quotation=quotation)
+    @rule(cert_id=certs | st.just(UNKNOWN), t=DAYS, quotation=QUOTATIONS, premium=PREMIUMS)
+    def quote(self, cert_id, t, quotation=5.0, premium=0.0):
+        market = MarketQuote(quotation=quotation, premium=premium)
         result = self.attempt("quote", cert_id, t, lambda: self.registry.quote_transaction_price(cert_id, market, t))
         if result is not None:
             assert math.isclose(result.residual_weight, self.model[cert_id].residual(t), rel_tol=1e-12)
@@ -197,6 +203,13 @@ class LegalityMachine(RuleBasedStateMachine):
         return loaded
 
     # -- invariants -----------------------------------------------------------
+
+    @invariant()
+    def each_new_event_holds_the_payload_its_line_reads_back_to(self):
+        events = self.registry.ledger.events
+        for event in events[self.checked:]:
+            assert same_json(event.payload, parse_line(event.line).payload), event
+        self.checked = len(events)
 
     @invariant()
     def replay_and_resume_equal_the_live_registry(self):

@@ -9,6 +9,7 @@ import random
 from datetime import date
 from decimal import Decimal
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,8 +48,8 @@ from dcm import (
 )
 import dcm.registry
 from dcm.checkpoint import LedgerFile
-from dcm.ledger import Ledger, LedgerEvent, canonical_payload
-from conftest import LME_ISSUE_DATE, assert_display_close, forge_sidecar
+from dcm.ledger import Ledger, LedgerEvent, canonical_payload, parse_line
+from conftest import LME_ISSUE_DATE, assert_display_close, forge_sidecar, same_json
 from test_acceptance import _random_operations
 
 
@@ -605,7 +606,25 @@ VALUE_REFUSALS = {
     ),
     "theta-mode-unknown": (_with_theta(mode="daily"), ValueError, "'daily' is not a valid ThetaMode"),
     "face-weight-text": (
-        lambda form: {**form, "face_weight": "five"}, ValueError, "could not convert string to float: 'five'"
+        lambda form: {**form, "face_weight": "five"}, DomainError, "face_weight must be a number, got 'five'"
+    ),
+    # a weight or a ratio is a JSON number: float() would read true as 1.0 and "1000" as 1000.0
+    "face-weight-true": (
+        lambda form: {**form, "face_weight": True}, DomainError, "face_weight must be a number, got True"
+    ),
+    "face-weight-quoted": (
+        lambda form: {**form, "face_weight": "1000"}, DomainError, "face_weight must be a number, got '1000'"
+    ),
+    "purity-true": (lambda form: {**form, "purity": True}, DomainError, "purity must be a number, got True"),
+    "delivery-charge-false": (
+        _with_rules(delivery_charge_ratio=False), DomainError, "delivery_charge_ratio must be a number, got False"
+    ),
+    "withdrawal-charge-quoted": (
+        _with_rules(withdrawal_charge_ratio="0.002"), DomainError,
+        "withdrawal_charge_ratio must be a number, got '0.002'",
+    ),
+    "min-delivery-true": (
+        _with_rules(min_delivery_weight=True), DomainError, "min_delivery_weight must be a number, got True"
     ),
     "location-number": (_with_rules(delivery_location=7), DomainError, "delivery_location must be a string, got 7"),
     "validity-fraction": (
@@ -1234,3 +1253,116 @@ def test_a_market_quote_keeps_an_int_figure_as_given(lme_registry, lme_cert):
     lme_registry.quote_transaction_price(lme_cert.cert_id, quote, 1)
     assert '"premium":-1,' in lme_registry.ledger.events[-1].line
     assert '"quotation":5,' in lme_registry.ledger.events[-1].line
+
+
+def _issue_one(registry: Registry, face_weight=1000, purity=0.9999):
+    return registry.issue(
+        "LME", "copper", face_weight, purity, LME_ISSUE_DATE, AttenuationSpec(theta_daily=0.99996),
+        DeliveryRules(0.003, 0.002, 1000), "client-1",
+    )
+
+
+# live inputs a weight or a ratio refuses: (call on the fixture's registry, message)
+LIVE_NUMBER_REFUSALS = {
+    "issue-face-weight-true": (
+        lambda registry: _issue_one(registry, face_weight=True), "face_weight must be a number, got True"
+    ),
+    "issue-purity-true": (lambda registry: _issue_one(registry, purity=True), "purity must be a number, got True"),
+    "issue-face-weight-quoted": (
+        lambda registry: _issue_one(registry, face_weight="1000"), "face_weight must be a number, got '1000'"
+    ),
+    "certificate-face-weight-true": (
+        lambda registry: _certificate(True), "face_weight must be a number, got True"
+    ),
+    "rules-bools": (
+        lambda registry: DeliveryRules(False, 0.0, True), "delivery_charge_ratio must be a number, got False"
+    ),
+    "rules-min-delivery-quoted": (
+        lambda registry: DeliveryRules(0.0, 0.0, "1000"), "min_delivery_weight must be a number, got '1000'"
+    ),
+    "denomination-true": (
+        lambda registry: registry.register_issuer("LME", [1.0, True]), "denomination must be a number, got True"
+    ),
+    **{
+        f"price-{value!r}": (
+            (lambda value: lambda registry: PriceSeries("m", "c", ((date(2020, 1, 1), value),)))(value),
+            f"price must be a number, got {value!r}",
+        )
+        for value in (True, "5", None)
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(LIVE_NUMBER_REFUSALS))
+def test_a_weight_or_ratio_is_a_number_not_a_bool_or_text(lme_registry, case):
+    call, message = LIVE_NUMBER_REFUSALS[case]
+    with pytest.raises(DomainError) as excinfo:
+        call(lme_registry)
+    assert str(excinfo.value) == message
+    assert len(lme_registry.ledger) == 0
+
+
+class Text(str):
+    pass
+
+
+class Figure(float):
+    pass
+
+
+class Days(int):
+    pass
+
+
+def _probe(
+    *, issuer="LME", owner="client-1", to_owner="client-2", weight_unit="kg", theta=0.99996, validity_days=None,
+    quote=MarketQuote(5000.0, 2.5),
+) -> Registry:
+    """A registry that issues one certificate with these terms, quotes it, transfers it and buys it back."""
+    registry = Registry()
+    registry.register_issuer(issuer, [1000])
+    theta = theta if isinstance(theta, AttenuationSpec) else AttenuationSpec(theta_daily=theta)
+    rules = DeliveryRules(0.003, 0.002, 1000, validity_days=validity_days)
+    cert_id = registry.issue(issuer, "copper", 1000, 0.9999, LME_ISSUE_DATE, theta, rules, owner,
+                             weight_unit=weight_unit).cert_id
+    registry.quote_transaction_price(cert_id, quote, 30)
+    registry.transfer(cert_id, to_owner, 31)
+    registry.buyback(cert_id, 60, quote)
+    return registry
+
+
+# inputs a live event must not keep as given, since their JSON reads back as another class or value
+PAYLOAD_PROBES = {
+    "quotation-float-subclass": {"quote": MarketQuote(Figure(5000.5))},
+    "premium-float-subclass": {"quote": MarketQuote(5000.0, Figure(-2.5))},
+    "theta-float-subclass": {"theta": Figure(0.99996)},
+    "owner-str-subclass": {"owner": Text("client-1")},
+    "to-owner-str-subclass": {"to_owner": Text("client-2")},
+    "issuer-str-subclass": {"issuer": Text("LME")},
+    "weight-unit-str-subclass": {"weight_unit": Text("kg")},
+    "validity-int-subclass": {"validity_days": Days(100)},
+    "cif-material-tuple": {"theta": attenuation_coefficient(
+        StorageTariff(daily_warehouse_charge=0.2), CifQuote(5000.0, material=("a", "b")), ThetaMode.WAREHOUSE_ONLY,
+    )},
+    "numpy-figures": {
+        "quote": MarketQuote(numpy.float64(5000.5), numpy.float64(-2.5)), "theta": numpy.float64(0.99996),
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(PAYLOAD_PROBES))
+def test_a_live_event_holds_the_payload_its_line_reads_back_to(case):
+    registry = _probe(**PAYLOAD_PROBES[case])
+    events = registry.ledger.events
+    for event in events:
+        assert same_json(event.payload, parse_line(event.line).payload), event.kind
+    assert registry.snapshot() == replay(read_events(registry.ledger.to_lines())).snapshot()
+
+
+def test_a_ledger_append_keeps_no_reference_to_the_callers_dict():
+    ledger = Ledger()
+    payload = {"t": 1, "nested": {"a": 1.5}}
+    event = ledger.append(EventKind.QUOTE, "LME-copper-0001", payload, LME_ISSUE_DATE)
+    payload["nested"]["a"] = 2.5
+    assert event.payload == {"t": 1, "nested": {"a": 1.5}}
+    assert event.payload is not payload
