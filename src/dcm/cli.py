@@ -15,13 +15,13 @@ import gc
 import os
 import re
 import sys
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 from .checkpoint import LedgerFile
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, wealth_projection
 from .errors import ConfigError, DCMError
-from .ledger import Ledger, LedgerEvent
+from .ledger import Ledger, LedgerEvent, iso_date
 from .market import load_series, quote_at, read_text
 from .registry import DeliveryRules, MarketQuote, Registry, export_certificate
 from .rounding import RoundingProfile, fmt
@@ -82,8 +82,7 @@ class AppContext:
         if self.prices_path is None:
             raise ConfigError("this command needs a price series; pass --prices")
         series = load_series(read_text(self.prices_path, "price series"))
-        when = cert.issue_date + timedelta(days=dt)
-        return MarketQuote(quotation=quote_at(series, when) / self.per_units, premium=premium)
+        return MarketQuote(quotation=quote_at(series, cert.date_at(dt)) / self.per_units, premium=premium)
 
 
 # -- commands: each takes the context and the parsed arguments ---------------
@@ -212,7 +211,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _iso_date(value: str) -> date:
     try:
-        return date.fromisoformat(value)
+        return iso_date(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{value!r} is not an ISO date") from None
 

@@ -11,6 +11,7 @@ import math
 from collections import namedtuple
 from datetime import date
 from enum import Enum
+from math import isfinite
 
 from .errors import DerivationError, DomainError, UnboundedCostError
 from .values import Value
@@ -20,24 +21,26 @@ _new = tuple.__new__
 DAYS_PER_YEAR = 365.0
 
 
-def require_finite(**values: float) -> None:
-    """Raise DomainError for the first named value that is NaN or infinite.
+def require_number(name: str, value) -> float:
+    """``value`` as a float; DomainError naming ``name`` unless it is a finite int or float.
 
-    Hot paths test ``math.isfinite`` themselves and call this only to raise.
+    A bool and text are not numbers; NaN, infinity and an int beyond float range are not finite.
     """
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-
-
-def require_number(**values) -> None:
-    """Raise DomainError for the first named value that is not an int or a float: a bool, "5" and None are not.
-
-    Hot paths test each value's exact class themselves and call this only for another class.
-    """
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):  # a JSON number, not true or "5"
-            raise DomainError(f"{name} must be a number, got {value!r}")
+    cls = value.__class__
+    if cls is float:
+        if isfinite(value):
+            return value
+    elif cls is int or (cls is not bool and isinstance(value, (int, float))):  # a JSON number, not true or "5"
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond float range
+            pass
+        else:
+            if isfinite(number):
+                return number
+    else:
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 class LogisticsParams(Value, namedtuple(
@@ -71,11 +74,13 @@ class LogisticsParams(Value, namedtuple(
         order_quantity: float | None = None,
     ):
         self = _new(cls, (
-            ordering_cost, annual_demand, purchase_price, unit_warehouse_cost, transport_cost, transit_days,
-            bank_rate, order_quantity,
+            *map(require_number, cls._fields, (
+                ordering_cost, annual_demand, purchase_price, unit_warehouse_cost, transport_cost, transit_days,
+                bank_rate,
+            )),
+            None if order_quantity is None else require_number("order_quantity", order_quantity),
         ))
-        require_finite(**{name: value for name, value in zip(self._fields, self) if value is not None})
-        for name in ("ordering_cost", "purchase_price", "unit_warehouse_cost", "transport_cost"):
+        for name in ("ordering_cost", "purchase_price", "unit_warehouse_cost", "transport_cost", "transit_days"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0")
         if self.annual_demand <= 0:
@@ -84,8 +89,6 @@ class LogisticsParams(Value, namedtuple(
             raise DomainError("order_quantity must be > 0 when given")
         if not 0.0 <= self.bank_rate < 1.0:
             raise DomainError("bank_rate must lie in [0, 1)")
-        if self.transit_days < 0:
-            raise DomainError("transit_days must be >= 0")
         return self
 
     def carrying_rate(self) -> float:
@@ -99,10 +102,15 @@ class CifQuote(Value, namedtuple("CifQuote", "price_per_unit material location a
     __slots__ = ()
 
     def __new__(cls, price_per_unit: float, material: str = "", location: str = "", as_of: date | None = None):
-        require_finite(price_per_unit=price_per_unit)
-        if price_per_unit <= 0:
+        price = require_number("price_per_unit", price_per_unit)
+        if price <= 0:
             raise DomainError("price_per_unit must be > 0")
-        return _new(cls, (price_per_unit, material, location, as_of))
+        for name, text in (("material", material), ("location", location)):
+            if not isinstance(text, str):
+                raise DomainError(f"{name} must be a string, got {text!r}")
+        if as_of is not None and as_of.__class__ is not date:  # a datetime's isoformat is not a date's
+            raise DomainError(f"as_of must be a date or None, got {as_of!r}")
+        return _new(cls, (price, material, location, as_of))
 
 
 class StorageTariff(Value, namedtuple("StorageTariff", "daily_warehouse_charge outbound_transfer_charge bank_rate")):
@@ -116,18 +124,15 @@ class StorageTariff(Value, namedtuple("StorageTariff", "daily_warehouse_charge o
     __slots__ = ()
 
     def __new__(cls, daily_warehouse_charge: float, outbound_transfer_charge: float = 0.0, bank_rate: float = 0.0):
-        require_finite(
-            daily_warehouse_charge=daily_warehouse_charge,
-            outbound_transfer_charge=outbound_transfer_charge,
-            bank_rate=bank_rate,
-        )
-        if daily_warehouse_charge < 0:
-            raise DomainError("daily_warehouse_charge must be >= 0")
-        if outbound_transfer_charge < 0:
-            raise DomainError("outbound_transfer_charge must be >= 0")
-        if bank_rate < 0:
-            raise DomainError("bank_rate must be >= 0")
-        return _new(cls, (daily_warehouse_charge, outbound_transfer_charge, bank_rate))
+        self = _new(cls, (
+            require_number("daily_warehouse_charge", daily_warehouse_charge),
+            require_number("outbound_transfer_charge", outbound_transfer_charge),
+            require_number("bank_rate", bank_rate),
+        ))
+        for name, value in zip(cls._fields, self):
+            if value < 0:
+                raise DomainError(f"{name} must be >= 0")
+        return self
 
 
 class ThetaMode(str, Enum):
@@ -187,6 +192,7 @@ class AttenuationSpec(Value, namedtuple("AttenuationSpec", "theta_daily mode tar
         tariff: StorageTariff | None = None,
         cif: CifQuote | None = None,
     ):
+        theta_daily = require_number("theta_daily", theta_daily)
         if not 0.0 < theta_daily < 1.0:
             raise DerivationError(
                 f"theta_daily {theta_daily:.6f} ({mode.value}) outside the open interval (0, 1)"
@@ -321,21 +327,21 @@ def residual_weight(
     Geometric daily decay, evaluated as exp(dt * ln theta) to hold 15-16
     significant digits across decade-scale horizons.
     """
-    if not math.isfinite(face_weight):
-        require_finite(face_weight=face_weight)
-    if face_weight <= 0:
+    weight = require_number("face_weight", face_weight)
+    if weight <= 0:
         raise DomainError("face_weight must be > 0")
-    if isinstance(delta_t, float) and not delta_t.is_integer():
+    days = require_number("delta_t", delta_t)
+    if not days.is_integer():
         raise DomainError("delta_t must be a whole number of days")
-    if delta_t < 0:
+    if days < 0:
         raise DomainError("delta_t must be >= 0")
     if isinstance(theta, AttenuationSpec):
         daily = theta.theta_daily
     else:
-        daily = float(theta)
+        daily = require_number("theta", theta)
         if not 0.0 < daily < 1.0:
             raise DomainError("theta must lie in the open interval (0, 1)")
-    return face_weight * math.exp(delta_t * math.log(daily))
+    return weight * math.exp(days * math.log(daily))
 
 
 class WealthProjection(Value, namedtuple(

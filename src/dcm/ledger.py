@@ -222,6 +222,18 @@ def _fields(line: str) -> tuple[str, str, str, str, str, str, str, str]:
     return body, seq_text, ts_text, kind_text, cert_id, payload_json, prev_hash, line_hash
 
 
+def iso_date(text: str) -> date:
+    """The date ``text`` writes in ``date.isoformat()``'s form, YYYY-MM-DD; ValueError for other text.
+
+    From Python 3.11 ``date.fromisoformat`` also reads "20200101" and "2020-W01-3"; this refuses them with
+    3.10's message.  A value that is not a ``str`` is a TypeError.
+    """
+    value = _fromisoformat(text)
+    if value.isoformat() != text:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return value
+
+
 def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
     """Parse one wire line into an event, checking its digest and canonical form.
 
@@ -246,9 +258,7 @@ def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
             raise LedgerIntegrityError("malformed hash field", seq=seq)
         raise LedgerIntegrityError("hash mismatch: record bytes do not match their digest", seq=seq)
     try:
-        timestamp = _fromisoformat(ts_text)
-        if timestamp.isoformat() != ts_text:
-            raise ValueError(ts_text)
+        timestamp = iso_date(ts_text)
     except ValueError:
         raise LedgerIntegrityError(f"bad timestamp {ts_text!r}", seq=seq) from None
     kind = _KINDS.get(kind_text)

@@ -10,8 +10,9 @@ from datetime import date
 from math import isfinite
 from pathlib import Path
 
-from .decay import require_finite, require_number
+from .decay import require_number
 from .errors import ConfigError, DomainError, NoQuoteError, ParseError, ValidationError
+from .ledger import iso_date
 from .values import Value
 
 
@@ -36,11 +37,8 @@ class PriceSeries(Value, namedtuple("PriceSeries", "material currency points dat
     def __new__(cls, material: str, currency: str, points: tuple[tuple[date, float], ...]):
         dates = tuple(d for d, _ in points)
         _check_monotone_dates(dates)
-        for d, price in points:
-            if price.__class__ is not float and price.__class__ is not int:  # a bool, "5", None or a subclass
-                require_number(price=price)
-            require_finite(price=price)
-            if price <= 0:
+        for d, price in points:  # each price is kept as given: an int stays an int
+            if require_number("price", price) <= 0:
                 raise ValidationError(f"price at {d.isoformat()} must be > 0")
         return tuple.__new__(cls, (material, currency, points, dates))
 
@@ -76,7 +74,7 @@ def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSe
             raise ParseError(f"expected 2 fields, got {len(row)}", lineno=lineno)
         raw_date, raw_value = row[0].strip(), row[1].strip()
         try:
-            when = date.fromisoformat(raw_date)
+            when = iso_date(raw_date)
         except ValueError:
             raise ParseError(f"bad ISO date {raw_date!r}", lineno=lineno) from None
         try:

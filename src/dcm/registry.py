@@ -22,10 +22,9 @@ import json
 from collections import namedtuple
 from datetime import date, timedelta
 from enum import Enum
-from math import isfinite
 from typing import Iterable
 
-from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, require_finite, require_number, residual_weight
+from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, require_number, residual_weight
 from .errors import (
     DCMError,
     DomainError,
@@ -36,7 +35,7 @@ from .errors import (
     ParseError,
     StateError,
 )
-from .ledger import EventKind, Ledger, LedgerEvent, canonical_payload, member_lookup, validate_cert_id
+from .ledger import EventKind, Ledger, LedgerEvent, canonical_payload, iso_date, member_lookup, validate_cert_id
 from .rounding import fmt, quantize_to_float
 from .values import Value
 
@@ -54,6 +53,7 @@ _mode_of = member_lookup(ThetaMode)
 # module globals, which every event reads: a global is cheaper to read than an Enum class attribute
 _ACTIVE = CertStatus.ACTIVE
 _ISSUE, _TRANSFER, _QUOTE, _DELIVER, _BUYBACK, _EXPIRE = EventKind  # the members in definition order
+_LAST_DAY = date.max.toordinal()
 
 
 class DeliveryRules(Value, namedtuple(
@@ -78,21 +78,9 @@ class DeliveryRules(Value, namedtuple(
         delivery_location: str = "",
         validity_days: int | None = None,
     ):
-        if (  # an int, or a bool, "5" or a subclass: anything a replayed payload does not hold
-            delivery_charge_ratio.__class__ is not float
-            or withdrawal_charge_ratio.__class__ is not float
-            or min_delivery_weight.__class__ is not float
-        ):
-            require_number(
-                delivery_charge_ratio=delivery_charge_ratio,
-                withdrawal_charge_ratio=withdrawal_charge_ratio,
-                min_delivery_weight=min_delivery_weight,
-            )
-        delivery = float(delivery_charge_ratio)
-        withdrawal = float(withdrawal_charge_ratio)
-        minimum = float(min_delivery_weight)
-        if not isfinite(minimum):
-            require_finite(min_delivery_weight=minimum)
+        delivery = require_number("delivery_charge_ratio", delivery_charge_ratio)
+        withdrawal = require_number("withdrawal_charge_ratio", withdrawal_charge_ratio)
+        minimum = require_number("min_delivery_weight", min_delivery_weight)
         if not 0.0 <= delivery <= 0.1:
             raise DomainError("delivery_charge_ratio must lie in [0, 0.1]")
         if not 0.0 <= withdrawal <= 0.1:
@@ -118,11 +106,10 @@ class MarketQuote(Value, namedtuple("MarketQuote", "quotation premium")):
     __slots__ = ()
 
     def __new__(cls, quotation: float, premium: float = 0.0):
-        if quotation.__class__ not in (int, float) or premium.__class__ not in (int, float):  # bool, "5", a subclass
-            require_number(quotation=quotation, premium=premium)
-        if not (isfinite(quotation) and isfinite(premium)):
-            require_finite(quotation=quotation, premium=premium)
-        if quotation <= 0:
+        # both kept as given: an int figure stays an int in a payload's JSON
+        number = require_number("quotation", quotation)
+        require_number("premium", premium)
+        if number <= 0:
             raise DomainError("quotation must be > 0")
         return _new(cls, (quotation, premium))
 
@@ -159,12 +146,8 @@ class Certificate(Value, namedtuple(
         _check_text("owner", owner)
         if not isinstance(weight_unit, str):
             raise DomainError(f"weight_unit must be a string, got {weight_unit!r}")
-        if face_weight.__class__ is not float or purity.__class__ is not float:  # an int, or a bool, "5", a subclass
-            require_number(face_weight=face_weight, purity=purity)
-            face_weight = float(face_weight)
-            purity = float(purity)
-        if not isfinite(face_weight):
-            require_finite(face_weight=face_weight)
+        face_weight = require_number("face_weight", face_weight)
+        purity = require_number("purity", purity)
         if face_weight <= 0:
             raise DomainError("face_weight must be > 0")
         if not 0.0 < purity <= 1.0:
@@ -175,6 +158,12 @@ class Certificate(Value, namedtuple(
 
     def residual_at(self, delta_t: int) -> float:
         return residual_weight(self.face_weight, self.theta, delta_t)
+
+    def date_at(self, t: int) -> date:
+        """The calendar date ``t`` days after issuance; a DomainError when it falls outside the calendar."""
+        if not 0 < self.issue_date.toordinal() + t <= _LAST_DAY:
+            raise DomainError(f"day {t} after {self.issue_date} falls outside the calendar, {date.min} to {date.max}")
+        return self.issue_date + timedelta(days=t)
 
 
 def _check_text(name: str, value) -> None:
@@ -275,14 +264,9 @@ class Registry:
 
     def register_issuer(self, issuer: str, denominations: Iterable[float]) -> None:
         """Declare the face weights an issuer offers.  Membership is exact."""
-        offered = tuple(denominations)
-        for d in offered:
-            require_number(denomination=d)
-        denoms = frozenset(map(float, offered))
+        denoms = frozenset(require_number("denomination", d) for d in denominations)
         if not denoms:
             raise DomainError("denomination set must not be empty")
-        for d in denoms:
-            require_finite(denomination=d)
         if any(d <= 0 for d in denoms):
             raise DomainError("denominations must be > 0")
         self._denominations[issuer] = denoms
@@ -409,10 +393,11 @@ class Registry:
     # cannot drift apart.  On every event it checks a new cert_id and valid
     # terms with exact keys (ISSUE); through ``_legal``, an int day ``t``, a
     # known certificate that is not terminal, t >= 0 (not EXPIRE), the
-    # validity window (not TRANSFER), the delivery lot (DELIVER) and the
-    # lapsed window (EXPIRE); the owners (TRANSFER); and that the payload has
-    # exactly its kind's top-level keys.  Replay does not call the settlement
-    # functions yet: their figures are recorded, not re-derived (ROADMAP D6).
+    # validity window (not TRANSFER), the delivery lot (DELIVER), the lapsed
+    # window (EXPIRE) and a date within the calendar; the owners (TRANSFER);
+    # and that the payload has exactly its kind's top-level keys.  Replay does
+    # not call the settlement functions yet: their figures are recorded, not
+    # re-derived (ROADMAP D6).
 
     def issue(
         self,
@@ -433,20 +418,17 @@ class Registry:
         A duplicate id and purity are refused by ``_apply`` before anything
         is recorded; theta and the delivery rules by their own value types.
         """
-        require_number(face_weight=face_weight, purity=purity)
+        weight = require_number("face_weight", face_weight)
+        purity = require_number("purity", purity)
         denominations = self._denominations.get(issuer)
         if denominations is None:
             raise IssuanceError(f"issuer {issuer!r} has no registered denomination set")
-        if float(face_weight) not in denominations:
+        if weight not in denominations:
             offered = ", ".join(str(d) for d in sorted(denominations))
-            raise IssuanceError(
-                f"face weight {face_weight} not offered by {issuer}; denominations: {offered}"
-            )
+            raise IssuanceError(f"face weight {face_weight} not offered by {issuer}; denominations: {offered}")
         count = self._issue_counts.get((issuer, material), 0) + 1
         cert_id = f"{issuer}-{material}-{count:04d}"
-        payload = _issue_form(
-            issuer, material, float(face_weight), float(purity), issue_date, theta, rules, owner, weight_unit
-        )
+        payload = _issue_form(issuer, material, weight, purity, issue_date, theta, rules, owner, weight_unit)
         self._record(_ISSUE, cert_id, payload, issue_date)
         return self._certs[cert_id]
 
@@ -471,6 +453,8 @@ class Registry:
                     f"face weight {cert.face_weight} below minimum delivery lot "
                     f"{cert.rules.min_delivery_weight}"
                 )
+        if t > _LAST_DAY - cert.issue_date.toordinal():
+            cert.date_at(t)  # raises: the event's date would pass the calendar's last
         return cert
 
     # Every payload ``_record`` receives is a dict built for that call alone: ``_issue_form``'s, nested dicts
@@ -479,7 +463,7 @@ class Registry:
     def _record(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date | None) -> None:
         """Seal, apply and append one event dated ``timestamp``, by default ``t`` days after the issue date."""
         if timestamp is None:
-            timestamp = self._certs[cert_id].issue_date + timedelta(days=payload["t"])
+            timestamp = self._certs[cert_id].date_at(payload["t"])
         event = self.ledger._seal_fresh(kind, cert_id, payload, timestamp)
         self._apply(event)
         self.ledger.append_sealed(event)
@@ -612,24 +596,17 @@ _RULES_KEYS = frozenset(DeliveryRules._fields)
 
 
 def _theta_from_payload(payload: dict) -> AttenuationSpec:
+    # positional calls in field order, as in ``_cert_from_payload``
     tariff = None
     if "tariff" in payload:
         raw = payload["tariff"]
-        tariff = StorageTariff(
-            daily_warehouse_charge=raw["daily_warehouse_charge"],
-            outbound_transfer_charge=raw["outbound_transfer_charge"],
-            bank_rate=raw["bank_rate"],
-        )
+        tariff = StorageTariff(raw["daily_warehouse_charge"], raw["outbound_transfer_charge"], raw["bank_rate"])
         _check_keys("tariff", raw, _TARIFF_KEYS)
     cif = None
     if "cif" in payload:
         raw = payload["cif"]
-        cif = CifQuote(
-            price_per_unit=raw["price_per_unit"],
-            material=raw["material"],
-            location=raw["location"],
-            as_of=date.fromisoformat(raw["as_of"]) if raw["as_of"] else None,
-        )
+        as_of = None if raw["as_of"] is None else iso_date(raw["as_of"])
+        cif = CifQuote(raw["price_per_unit"], raw["material"], raw["location"], as_of)
         _check_keys("cif", raw, _CIF_KEYS)
     theta = AttenuationSpec(payload["theta_daily"], _mode_of(payload["mode"]), tariff, cif)
     _check_keys("theta", payload, _THETA_KEYS, _THETA_OPTIONAL)
@@ -666,7 +643,7 @@ def _cert_from_payload(cert_id: str, payload: dict, status: CertStatus = CertSta
         payload["material"],
         payload["face_weight"],
         payload["purity"],
-        date.fromisoformat(payload["issue_date"]),
+        iso_date(payload["issue_date"]),
         _theta_from_payload(payload["theta"]),
         DeliveryRules(
             rules["delivery_charge_ratio"],
@@ -754,7 +731,7 @@ def import_certificate(text: str) -> Certificate:
             material=values["material"],
             face_weight=float(values["face_weight"]),
             purity=float(values["purity"]),
-            issue_date=date.fromisoformat(values["issue_date"]),
+            issue_date=iso_date(values["issue_date"]),
             theta=AttenuationSpec(theta_daily=float(values["theta"])),
             rules=DeliveryRules(
                 delivery_charge_ratio=float(values["delivery_charge_ratio"]),

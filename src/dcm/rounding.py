@@ -8,7 +8,7 @@ shortest round-tripping decimal form of the float, then rounds half-even.
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, getcontext
 
 from .errors import DomainError
 from .values import Value
@@ -18,8 +18,10 @@ def quantize(value: float, places: int) -> Decimal:
     """Round ``value`` half-even to ``places`` decimal digits."""
     if places < 0:
         raise DomainError("places must be >= 0")
-    exponent = Decimal(1).scaleb(-places)
-    return Decimal(repr(float(value))).quantize(exponent, rounding=ROUND_HALF_EVEN)
+    try:
+        return Decimal(repr(float(value))).quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN)
+    except InvalidOperation:  # the result needs more digits than the decimal context holds
+        raise DomainError(f"cannot round {value!r} to {places} places in {getcontext().prec} digits") from None
 
 
 def quantize_to_float(value: float, places: int) -> float:

@@ -28,7 +28,7 @@ from yaml import SequenceEndEvent, SequenceStartEvent, StreamEndEvent
 
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient
 from .errors import ConfigError, DCMError, DomainError, ScenarioStepError
-from .ledger import canonical_payload
+from .ledger import canonical_payload, iso_date
 from .market import PriceSeries, load_series, quote_at, read_text
 from .registry import DeliveryRules, MarketQuote, Registry
 from .rounding import RoundingProfile, fmt
@@ -103,6 +103,10 @@ class ScenarioConfig(Value, namedtuple(
             if step.dt < previous:
                 raise ConfigError("script dt values must be non-decreasing")
             previous = step.dt
+        if previous > date.max.toordinal() - issue_date.toordinal():
+            raise ConfigError(
+                f"script dt {previous} after {issue_date} falls outside the calendar, {date.min} to {date.max}"
+            )
         needs_prices = any(s.action in ("quote", "buyback") for s in script)
         if needs_prices and prices is None:
             raise ConfigError("script quotes or buys back but no price series is configured")
@@ -163,11 +167,12 @@ def _text(mapping: dict, key: str, context: str, default: Any = _REQUIRED) -> st
 
 
 def _as_date(value: Any, context: str) -> date:
-    if isinstance(value, date):
+    """A YAML date (not a timestamp with a time), or a string in YYYY-MM-DD form."""
+    if value.__class__ is date:
         return value
     try:
-        return date.fromisoformat(str(value))
-    except ValueError:
+        return iso_date(value)
+    except (TypeError, ValueError):
         raise ConfigError(f"{context}: bad date {value!r}") from None
 
 

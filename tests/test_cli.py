@@ -206,7 +206,9 @@ class TestLifecycleFlow:
         "case",
         [
             "deliver-past-validity", "quote-empty", "expire-before-lapse", "buyback-cash-only", "deliver-below-lot",
-            "transfer-negative-day", "expire-open-ended", "issue-extra-key",
+            "transfer-negative-day", "expire-open-ended", "issue-extra-key", "deliver-off-calendar",
+            "quote-off-calendar", "issue-issue-date-basic", "issue-issue-date-week", "issue-cif-as-of-basic",
+            "issue-cif-as-of-empty", "issue-cif-as-of-False", "issue-cif-material-number",
         ],
     )
     def test_a_sealed_forgery_exits_integrity_also_when_a_command_resumes_before_it(
@@ -227,7 +229,13 @@ class TestLifecycleFlow:
         assert (delivered.returncode, delivered.stdout, refusal) == (4, "", error)
         assert warning.startswith(f"warning: ignoring checkpoint {SIDECAR}: the ledger does not continue it: seq 2: ")
 
-    @pytest.mark.parametrize("case", ["issue-face-weight-true", "issue-face-weight-quoted", "issue-min-delivery-true"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "issue-face-weight-true", "issue-face-weight-quoted", "issue-min-delivery-true", "issue-face-weight-huge",
+            "issue-min-delivery-huge", "issue-theta-huge", "issue-tariff-charge-true", "issue-cif-price-quoted",
+        ],
+    )
     def test_a_sealed_issue_whose_weight_is_not_a_number_exits_integrity(self, tmp_path, lme_registry, lme_cert, case):
         lines = sealed_refusal_lines(lme_registry.ledger.events[0], case)
         (tmp_path / "dcm-ledger.log").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -346,6 +354,19 @@ class TestLifecycleFlow:
     def test_missing_ledger_exits_validation(self, tmp_path):
         result = dcm("replay-verify", cwd=tmp_path)
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "command, dt", [("deliver", "3000000"), ("quote", "3000000"), ("buyback", "3000000"), ("quote", "-3000000")]
+    )
+    def test_a_day_outside_the_calendar_exits_validation(self, tmp_path, command, dt):
+        (tmp_path / "prices.csv").write_text(PRICES, encoding="utf-8")
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        ledger_file = tmp_path / "dcm-ledger.log"
+        before = ledger_file.read_bytes()
+        result = dcm(*PRICED, command, "--cert", "LME-copper-0001", "--dt", dt, cwd=tmp_path)
+        error = f"error: day {dt} after 2020-01-01 falls outside the calendar, 0001-01-01 to 9999-12-31\n"
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", error)
+        assert ledger_file.read_bytes() == before
 
     def test_unknown_certificate_exits_validation(self, tmp_path):
         (tmp_path / "prices.csv").write_text(PRICES, encoding="utf-8")
@@ -676,6 +697,8 @@ LOCAL_USAGE_ERRORS = {
               "mode": _edit("theta", "--mode", "explicit"), "abbreviated": ["theta", "--ware", "0.2", "--cif", "5000"]},
     "issue": {"missing": _edit("issue", "--owner"), "float": _edit("issue", "--purity", "pure"),
               "int": _edit("issue", "--validity-days", "0.5"), "date": _edit("issue", "--issue-date", "2020-13-01"),
+              "date-basic-form": _edit("issue", "--issue-date", "20200101"),
+              "date-week-form": _edit("issue", "--issue-date", "2020-W01-3"),
               "abbreviated": ["issue", "--own", "x", *ISSUE_ARGS[1:-2]]},
     "quote": {"missing": _edit("quote", "--dt"), "float": _edit("quote", "--premium", "1,5"),
               "int": _edit("quote", "--dt", "3.5"), "abbreviated": _edit("quote", "--prem", "0.1")},
@@ -685,7 +708,10 @@ LOCAL_USAGE_ERRORS = {
                 "abbreviated": ["buyback", "--cert", "LME-copper-0001", "--d", "3"]},
     "run": {"missing": ["run"], "format": _edit("run", "--format", "yaml"), "abbreviated": _edit("run", "--form", "json")},
     "project": {"missing": _edit("project", "--theta"), "float": _edit("project", "--weight", ""),
-                "int": _edit("project", "--days", "36.5"), "abbreviated": _edit("project", "--day", "3")},
+                "int": _edit("project", "--days", "36.5"), "abbreviated": _edit("project", "--day", "3"),
+                # not usage errors but values the computation refuses: exit 2 all the same
+                "days-beyond-float": _edit("project", "--days", "1" + "0" * 400),
+                "places-beyond-precision": ["--weight-places", "30", *SUBCOMMANDS["project"]]},
     "replay-verify": {},
 }
 GROUP_USAGE_ERRORS = {

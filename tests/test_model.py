@@ -14,30 +14,39 @@ its wire line reads back to.
 
 from __future__ import annotations
 
+import copy
 import math
 import tempfile
 from datetime import date
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 from dcm import (
     AttenuationSpec,
+    CifQuote,
     DeliveryRules,
     DomainError,
+    EventKind,
     ExpiryError,
+    Ledger,
+    LedgerIntegrityError,
     LotSizeError,
     MarketQuote,
     Registry,
     StateError,
+    StorageTariff,
+    ThetaMode,
+    attenuation_coefficient,
     read_events,
     replay,
 )
 from dcm.checkpoint import LedgerFile
 from dcm.ledger import parse_line
+from dcm.registry import certificate_state
 from conftest import same_json
 
 DAY = date(2020, 1, 1)
@@ -236,3 +245,69 @@ class LegalityMachine(RuleBasedStateMachine):
 
 LegalityMachine.TestCase.settings = settings(deadline=None)
 TestLegality = LegalityMachine.TestCase
+
+
+# -- an ISSUE with one figure, date or text replaced --------------------------
+
+
+def _issue_payload() -> dict:
+    """A live ISSUE's payload, with a derived theta so that it records a tariff and a landed price."""
+    registry = Registry()
+    registry.register_issuer("M", [LOT])
+    theta = attenuation_coefficient(
+        StorageTariff(0.2, 0.1, 0.0365), CifQuote(5000.0, "tin", "Rotterdam", DAY), ThetaMode.FULL_COST
+    )
+    registry.issue("M", "tin", LOT, 0.9999, DAY, theta, DeliveryRules(0.003, 0.002, LOT, "Rotterdam", 30), "alice")
+    return registry.ledger.events[0].payload
+
+
+ISSUE_PAYLOAD = _issue_payload()
+
+
+def _leaves(form: dict, path: tuple = ()) -> list[tuple]:
+    """The key path of every value in ``form`` that is not itself a dict."""
+    return [
+        leaf
+        for key, value in form.items()
+        for leaf in (_leaves(value, (*path, key)) if value.__class__ is dict else [(*path, key)])
+    ]
+
+
+def _typed(form) -> bool:
+    """Whether every value in ``form`` is None, a str or a number that is not a bool."""
+    if form.__class__ is dict:
+        return all(map(_typed, form.values()))
+    return form is None or form.__class__ in (str, int, float)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5,
+)
+# values at the edges of what one field or another reads: dates in other ISO forms, an int beyond float range,
+# the figures false, 0 and 1, and the text a mode or a date reads
+EDGE_VALUES = st.sampled_from(
+    ["20200101", "2020-W01-3", "", "2020-01-01", "explicit", "full-cost", 10**400, 0, 1, 1.0, False, True, None]
+)
+
+
+@settings(deadline=None)
+@given(path=st.sampled_from(_leaves(ISSUE_PAYLOAD)), value=JSON_VALUES | EDGE_VALUES)
+def test_an_issue_with_one_value_replaced_is_refused_or_replays_to_its_payload(path, value):
+    payload = copy.deepcopy(ISSUE_PAYLOAD)
+    *parents, leaf = path
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    ledger = Ledger()
+    ledger.append(EventKind.ISSUE, "M-tin-0001", payload, DAY)
+    try:
+        registry = replay(read_events(ledger.to_lines()))
+    except LedgerIntegrityError as exc:
+        assert exc.seq == 1
+        return
+    state = certificate_state(registry.certificate("M-tin-0001"))
+    assert state == {**payload, "status": "ACTIVE"}
+    assert _typed(state), state

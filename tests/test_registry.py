@@ -578,6 +578,8 @@ def _with_derived_theta(part: str, **fields):
     return lambda form: {**form, "theta": {**DERIVED_THETA, part: {**DERIVED_THETA[part], **fields}}}
 
 
+HUGE = 10**400  # an int JSON reads exactly, beyond float range
+
 # edits of an ISSUE payload (or of a state form, which extends it) that a value
 # type refuses: (edit, error type, message)
 VALUE_REFUSALS = {
@@ -626,6 +628,39 @@ VALUE_REFUSALS = {
     "min-delivery-true": (
         _with_rules(min_delivery_weight=True), DomainError, "min_delivery_weight must be a number, got True"
     ),
+    # an int beyond float range is not finite: float() of it raised a bare OverflowError
+    "face-weight-huge": (
+        lambda form: {**form, "face_weight": HUGE}, DomainError, f"face_weight must be finite, got {HUGE!r}"
+    ),
+    "min-delivery-huge": (
+        _with_rules(min_delivery_weight=HUGE), DomainError, f"min_delivery_weight must be finite, got {HUGE!r}"
+    ),
+    "theta-huge": (_with_theta(theta_daily=HUGE), DomainError, f"theta_daily must be finite, got {HUGE!r}"),
+    "tariff-charge-true": (
+        _with_derived_theta("tariff", daily_warehouse_charge=True), DomainError,
+        "daily_warehouse_charge must be a number, got True",
+    ),
+    "cif-price-quoted": (
+        _with_derived_theta("cif", price_per_unit="5000"), DomainError, "price_per_unit must be a number, got '5000'"
+    ),
+    "cif-material-number": (
+        _with_derived_theta("cif", material=5), DomainError, "material must be a string, got 5"
+    ),
+    # a date is read in YYYY-MM-DD form only, on every Python: 3.11's fromisoformat also reads the others
+    **{
+        f"{name}-{form}": (edit(text), ValueError, f"Invalid isoformat string: {text!r}")
+        for name, edit in (
+            ("issue-date", lambda text: lambda issue: {**issue, "issue_date": text}),
+            ("cif-as-of", lambda text: _with_derived_theta("cif", as_of=text)),
+        )
+        for form, text in (("basic", "20200101"), ("week", "2020-W01-3"), ("empty", ""))
+    },
+    **{
+        f"cif-as-of-{value!r}": (
+            _with_derived_theta("cif", as_of=value), TypeError, "fromisoformat: argument must be str"
+        )
+        for value in (0, False)
+    },
     "location-number": (_with_rules(delivery_location=7), DomainError, "delivery_location must be a string, got 7"),
     "validity-fraction": (
         _with_rules(validity_days=2.5), DomainError, "validity_days must be an integer or None, got 2.5"
@@ -746,6 +781,22 @@ SEALED_REFUSALS = {
         EventKind.DELIVER, "LME-copper-0001",
         lambda issue: {"t": 1e300, "residual_weight": 0.0, "delivered_weight": 0.0, "charged_weight": 0.0},
         "DELIVER refused: DomainError: t must be a whole number of days, got 1e+300",
+    ),
+    # the event's date would pass 9999-12-31: the live operation could not date it
+    "deliver-off-calendar": (
+        EventKind.DELIVER, "LME-copper-0001",
+        lambda issue: {"t": 3_000_000, "residual_weight": 0.0, "delivered_weight": 0.0, "charged_weight": 0.0},
+        "DELIVER refused: DomainError: day 3000000 after 2020-01-01 falls outside the calendar, "
+        "0001-01-01 to 9999-12-31",
+    ),
+    "quote-off-calendar": (
+        EventKind.QUOTE, "LME-copper-0001",
+        lambda issue: {
+            "t": 3_000_000, "residual_weight": 0.0, "docket_weight": 0.0, "quotation": 5.0, "premium": 0.0,
+            "price": 0.0,
+        },
+        "QUOTE refused: DomainError: day 3000000 after 2020-01-01 falls outside the calendar, "
+        "0001-01-01 to 9999-12-31",
     ),
 }
 
@@ -1232,7 +1283,9 @@ NUMERIC_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), HUGE], ids=["nan", "inf", "-inf", "beyond-float"]
+)
 @pytest.mark.parametrize("target", sorted(NUMERIC_INPUTS))
 def test_non_finite_numbers_are_domain_errors(target, value):
     with pytest.raises(DomainError, match="finite"):
@@ -1290,6 +1343,38 @@ LIVE_NUMBER_REFUSALS = {
         )
         for value in (True, "5", None)
     },
+    **{
+        f"{case}-huge": (call, f"{field} must be finite, got {HUGE!r}")
+        for case, field, call in (
+            ("issue-face-weight", "face_weight", lambda registry: _issue_one(registry, face_weight=HUGE)),
+            ("issue-purity", "purity", lambda registry: _issue_one(registry, purity=HUGE)),
+            ("certificate-face-weight", "face_weight", lambda registry: _certificate(HUGE)),
+            ("rules-delivery-charge", "delivery_charge_ratio", lambda registry: DeliveryRules(HUGE, 0.0, 1.0)),
+            ("rules-withdrawal-charge", "withdrawal_charge_ratio", lambda registry: DeliveryRules(0.0, HUGE, 1.0)),
+            ("rules-min-delivery", "min_delivery_weight", lambda registry: DeliveryRules(0.0, 0.0, HUGE)),
+            ("denomination", "denomination", lambda registry: registry.register_issuer("LME", [1.0, HUGE])),
+            ("price", "price", lambda registry: PriceSeries("m", "c", ((date(2020, 1, 1), HUGE),))),
+        )
+    },
+    # every figure of the storage and costing types: each was checked for finite only, so True passed as 1
+    **{
+        f"{target}-{label}": (
+            (lambda build, value: lambda registry: build(value))(build, value),
+            f"{field} must be {'finite' if value is HUGE else 'a number'}, got {value!r}",
+        )
+        for target, field, build in (
+            ("tariff-warehouse", "daily_warehouse_charge", lambda x: StorageTariff(x)),
+            ("tariff-transfer", "outbound_transfer_charge", lambda x: StorageTariff(0.1, x)),
+            ("tariff-bank-rate", "bank_rate", lambda x: StorageTariff(0.1, 0.0, x)),
+            ("cif-price", "price_per_unit", lambda x: CifQuote(x)),
+            ("theta", "theta_daily", lambda x: AttenuationSpec(x)),
+            *(
+                (f"logistics-{name}", name, (lambda name: lambda x: _logistics(**{name: x}))(name))
+                for name in LogisticsParams._fields
+            ),
+        )
+        for label, value in (("true", True), ("text", "5"), ("huge", HUGE))
+    },
 }
 
 
@@ -1341,8 +1426,8 @@ PAYLOAD_PROBES = {
     "issuer-str-subclass": {"issuer": Text("LME")},
     "weight-unit-str-subclass": {"weight_unit": Text("kg")},
     "validity-int-subclass": {"validity_days": Days(100)},
-    "cif-material-tuple": {"theta": attenuation_coefficient(
-        StorageTariff(daily_warehouse_charge=0.2), CifQuote(5000.0, material=("a", "b")), ThetaMode.WAREHOUSE_ONLY,
+    "cif-material-str-subclass": {"theta": attenuation_coefficient(
+        StorageTariff(daily_warehouse_charge=0.2), CifQuote(5000.0, material=Text("copper")), ThetaMode.WAREHOUSE_ONLY,
     )},
     "numpy-figures": {
         "quote": MarketQuote(numpy.float64(5000.5), numpy.float64(-2.5)), "theta": numpy.float64(0.99996),

@@ -278,11 +278,33 @@ class TestScenarioLoading:
                 None,
                 r"script step 2 \(transfer\): new_owner must be a string, got 123",
             ),
+            (
+                ISSUE_STEP + "  - {dt: 3000000, action: deliver, cert: c1}\n",
+                None,
+                "script dt 3000000 after 2020-01-01 falls outside the calendar, 0001-01-01 to 9999-12-31",
+            ),
+            (ISSUE_STEP, ("issue_date: 2020-01-01", "issue_date: 20200101"), "issue_date: bad date 20200101"),
+            (
+                ISSUE_STEP,
+                ("issue_date: 2020-01-01", "issue_date: '2020-W01-3'"),
+                "issue_date: bad date '2020-W01-3'",
+            ),
+            (
+                ISSUE_STEP,
+                ("issue_date: 2020-01-01", "issue_date: 2020-01-01 10:00:00"),
+                r"issue_date: bad date datetime.datetime\(2020, 1, 1, 10, 0\)",
+            ),
+            (
+                "  - {dt: 0, action: issue, cert: c1, face_weight: 5, owner: a, date: 20200101}\n",
+                None,
+                "script step 1: bad date 20200101",
+            ),
         ],
         ids=[
             "face-weight", "dt", "purity", "theta-mode", "dt-fraction", "dt-infinite", "validity-fraction",
             "places-fraction", "dt-boolean", "face-weight-boolean", "denomination-boolean", "owner-null",
-            "owner-list", "new-owner-integer",
+            "owner-list", "new-owner-integer", "dt-off-calendar", "issue-date-basic-form", "issue-date-week-form",
+            "issue-date-with-time", "step-date-basic-form",
         ],
     )
     def test_values_of_the_wrong_type_are_config_errors(self, tmp_path, script, edit, message):
@@ -654,6 +676,18 @@ class TestEventBuilder:
             run_scenario(load_scenario(path))
         assert excinfo.value.step_index == 3
         assert excinfo.value.exit_code == EXIT_SETTLEMENT
+
+    def test_a_settlement_rounded_past_the_decimal_precision_fails_its_step(self, tmp_path):
+        path = write_scenario(
+            tmp_path,
+            ISSUE_STEP + "  - {dt: 1, action: quote, cert: c1}\n",
+            "rounding: {weight_places: 30}\n",
+        )
+        with pytest.raises(ScenarioStepError) as excinfo:
+            run_scenario(load_scenario(path))
+        assert excinfo.value.step_index == 2
+        assert excinfo.value.exit_code == 2
+        assert "cannot round 4.9995 to 30 places in 28 digits" in str(excinfo.value)
 
     def test_unknown_alias_fails_the_step(self, tmp_path):
         path = write_scenario(tmp_path, "  - {dt: 0, action: quote, cert: ghost}\n")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 
@@ -214,10 +214,18 @@ def test_replace_and_make_run_the_type_checks():
         (Certificate, "material", None, "material must be a non-empty string, got None"),
         (Certificate, "material", "", "material must be a non-empty string, got ''"),
         (Certificate, "weight_unit", 1, "weight_unit must be a string, got 1"),
+        (CifQuote, "material", 5, "material must be a string, got 5"),
+        (CifQuote, "location", None, "location must be a string, got None"),
+        (CifQuote, "as_of", "2020-01-01", "as_of must be a date or None, got '2020-01-01'"),
+        (
+            CifQuote, "as_of", datetime(2020, 1, 1),
+            "as_of must be a date or None, got datetime.datetime(2020, 1, 1, 0, 0)",
+        ),
     ],
     ids=[
         "location-number", "validity-fraction", "validity-boolean", "validity-text", "issuer-number",
-        "issuer-empty", "material-none", "material-empty", "weight-unit-number",
+        "issuer-empty", "material-none", "material-empty", "weight-unit-number", "cif-material-number",
+        "cif-location-none", "cif-as-of-text", "cif-as-of-datetime",
     ],
 )
 def test_a_text_or_integer_field_of_another_type_is_a_domain_error(cls, field, value, message):
@@ -242,8 +250,12 @@ def test_a_text_field_may_be_empty_where_it_is_optional():
             lambda: ScenarioConfig("s", "", DAY, ISSUER, (ISSUE, QUOTE)),
             "script quotes or buys back but no price series is configured",
         ),
+        (
+            lambda: ScenarioConfig("s", "", date(9999, 12, 1), ISSUER, (ISSUE, ISSUE._replace(dt=31))),
+            "script dt 31 after 9999-12-01 falls outside the calendar, 0001-01-01 to 9999-12-31",
+        ),
     ],
-    ids=["negative-dt", "unknown-action", "decreasing-dt", "quote-without-prices"],
+    ids=["negative-dt", "unknown-action", "decreasing-dt", "quote-without-prices", "dt-off-calendar"],
 )
 def test_a_bad_script_is_a_config_error(build, message):
     with pytest.raises(ConfigError) as excinfo:
