@@ -23,6 +23,7 @@ import re
 from collections import namedtuple
 from datetime import date
 from enum import Enum
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .errors import DomainError, LedgerIntegrityError
@@ -36,7 +37,9 @@ _HASH_RE = re.compile(r"[0-9a-f]{64}")
 _is_cert_id = _CERT_ID_RE.fullmatch
 _is_hash = _HASH_RE.fullmatch
 _loads = json.loads
+_scan_once = json.JSONDecoder().scan_once
 _fromisoformat = date.fromisoformat
+_new = tuple.__new__
 
 
 class EventKind(str, Enum):
@@ -71,6 +74,33 @@ _encode = _CANONICAL.encode
 def canonical_payload(payload: dict) -> str:
     """Sorted-key, whitespace-free, ASCII JSON; raises ValueError on NaN or infinity."""
     return _encode(payload)
+
+
+if c_make_encoder is None:  # a build without the _json accelerator
+    _reencode = _encode
+else:
+    # canonical_payload's C encoder, built once for the read path, where JSONEncoder.encode would build one per
+    # line.  It keeps no markers, so it would not notice a circular reference: it only encodes what json.loads
+    # built, which never holds one.  NaN and infinity still raise ValueError (allow_nan=False).
+    _canonical_chunks = c_make_encoder(None, None, encode_basestring_ascii, None, ":", ",", True, False, False)
+
+    def _reencode(payload) -> str:
+        """``canonical_payload(payload)`` for a value ``json.loads`` returned."""
+        return "".join(_canonical_chunks(payload, 0))
+
+
+def _decode(text: str):
+    """``json.loads(text)``, scanned directly when ``text`` is exactly one JSON value.
+
+    Other text (whitespace or a BOM around the value, trailing bytes, no
+    value, a malformed or too deeply nested one) goes to ``json.loads``,
+    which decides the refusal and raises its own exception.
+    """
+    try:
+        value, end = _scan_once(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return _loads(text)
+    return value if end == len(text) else _loads(text)
 
 
 # the classes json.loads gives back for a value of that very class; a subclass, a tuple or a list does not qualify
@@ -252,8 +282,12 @@ def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
             raise ValueError(seq_text)
     except ValueError:
         raise LedgerIntegrityError(f"line {where}: bad sequence number {seq_text!r}") from None
+    try:
+        digest = _sha256(body)
+    except UnicodeEncodeError:  # a lone surrogate: text no UTF-8 file holds, so no digest matches it
+        digest = None
     # a line_hash equal to a hexdigest is well formed, so only a mismatch needs its regex
-    if _sha256(body) != line_hash or not _is_hash(prev_hash):
+    if digest != line_hash or not _is_hash(prev_hash):
         if not (_is_hash(prev_hash) and _is_hash(line_hash)):
             raise LedgerIntegrityError("malformed hash field", seq=seq)
         raise LedgerIntegrityError("hash mismatch: record bytes do not match their digest", seq=seq)
@@ -267,16 +301,16 @@ def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
     if not _is_cert_id(cert_id):
         raise LedgerIntegrityError(f"bad cert_id {cert_id!r}", seq=seq)
     try:
-        payload = _loads(payload_json)
-    except (json.JSONDecodeError, RecursionError):
+        payload = _decode(payload_json)
+    except (ValueError, RecursionError):  # a JSONDecodeError, or an int too long to convert
         raise LedgerIntegrityError("unreadable payload", seq=seq) from None
     try:
-        canonical = isinstance(payload, dict) and _encode(payload) == payload_json
+        canonical = payload.__class__ is dict and _reencode(payload) == payload_json
     except ValueError:  # NaN or Infinity: readable by json.loads, but not JSON
         canonical = False
     if not canonical:
         raise LedgerIntegrityError("payload is not in canonical form", seq=seq)
-    return LedgerEvent(seq, timestamp, kind, cert_id, payload, prev_hash, line_hash, line)
+    return _new(LedgerEvent, (seq, timestamp, kind, cert_id, payload, prev_hash, line_hash, line))
 
 
 def decode_line(line: str) -> LedgerEvent:
@@ -287,10 +321,10 @@ def decode_line(line: str) -> LedgerEvent:
     line verified before it trusts the result.
     """
     _, seq_text, ts_text, kind_text, cert_id, payload_json, prev_hash, line_hash = _fields(line)
-    return LedgerEvent(
-        int(seq_text), _fromisoformat(ts_text), _KINDS[kind_text], cert_id, _loads(payload_json), prev_hash,
+    return _new(LedgerEvent, (
+        int(seq_text), _fromisoformat(ts_text), _KINDS[kind_text], cert_id, _decode(payload_json), prev_hash,
         line_hash, line,
-    )
+    ))
 
 
 def read_events(lines: Iterable[str], *, last_seq: int = 0, head_hash: str = GENESIS_HASH) -> Iterator[LedgerEvent]:

@@ -418,6 +418,8 @@ class Registry:
         A duplicate id and purity are refused by ``_apply`` before anything
         is recorded; theta and the delivery rules by their own value types.
         """
+        if issue_date.__class__ is not date:  # a datetime would be recorded with its time, which replay refuses
+            raise DomainError(f"issue_date must be a date, got {issue_date!r}")
         weight = require_number("face_weight", face_weight)
         purity = require_number("purity", purity)
         denominations = self._denominations.get(issuer)

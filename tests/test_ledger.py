@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import string
 from datetime import date
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dcm import DomainError, EventKind, Ledger, LedgerIntegrityError, read_events
-from dcm.ledger import GENESIS_HASH, _seal, canonical_payload, decode_line, parse_line
+from dcm.ledger import GENESIS_HASH, _decode, _reencode, _seal, canonical_payload, decode_line, parse_line
+from dcm.scenario import bundled_scenario_path, load_scenario, run_scenario
 
 
 def small_ledger() -> Ledger:
@@ -117,6 +121,52 @@ class TestStreamValidation:
         with pytest.raises(LedgerIntegrityError, match="seq 1: payload is not in canonical form"):
             parse_line(line)
 
+    @pytest.mark.parametrize(
+        ("payload", "message"),
+        [
+            (" {}", "payload is not in canonical form"),
+            ("{} ", "payload is not in canonical form"),
+            ("\ufeff{}", "unreadable payload"),
+            ("{} x", "unreadable payload"),
+            ("[]", "payload is not in canonical form"),
+            ("1", "payload is not in canonical form"),
+            ('"s"', "payload is not in canonical form"),
+            ('{"b":1,"a":2}', "payload is not in canonical form"),
+            ('{"x":1.00}', "payload is not in canonical form"),
+            ('{"x":"\u00b5"}', "payload is not in canonical form"),
+            ('{"x":NaN}', "payload is not in canonical form"),
+            ('{"x":-Infinity}', "payload is not in canonical form"),
+            ('{"a":1,"a":2}', "payload is not in canonical form"),
+            ("[" * 100_000, "unreadable payload"),
+            ('{"x":"abc}', "unreadable payload"),
+        ],
+        ids=[
+            "leading-space", "trailing-space", "bom", "trailing-junk", "top-level-list", "top-level-int",
+            "top-level-str", "unsorted-keys", "trailing-zeros", "non-ascii", "nan", "minus-infinity",
+            "duplicate-key", "deep-nesting", "unterminated-string",
+        ],
+    )
+    def test_digested_payload_refusals_name_their_cause(self, payload, message):
+        line = _seal(1, "2020-01-01", "QUOTE", "X-1", payload, GENESIS_HASH)
+        with pytest.raises(LedgerIntegrityError) as excinfo:
+            parse_line(line)
+        assert str(excinfo.value) == f"seq 1: {message}"
+        with pytest.raises(LedgerIntegrityError) as excinfo:
+            list(read_events([line]))
+        assert str(excinfo.value) == f"seq 1: {message}"
+
+    def test_a_digested_int_too_long_to_convert_is_an_unreadable_payload(self):
+        line = _seal(1, "2020-01-01", "QUOTE", "X-1", '{"x":' + "1" * 5000 + "}", GENESIS_HASH)
+        with pytest.raises(LedgerIntegrityError) as excinfo:
+            parse_line(line)
+        assert str(excinfo.value) == "seq 1: unreadable payload"
+
+    def test_a_lone_surrogate_has_no_digest_to_match(self):
+        line = small_ledger().to_lines()[1].replace("LME", "LM\ud800", 1)
+        with pytest.raises(LedgerIntegrityError) as excinfo:
+            parse_line(line)
+        assert str(excinfo.value) == "seq 2: hash mismatch: record bytes do not match their digest"
+
     @pytest.mark.parametrize("seq_text", ["0_1", " 1"])
     def test_seq_text_must_be_the_digested_one(self, seq_text):
         line = small_ledger().to_lines()[0]  # its hash covers "1|..."
@@ -202,3 +252,104 @@ class TestDecodeLine:
         ledger.append(EventKind.QUOTE, "X-1", {"note": "crossing | the \u00b5 delimiter", "n": -0.0}, date(1, 1, 1))
         for line in ledger.to_lines():
             assert decode_line(line) == parse_line(line)
+
+
+_ANY_TEXT = st.text(st.characters(exclude_categories=()))  # lone surrogates included
+_EDGE_JSON = st.recursive(
+    _JSON
+    # ints beyond float range, and past the 4,300 digits int() and repr() convert
+    | st.builds(lambda sign, digits: sign * 10**digits, st.sampled_from([1, -1]), st.sampled_from([400, 5000]))
+    | st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"), float("-inf")])
+    | st.floats()
+    | _ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_ANY_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+_PADDING = st.text(" \t\r\n\ufeffx0,]}", max_size=3)
+
+
+def _outcome(function, argument):
+    """The repr of ``function(argument)``, or the class of the exception it raises."""
+    try:
+        return repr(function(argument))
+    except Exception as exc:
+        return exc.__class__
+
+
+class TestReadPathCodec:
+    """The read path's decoder and canonical encoder agree with ``json.loads`` and ``canonical_payload``."""
+
+    @given(_EDGE_JSON)
+    def test_the_read_side_encoder_writes_canonical_payload(self, value):
+        assert _outcome(_reencode, value) == _outcome(canonical_payload, value)
+
+    @given(_ANY_TEXT | st.builds(lambda before, value, after: before + canonical_payload(value) + after,
+                                 _PADDING, _JSON, _PADDING))
+    @example("[" * 100_000)
+    @example('{"x":' + "1" * 5000 + "}")
+    @example('{"x":NaN,"y":-Infinity}')
+    def test_the_decoder_reads_what_json_loads_reads(self, text):
+        assert _outcome(_decode, text) == _outcome(json.loads, text)
+
+
+@functools.cache
+def _bundled_ledgers() -> tuple[tuple[str, ...], ...]:
+    return tuple(
+        tuple(run_scenario(load_scenario(bundled_scenario_path(name)))[1].ledger.to_lines())
+        for name in ("lme_copper", "shfe_steel")
+    )
+
+
+def _with_digest(body: str) -> str:
+    """``body`` and its digest; a lone surrogate, which has no UTF-8 form, is digested as if it had one."""
+    return f"{body}|{hashlib.sha256(body.encode('utf-8', 'surrogatepass')).hexdigest()}"
+
+
+@st.composite
+def _mutated_ledgers(draw) -> tuple[list[str], int]:
+    """A bundled scenario's ledger with one character of one line replaced, inserted or deleted, and that line's index.
+
+    Half the time the change is made to the line's digested body, which is then sealed again, so that the
+    line passes its digest and reaches the field and payload checks.
+    """
+    lines = list(draw(st.sampled_from(_bundled_ledgers())))
+    index = draw(st.integers(0, len(lines) - 1))
+    reseal = draw(st.booleans())
+    text = lines[index].rsplit("|", 1)[0] if reseal else lines[index]
+    position = draw(st.integers(0, len(text) - 1))
+    char = draw(st.characters(exclude_categories=()))
+    text = draw(st.sampled_from([
+        text[:position] + char + text[position + 1:],
+        text[:position] + char + text[position:],
+        text[:position] + text[position + 1:],
+    ]))
+    lines[index] = _with_digest(text) if reseal else text
+    return lines, index
+
+
+def _read_or_refused(read, argument):
+    """``read(argument)``, or None when it raises LedgerIntegrityError; any other exception propagates."""
+    try:
+        return read(argument)
+    except LedgerIntegrityError:
+        return None
+
+
+class TestReadPathFuzz:
+    """Any text ends in events or in a LedgerIntegrityError, and an accepted line decodes to its parsed event."""
+
+    @given(_ANY_TEXT | _ANY_TEXT.map(_with_digest))
+    def test_arbitrary_text_is_read_or_refused(self, text):
+        event = _read_or_refused(parse_line, text)
+        if event is not None:
+            assert decode_line(text) == event
+        _read_or_refused(lambda lines: list(read_events(lines)), text.split("\n"))
+
+    @given(_mutated_ledgers())
+    def test_a_one_character_mutation_of_a_bundled_ledger_is_read_or_refused(self, mutated):
+        lines, index = mutated
+        event = _read_or_refused(parse_line, lines[index])
+        if event is not None:
+            assert decode_line(lines[index]) == event
+        events = _read_or_refused(lambda lines: list(read_events(lines)), lines)
+        assert events is None or [event.line for event in events] == lines

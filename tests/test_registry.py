@@ -6,7 +6,7 @@ import gc
 import hashlib
 import json
 import random
-from datetime import date
+from datetime import date, datetime
 from decimal import Decimal
 
 import numpy
@@ -185,6 +185,19 @@ class TestIssue:
         assert str(excinfo.value) == f"issuer must be a non-empty string, got {issuer!r}"
         assert len(registry.ledger) == 0
         assert registry.issue_counts() == []
+
+    @pytest.mark.parametrize(
+        "issue_date", [datetime(2020, 1, 1), "2020-01-01", None], ids=["datetime", "text", "none"]
+    )
+    def test_an_issue_date_that_is_not_a_date_is_refused_and_records_nothing(self, lme_registry, issue_date):
+        with pytest.raises(DomainError) as excinfo:
+            lme_registry.issue(
+                "LME", "copper", 1000, 0.9999, issue_date, AttenuationSpec(theta_daily=0.99996),
+                DeliveryRules(0.003, 0.002, 1000), "client-1",
+            )
+        assert str(excinfo.value) == f"issue_date must be a date, got {issue_date!r}"
+        assert len(lme_registry.ledger) == 0
+        assert lme_registry.issue_counts() == []
 
     def test_issue_appends_an_event(self, lme_registry, lme_cert):
         events = lme_registry.ledger.events
