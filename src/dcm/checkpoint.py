@@ -5,7 +5,7 @@ appends rewrites it, through a temporary file and ``os.replace``.  It is text,
 one header line (wrapped here) and then the state lines:
 
     {"head_hash":"...","issue_counts":[["X","copper",n],...],"last_seq":N,"prefix_bytes":L,
-     "prefix_sha256":"...","state_sha256":"...","version":2}
+     "prefix_sha256":"...","state_sha256":"...","version":3}
     ["X-copper-0001",{...}]
     ...
 
@@ -15,17 +15,20 @@ issue order.  ``issue_counts`` holds the registry's issue counters, so that a
 resumed ``issue`` numbers its certificate without reading a state line.
 ``prefix_sha256`` digests the first ``prefix_bytes`` bytes of the ledger file,
 which hold events 1..N and end at a line end; ``state_sha256`` digests the
-state lines, newlines included.
+canonical JSON of ``issue_counts``, a newline, and the state lines, newlines
+included.  The chain head, ``last_seq`` and ``head_hash``, must be the seq and
+hash of the prefix's last line, or of genesis for an empty prefix.
 
-A command that finds both digests right trusts the state as the replay of
-that prefix.  It indexes the state lines by the cert_id each opens with and
-decodes none of them: a certificate is built from its line, with every value
-revalidated, when it is first read.  The certificates the command names and
-those the events after the prefix touch are built before the command runs,
-and those events are parsed, verified and applied with every check.  A
-missing, unreadable or stale sidecar, one of another version, one that the
-lines after its prefix do not continue, or one with a touched line that does
-not build, means a full replay.  ``replay-verify`` never trusts the sidecar:
+A command that finds both digests and the head right trusts the state as the
+replay of that prefix.  It indexes the state lines by the cert_id each opens
+with and decodes none of them: a certificate is built from its line, with
+every value revalidated, when it is first read.  The certificates the command
+names and those the events after the prefix touch are built before the
+command runs, and those events are parsed, verified and applied with every
+check.  A missing, unreadable or stale sidecar, one of another version, one
+whose head is not its prefix's, one that the lines after its prefix do not
+continue, or one with a touched line that does not build, means a full
+replay.  ``replay-verify`` never trusts the sidecar:
 it replays the whole file and, when the sidecar's prefix is the file's,
 checks the sidecar's counters and every state line against the replayed state.
 
@@ -50,10 +53,12 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn
 
 from .errors import LedgerIntegrityError
-from .ledger import _CERT_ID_RE, _HASH_RE, LedgerEvent, canonical_payload, decode_line, read_events
+from .ledger import (
+    _CERT_ID_RE, _HASH_RE, GENESIS_HASH, LedgerEvent, canonical_payload, decode_line, parse_line, read_events,
+)
 from .registry import Registry, replay
 
-VERSION = 2
+VERSION = 3
 
 # the cert_id a state line opens with, matched after the newline before the line: the id charset has no quote or
 # backslash, so the JSON string is the id (a literal first character lets the scan skip ahead, where ``^`` cannot)
@@ -91,6 +96,13 @@ def _is_counter(entry) -> bool:
         and type(entry[2]) is int  # not bool, which is an int subclass
         and entry[2] >= 1
     )
+
+
+def _state_digest(issue_counts: list, state: bytes) -> str:
+    """``state_sha256`` of a sidecar: the digest of the canonical ``issue_counts``, a newline and ``state``."""
+    digest = hashlib.sha256(canonical_payload(issue_counts).encode("utf-8") + b"\n")
+    digest.update(state)
+    return digest.hexdigest()
 
 
 def _header(text: bytes) -> dict:
@@ -214,7 +226,7 @@ class LedgerFile:
             raise CheckpointError(f"cannot read it: {exc}") from None
         head, _, state = raw.partition(b"\n")
         header = _header(head)
-        if hashlib.sha256(state).hexdigest() != header["state_sha256"]:
+        if _state_digest(header["issue_counts"], state) != header["state_sha256"]:
             raise CheckpointError("state digest mismatch")
         size = header["prefix_bytes"]
         if size > len(data) or (size and data[size - 1] != 0x0A):
@@ -248,6 +260,15 @@ class LedgerFile:
 
     def _resume(self, data: memoryview, header: dict, state: str, digest, touch: Iterable[str]) -> Registry:
         last_seq, head_hash, size = header["last_seq"], header["head_hash"], header["prefix_bytes"]
+        head = (0, GENESIS_HASH)
+        if size:  # the prefix's last line, which its digest covers, just before ``size``
+            try:
+                last = parse_line(str(data[data.obj.rfind(b"\n", 0, size - 1) + 1 : size - 1], "utf-8"))
+            except (LedgerIntegrityError, UnicodeDecodeError) as exc:
+                raise CheckpointError(f"bad prefix: {exc}") from None
+            head = (last.seq, last.hash)
+        if head != (last_seq, head_hash):
+            raise CheckpointError(f"the ledger does not continue it: its prefix ends at seq {head[0]}, not at its head")
         lines = _split(state)
         ids = _STATE_ID.findall(f"\n{state}")  # at most one per line, at its start
         index = dict(zip(ids, lines))
@@ -329,14 +350,15 @@ class LedgerFile:
             self._digest.update(line)
             self._size += len(line)
         state = "".join(line + "\n" for line in registry.state_lines()).encode("utf-8")
+        counts = registry.issue_counts()
         header = canonical_payload({
             "version": VERSION,
             "last_seq": registry.ledger.last_seq,
             "head_hash": registry.ledger.head_hash,
-            "issue_counts": registry.issue_counts(),
+            "issue_counts": counts,
             "prefix_bytes": self._size,
             "prefix_sha256": self._digest.hexdigest(),
-            "state_sha256": hashlib.sha256(state).hexdigest(),
+            "state_sha256": _state_digest(counts, state),
         })
         handle, temporary = tempfile.mkstemp(dir=self.sidecar.parent, prefix=self.sidecar.name, suffix=".tmp")
         try:

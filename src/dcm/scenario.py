@@ -2,9 +2,11 @@
 
 A scenario file (YAML) declares the issuer's terms, optional price data, a
 rounding profile, and an ordered script of (dt, action) steps.  The runner
-executes the script, appending to a fresh ledger, and emits one report record
-per step carrying every intermediate quantity both at full precision and in
-display form.
+executes the script, appending to a fresh ledger one event per step, and then
+reports one record per step: the projection of the event that step sealed
+(``report_record``), with each figure at full precision and in display form.
+The script gives only the step index, the alias ``cert`` and ``action``, and
+for an ISSUE its ``dt`` and ``date``; every other field is the event's.
 
 Day counts are pinned explicitly in the script (``dt`` is days since
 issuance); a step may also pin the calendar ``date`` used for the market
@@ -26,9 +28,9 @@ import yaml
 from yaml import AliasEvent, DocumentStartEvent, MappingEndEvent, MappingStartEvent, ScalarEvent, ScalarNode
 from yaml import SequenceEndEvent, SequenceStartEvent, StreamEndEvent
 
-from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient
+from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, require_number
 from .errors import ConfigError, DCMError, DomainError, ScenarioStepError
-from .ledger import canonical_payload, iso_date
+from .ledger import EventKind, LedgerEvent, canonical_payload, iso_date
 from .market import PriceSeries, load_series, quote_at, read_text
 from .registry import DeliveryRules, MarketQuote, Registry
 from .rounding import RoundingProfile, fmt
@@ -131,15 +133,8 @@ def _check_keys(mapping: Any, allowed: AbstractSet[str], context: str) -> None:
 _REQUIRED = object()
 
 
-def _float(value: Any) -> float:
-    """``float(value)``, refusing a boolean: YAML reads ``true`` and ``yes`` as one, and ``float`` takes it as 1.0."""
-    if isinstance(value, bool):
-        raise TypeError(value)
-    return float(value)
-
-
-def _integer(value: Any) -> int:
-    """``int(value)``, refusing a boolean and a fraction it would truncate."""
+def _integer(name: str, value: Any) -> int:
+    """``int(value)``, refusing a boolean and a fraction it would truncate; called as ``require_number`` is."""
     if isinstance(value, bool):
         raise TypeError(value)
     number = int(value)
@@ -148,12 +143,12 @@ def _integer(value: Any) -> int:
     return number
 
 
-def _number(mapping: dict, key: str, context: str, kind: Any = _float, default: Any = _REQUIRED) -> Any:
-    """``kind(mapping[key])``; a missing key or a value ``kind`` refuses is a ConfigError naming both."""
+def _number(mapping: dict, key: str, context: str, kind: Any = require_number, default: Any = _REQUIRED) -> Any:
+    """``kind(key, mapping[key])``; a missing key or a value ``kind`` refuses is a ConfigError naming both."""
     value = _require(mapping, key, context) if default is _REQUIRED else mapping.get(key, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
+        return kind(key, value)
+    except (DomainError, TypeError, ValueError, OverflowError):
         wanted = "an integer" if kind is _integer else "numeric"
         raise ConfigError(f"{context}: {key} must be {wanted}, got {value!r}") from None
 
@@ -340,7 +335,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         material=_text(issuer_cfg, "material", "issuer"),
         weight_unit=_text(issuer_cfg, "weight_unit", "issuer", "kg"),
         purity=_number(issuer_cfg, "purity", "issuer", default=1.0),
-        denominations=_number(issuer_cfg, "denominations", "issuer", lambda values: tuple(map(_float, values))),
+        denominations=_number(
+            issuer_cfg, "denominations", "issuer", lambda key, values: tuple(require_number(key, v) for v in values)
+        ),
         theta=_theta_from_config(issuer_cfg),
         rules=DeliveryRules(
             delivery_charge_ratio=_number(rules_cfg, "delivery_charge_ratio", "delivery_rules"),
@@ -387,8 +384,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         where = f"script step {index}"
         step = ScriptStep(
             dt=_number(step_cfg, "dt", where, _integer),
-            action=str(_require(step_cfg, "action", where)),
-            cert=str(_require(step_cfg, "cert", where)),
+            action=_text(step_cfg, "action", where),
+            cert=_text(step_cfg, "cert", where),
             date=_as_date(step_cfg["date"], where) if "date" in step_cfg else None,
             args={k: v for k, v in step_cfg.items() if k not in _STEP_FIELDS},
         )
@@ -458,15 +455,70 @@ def run_scenario(config: ScenarioConfig) -> tuple[ScenarioReport, Registry]:
     registry = Registry(weight_places=config.rounding.weight_places)
     registry.register_issuer(config.issuer.issuer_id, config.issuer.denominations)
     aliases: dict[str, str] = {}
-    records: list[dict] = []
     for index, step in enumerate(config.script, start=1):
         try:
-            records.append(_run_step(config, registry, aliases, index, step))
+            _run_step(config, registry, aliases, index, step)
         except DCMError as exc:
-            if isinstance(exc, ScenarioStepError):
-                raise
+            _records(config, registry.ledger.events[: index - 1])  # a record an earlier step cannot display fails first
             raise ScenarioStepError(index, step.action, exc) from exc
-    return ScenarioReport(scenario=config.name, currency=config.currency, steps=records), registry
+    return ScenarioReport(config.name, config.currency, _records(config, registry.ledger.events)), registry
+
+
+def _records(config: ScenarioConfig, events: tuple[LedgerEvent, ...]) -> list[dict]:
+    """The report records of the script's steps, each of which sealed the event at its position in ``events``."""
+    records = []
+    for index, (step, event) in enumerate(zip(config.script, events), start=1):
+        try:
+            records.append(report_record(event, config.rounding, index, step))
+        except DCMError as exc:  # a figure ``profile`` cannot round to its places
+            raise ScenarioStepError(index, step.action, exc) from exc
+    return records
+
+
+def report_record(event: LedgerEvent, profile: RoundingProfile, index: int, step: ScriptStep) -> dict:
+    """The report record of script step ``index``, ``step``, which sealed ``event``.
+
+    Every figure is the event's, displayed through ``profile``.  The script
+    gives only the step index, the alias ``cert`` and ``action``, and for an
+    ISSUE, which is recorded at the issue date, the step's ``dt`` and ``date``.
+    """
+    payload = event.payload
+    kind = event.kind
+    record: dict[str, Any] = {"step": index, "action": step.action, "cert": step.cert, "cert_id": event.cert_id}
+    if kind is EventKind.ISSUE:
+        when = step.date if step.date is not None else event.timestamp + timedelta(days=step.dt)
+        theta = payload["theta"]["theta_daily"]
+        record.update(
+            dt=step.dt, date=when.isoformat(), face_weight=payload["face_weight"], owner=payload["owner"],
+            theta=theta, theta_display=fmt(theta, 6),
+        )
+        return record
+    record.update(dt=payload["t"], date=event.timestamp.isoformat())
+    if kind is EventKind.TRANSFER:
+        record["to_owner"] = payload["to_owner"]
+    elif kind is EventKind.QUOTE:
+        residual, price = payload["residual_weight"], payload["price"]
+        record.update(
+            quotation=payload["quotation"], premium=payload["premium"], residual_weight=residual,
+            residual_weight_display=profile.weight(residual), settlement_weight=payload["docket_weight"],
+            price=price, price_display=profile.money(price),
+        )
+    elif kind is EventKind.EXPIRE:
+        accrued = payload["issuer_accrued_weight"]
+        record.update(issuer_accrued_weight=accrued, issuer_accrued_weight_display=profile.weight(accrued))
+    else:  # DELIVER or BUYBACK: the residual splits into the holder's weight and the custodian's charge
+        held = "delivered_weight" if kind is EventKind.DELIVER else "buyback_weight"
+        residual, shown = profile.weight(payload["residual_weight"]), profile.weight(payload[held])
+        record.update({
+            "residual_weight": payload["residual_weight"], "residual_weight_display": residual,
+            held: payload[held], f"{held}_display": shown, "charged_weight": payload["charged_weight"],
+            # printed charge = printed residual - printed held weight: the displayed line balances to the last digit
+            "charged_weight_display": str(Decimal(residual) - Decimal(shown)),
+        })
+        if kind is EventKind.BUYBACK:
+            cash = payload["cash"]
+            record.update(quotation=payload["quotation"], cash=cash, cash_display=profile.money(cash))
+    return record
 
 
 def _market_quote(config: ScenarioConfig, when: date, premium: float) -> MarketQuote:
@@ -482,24 +534,12 @@ def _cert_id(aliases: dict[str, str], alias: str) -> str:
 
 
 def _run_step(
-    config: ScenarioConfig,
-    registry: Registry,
-    aliases: dict[str, str],
-    index: int,
-    step: ScriptStep,
-) -> dict:
-    profile = config.rounding
+    config: ScenarioConfig, registry: Registry, aliases: dict[str, str], index: int, step: ScriptStep
+) -> None:
+    """Run script step ``index``, ``step``, which records exactly one event in ``registry``."""
     when = step.date if step.date is not None else config.issue_date + timedelta(days=step.dt)
-    record: dict[str, Any] = {
-        "step": index,
-        "dt": step.dt,
-        "date": when.isoformat(),
-        "action": step.action,
-        "cert": step.cert,
-    }
-
     if step.action == "issue":
-        cert = registry.issue(
+        cert_id = registry.issue(
             issuer=config.issuer.issuer_id,
             material=config.issuer.material,
             face_weight=step.args.get("face_weight", 0.0),
@@ -509,72 +549,20 @@ def _run_step(
             rules=config.issuer.rules,
             owner=step.args.get("owner", "bearer"),
             weight_unit=config.issuer.weight_unit,
-        )
+        ).cert_id
         if step.cert in aliases:
             raise DomainError(f"script alias {step.cert!r} already used")
-        aliases[step.cert] = cert.cert_id
-        record.update(
-            cert_id=cert.cert_id,
-            face_weight=cert.face_weight,
-            owner=cert.owner,
-            theta=cert.theta.theta_daily,
-            theta_display=fmt(cert.theta.theta_daily, 6),
-        )
-        return record
-
+        aliases[step.cert] = cert_id
+        return
     cert_id = _cert_id(aliases, step.cert)
-    record["cert_id"] = cert_id
-
     if step.action == "quote":
         quote = _market_quote(config, when, step.args.get("premium", 0.0))
-        result = registry.quote_transaction_price(cert_id, quote, step.dt, timestamp=when)
-        record.update(
-            quotation=result.quotation,
-            premium=result.premium,
-            residual_weight=result.residual_weight,
-            residual_weight_display=profile.weight(result.residual_weight),
-            settlement_weight=result.docket_weight,
-            price=result.price,
-            price_display=profile.money(result.price),
-        )
+        registry.quote_transaction_price(cert_id, quote, step.dt, timestamp=when)
     elif step.action == "transfer":
-        new_owner = _require(step.args, "new_owner", f"script step {index}")
-        cert = registry.transfer(cert_id, new_owner, step.dt, timestamp=when)
-        record.update(to_owner=cert.owner)
+        registry.transfer(cert_id, _require(step.args, "new_owner", f"script step {index}"), step.dt, timestamp=when)
     elif step.action == "deliver":
-        result = registry.physical_delivery(cert_id, step.dt, timestamp=when)
-        residual_display = profile.weight(result.residual_weight)
-        delivered_display = profile.weight(result.delivered_weight)
-        record.update(
-            residual_weight=result.residual_weight,
-            residual_weight_display=residual_display,
-            delivered_weight=result.delivered_weight,
-            delivered_weight_display=delivered_display,
-            charged_weight=result.charged_weight,
-            # printed charge = printed residual - printed delivery, so the
-            # displayed line balances to the last retained digit
-            charged_weight_display=str(Decimal(residual_display) - Decimal(delivered_display)),
-        )
+        registry.physical_delivery(cert_id, step.dt, timestamp=when)
     elif step.action == "buyback":
-        quote = _market_quote(config, when, 0.0)
-        result = registry.buyback(cert_id, step.dt, quote, timestamp=when)
-        residual_display = profile.weight(result.residual_weight)
-        weight_display = profile.weight(result.buyback_weight)
-        record.update(
-            quotation=result.quotation,
-            residual_weight=result.residual_weight,
-            residual_weight_display=residual_display,
-            buyback_weight=result.buyback_weight,
-            buyback_weight_display=weight_display,
-            charged_weight=result.charged_weight,
-            charged_weight_display=str(Decimal(residual_display) - Decimal(weight_display)),
-            cash=result.cash,
-            cash_display=profile.money(result.cash),
-        )
+        registry.buyback(cert_id, step.dt, _market_quote(config, when, 0.0), timestamp=when)
     elif step.action == "expire":
-        result = registry.expire(cert_id, step.dt, timestamp=when)
-        record.update(
-            issuer_accrued_weight=result.issuer_accrued_weight,
-            issuer_accrued_weight_display=profile.weight(result.issuer_accrued_weight),
-        )
-    return record
+        registry.expire(cert_id, step.dt, timestamp=when)

@@ -47,11 +47,14 @@ def same_json(a, b) -> bool:
 def forge_sidecar(sidecar, edit, edit_header=dict) -> None:
     """Rewrite a checkpoint sidecar's state lines with ``edit`` and its header fields with ``edit_header``.
 
-    The state digest is recomputed to match the new state lines.
+    The state digest is recomputed to match the new issue counters and state
+    lines: it digests the canonical counters, a newline and the state lines.
     """
     header, *state = sidecar.read_text(encoding="utf-8").splitlines()
     body = "".join(line + "\n" for line in edit(state)).encode("utf-8")
-    fields = {**edit_header(json.loads(header)), "state_sha256": hashlib.sha256(body).hexdigest()}
+    fields = edit_header(json.loads(header))
+    counts = canonical_payload(fields.get("issue_counts")).encode("utf-8")
+    fields["state_sha256"] = hashlib.sha256(counts + b"\n" + body).hexdigest()
     sidecar.write_bytes(canonical_payload(fields).encode("utf-8") + b"\n" + body)
 
 

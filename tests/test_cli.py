@@ -433,7 +433,8 @@ class TestCheckpoint:
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize(
-        "spoil", ["garbled", "truncated", "version-1", "forged-state", "deep-header", "deep-state", "stale"]
+        "spoil",
+        ["garbled", "truncated", "version-1", "version-2", "forged-state", "deep-header", "deep-state", "stale"],
     )
     def test_unusable_checkpoint_gives_the_same_output_as_none_and_a_warning(self, tmp_path, spoil):
         spoiled, plain = tmp_path / "spoiled", tmp_path / "plain"
@@ -449,6 +450,10 @@ class TestCheckpoint:
             header, state = sidecar.read_bytes().split(b"\n", 1)
             fields = {key: value for key, value in json.loads(header).items() if key != "issue_counts"}
             sidecar.write_bytes(canonical_payload({**fields, "version": 1}).encode("utf-8") + b"\n" + state)
+        elif spoil == "version-2":  # the header of the format whose state digest leaves out the issue counters
+            header, state = sidecar.read_bytes().split(b"\n", 1)
+            fields = {**json.loads(header), "version": 2, "state_sha256": hashlib.sha256(state).hexdigest()}
+            sidecar.write_bytes(canonical_payload(fields).encode("utf-8") + b"\n" + state)
         elif spoil == "forged-state":  # on the line of the certificate the command names
             forge_sidecar(sidecar, lambda state: [line.replace('"ACTIVE"', '"LOST"') for line in state])
         elif spoil == "deep-header":
@@ -468,16 +473,16 @@ class TestCheckpoint:
         assert results[0].stdout == results[1].stdout
         assert f"warning: ignoring checkpoint {SIDECAR}" in results[0].stderr
         assert results[1].stderr == ""
-        assert json.loads(sidecar.read_bytes().split(b"\n", 1)[0])["version"] == 2
+        assert json.loads(sidecar.read_bytes().split(b"\n", 1)[0])["version"] == 3
 
     def test_forged_issue_counters_fail_replay_verify(self, tmp_path):
         dcm(*ISSUE_ARGS, cwd=tmp_path)
         dcm(*ISSUE_ARGS, cwd=tmp_path)
         sidecar = tmp_path / SIDECAR
-        header, state = sidecar.read_bytes().split(b"\n", 1)
-        assert json.loads(header)["issue_counts"] == [["LME", "copper", 2]]
-        forged = {**json.loads(header), "issue_counts": [["LME", "copper", 1], ["LME", "steel", 1]]}
-        sidecar.write_bytes(canonical_payload(forged).encode("utf-8") + b"\n" + state)
+        assert json.loads(sidecar.read_bytes().split(b"\n", 1)[0])["issue_counts"] == [["LME", "copper", 2]]
+        # the state digest covers the counters, so the forger recomputes it
+        forged = [["LME", "copper", 1], ["LME", "steel", 1]]
+        forge_sidecar(sidecar, lambda state: state, lambda header: {**header, "issue_counts": forged})
         result = dcm("replay-verify", cwd=tmp_path)
         assert result.returncode == 4
         assert "checkpoint disagrees with the ledger at seq 2" in result.stderr
@@ -494,6 +499,26 @@ class TestCheckpoint:
         assert result.returncode == 4
         assert "checkpoint disagrees with the ledger at seq 3" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("head_hash", "f" * 64), ("last_seq", 1), ("issue_counts", [["LMX", "copper", 2]])],
+        ids=["head-hash", "last-seq", "renamed-issuer"],
+    )
+    def test_a_forged_header_field_means_a_full_replay_and_an_append_that_chains(self, tmp_path, field, value):
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        sidecar = tmp_path / SIDECAR
+        header, state = sidecar.read_bytes().split(b"\n", 1)
+        forged = canonical_payload({**json.loads(header), field: value})  # both digests kept
+        sidecar.write_bytes(forged.encode("utf-8") + b"\n" + state)
+        result = dcm(*ISSUE_ARGS, cwd=tmp_path)
+        assert result.returncode == 0
+        assert result.stdout.startswith("code: LME-copper-0003\n")
+        assert f"warning: ignoring checkpoint {SIDECAR}" in result.stderr
+        verified = dcm("replay-verify", cwd=tmp_path)
+        assert (verified.returncode, verified.stderr) == (0, "")
+        assert verified.stdout.startswith("ok: 3 events, 3 certificates")
 
 
 class TestRun:
@@ -514,6 +539,39 @@ class TestRun:
         result = dcm("run", "failing.yaml", cwd=tmp_path)
         assert result.returncode == 3
         assert "step 3" in result.stderr
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("face_weight: 1000, owner: LME-float}", "face_weight: '1000', owner: LME-float}",
+             "script step 1 (issue): face_weight must be numeric, got '1000'"),
+            ("cert: c1, date: 2020-07-01}", "cert: c1, date: 2020-07-01, premium: '0.25'}",
+             "script step 3 (quote): premium must be numeric, got '0.25'"),
+            ("purity: 0.9999", "purity: '0.9999'", "issuer: purity must be numeric, got '0.9999'"),
+            ("theta: 0.99996",
+             "theta_derivation: {mode: warehouse-only, daily_warehouse_charge: 0.2, cif_price: '5000'}",
+             "theta_derivation: cif_price must be numeric, got '5000'"),
+            ("per_units: 1000", "per_units: '1000'", "prices: per_units must be numeric, got '1000'"),
+            ("[1, 10, 100, 1000]", "[1, 10, 100, '1000']",
+             "issuer: denominations must be numeric, got [1, 10, 100, '1000']"),
+            ("cert: c1, face_weight", "cert: ~, face_weight", "script step 1: cert must be a string, got None"),
+            ("cert: c1, face_weight", "cert: [a], face_weight", "script step 1: cert must be a string, got ['a']"),
+            ("action: issue,    cert: c1", "action: ~,    cert: c1",
+             "script step 1: action must be a string, got None"),
+        ],
+        ids=["face-weight", "premium", "purity", "cif-price", "per-units", "denomination", "cert-null", "cert-list",
+             "action-null"],
+    )
+    def test_a_quoted_figure_or_a_step_name_that_is_not_text_exits_validation(self, tmp_path, old, new, message):
+        bundled = SRC / "dcm" / "data"
+        text = (bundled / "lme_copper.yaml").read_text(encoding="utf-8")
+        assert old in text
+        (tmp_path / "edited.yaml").write_text(text.replace(old, new, 1), encoding="utf-8")
+        shutil.copy(bundled / "lme_copper_prices.csv", tmp_path)
+        result = dcm("run", "edited.yaml", cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_non_numeric_scenario_value_exits_validation(self, tmp_path):
         (tmp_path / "bad.yaml").write_text(FAILING_SCENARIO.replace("face_weight: 5", "face_weight: five"), encoding="utf-8")
@@ -656,7 +714,7 @@ GOLDEN_SESSION = [
 ]
 GOLDEN_FILES = {
     "dcm-ledger.log": "ad0b3f2d769a530b017c5425ec6a35d816d787a5e8156f94c2c2895b4b2b408a",
-    SIDECAR: "adffe46fe765f8b981ccbdc47464ce7ba8112656288252bd87c31d1b46ff1c3f",
+    SIDECAR: "d6eeefd1621316d651ebb09b84a1eaa8cfefaf54254641839216ebf873d86fa1",
 }
 
 

@@ -1189,6 +1189,30 @@ class TestCheckpoint:
         assert ledger_file.load().snapshot() == lme_registry.snapshot()
         assert ledger_file.ignored
 
+    @pytest.mark.parametrize(
+        "events, fields",
+        [
+            (2, {"head_hash": "f" * 64}),
+            (2, {"last_seq": 1}),
+            (2, {"issue_counts": [["LMX", "copper", 2]]}),
+            (0, {"head_hash": "f" * 64}),
+            (0, {"last_seq": 1}),
+        ],
+        ids=["head-hash", "last-seq", "renamed-issuer", "empty-prefix-head-hash", "empty-prefix-last-seq"],
+    )
+    def test_a_forged_header_field_with_the_digests_kept_means_a_full_replay(
+        self, tmp_path, lme_registry, lme_cert, events, fields
+    ):
+        # the sidecar's prefix is the whole file, so no line after it checks the head
+        lme_registry.issue("LME", "copper", 1000, 0.9999, LME_ISSUE_DATE, lme_cert.theta, lme_cert.rules, "client-2")
+        lines = lme_registry.ledger.to_lines()[:events]
+        ledger_file = _checkpointed(tmp_path, lines)
+        header, state = ledger_file.sidecar.read_bytes().split(b"\n", 1)
+        forged = canonical_payload({**json.loads(header), **fields})
+        ledger_file.sidecar.write_bytes(forged.encode("utf-8") + b"\n" + state)
+        assert ledger_file.load().snapshot() == replay(read_events(lines)).snapshot()
+        assert ledger_file.ignored
+
 
 def _rebuilt(tmp_path, how: str, lines: list[str]) -> Registry:
     """The registry of ``lines`` rebuilt ``how``; a ledger file's checkpoint sidecar covers its first 100 lines."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from datetime import date, timedelta
 from decimal import Decimal
@@ -21,6 +22,9 @@ from dcm import (
     wealth_projection,
 )
 from dcm.errors import EXIT_SETTLEMENT
+from dcm.ledger import read_events
+from dcm.scenario import report_record
+from conftest import same_json
 
 MINIMAL_SCENARIO = """\
 name: toy
@@ -61,6 +65,38 @@ def steps_by_action(report):
     for step in report.steps:
         by_action.setdefault(step["action"], []).append(step)
     return by_action
+
+
+# sha256 of each bundled scenario's report, (to_json_lines(), to_text()): the bytes `dcm run` prints
+REPORT_SHA256 = {
+    "lme_copper": (
+        "cdf78731802862895925f921bd5fc067214c37eaecc726a5adc4ee70969402d5",
+        "e294a8530ad798898bde87ed1413b54c774425ab96ea88095b5b0dd4ee5427cc",
+    ),
+    "shfe_steel": (
+        "38b4874eb1a4f6c903cd791b0d726ba71fe196a00991c7f6541813c4853aa181",
+        "732378b68739cc734bae4b6c4f1d380c78a7629022a075f44dd7c2a7cded3e32",
+    ),
+}
+
+# every action once, and a lapsed certificate swept to the issuer
+SIX_ACTIONS = (
+    "  - {dt: 0, action: issue, cert: c1, face_weight: 5, owner: a}\n"
+    "  - {dt: 0, action: issue, cert: c2, face_weight: 5, owner: a, date: 2020-01-03}\n"
+    "  - {dt: 2, action: issue, cert: c3, face_weight: 5, owner: b}\n"
+    "  - {dt: 3, action: transfer, cert: c1, new_owner: b}\n"
+    "  - {dt: 4, action: quote, cert: c1, premium: 0.5, date: 2020-01-06}\n"
+    "  - {dt: 5, action: deliver, cert: c1}\n"
+    "  - {dt: 6, action: buyback, cert: c2}\n"
+    "  - {dt: 31, action: expire, cert: c3}\n"
+)
+
+
+def six_actions_scenario(tmp_path):
+    path = write_scenario(tmp_path, SIX_ACTIONS)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("min_delivery_weight: 5\n", "min_delivery_weight: 5\n    validity_days: 30\n"))
+    return path
 
 
 class TestGoldenScenarios:
@@ -114,6 +150,13 @@ class TestGoldenScenarios:
         _, registry = run_scenario(load_scenario(bundled_scenario_path(name)))
         rebuilt = replay(read_events(registry.ledger.to_lines()))
         assert rebuilt.snapshot() == registry.snapshot()
+
+    @pytest.mark.parametrize("name", ["lme_copper", "shfe_steel"])
+    def test_reports_have_the_pinned_bytes(self, name):
+        report, _ = run_scenario(load_scenario(bundled_scenario_path(name)))
+        json_sha256, text_sha256 = REPORT_SHA256[name]
+        assert hashlib.sha256(report.to_json_lines().encode("utf-8")).hexdigest() == json_sha256
+        assert hashlib.sha256(report.to_text().encode("utf-8")).hexdigest() == text_sha256
 
     def test_unknown_bundled_name(self):
         with pytest.raises(ConfigError, match="available"):
@@ -299,12 +342,52 @@ class TestScenarioLoading:
                 None,
                 "script step 1: bad date 20200101",
             ),
+            # a quoted figure is text, as is 1e2: YAML 1.1 reads a float only with a dot and a signed exponent
+            (
+                "  - {dt: 0, action: issue, cert: c1, face_weight: '5', owner: a}\n",
+                None,
+                r"script step 1 \(issue\): face_weight must be numeric, got '5'",
+            ),
+            (
+                "  - {dt: 0, action: issue, cert: c1, face_weight: 5e0, owner: a}\n",
+                None,
+                r"script step 1 \(issue\): face_weight must be numeric, got '5e0'",
+            ),
+            (
+                ISSUE_STEP + "  - {dt: 1, action: quote, cert: c1, premium: '0.5'}\n",
+                None,
+                r"script step 2 \(quote\): premium must be numeric, got '0.5'",
+            ),
+            (
+                ISSUE_STEP,
+                ("  theta: 0.9999\n", "  theta: 0.9999\n  purity: '0.9'\n"),
+                "issuer: purity must be numeric, got '0.9'",
+            ),
+            (
+                ISSUE_STEP,
+                (
+                    "  theta: 0.9999\n",
+                    "  theta_derivation: {mode: warehouse-only, daily_warehouse_charge: 0.2, cif_price: '5000'}\n",
+                ),
+                "theta_derivation: cif_price must be numeric, got '5000'",
+            ),
+            (
+                ISSUE_STEP,
+                ("  path: prices.csv\n", "  path: prices.csv\n  per_units: '1000'\n"),
+                "prices: per_units must be numeric, got '1000'",
+            ),
+            (
+                ISSUE_STEP,
+                ("  denominations: [5]\n", "  denominations: [1, '5']\n"),
+                r"issuer: denominations must be numeric, got \[1, '5'\]",
+            ),
         ],
         ids=[
             "face-weight", "dt", "purity", "theta-mode", "dt-fraction", "dt-infinite", "validity-fraction",
             "places-fraction", "dt-boolean", "face-weight-boolean", "denomination-boolean", "owner-null",
             "owner-list", "new-owner-integer", "dt-off-calendar", "issue-date-basic-form", "issue-date-week-form",
-            "issue-date-with-time", "step-date-basic-form",
+            "issue-date-with-time", "step-date-basic-form", "face-weight-quoted", "face-weight-exponent-text",
+            "premium-quoted", "purity-quoted", "cif-price-quoted", "per-units-quoted", "denomination-quoted",
         ],
     )
     def test_values_of_the_wrong_type_are_config_errors(self, tmp_path, script, edit, message):
@@ -330,9 +413,12 @@ class TestScenarioLoading:
                 ("    min_delivery_weight: 5\n", "    min_delivery_weight: 5\n    delivery_location: {a: 1}\n"),
                 "delivery_rules: delivery_location must be a string, got {'a': 1}",
             ),
+            (("cert: c1", "cert: ~"), "script step 1: cert must be a string, got None"),
+            (("cert: c1", "cert: [a]"), "script step 1: cert must be a string, got ['a']"),
+            (("action: issue", "action: ~"), "script step 1: action must be a string, got None"),
         ],
         ids=["name-null", "name-integer", "currency-list", "issuer-id-list", "material-integer", "weight-unit-null",
-             "location-mapping"],
+             "location-mapping", "cert-null", "cert-list", "action-null"],
     )
     def test_a_text_field_that_is_not_a_string_is_a_config_error(self, tmp_path, edit, message):
         path = write_scenario(tmp_path, ISSUE_STEP)
@@ -358,6 +444,50 @@ class TestScenarioLoading:
         assert Decimal(expire["issuer_accrued_weight_display"]) > 0
         cert_id = report.steps[0]["cert_id"]
         assert registry.certificate(cert_id).status is CertStatus.EXPIRED
+
+
+class TestReportProjection:
+    """Each report record is ``report_record`` of the event its step sealed."""
+
+    @pytest.mark.parametrize(
+        "make_path",
+        [
+            lambda tmp_path: bundled_scenario_path("lme_copper"),
+            lambda tmp_path: bundled_scenario_path("shfe_steel"),
+            six_actions_scenario,
+            lambda tmp_path: generated_scenario(tmp_path),
+        ],
+        ids=["lme_copper", "shfe_steel", "six-actions", "generated"],
+    )
+    def test_records_rebuilt_from_the_read_ledger_equal_the_live_report(self, tmp_path, make_path):
+        config = load_scenario(make_path(tmp_path))
+        report, registry = run_scenario(config)
+        events = list(read_events(registry.ledger.to_lines()))
+        assert len(events) == len(config.script) == len(report.steps)
+        rebuilt = [
+            report_record(event, config.rounding, index, step)
+            for index, (step, event) in enumerate(zip(config.script, events), start=1)
+        ]
+        assert rebuilt == report.steps
+        assert all(map(same_json, rebuilt, report.steps))
+        if make_path is six_actions_scenario:
+            assert [record["action"] for record in rebuilt] == [
+                "issue", "issue", "issue", "transfer", "quote", "deliver", "buyback", "expire"
+            ]
+            assert [record["date"] for record in rebuilt[:3]] == ["2020-01-01", "2020-01-03", "2020-01-03"]
+
+    def test_a_record_that_cannot_be_displayed_fails_its_step_before_a_later_failing_step(self, tmp_path):
+        # a delivery settles unrounded, so only its display needs 31 digits; step 3 fails in the registry
+        path = write_scenario(
+            tmp_path,
+            ISSUE_STEP + "  - {dt: 1, action: deliver, cert: c1}\n  - {dt: 2, action: deliver, cert: c1}\n",
+            "rounding: {weight_places: 30}\n",
+        )
+        with pytest.raises(ScenarioStepError) as excinfo:
+            run_scenario(load_scenario(path))
+        assert excinfo.value.step_index == 2
+        assert excinfo.value.exit_code == 2
+        assert "cannot round 4.9995 to 30 places in 28 digits" in str(excinfo.value)
 
 
 def generated_scenario(tmp_path, n_steps: int = 300):
@@ -391,7 +521,7 @@ def generated_scenario(tmp_path, n_steps: int = 300):
         if roll < 0.3 or not active:
             issued += 1
             active.append(f"c{issued}")
-            face = rng.choice(["1", "10", "10.0", "100", "1.0e+2", "1e2"])
+            face = rng.choice(["1", "10", "10.0", "100", "1.0e+2", "1.e+2"])  # YAML 1.1 reads 1e2 as text
             step(dt, "issue", active[-1], f", face_weight: {face}, owner: {rng.choice(owners)}")
         elif roll < 0.5:
             step(dt, "transfer", rng.choice(active), f", new_owner: {rng.choice(owners)}")
