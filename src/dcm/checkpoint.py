@@ -52,7 +52,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn
 
-from .errors import LedgerIntegrityError
+from .errors import ConfigError, LedgerIntegrityError
 from .ledger import (
     _CERT_ID_RE, _HASH_RE, GENESIS_HASH, LedgerEvent, canonical_payload, decode_line, parse_line, read_events,
 )
@@ -196,7 +196,10 @@ class LedgerFile:
         self._open_line: int | None = None  # the number of the last line read, if the bytes end inside it
 
     def _read(self) -> memoryview:
-        raw = self.path.read_bytes() if self.path.exists() else b""
+        try:
+            raw = self.path.read_bytes() if self.path.exists() else b""
+        except OSError as exc:  # a directory, or a file without read permission
+            raise ConfigError(f"cannot read ledger file {self.path}: {exc}") from None
         self.ignored = None
         self._size = len(raw)
         self._open_line = raw.count(b"\n") + 1 if raw and raw[-1] != 0x0A else None

@@ -74,8 +74,11 @@ class AppContext:
     def append_new_events(self, ledger: Ledger, known: int) -> tuple[LedgerEvent, ...]:
         new_events = tuple(event for event in ledger.events if event.seq > known)
         if new_events:
-            with self.ledger_path.open("a", encoding="utf-8") as handle:
-                handle.write("".join(event.line + "\n" for event in new_events))
+            try:
+                with self.ledger_path.open("a", encoding="utf-8") as handle:
+                    handle.write("".join(event.line + "\n" for event in new_events))
+            except OSError as exc:
+                raise ConfigError(f"cannot append to ledger file {self.ledger_path}: {exc}") from None
         return new_events
 
     def market_quote(self, cert, dt: int, premium: float) -> MarketQuote:
@@ -170,9 +173,12 @@ def run(_app: AppContext, args: argparse.Namespace) -> None:
         path = bundled_scenario_path(args.scenario)
     report, _registry = run_scenario(load_scenario(path))
     json_lines = report.to_json_lines() if args.format == "json" or args.report is not None else ""
+    if args.report is not None:  # before anything is printed, so a report that cannot be written prints nothing
+        try:
+            args.report.write_text(json_lines, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {args.report}: {exc}") from None
     sys.stdout.write(json_lines if args.format == "json" else report.to_text())
-    if args.report is not None:
-        args.report.write_text(json_lines, encoding="utf-8")
 
 
 def project(app: AppContext, args: argparse.Namespace) -> None:

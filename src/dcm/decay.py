@@ -11,36 +11,13 @@ import math
 from collections import namedtuple
 from datetime import date
 from enum import Enum
-from math import isfinite
 
 from .errors import DerivationError, DomainError, UnboundedCostError
-from .values import Value
+from .values import Value, require_date, require_integer, require_number
 
 _new = tuple.__new__
 
 DAYS_PER_YEAR = 365.0
-
-
-def require_number(name: str, value) -> float:
-    """``value`` as a float; DomainError naming ``name`` unless it is a finite int or float.
-
-    A bool and text are not numbers; NaN, infinity and an int beyond float range are not finite.
-    """
-    cls = value.__class__
-    if cls is float:
-        if isfinite(value):
-            return value
-    elif cls is int or (cls is not bool and isinstance(value, (int, float))):  # a JSON number, not true or "5"
-        try:
-            number = float(value)
-        except OverflowError:  # an int beyond float range
-            pass
-        else:
-            if isfinite(number):
-                return number
-    else:
-        raise DomainError(f"{name} must be a number, got {value!r}")
-    raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 class LogisticsParams(Value, namedtuple(
@@ -108,8 +85,8 @@ class CifQuote(Value, namedtuple("CifQuote", "price_per_unit material location a
         for name, text in (("material", material), ("location", location)):
             if not isinstance(text, str):
                 raise DomainError(f"{name} must be a string, got {text!r}")
-        if as_of is not None and as_of.__class__ is not date:  # a datetime's isoformat is not a date's
-            raise DomainError(f"as_of must be a date or None, got {as_of!r}")
+        if as_of is not None:
+            require_date("as_of", as_of)
         return _new(cls, (price, material, location, as_of))
 
 
@@ -330,9 +307,7 @@ def residual_weight(
     weight = require_number("face_weight", face_weight)
     if weight <= 0:
         raise DomainError("face_weight must be > 0")
-    days = require_number("delta_t", delta_t)
-    if not days.is_integer():
-        raise DomainError("delta_t must be a whole number of days")
+    days = require_integer("delta_t", delta_t)
     if days < 0:
         raise DomainError("delta_t must be >= 0")
     if isinstance(theta, AttenuationSpec):
@@ -360,7 +335,7 @@ def wealth_projection(
     residual = anchor x theta^horizon; the issuer share is the complement, so
     the pair sums back to the anchor weight.
     """
-    if horizon_days < 0:
+    if require_integer("horizon_days", horizon_days) < 0:
         raise DomainError("horizon_days must be >= 0")
     residual = residual_weight(anchor_weight, theta, horizon_days)
     return WealthProjection(anchor_weight, horizon_days, residual, anchor_weight - residual)

@@ -27,7 +27,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .errors import DomainError, LedgerIntegrityError
-from .values import Value
+from .values import Value, require_date
 
 GENESIS_HASH = "0" * 64
 
@@ -193,7 +193,8 @@ class Ledger:
 
         The event's payload is the JSON round-trip of the argument, so the
         in-memory event equals what a reader reconstructs from the wire line.
-        A payload canonical JSON cannot encode raises DomainError.
+        A payload canonical JSON cannot encode, or a timestamp that is not
+        exactly a date, raises DomainError.
         """
         return self._sealed(kind, cert_id, payload, timestamp, False)
 
@@ -209,6 +210,7 @@ class Ledger:
 
     def _sealed(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date, keep: bool) -> LedgerEvent:
         validate_cert_id(cert_id)
+        require_date("timestamp", timestamp)  # a datetime's isoformat is not a date's, which a reader refuses
         kind = _kind_of(kind)
         try:
             payload_json = _encode(payload)

@@ -10,10 +10,9 @@ from datetime import date
 from math import isfinite
 from pathlib import Path
 
-from .decay import require_number
 from .errors import ConfigError, DomainError, NoQuoteError, ParseError, ValidationError
 from .ledger import iso_date
-from .values import Value
+from .values import Value, require_number
 
 
 def read_text(path: Path, what: str) -> str:

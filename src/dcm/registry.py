@@ -24,7 +24,7 @@ from datetime import date, timedelta
 from enum import Enum
 from typing import Iterable
 
-from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, require_number, residual_weight
+from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, residual_weight
 from .errors import (
     DCMError,
     DomainError,
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .ledger import EventKind, Ledger, LedgerEvent, canonical_payload, iso_date, member_lookup, validate_cert_id
 from .rounding import fmt, quantize_to_float
-from .values import Value
+from .values import Value, require_date, require_integer, require_number
 
 
 class CertStatus(str, Enum):
@@ -90,8 +90,7 @@ class DeliveryRules(Value, namedtuple(
         if not isinstance(delivery_location, str):
             raise DomainError(f"delivery_location must be a string, got {delivery_location!r}")
         if validity_days is not None:
-            if isinstance(validity_days, bool) or not isinstance(validity_days, int):
-                raise DomainError(f"validity_days must be an integer or None, got {validity_days!r}")
+            validity_days = require_integer("validity_days", validity_days)
             if validity_days <= 0:
                 raise DomainError("validity_days must be > 0 when set")
         return _new(cls, (delivery, withdrawal, minimum, delivery_location, validity_days))
@@ -148,6 +147,7 @@ class Certificate(Value, namedtuple(
             raise DomainError(f"weight_unit must be a string, got {weight_unit!r}")
         face_weight = require_number("face_weight", face_weight)
         purity = require_number("purity", purity)
+        require_date("issue_date", issue_date)
         if face_weight <= 0:
             raise DomainError("face_weight must be > 0")
         if not 0.0 < purity <= 1.0:
@@ -252,7 +252,7 @@ class Registry:
 
     def __init__(self, *, weight_places: int = 4):
         self.ledger = Ledger()
-        self.weight_places = weight_places
+        self.weight_places = require_integer("weight_places", weight_places)
         # a certificate restored by ``from_state_lines`` stays its state line until first read
         self._certs: dict[str, Certificate | str] = {}
         self._unbuilt = 0
@@ -418,8 +418,7 @@ class Registry:
         A duplicate id and purity are refused by ``_apply`` before anything
         is recorded; theta and the delivery rules by their own value types.
         """
-        if issue_date.__class__ is not date:  # a datetime would be recorded with its time, which replay refuses
-            raise DomainError(f"issue_date must be a date, got {issue_date!r}")
+        require_date("issue_date", issue_date)  # before its payload form is built from it
         weight = require_number("face_weight", face_weight)
         purity = require_number("purity", purity)
         denominations = self._denominations.get(issuer)
@@ -434,10 +433,9 @@ class Registry:
         self._record(_ISSUE, cert_id, payload, issue_date)
         return self._certs[cert_id]
 
-    def _legal(self, kind: EventKind, cert_id: str, t: int) -> Certificate:
-        """The certificate an event of ``kind`` on day ``t`` acts on; raises the operation's error if it may not."""
-        if t.__class__ is not int:  # a whole number of days: not a float, not a bool
-            raise DomainError(f"t must be a whole number of days, got {t!r}")
+    def _legal(self, kind: EventKind, cert_id: str, t: int) -> tuple[Certificate, int]:
+        """The certificate an event of ``kind`` on day ``t`` acts on, and ``t`` as an int; raises if it may not."""
+        t = require_integer("t", t)
         cert = self.certificate(cert_id)
         if cert.status is not _ACTIVE:
             raise StateError(f"certificate {cert_id} is {cert.status.value}; terminal states are absorbing")
@@ -457,7 +455,7 @@ class Registry:
                 )
         if t > _LAST_DAY - cert.issue_date.toordinal():
             cert.date_at(t)  # raises: the event's date would pass the calendar's last
-        return cert
+        return cert, t
 
     # Every payload ``_record`` receives is a dict built for that call alone: ``_issue_form``'s, nested dicts
     # and all, ``_settle``'s ``_asdict()`` and ``transfer``'s literal.  The sealed event keeps it as its payload
@@ -488,7 +486,7 @@ class Registry:
                 raise IssuanceError(f"certificate {cert_id!r} already exists")
             cert = _cert_from_payload(cert_id, payload)
         else:
-            cert = self._legal(kind, cert_id, payload["t"])
+            cert = self._legal(kind, cert_id, payload["t"])[0]
             owner = cert.owner
             if kind is _TRANSFER:
                 owner = payload["to_owner"]
@@ -506,7 +504,7 @@ class Registry:
 
     def _settle(self, kind: EventKind, cert_id: str, t: int, quote: MarketQuote | None, timestamp: date | None):
         """Settle ``cert_id`` on day ``t`` by ``kind``'s settlement function and record its figures."""
-        result = _EVENT_RULES[kind][2](self._legal(kind, cert_id, t), t, quote, self.weight_places)
+        result = _EVENT_RULES[kind][2](*self._legal(kind, cert_id, t), quote, self.weight_places)
         payload = result._asdict()
         del payload["cert_id"]
         self._record(kind, cert_id, payload, timestamp)
@@ -542,7 +540,7 @@ class Registry:
         self, cert_id: str, new_owner: str, t: int, *, timestamp: date | None = None
     ) -> Certificate:
         """Change the registered owner.  Decay depends only on the issue date, never on ownership."""
-        cert = self._legal(_TRANSFER, cert_id, t)
+        cert, t = self._legal(_TRANSFER, cert_id, t)
         self._record(_TRANSFER, cert_id, {"t": t, "from_owner": cert.owner, "to_owner": new_owner}, timestamp)
         return self._certs[cert_id]
 

@@ -11,12 +11,12 @@ from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, getcontext
 
 from .errors import DomainError
-from .values import Value
+from .values import Value, require_integer
 
 
 def quantize(value: float, places: int) -> Decimal:
     """Round ``value`` half-even to ``places`` decimal digits."""
-    if places < 0:
+    if require_integer("places", places) < 0:
         raise DomainError("places must be >= 0")
     try:
         return Decimal(repr(float(value))).quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN)
@@ -43,6 +43,8 @@ class RoundingProfile(Value, namedtuple("RoundingProfile", "weight_places money_
     __slots__ = ()
 
     def __new__(cls, weight_places: int = 4, money_places: int = 4):
+        weight_places = require_integer("weight_places", weight_places)
+        money_places = require_integer("money_places", money_places)
         if weight_places < 0 or money_places < 0:
             raise DomainError("rounding places must be >= 0")
         return tuple.__new__(cls, (weight_places, money_places))

@@ -28,13 +28,13 @@ import yaml
 from yaml import AliasEvent, DocumentStartEvent, MappingEndEvent, MappingStartEvent, ScalarEvent, ScalarNode
 from yaml import SequenceEndEvent, SequenceStartEvent, StreamEndEvent
 
-from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, require_number
+from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient
 from .errors import ConfigError, DCMError, DomainError, ScenarioStepError
 from .ledger import EventKind, LedgerEvent, canonical_payload, iso_date
 from .market import PriceSeries, load_series, quote_at, read_text
 from .registry import DeliveryRules, MarketQuote, Registry
 from .rounding import RoundingProfile, fmt
-from .values import Value
+from .values import Value, require_integer, require_number
 
 # each action and the step arguments it reads
 _ACTIONS = {
@@ -133,23 +133,13 @@ def _check_keys(mapping: Any, allowed: AbstractSet[str], context: str) -> None:
 _REQUIRED = object()
 
 
-def _integer(name: str, value: Any) -> int:
-    """``int(value)``, refusing a boolean and a fraction it would truncate; called as ``require_number`` is."""
-    if isinstance(value, bool):
-        raise TypeError(value)
-    number = int(value)
-    if isinstance(value, float) and number != value:
-        raise ValueError(value)
-    return number
-
-
 def _number(mapping: dict, key: str, context: str, kind: Any = require_number, default: Any = _REQUIRED) -> Any:
     """``kind(key, mapping[key])``; a missing key or a value ``kind`` refuses is a ConfigError naming both."""
     value = _require(mapping, key, context) if default is _REQUIRED else mapping.get(key, default)
     try:
         return kind(key, value)
-    except (DomainError, TypeError, ValueError, OverflowError):
-        wanted = "an integer" if kind is _integer else "numeric"
+    except (DomainError, TypeError):  # TypeError: a denominations value that is not a list
+        wanted = "an integer" if kind is require_integer else "numeric"
         raise ConfigError(f"{context}: {key} must be {wanted}, got {value!r}") from None
 
 
@@ -346,7 +336,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             delivery_location=_text(rules_cfg, "delivery_location", "delivery_rules", ""),
             validity_days=(
                 None if rules_cfg.get("validity_days") is None
-                else _number(rules_cfg, "validity_days", "delivery_rules", _integer)
+                else _number(rules_cfg, "validity_days", "delivery_rules", require_integer)
             ),
         ),
     )
@@ -373,8 +363,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     rounding_cfg = raw.get("rounding", {})
     _check_keys(rounding_cfg, {"weight_places", "money_places"}, "rounding")
     rounding = RoundingProfile(
-        weight_places=_number(rounding_cfg, "weight_places", "rounding", _integer, 4),
-        money_places=_number(rounding_cfg, "money_places", "rounding", _integer, 4),
+        weight_places=_number(rounding_cfg, "weight_places", "rounding", require_integer, 4),
+        money_places=_number(rounding_cfg, "money_places", "rounding", require_integer, 4),
     )
 
     steps = []
@@ -383,7 +373,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"script step {index} must be a mapping")
         where = f"script step {index}"
         step = ScriptStep(
-            dt=_number(step_cfg, "dt", where, _integer),
+            dt=_number(step_cfg, "dt", where, require_integer),
             action=_text(step_cfg, "action", where),
             cert=_text(step_cfg, "cert", where),
             date=_as_date(step_cfg["date"], where) if "date" in step_cfg else None,

@@ -1,7 +1,8 @@
-"""A ledger file's full replay on two processes: a forked child checks every line while the parent replays.
+"""A ledger file's full replay on two processes, and its checkpoint sidecar.
 
-Each result must be the sequential replay's, each refusal its message, and no
-child may be left behind.
+A forked child checks every line while the parent replays.  Each result must
+be the sequential replay's, each refusal its message, and no child may be
+left behind.  A spoiled sidecar must give the full replay's registry.
 """
 
 from __future__ import annotations
@@ -9,9 +10,13 @@ from __future__ import annotations
 import os
 import random
 import signal
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dcm.checkpoint as checkpoint
 from dcm import EventKind, LedgerIntegrityError, read_events, replay
@@ -236,3 +241,40 @@ class TestSequentialFallback:
             ledger_file.verify()
         assert_no_child_left()
 
+
+
+@st.composite
+def _spoiled(draw, sidecar: bytes) -> bytes:
+    """``sidecar`` with one byte replaced, inserted or deleted anywhere, or with its header line replaced.
+
+    Half the edits fall in the header, whose fields no digest covers, and half
+    the new bytes are copied from it, mostly hex digits, so that an edit often
+    leaves the header readable.  Positions come from a seeded ``Random``, which
+    draws them uniformly where Hypothesis's integers favour the ends of a range.
+    """
+    header = sidecar.index(b"\n")
+    how = draw(st.sampled_from(["replace", "insert", "delete", "header"]))
+    if how == "header":
+        return draw(st.binary()) + sidecar[header:]
+    pick = draw(st.randoms(use_true_random=True)).randrange
+    at = pick(header) if draw(st.booleans()) else pick(len(sidecar) + (how == "insert"))
+    byte = b"" if how == "delete" else bytes([sidecar[pick(header)] if draw(st.booleans()) else pick(256)])
+    return sidecar[:at] + byte + sidecar[at + (how != "insert"):]
+
+
+class TestSidecarFuzz:
+    # the fixture that reports two CPUs holds for every example; the sequential replay keeps each one short
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(0, 30), data=st.data())
+    def test_a_spoiled_sidecar_loads_the_full_replays_registry(self, seed, length, data):
+        lines = _random_operations(random.Random(seed), length).ledger.to_lines()
+        # half the sidecars cover the whole file: with no tail to link, only the header check sees a forged head
+        cut = data.draw(st.just(len(lines)) | st.integers(0, len(lines)), label="events the sidecar covers")
+        with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            ledger_file = write_ledger(Path(directory) / "ledger.log", lines[:cut])
+            ledger_file.write_checkpoint(ledger_file.load(), ())
+            with ledger_file.path.open("a", encoding="utf-8") as handle:
+                handle.write("".join(line + "\n" for line in lines[cut:]))
+            ledger_file.sidecar.write_bytes(data.draw(_spoiled(ledger_file.sidecar.read_bytes()), label="sidecar"))
+            assert state(LedgerFile(ledger_file.path, 4).load()) == state(replay(read_events(lines)))

@@ -356,6 +356,41 @@ class TestLifecycleFlow:
         assert result.returncode == 2
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--ledger", "missing/x.log", *ISSUE_ARGS],
+             "error: cannot append to ledger file missing/x.log: [Errno 2] No such file or directory"),
+            (["--ledger", "a-directory", "replay-verify"],
+             "error: cannot read ledger file a-directory: [Errno 21] Is a directory"),
+            (["--ledger", "a-directory", *ISSUE_ARGS],
+             "error: cannot read ledger file a-directory: [Errno 21] Is a directory"),
+            (["run", "lme_copper", "--report", "missing/r.jsonl"],
+             "error: cannot write report missing/r.jsonl: [Errno 2] No such file or directory"),
+        ],
+        ids=["append-in-a-missing-directory", "verify-a-directory", "issue-into-a-directory",
+             "report-in-a-missing-directory"],
+    )
+    def test_a_file_that_cannot_be_read_or_written_exits_validation(self, tmp_path, args, message):
+        (tmp_path / "a-directory").mkdir()
+        result = dcm(*args, cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(message)
+        assert result.stderr.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a-directory"]
+
+    def test_a_sidecar_that_is_a_directory_only_warns(self, tmp_path):
+        (tmp_path / SIDECAR).mkdir()
+        issued = dcm(*ISSUE_ARGS, cwd=tmp_path)
+        assert issued.returncode == 0
+        assert issued.stdout.startswith("code: LME-copper-0001\n")
+        assert issued.stderr.startswith(f"warning: ignoring checkpoint {SIDECAR}: cannot read it: [Errno 21]")
+        assert f"\nwarning: cannot write checkpoint {SIDECAR}: [Errno 21] Is a directory" in issued.stderr
+        verified = dcm("replay-verify", cwd=tmp_path)
+        assert (verified.returncode, verified.stdout[:28]) == (0, "ok: 1 events, 1 certificates")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["dcm-ledger.log", SIDECAR]
+        assert list((tmp_path / SIDECAR).iterdir()) == []
+
+    @pytest.mark.parametrize(
         "command, dt", [("deliver", "3000000"), ("quote", "3000000"), ("buyback", "3000000"), ("quote", "-3000000")]
     )
     def test_a_day_outside_the_calendar_exits_validation(self, tmp_path, command, dt):
@@ -558,9 +593,16 @@ class TestRun:
             ("cert: c1, face_weight", "cert: [a], face_weight", "script step 1: cert must be a string, got ['a']"),
             ("action: issue,    cert: c1", "action: ~,    cert: c1",
              "script step 1: action must be a string, got None"),
+            # an integer field takes only a YAML int: not text, and not a float, even a whole one
+            ("{dt: 183, action: quote", "{dt: '183', action: quote", "script step 3: dt must be an integer, got '183'"),
+            ("{dt: 183, action: quote", "{dt: 183.0, action: quote", "script step 3: dt must be an integer, got 183.0"),
+            ("    delivery_location: LME designated warehouse\n",
+             "    delivery_location: LME designated warehouse\n    validity_days: '30'\n",
+             "delivery_rules: validity_days must be an integer, got '30'"),
+            ("weight_places: 4", "weight_places: '4'", "rounding: weight_places must be an integer, got '4'"),
         ],
         ids=["face-weight", "premium", "purity", "cif-price", "per-units", "denomination", "cert-null", "cert-list",
-             "action-null"],
+             "action-null", "dt-quoted", "dt-whole-float", "validity-quoted", "places-quoted"],
     )
     def test_a_quoted_figure_or_a_step_name_that_is_not_text_exits_validation(self, tmp_path, old, new, message):
         bundled = SRC / "dcm" / "data"
@@ -754,6 +796,7 @@ LOCAL_USAGE_ERRORS = {
     "theta": {"missing": _edit("theta", "--cif"), "float": _edit("theta", "--cif", "1e3x"),
               "mode": _edit("theta", "--mode", "explicit"), "abbreviated": ["theta", "--ware", "0.2", "--cif", "5000"]},
     "issue": {"missing": _edit("issue", "--owner"), "float": _edit("issue", "--purity", "pure"),
+              "denominations": _edit("issue", "--denominations", "1,x"),
               "int": _edit("issue", "--validity-days", "0.5"), "date": _edit("issue", "--issue-date", "2020-13-01"),
               "date-basic-form": _edit("issue", "--issue-date", "20200101"),
               "date-week-form": _edit("issue", "--issue-date", "2020-W01-3"),
@@ -774,6 +817,7 @@ LOCAL_USAGE_ERRORS = {
 }
 GROUP_USAGE_ERRORS = {
     "float": ["--price-per-units", "ten"],
+    "not-positive": ["--price-per-units", "0"],
     "int": ["--weight-places", "2.5"],
     "prices": ["--prices", "no-such-prices.csv"],
     "abbreviated": ["--pri", "prices.csv"],

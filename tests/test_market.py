@@ -41,6 +41,12 @@ class TestLoadSeries:
     def test_missing_header_is_a_parse_error(self):
         with pytest.raises(ParseError, match="line 1"):
             load_series("2020-07-01,5000\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_series("")
+        assert str(excinfo.value) == "line 1: missing header row"
+
+    def test_blank_rows_are_skipped(self):
+        assert load_series("date,price\n\n2020-07-01,5000\n \n2021-01-01,5500\n") == load_series(COPPER_CSV)
 
     def test_duplicate_date_names_the_line(self):
         text = "date,price\n2020-07-01,5000\n2020-07-01,5100\n"
@@ -78,6 +84,23 @@ class TestLoadSeries:
         with pytest.raises(ValidationError) as excinfo:
             load_series(f"date,price\n2020-07-01,5000\n2020-08-01,{price}\n2020-07-15,5100\n")
         assert (type(excinfo.value), str(excinfo.value)) == (error, message)
+
+
+class TestPriceSeries:
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            (((date(2020, 7, 1), 5000), (date(2020, 8, 1), 0)), "price at 2020-08-01 must be > 0"),
+            (((date(2020, 7, 1), -1.5),), "price at 2020-07-01 must be > 0"),
+            (((date(2020, 7, 1), 5000), (date(2020, 7, 1), 5100)), "duplicate date 2020-07-01"),
+            (((date(2020, 7, 1), 5000), (date(2020, 6, 1), 4900)), "dates not increasing at 2020-06-01"),
+        ],
+        ids=["zero-price", "negative-price", "duplicate-date", "decreasing-date"],
+    )
+    def test_a_bad_point_is_a_validation_error(self, points, message):
+        with pytest.raises(ValidationError) as excinfo:
+            PriceSeries("copper", "USD", points)
+        assert (type(excinfo.value), str(excinfo.value)) == (ValidationError, message)
 
 
 class TestQuoteAt:

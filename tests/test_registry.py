@@ -439,9 +439,9 @@ LIVE_REFUSALS = {
         StateError, "certificate LME-copper-0001 has not lapsed; cannot expire at day 5000"
     ),
     # a day is a whole number: a float, even a whole one, and a bool are refused before anything else
-    ("transfer", "LME-copper-0001", 2.5): (DomainError, "t must be a whole number of days, got 2.5"),
-    ("quote", "LME-copper-0001", 2.0): (DomainError, "t must be a whole number of days, got 2.0"),
-    ("deliver", "LME-copper-0001", True): (DomainError, "t must be a whole number of days, got True"),
+    ("transfer", "LME-copper-0001", 2.5): (DomainError, "t must be an integer, got 2.5"),
+    ("quote", "LME-copper-0001", 2.0): (DomainError, "t must be an integer, got 2.0"),
+    ("deliver", "LME-copper-0001", True): (DomainError, "t must be an integer, got True"),
 }
 
 
@@ -455,6 +455,24 @@ class TestLiveRefusals:
         with pytest.raises(DCMError) as excinfo:
             OPERATIONS[op](registry, cert_id, t)
         assert (type(excinfo.value), str(excinfo.value)) == (error, message)
+        assert len(registry.ledger) == 5
+        assert registry.snapshot() == before
+
+    @pytest.mark.parametrize(
+        "op, timestamp",
+        [("quote", datetime(2020, 1, 4, 12, 30)), ("quote", "2020-01-05"), ("transfer", datetime(2020, 1, 4))],
+        ids=["quote-datetime", "quote-text", "transfer-datetime"],
+    )
+    def test_a_timestamp_that_is_not_a_date_is_refused_and_records_nothing(self, op, timestamp):
+        # a datetime would be sealed with its time, which a reader refuses as a bad timestamp
+        registry = _refusal_registry()
+        before = registry.snapshot()
+        with pytest.raises(DomainError) as excinfo:
+            if op == "quote":
+                registry.quote_transaction_price("LME-copper-0001", MarketQuote(5.0), 3, timestamp=timestamp)
+            else:
+                registry.transfer("LME-copper-0001", "client-2", 3, timestamp=timestamp)
+        assert str(excinfo.value) == f"timestamp must be a date, got {timestamp!r}"
         assert len(registry.ledger) == 5
         assert registry.snapshot() == before
 
@@ -676,10 +694,10 @@ VALUE_REFUSALS = {
     },
     "location-number": (_with_rules(delivery_location=7), DomainError, "delivery_location must be a string, got 7"),
     "validity-fraction": (
-        _with_rules(validity_days=2.5), DomainError, "validity_days must be an integer or None, got 2.5"
+        _with_rules(validity_days=2.5), DomainError, "validity_days must be an integer, got 2.5"
     ),
     "validity-boolean": (
-        _with_rules(validity_days=True), DomainError, "validity_days must be an integer or None, got True"
+        _with_rules(validity_days=True), DomainError, "validity_days must be an integer, got True"
     ),
     "issuer-number": (lambda form: {**form, "issuer": 5}, DomainError, "issuer must be a non-empty string, got 5"),
     "issuer-empty": (lambda form: {**form, "issuer": ""}, DomainError, "issuer must be a non-empty string, got ''"),
@@ -783,17 +801,17 @@ SEALED_REFUSALS = {
     "deliver-fractional-day": (
         EventKind.DELIVER, "LME-copper-0001",
         lambda issue: {"t": 2.5, "residual_weight": 999.9, "delivered_weight": 996.9, "charged_weight": 3.0},
-        "DELIVER refused: DomainError: t must be a whole number of days, got 2.5",
+        "DELIVER refused: DomainError: t must be an integer, got 2.5",
     ),
     "deliver-boolean-day": (
         EventKind.DELIVER, "LME-copper-0001",
         lambda issue: {"t": True, "residual_weight": 999.96, "delivered_weight": 996.96, "charged_weight": 3.0},
-        "DELIVER refused: DomainError: t must be a whole number of days, got True",
+        "DELIVER refused: DomainError: t must be an integer, got True",
     ),
     "deliver-huge-day": (
         EventKind.DELIVER, "LME-copper-0001",
         lambda issue: {"t": 1e300, "residual_weight": 0.0, "delivered_weight": 0.0, "charged_weight": 0.0},
-        "DELIVER refused: DomainError: t must be a whole number of days, got 1e+300",
+        "DELIVER refused: DomainError: t must be an integer, got 1e+300",
     ),
     # the event's date would pass 9999-12-31: the live operation could not date it
     "deliver-off-calendar": (
@@ -1276,6 +1294,31 @@ class TestPaperFormat:
         with pytest.raises(Exception):
             import_certificate("code: X-1\nissuer: X\n")
 
+    def test_import_skips_blank_lines(self, lme_cert):
+        text = export_certificate(lme_cert)
+        assert import_certificate("\n" + text.replace("\n", "\n  \n", 3)) == import_certificate(text)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda text: text.replace("\n", "\nno separator\n", 1),
+                "line 2: expected 'field: value', got 'no separator'",
+            ),
+            (lambda text: text + "memo: x\n", "line 14: unknown field 'memo'"),
+            (lambda text: text + "issuer: LME\n", "line 14: duplicate field 'issuer'"),
+            (
+                lambda text: text.replace("purity: 0.9999", "purity: pure"),
+                "bad field value: could not convert string to float: 'pure'",
+            ),
+        ],
+        ids=["no-separator", "unknown-field", "duplicate-field", "bad-value"],
+    )
+    def test_import_refuses_a_malformed_text_naming_the_line(self, lme_cert, edit, message):
+        with pytest.raises(ParseError) as excinfo:
+            import_certificate(edit(export_certificate(lme_cert)))
+        assert str(excinfo.value) == message
+
 
 def _certificate(face_weight: float) -> Certificate:
     return Certificate(
@@ -1373,6 +1416,10 @@ LIVE_NUMBER_REFUSALS = {
     "denomination-true": (
         lambda registry: registry.register_issuer("LME", [1.0, True]), "denomination must be a number, got True"
     ),
+    "denominations-empty": (
+        lambda registry: registry.register_issuer("LME", []), "denomination set must not be empty"
+    ),
+    "denomination-zero": (lambda registry: registry.register_issuer("LME", [0]), "denominations must be > 0"),
     **{
         f"price-{value!r}": (
             (lambda value: lambda registry: PriceSeries("m", "c", ((date(2020, 1, 1), value),)))(value),

@@ -381,6 +381,13 @@ class TestScenarioLoading:
                 ("  denominations: [5]\n", "  denominations: [1, '5']\n"),
                 r"issuer: denominations must be numeric, got \[1, '5'\]",
             ),
+            (ISSUE_STEP, ("  id: X\n", ""), "issuer: missing key 'id'"),
+            (
+                ISSUE_STEP,
+                ("  path: prices.csv\n", "  path: prices.csv\n  per_units: 0\n"),
+                r"prices\.per_units must be > 0",
+            ),
+            ("  - [0, issue, c1]\n", None, "script step 1 must be a mapping"),
         ],
         ids=[
             "face-weight", "dt", "purity", "theta-mode", "dt-fraction", "dt-infinite", "validity-fraction",
@@ -388,6 +395,7 @@ class TestScenarioLoading:
             "owner-list", "new-owner-integer", "dt-off-calendar", "issue-date-basic-form", "issue-date-week-form",
             "issue-date-with-time", "step-date-basic-form", "face-weight-quoted", "face-weight-exponent-text",
             "premium-quoted", "purity-quoted", "cif-price-quoted", "per-units-quoted", "denomination-quoted",
+            "missing-key", "per-units-zero", "step-not-a-mapping",
         ],
     )
     def test_values_of_the_wrong_type_are_config_errors(self, tmp_path, script, edit, message):
@@ -824,6 +832,12 @@ class TestEventBuilder:
         with pytest.raises(ScenarioStepError) as excinfo:
             run_scenario(load_scenario(path))
         assert excinfo.value.step_index == 1
+
+    def test_a_reused_alias_fails_the_step(self, tmp_path):
+        path = write_scenario(tmp_path, ISSUE_STEP + ISSUE_STEP)
+        with pytest.raises(ScenarioStepError) as excinfo:
+            run_scenario(load_scenario(path))
+        assert str(excinfo.value) == "step 2 (issue): script alias 'c1' already used"
 
 
 class TestWealthProjection:

@@ -32,7 +32,11 @@ from dcm import (
     StorageTariff,
     ThetaMode,
 )
+from dcm.decay import residual_weight, wealth_projection
+from dcm.registry import Registry
+from dcm.rounding import fmt, quantize
 from dcm.scenario import IssuerTerms
+from dcm.values import require_date, require_integer
 
 DAY = date(2020, 1, 1)
 TARIFF = StorageTariff(0.2, 0.1, 0.05)
@@ -206,26 +210,35 @@ def test_replace_and_make_run_the_type_checks():
     "cls, field, value, message",
     [
         (DeliveryRules, "delivery_location", 7, "delivery_location must be a string, got 7"),
-        (DeliveryRules, "validity_days", 2.5, "validity_days must be an integer or None, got 2.5"),
-        (DeliveryRules, "validity_days", True, "validity_days must be an integer or None, got True"),
-        (DeliveryRules, "validity_days", "365", "validity_days must be an integer or None, got '365'"),
+        (DeliveryRules, "validity_days", 2.5, "validity_days must be an integer, got 2.5"),
+        (DeliveryRules, "validity_days", True, "validity_days must be an integer, got True"),
+        (DeliveryRules, "validity_days", "365", "validity_days must be an integer, got '365'"),
         (Certificate, "issuer", 5, "issuer must be a non-empty string, got 5"),
         (Certificate, "issuer", "", "issuer must be a non-empty string, got ''"),
         (Certificate, "material", None, "material must be a non-empty string, got None"),
         (Certificate, "material", "", "material must be a non-empty string, got ''"),
         (Certificate, "weight_unit", 1, "weight_unit must be a string, got 1"),
+        (Certificate, "issue_date", "2020-01-01", "issue_date must be a date, got '2020-01-01'"),
+        (
+            Certificate, "issue_date", datetime(2020, 1, 1),
+            "issue_date must be a date, got datetime.datetime(2020, 1, 1, 0, 0)",
+        ),
+        (RoundingProfile, "weight_places", "4", "weight_places must be an integer, got '4'"),
+        (RoundingProfile, "weight_places", 4.5, "weight_places must be an integer, got 4.5"),
+        (RoundingProfile, "money_places", True, "money_places must be an integer, got True"),
         (CifQuote, "material", 5, "material must be a string, got 5"),
         (CifQuote, "location", None, "location must be a string, got None"),
-        (CifQuote, "as_of", "2020-01-01", "as_of must be a date or None, got '2020-01-01'"),
+        (CifQuote, "as_of", "2020-01-01", "as_of must be a date, got '2020-01-01'"),
         (
             CifQuote, "as_of", datetime(2020, 1, 1),
-            "as_of must be a date or None, got datetime.datetime(2020, 1, 1, 0, 0)",
+            "as_of must be a date, got datetime.datetime(2020, 1, 1, 0, 0)",
         ),
     ],
     ids=[
         "location-number", "validity-fraction", "validity-boolean", "validity-text", "issuer-number",
-        "issuer-empty", "material-none", "material-empty", "weight-unit-number", "cif-material-number",
-        "cif-location-none", "cif-as-of-text", "cif-as-of-datetime",
+        "issuer-empty", "material-none", "material-empty", "weight-unit-number", "issue-date-text",
+        "issue-date-datetime", "weight-places-text", "weight-places-fraction", "money-places-boolean",
+        "cif-material-number", "cif-location-none", "cif-as-of-text", "cif-as-of-datetime",
     ],
 )
 def test_a_text_or_integer_field_of_another_type_is_a_domain_error(cls, field, value, message):
@@ -233,6 +246,70 @@ def test_a_text_or_integer_field_of_another_type_is_a_domain_error(cls, field, v
     with pytest.raises(DomainError) as excinfo:
         cls(**{**fields, field: value})
     assert str(excinfo.value) == message
+
+
+# a day count, a number of places or a date given to a function, not a value type: (call, message)
+SCALAR_ARGUMENT_REFUSALS = {
+    "fmt-float-places": (lambda: fmt(1.2, 2.0), "places must be an integer, got 2.0"),
+    "quantize-text-places": (lambda: quantize(1.2, "2"), "places must be an integer, got '2'"),
+    "registry-text-places": (lambda: Registry(weight_places="x"), "weight_places must be an integer, got 'x'"),
+    "residual-whole-float-days": (
+        lambda: residual_weight(1000.0, 0.99, 2.0), "delta_t must be an integer, got 2.0"
+    ),
+    "projection-text-horizon": (
+        lambda: wealth_projection(1000, 0.99, "3"), "horizon_days must be an integer, got '3'"
+    ),
+    "ledger-datetime-timestamp": (
+        lambda: Ledger().append(EventKind.QUOTE, "X-tin-0001", {"t": 3}, datetime(2020, 1, 1)),
+        "timestamp must be a date, got datetime.datetime(2020, 1, 1, 0, 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SCALAR_ARGUMENT_REFUSALS))
+def test_an_integer_or_date_argument_of_another_type_is_a_domain_error(case):
+    call, message = SCALAR_ARGUMENT_REFUSALS[case]
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+class Days(int):
+    pass
+
+
+FLOAT_INT_BOUND = 2**1024 - 2**970  # the smallest int that float() rounds past the largest float
+
+
+@pytest.mark.parametrize(
+    "value, result",
+    [
+        (0, 0), (-3, -3), (Days(3), 3), (FLOAT_INT_BOUND - 1, FLOAT_INT_BOUND - 1),
+        (FLOAT_INT_BOUND, f"n must be finite, got {FLOAT_INT_BOUND!r}"),
+        (-FLOAT_INT_BOUND, f"n must be finite, got {-FLOAT_INT_BOUND!r}"),
+        (True, "n must be an integer, got True"), (3.0, "n must be an integer, got 3.0"),
+        ("3", "n must be an integer, got '3'"), (None, "n must be an integer, got None"),
+    ],
+    ids=["zero", "negative", "int-subclass", "largest", "beyond-float", "beyond-float-negative", "bool",
+         "whole-float", "text", "none"],
+)
+def test_require_integer_gives_a_plain_int_that_a_float_can_hold(value, result):
+    if isinstance(result, str):
+        with pytest.raises(DomainError) as excinfo:
+            require_integer("n", value)
+        assert str(excinfo.value) == result
+    else:
+        checked = require_integer("n", value)
+        assert (checked.__class__, checked) == (int, result)
+        float(checked)  # does not overflow
+
+
+@pytest.mark.parametrize("value", [datetime(2020, 1, 1), "2020-01-01", None, 737425], ids=repr)
+def test_require_date_takes_exactly_a_date(value):
+    assert require_date("d", DAY) is DAY
+    with pytest.raises(DomainError) as excinfo:
+        require_date("d", value)
+    assert str(excinfo.value) == f"d must be a date, got {value!r}"
 
 
 def test_a_text_field_may_be_empty_where_it_is_optional():
