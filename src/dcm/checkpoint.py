@@ -1,7 +1,8 @@
 """Verified state checkpoint: a ledger file's sidecar, so a command replays only new events.
 
-``<ledger>.ckpt`` sits next to the ledger file.  Every CLI command that
-appends rewrites it, through a temporary file and ``os.replace``.  It is text,
+``LedgerFile`` owns a ledger file's bytes: it reads them, appends a
+command's events in one write and rewrites ``<ledger>.ckpt``, the sidecar next
+to the file, through a temporary file and ``os.replace``.  The sidecar is text,
 one header line (wrapped here) and then the state lines:
 
     {"head_hash":"...","issue_counts":[["X","copper",n],...],"last_seq":N,"prefix_bytes":L,
@@ -31,13 +32,17 @@ continue, or one with a touched line that does not build, means a full
 replay.  ``replay-verify`` never trusts the sidecar:
 it replays the whole file and, when the sidecar's prefix is the file's,
 checks the sidecar's counters and every state line against the replayed state.
+A file that ends inside a line is never resumed, nor compared with its
+sidecar: every command replays it in full and refuses it once the lines before
+that one verify.
 
-A full replay, ``verify`` or ``load``'s fallback, runs on two processes where
-it can (``_replay_checked``): a forked child checks every line with
-``read_events`` while the parent builds the events from the same lines and
-replays them.  The parent returns nothing before the child's verdict, and
-anything but a clean exit on both sides means the sequential replay, which
-decides what is wrong and raises the same error it always has.
+``load``'s fallback and ``verify`` share one full replay (``_replay``), which
+runs on two processes where it can (``_replay_checked``): a forked child
+checks every line with ``read_events`` while the parent builds the events
+from the same lines and replays them.  The parent returns nothing before the
+child's verdict, and anything but a clean exit on both sides means the
+sequential replay, which decides what is wrong and raises the same error it
+always has.
 """
 
 from __future__ import annotations
@@ -77,14 +82,19 @@ def _split(text: str) -> list[str]:
     return lines
 
 
-def _lines(data: memoryview, start: int = 0, end: int | None = None) -> list[str]:
-    """The text lines of ``data[start:end]``, where ``data`` holds the whole ledger file."""
+def _lines(data: memoryview, start: int = 0) -> list[str]:
+    """The text lines of ``data[start:]``, where ``data`` holds the whole ledger file."""
     try:
-        return _split(str(data[start:end], "utf-8"))
+        return _split(str(data[start:], "utf-8"))
     except UnicodeDecodeError as exc:
         offset = start + exc.start
         line = bytes(data[:offset]).count(b"\n") + 1
         raise LedgerIntegrityError(f"line {line}, byte offset {offset}: not UTF-8 ({exc.reason})") from None
+
+
+def _ends_inside_a_line(data: memoryview) -> bool:
+    """Whether the file's bytes end without a final newline: its last line is open, perhaps a torn record."""
+    return len(data) > 0 and data[-1] != 0x0A
 
 
 def _is_counter(entry) -> bool:
@@ -179,21 +189,22 @@ def _replay_checked(lines: list[str], replayed: Callable[[Iterator[LedgerEvent]]
 
 
 class LedgerFile:
-    """A ledger file read once by one command, with its checkpoint sidecar.
+    """A ledger file read once by one command, which appends to it and rewrites its checkpoint sidecar.
 
-    ``load`` keeps what ``write_checkpoint`` needs after the command appends:
-    the running digest and size of the bytes read.  ``ignored`` says why a
-    sidecar that exists was not used.
+    ``load`` keeps what ``write_checkpoint`` needs, the running digest and
+    size of the bytes read, and ``append`` advances both by the bytes it
+    writes.  ``ignored`` says why a sidecar that exists was not used.
     """
 
     def __init__(self, path: Path, weight_places: int):
+        if not path.name:  # ".", "/": no file, and no name to build the sidecar's from
+            raise ConfigError(f"ledger path {path} names no file")
         self.path = path
         self.sidecar = path.with_name(path.name + ".ckpt")
         self.weight_places = weight_places
         self.ignored: str | None = None
         self._digest = hashlib.sha256()
         self._size = 0
-        self._open_line: int | None = None  # the number of the last line read, if the bytes end inside it
 
     def _read(self) -> memoryview:
         try:
@@ -202,25 +213,17 @@ class LedgerFile:
             raise ConfigError(f"cannot read ledger file {self.path}: {exc}") from None
         self.ignored = None
         self._size = len(raw)
-        self._open_line = raw.count(b"\n") + 1 if raw and raw[-1] != 0x0A else None
         return memoryview(raw)
-
-    def _open_line_error(self, outcome: str) -> LedgerIntegrityError:
-        return LedgerIntegrityError(
-            f"line {self._open_line}: the ledger file ends inside this line, which has no final newline "
-            f"(a torn record?); {outcome}"
-        )
-
-    def check_appendable(self) -> None:
-        """Refuse to append after bytes that end inside a line: a new record would run into it."""
-        if self._open_line is not None:
-            raise self._open_line_error("nothing was appended")
 
     def _checkpoint(self, data: memoryview) -> tuple | None:
         """The sidecar's header, state text and prefix digest if its prefix opens ``data``.
 
-        None when there is no sidecar; CheckpointError when it cannot be used.
+        None when there is no sidecar, or when ``data`` ends inside a line: the
+        full replay alone reads such a file, and refuses it.  CheckpointError
+        when the sidecar cannot be used.
         """
+        if _ends_inside_a_line(data):
+            return None
         try:
             raw = self.sidecar.read_bytes()
         except FileNotFoundError:
@@ -257,9 +260,7 @@ class LedgerFile:
         except CheckpointError as exc:
             self.ignored = str(exc)
         self._digest = hashlib.sha256(data)
-        lines = _lines(data)
-        del data  # the lines hold the file's text; its bytes need not outlive the replay
-        return _replay_checked(lines, lambda events: replay(events, weight_places=self.weight_places))
+        return self._replay(data)
 
     def _resume(self, data: memoryview, header: dict, state: str, digest, touch: Iterable[str]) -> Registry:
         last_seq, head_hash, size = header["last_seq"], header["head_hash"], header["prefix_bytes"]
@@ -301,24 +302,30 @@ class LedgerFile:
         return registry
 
     def verify(self) -> Registry:
-        """Replay the whole file; raises LedgerIntegrityError if a sidecar for its prefix disagrees.
-
-        A file that ends inside a line is refused once every line before that one verifies.
-        """
+        """Replay the whole file; raises LedgerIntegrityError if a sidecar for its prefix disagrees."""
         data = self._read()
         try:
             found = self._checkpoint(data)
         except CheckpointError as exc:
             self.ignored = str(exc)
             found = None
-        size = 0 if found is None else found[0]["prefix_bytes"]
-        prefix, rest = _lines(data, 0, size), _lines(data, size)
-        if self._open_line is not None:
-            del rest[-1]  # a checkpoint's prefix ends at a line end, so the open line is the rest's last
-        del data
+        return self._replay(data, found)
+
+    def _replay(self, data: memoryview, found: tuple | None = None) -> Registry:
+        """The registry of ``data``, the whole file, by a full replay; ``found``, a sidecar's, is checked at its prefix.
+
+        A file that ends inside a line is refused once every line before that
+        one verifies.  This releases ``data``: the lines hold its text.
+        """
+        covered = 0 if found is None else data.obj.count(b"\n", 0, found[0]["prefix_bytes"])
+        lines = _lines(data)
+        open_line = len(lines) if _ends_inside_a_line(data) else None
+        data.release()  # the file's bytes need not outlive the replay
+        if open_line is not None:
+            del lines[-1]
 
         def verified(events: Iterator[LedgerEvent]) -> Registry:
-            registry = replay(islice(events, len(prefix)), weight_places=self.weight_places)
+            registry = replay(islice(events, covered), weight_places=self.weight_places)
             if found is not None:
                 header, state, _ = found
                 ledger = registry.ledger
@@ -329,29 +336,32 @@ class LedgerFile:
                 ):
                     raise LedgerIntegrityError(f"checkpoint disagrees with the ledger at seq {header['last_seq']}")
             registry.apply_events(events)
-            if self._open_line is not None:
-                raise self._open_line_error("every line before it verifies")
+            if open_line is not None:
+                raise LedgerIntegrityError(
+                    f"line {open_line}: the ledger file ends inside this line, which has no final newline "
+                    "(a torn record?); every line before it verifies"
+                )
             return registry
 
-        lines = prefix + rest
-        if self._open_line is not None:
+        if open_line is not None:
             return verified(read_events(lines))  # refused either way: one sequential replay finds the first error
         return _replay_checked(lines, verified)
 
-    def write_checkpoint(self, registry: Registry, appended: tuple[LedgerEvent, ...]) -> None:
-        """Rewrite the sidecar for the file as read plus ``appended``, the lines just written to it.
+    def append(self, events: Iterable[LedgerEvent]) -> None:
+        """Write the lines of ``events`` after the bytes read, in one write, and count them in the running digest."""
+        written = "".join(event.line + "\n" for event in events).encode("utf-8")
+        try:
+            with self.path.open("ab") as handle:
+                handle.write(written)
+        except OSError as exc:
+            raise ConfigError(f"cannot append to ledger file {self.path}: {exc}") from None
+        self._digest.update(written)
+        self._size += len(written)
 
-        When the bytes read ended inside a line, the appended lines ran into
-        it and no checkpoint describes the file, so the sidecar is left alone.
-        """
-        if self._open_line is not None:
-            return
+    def write_checkpoint(self, registry: Registry) -> None:
+        """Rewrite the sidecar for the file as read plus what ``append`` wrote, whose state ``registry`` holds."""
         import tempfile  # here: only a command that appends needs it
 
-        for event in appended:
-            line = event.line.encode("utf-8") + b"\n"
-            self._digest.update(line)
-            self._size += len(line)
         state = "".join(line + "\n" for line in registry.state_lines()).encode("utf-8")
         counts = registry.issue_counts()
         header = canonical_payload({

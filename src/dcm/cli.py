@@ -21,7 +21,7 @@ from pathlib import Path
 from .checkpoint import LedgerFile
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, wealth_projection
 from .errors import ConfigError, DCMError
-from .ledger import Ledger, LedgerEvent, iso_date
+from .ledger import Ledger, iso_date
 from .market import load_series, quote_at, read_text
 from .registry import DeliveryRules, MarketQuote, Registry, export_certificate
 from .rounding import RoundingProfile, fmt
@@ -59,27 +59,17 @@ class AppContext:
         finally:
             self._warn_if_ignored()
 
-    def save(self, registry: Registry, known: int) -> None:
-        """Append the events after seq ``known``, the file's last, then rewrite the checkpoint sidecar.
-
-        Refuses, writing nothing, when the file read ends inside a line.
-        """
-        self.ledger_file.check_appendable()
-        appended = self.append_new_events(registry.ledger, known)
+    def save(self, registry: Registry) -> None:
+        """Append the command's events, the loaded registry's only ones, then rewrite the checkpoint sidecar."""
+        self.ledger_file.append(registry.ledger.events)
         try:
-            self.ledger_file.write_checkpoint(registry, appended)
+            self.ledger_file.write_checkpoint(registry)
         except OSError as exc:
             print(f"warning: cannot write checkpoint {self.ledger_file.sidecar}: {exc}", file=sys.stderr)
 
-    def append_new_events(self, ledger: Ledger, known: int) -> tuple[LedgerEvent, ...]:
-        new_events = tuple(event for event in ledger.events if event.seq > known)
-        if new_events:
-            try:
-                with self.ledger_path.open("a", encoding="utf-8") as handle:
-                    handle.write("".join(event.line + "\n" for event in new_events))
-            except OSError as exc:
-                raise ConfigError(f"cannot append to ledger file {self.ledger_path}: {exc}") from None
-        return new_events
+    def append_new_events(self, ledger: Ledger, known: int) -> None:
+        """Append the events after seq ``known`` to the ledger file."""
+        self.ledger_file.append(event for event in ledger.events if event.seq > known)
 
     def market_quote(self, cert, dt: int, premium: float) -> MarketQuote:
         if self.prices_path is None:
@@ -109,7 +99,6 @@ def issue(app: AppContext, args: argparse.Namespace) -> None:
     except ValueError:
         raise ConfigError(f"bad denomination list {args.denominations!r}") from None
     registry = app.load_registry()
-    known = len(registry.ledger)
     registry.register_issuer(args.issuer, denoms)
     cert = registry.issue(
         issuer=args.issuer,
@@ -128,17 +117,16 @@ def issue(app: AppContext, args: argparse.Namespace) -> None:
         owner=args.owner,
         weight_unit=args.weight_unit,
     )
-    app.save(registry, known)
+    app.save(registry)
     sys.stdout.write(export_certificate(cert))
 
 
 def quote(app: AppContext, args: argparse.Namespace) -> None:
     """Price a certificate against the market series."""
     registry = app.load_registry((args.cert,))
-    known = len(registry.ledger)
     market = app.market_quote(registry.certificate(args.cert), args.dt, args.premium)
     result = registry.quote_transaction_price(args.cert, market, args.dt)
-    app.save(registry, known)
+    app.save(registry)
     print(f"residual_weight: {app.profile.weight(result.residual_weight)}")
     print(f"price: {app.profile.money(result.price)}")
 
@@ -146,9 +134,8 @@ def quote(app: AppContext, args: argparse.Namespace) -> None:
 def deliver(app: AppContext, args: argparse.Namespace) -> None:
     """Settle a certificate by physical delivery."""
     registry = app.load_registry((args.cert,))
-    known = len(registry.ledger)
     result = registry.physical_delivery(args.cert, args.dt)
-    app.save(registry, known)
+    app.save(registry)
     print(f"residual_weight: {app.profile.weight(result.residual_weight)}")
     print(f"delivered_weight: {app.profile.weight(result.delivered_weight)}")
 
@@ -156,10 +143,9 @@ def deliver(app: AppContext, args: argparse.Namespace) -> None:
 def buyback(app: AppContext, args: argparse.Namespace) -> None:
     """Settle a certificate for cash at the day's quotation."""
     registry = app.load_registry((args.cert,))
-    known = len(registry.ledger)
     market = app.market_quote(registry.certificate(args.cert), args.dt, 0.0)
     result = registry.buyback(args.cert, args.dt, market)
-    app.save(registry, known)
+    app.save(registry)
     print(f"buyback_weight: {app.profile.weight(result.buyback_weight)}")
     print(f"cash: {app.profile.money(result.cash)}")
 

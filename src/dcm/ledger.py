@@ -66,27 +66,26 @@ def member_lookup(enum: type[Enum]):
 
 _KINDS = {kind.value: kind for kind in EventKind}
 _kind_of = member_lookup(EventKind)
-# one encoder for every payload: json.dumps with these arguments would build it per call
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
-_encode = _CANONICAL.encode
-
-
-def canonical_payload(payload: dict) -> str:
-    """Sorted-key, whitespace-free, ASCII JSON; raises ValueError on NaN or infinity."""
-    return _encode(payload)
-
-
 if c_make_encoder is None:  # a build without the _json accelerator
-    _reencode = _encode
+    _canonical_chunks = _CANONICAL.iterencode
 else:
-    # canonical_payload's C encoder, built once for the read path, where JSONEncoder.encode would build one per
-    # line.  It keeps no markers, so it would not notice a circular reference: it only encodes what json.loads
-    # built, which never holds one.  NaN and infinity still raise ValueError (allow_nan=False).
-    _canonical_chunks = c_make_encoder(None, None, encode_basestring_ascii, None, ":", ",", True, False, False)
+    # the C encoder that _CANONICAL.encode would build on every call, built once: (markers, default, encoder, indent,
+    # key and item separators, sort_keys, skipkeys, allow_nan).  It keeps no markers, so a circular reference
+    # recurses until it raises RecursionError, as a payload nested too deep does.
+    _canonical_chunks = c_make_encoder(
+        None, _CANONICAL.default, encode_basestring_ascii, None, ":", ",", True, False, False
+    )
 
-    def _reencode(payload) -> str:
-        """``canonical_payload(payload)`` for a value ``json.loads`` returned."""
-        return "".join(_canonical_chunks(payload, 0))
+
+def canonical_payload(payload) -> str:
+    """Sorted-key, whitespace-free, ASCII JSON.
+
+    NaN, infinity and an int too long to write raise ValueError, a value
+    JSON has no form for TypeError, and a circular or too deeply nested one
+    RecursionError.
+    """
+    return "".join(_canonical_chunks(payload, 0))
 
 
 def _decode(text: str):
@@ -153,7 +152,7 @@ class LedgerEvent(Value, namedtuple("LedgerEvent", "seq timestamp kind cert_id p
 
 
 def validate_cert_id(cert_id: str) -> str:
-    if not _is_cert_id(cert_id):
+    if cert_id.__class__ is not str or not _is_cert_id(cert_id):
         raise DomainError(
             f"cert_id {cert_id!r} must be non-empty and use only [A-Za-z0-9_.:-]"
         )
@@ -188,23 +187,13 @@ class Ledger:
     def last_seq(self) -> int:
         return self._last_seq
 
-    def seal(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date) -> LedgerEvent:
-        """The event that would follow the head, sealed but not stored.
-
-        The event's payload is the JSON round-trip of the argument, so the
-        in-memory event equals what a reader reconstructs from the wire line.
-        A payload canonical JSON cannot encode, or a timestamp that is not
-        exactly a date, raises DomainError.
-        """
-        return self._sealed(kind, cert_id, payload, timestamp, False)
-
     def _seal_fresh(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date) -> LedgerEvent:
-        """``seal`` for a payload built for this call alone, which the event keeps as its own payload.
+        """The event that would follow the head, sealed but not stored, for a payload built for this call alone.
 
-        A payload that ``_exact`` passes is kept as it is: it equals the
-        round-trip, value for value and class for class, but for key order.
-        Any other payload is round-tripped, as ``seal`` does.  The caller must
-        not keep or change the dict.
+        A payload that ``_exact`` passes is kept as the event's payload: it
+        equals the round-trip, value for value and class for class, but for
+        key order.  Any other payload is round-tripped, as ``append`` does.
+        The caller must not keep or change the dict.
         """
         return self._sealed(kind, cert_id, payload, timestamp, True)
 
@@ -213,8 +202,8 @@ class Ledger:
         require_date("timestamp", timestamp)  # a datetime's isoformat is not a date's, which a reader refuses
         kind = _kind_of(kind)
         try:
-            payload_json = _encode(payload)
-        except (TypeError, ValueError) as exc:
+            payload_json = canonical_payload(payload)
+        except (TypeError, ValueError, RecursionError) as exc:  # RecursionError: too deep, or circular
             raise DomainError(f"payload cannot be recorded as canonical JSON: {exc}") from None
         if not (keep and _exact(payload)):
             payload = _loads(payload_json)
@@ -224,13 +213,19 @@ class Ledger:
         return LedgerEvent(seq, timestamp, kind, cert_id, payload, prev, line[-64:], line)
 
     def append(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date) -> LedgerEvent:
-        """Seal and append one event; returns it."""
-        event = self.seal(kind, cert_id, payload, timestamp)
+        """Seal and append one event; returns it.
+
+        The event's payload is the JSON round-trip of the argument, so the
+        in-memory event equals what a reader reconstructs from the wire line.
+        A payload canonical JSON cannot encode, or a timestamp that is not
+        exactly a date, raises DomainError and appends nothing.
+        """
+        event = self._sealed(kind, cert_id, payload, timestamp, False)
         self.append_sealed(event)
         return event
 
     def append_sealed(self, event: LedgerEvent) -> None:
-        """Append a sealed event (from ``seal`` or read from the wire) once it links to the head."""
+        """Append a sealed event (from ``_seal_fresh`` or read from the wire) once it links to the head."""
         self.link(event)
         self._events.append(event)
 
@@ -307,7 +302,7 @@ def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:
     except (ValueError, RecursionError):  # a JSONDecodeError, or an int too long to convert
         raise LedgerIntegrityError("unreadable payload", seq=seq) from None
     try:
-        canonical = payload.__class__ is dict and _reencode(payload) == payload_json
+        canonical = payload.__class__ is dict and canonical_payload(payload) == payload_json
     except ValueError:  # NaN or Infinity: readable by json.loads, but not JSON
         canonical = False
     if not canonical:

@@ -31,11 +31,10 @@ def require_number(name: str, value) -> float:
     elif cls is int or (cls is not bool and isinstance(value, (int, float))):  # a JSON number, not true or "5"
         try:
             number = float(value)
-        except OverflowError:  # an int beyond float range
-            pass
-        else:
-            if isfinite(number):
-                return number
+        except OverflowError:
+            raise _past_float_range(name, value) from None
+        if isfinite(number):
+            return number
     else:
         raise DomainError(f"{name} must be a number, got {value!r}")
     raise DomainError(f"{name} must be finite, got {value!r}")
@@ -52,7 +51,13 @@ def require_integer(name: str, value) -> int:
         value = int(value)  # an int subclass
     if -_FLOAT_INT_BOUND < value < _FLOAT_INT_BOUND:
         return value
-    raise DomainError(f"{name} must be finite, got {value!r}")
+    raise _past_float_range(name, value)
+
+
+def _past_float_range(name: str, value: int) -> DomainError:
+    """The refusal of an int beyond float range, which names its size: past 4,300 digits, ``repr`` refuses it."""
+    sign = "a negative" if value < 0 else "an"
+    return DomainError(f"{name} must be finite, got {sign} int of {value.bit_length()} bits")
 
 
 def require_date(name: str, value) -> date:

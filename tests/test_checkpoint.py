@@ -91,7 +91,7 @@ class TestSameResult:
         lines = _random_operations(random.Random(1), 3000).ledger.to_lines()
         expected = state(replay(read_events(lines)))
         ledger_file = write_ledger(tmp_path / "ledger.log", lines[:2000])
-        ledger_file.write_checkpoint(ledger_file.load(), ())
+        ledger_file.write_checkpoint(ledger_file.load())
         with ledger_file.path.open("a", encoding="utf-8") as handle:
             handle.write("".join(line + "\n" for line in lines[2000:]))
         assert state(ledger_file.verify()) == expected
@@ -163,11 +163,22 @@ class TestSameRefusal:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked to replay a file it refuses"))
         with pytest.raises(LedgerIntegrityError, match="ends inside this line"):
             ledger_file.verify()
+        with pytest.raises(LedgerIntegrityError, match="ends inside this line"):
+            ledger_file.load()
+
+    @pytest.mark.parametrize("method", ["load", "verify"])
+    def test_an_earlier_bad_line_is_reported_before_an_open_last_line(self, tmp_path, method):
+        lines = CORRUPTIONS["hash-mismatch"](_random_operations(random.Random(7), 60).ledger.to_lines())
+        ledger_file = write_ledger(tmp_path / "ledger.log", lines)
+        ledger_file.path.write_bytes(ledger_file.path.read_bytes()[:-1])
+        with pytest.raises(LedgerIntegrityError, match="hash mismatch") as excinfo:
+            getattr(ledger_file, method)()
+        assert excinfo.value.seq == 4
 
     def test_a_checkpoint_that_disagrees(self, tmp_path, monkeypatch):
         lines = _random_operations(random.Random(7), 60).ledger.to_lines()
         ledger_file = write_ledger(tmp_path / "ledger.log", lines)
-        ledger_file.write_checkpoint(ledger_file.load(), ())
+        ledger_file.write_checkpoint(ledger_file.load())
         forge_sidecar(ledger_file.sidecar, lambda state: [line.replace('"holder-', '"Holder-', 1) for line in state])
         expected = sequential(monkeypatch, ledger_file.verify)
         assert expected == f"checkpoint disagrees with the ledger at seq {len(lines)}"
@@ -273,7 +284,7 @@ class TestSidecarFuzz:
         with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: {0})
             ledger_file = write_ledger(Path(directory) / "ledger.log", lines[:cut])
-            ledger_file.write_checkpoint(ledger_file.load(), ())
+            ledger_file.write_checkpoint(ledger_file.load())
             with ledger_file.path.open("a", encoding="utf-8") as handle:
                 handle.write("".join(line + "\n" for line in lines[cut:]))
             ledger_file.sidecar.write_bytes(data.draw(_spoiled(ledger_file.sidecar.read_bytes()), label="sidecar"))

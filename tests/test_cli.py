@@ -218,7 +218,7 @@ class TestLifecycleFlow:
         ledger_file = tmp_path / "dcm-ledger.log"
         ledger_file.write_text(issue + "\n", encoding="utf-8")
         written = LedgerFile(ledger_file, 4)
-        written.write_checkpoint(written.load(), ())  # the sidecar covers the ISSUE, and the forgery follows it
+        written.write_checkpoint(written.load())  # the sidecar covers the ISSUE, and the forgery follows it
         with ledger_file.open("a", encoding="utf-8") as handle:
             handle.write(forged + "\n")
         error = f"error: seq 2: {SEALED_REFUSALS[case][-1]}\n"
@@ -257,18 +257,36 @@ class TestLifecycleFlow:
         assert "error: seq 1: unreadable payload" in result.stderr
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("args", [ISSUE_ARGS, ["replay-verify"]], ids=["issue", "replay-verify"])
-    def test_open_last_line_refuses_to_append(self, tmp_path, args):
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ISSUE_ARGS,
+            ["--prices", "prices.csv", "quote", "--cert", "LME-copper-0002", "--dt", "183"],
+            ["deliver", "--cert", "LME-copper-0002", "--dt", "365"],
+            ["deliver", "--cert", "LME-copper-0001", "--dt", "366"],  # delivered at day 365: the operation is refused
+            ["--prices", "prices.csv", "buyback", "--cert", "LME-copper-0002", "--dt", "100"],
+            ["replay-verify"],
+        ],
+        ids=["issue", "quote", "deliver", "deliver-delivered", "buyback", "replay-verify"],
+    )
+    @pytest.mark.parametrize("sidecar", ["whole-file", "lines-before"])
+    def test_a_file_that_ends_inside_a_line_is_refused_before_any_operation(self, tmp_path, args, sidecar):
+        (tmp_path / "prices.csv").write_text(PRICES, encoding="utf-8")
+        ledger_file, checkpoint = tmp_path / "dcm-ledger.log", tmp_path / SIDECAR
         dcm(*ISSUE_ARGS, cwd=tmp_path)
-        ledger_file, sidecar = tmp_path / "dcm-ledger.log", tmp_path / SIDECAR
+        dcm("deliver", "--cert", "LME-copper-0001", "--dt", "365", cwd=tmp_path)
+        covered = checkpoint.read_bytes()
+        assert dcm(*ISSUE_ARGS, cwd=tmp_path).returncode == 0
+        if sidecar == "lines-before":  # the torn line is a whole event but for its newline
+            checkpoint.write_bytes(covered)
         ledger_file.write_bytes(ledger_file.read_bytes()[:-1])
-        before = ledger_file.read_bytes(), sidecar.read_bytes()
+        before = ledger_file.read_bytes(), checkpoint.read_bytes()
         result = dcm(*args, cwd=tmp_path)
-        assert result.returncode == 4
-        assert "line 1: the ledger file ends inside this line, which has no final newline" in result.stderr
-        assert "Traceback" not in result.stderr
-        assert result.stdout == ""
-        assert (ledger_file.read_bytes(), sidecar.read_bytes()) == before
+        assert (result.returncode, result.stdout, result.stderr) == (
+            4, "", "error: line 3: the ledger file ends inside this line, which has no final newline "
+                   "(a torn record?); every line before it verifies\n",
+        )
+        assert (ledger_file.read_bytes(), checkpoint.read_bytes()) == before
 
     @pytest.mark.parametrize(
         "args",
@@ -366,9 +384,13 @@ class TestLifecycleFlow:
              "error: cannot read ledger file a-directory: [Errno 21] Is a directory"),
             (["run", "lme_copper", "--report", "missing/r.jsonl"],
              "error: cannot write report missing/r.jsonl: [Errno 2] No such file or directory"),
+            (["--ledger", ".", "replay-verify"], "error: ledger path . names no file"),
+            (["--ledger", ".", *ISSUE_ARGS], "error: ledger path . names no file"),
+            (["--ledger", "/", "replay-verify"], "error: ledger path / names no file"),
+            (["--ledger", "/", *ISSUE_ARGS], "error: ledger path / names no file"),
         ],
         ids=["append-in-a-missing-directory", "verify-a-directory", "issue-into-a-directory",
-             "report-in-a-missing-directory"],
+             "report-in-a-missing-directory", "verify-dot", "issue-into-dot", "verify-root", "issue-into-root"],
     )
     def test_a_file_that_cannot_be_read_or_written_exits_validation(self, tmp_path, args, message):
         (tmp_path / "a-directory").mkdir()

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dcm import DomainError, EventKind, Ledger, LedgerIntegrityError, read_events
-from dcm.ledger import GENESIS_HASH, _decode, _reencode, _seal, canonical_payload, decode_line, parse_line
+from dcm.ledger import GENESIS_HASH, _decode, _seal, canonical_payload, decode_line, parse_line
 from dcm.scenario import bundled_scenario_path, load_scenario, run_scenario
 
 
@@ -24,6 +24,21 @@ def small_ledger() -> Ledger:
     ledger.append(EventKind.TRANSFER, "LME-copper-0001", {"from_owner": "a|b", "to_owner": "c"}, date(2020, 7, 1))
     ledger.append(EventKind.DELIVER, "LME-copper-0001", {"t": 365}, date(2021, 1, 1))
     return ledger
+
+
+def _nested(depth: int) -> list:
+    """A list nested ``depth`` deep."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _cyclic() -> dict:
+    """A dict that holds itself."""
+    value = {}
+    value["self"] = value
+    return value
 
 
 class TestChain:
@@ -65,19 +80,24 @@ class TestChain:
 
     def test_cert_id_charset_is_enforced(self):
         ledger = Ledger()
-        with pytest.raises(DomainError):
-            ledger.append(EventKind.ISSUE, "bad|id", {}, date(2020, 1, 1))
-        with pytest.raises(DomainError):
-            ledger.append(EventKind.ISSUE, "", {}, date(2020, 1, 1))
-        with pytest.raises(DomainError):
-            ledger.append(EventKind.ISSUE, "X-1\n", {}, date(2020, 1, 1))
+        for cert_id in ("bad|id", "", "X-1\n", 123, None, b"X-1"):  # not a str: the regex match raised TypeError
+            with pytest.raises(DomainError, match=r"must be non-empty and use only \[A-Za-z0-9_.:-\]"):
+                ledger.append(EventKind.ISSUE, cert_id, {}, date(2020, 1, 1))
+        assert len(ledger) == 0
 
-    @pytest.mark.parametrize("value", [float("inf"), float("nan"), object()], ids=["inf", "nan", "object"])
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("nan"), object(), _nested(100_000), _cyclic()],
+        ids=["inf", "nan", "object", "nested-too-deep", "cyclic"],
+    )
     def test_payload_canonical_json_cannot_encode_is_a_domain_error(self, value):
         ledger = Ledger()
         with pytest.raises(DomainError, match="canonical JSON"):
             ledger.append(EventKind.QUOTE, "X-1", {"x": value}, date(2020, 1, 1))
         assert len(ledger) == 0
+
+    def test_a_value_json_has_no_form_for_is_named(self):
+        with pytest.raises(DomainError, match="Object of type object is not JSON serializable"):
+            Ledger().append(EventKind.QUOTE, "X-1", {"x": object()}, date(2020, 1, 1))
 
 
 class TestStreamValidation:
@@ -277,11 +297,13 @@ def _outcome(function, argument):
 
 
 class TestReadPathCodec:
-    """The read path's decoder and canonical encoder agree with ``json.loads`` and ``canonical_payload``."""
+    """The payload decoder and canonical encoder agree with ``json.loads`` and ``json.dumps``."""
 
     @given(_EDGE_JSON)
     def test_the_read_side_encoder_writes_canonical_payload(self, value):
-        assert _outcome(_reencode, value) == _outcome(canonical_payload, value)
+        reference = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                                      allow_nan=False)
+        assert _outcome(canonical_payload, value) == _outcome(reference, value)
 
     @given(_ANY_TEXT | st.builds(lambda before, value, after: before + canonical_payload(value) + after,
                                  _PADDING, _JSON, _PADDING))

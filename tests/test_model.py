@@ -202,9 +202,11 @@ class LegalityMachine(RuleBasedStateMachine):
         An index past the issued certificates names one that was never issued.
         """
         path = Path(self.directory.name) / "ledger.log"
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        covered = list(read_events(lines[: self.prefix]))
-        LedgerFile(path, 4).write_checkpoint(replay(covered), covered)  # a file read empty, plus the covered events
+        path.write_text("".join(line + "\n" for line in lines[: self.prefix]), encoding="utf-8")
+        covering = LedgerFile(path, 4)  # as a command does: load the prefix, checkpoint it, then the rest is appended
+        covering.write_checkpoint(covering.load())
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in lines[self.prefix :]))
         ids = list(self.model)
         ledger_file = LedgerFile(path, 4)
         loaded = ledger_file.load(touch=[ids[index] if index < len(ids) else UNKNOWN for index in sorted(self.touch)])

@@ -610,6 +610,7 @@ def _with_derived_theta(part: str, **fields):
 
 
 HUGE = 10**400  # an int JSON reads exactly, beyond float range
+HUGE_SHOWN = "an int of 1329 bits"  # how a refusal names it: an int past 4,300 digits has no repr
 
 # edits of an ISSUE payload (or of a state form, which extends it) that a value
 # type refuses: (edit, error type, message)
@@ -661,12 +662,12 @@ VALUE_REFUSALS = {
     ),
     # an int beyond float range is not finite: float() of it raised a bare OverflowError
     "face-weight-huge": (
-        lambda form: {**form, "face_weight": HUGE}, DomainError, f"face_weight must be finite, got {HUGE!r}"
+        lambda form: {**form, "face_weight": HUGE}, DomainError, f"face_weight must be finite, got {HUGE_SHOWN}"
     ),
     "min-delivery-huge": (
-        _with_rules(min_delivery_weight=HUGE), DomainError, f"min_delivery_weight must be finite, got {HUGE!r}"
+        _with_rules(min_delivery_weight=HUGE), DomainError, f"min_delivery_weight must be finite, got {HUGE_SHOWN}"
     ),
-    "theta-huge": (_with_theta(theta_daily=HUGE), DomainError, f"theta_daily must be finite, got {HUGE!r}"),
+    "theta-huge": (_with_theta(theta_daily=HUGE), DomainError, f"theta_daily must be finite, got {HUGE_SHOWN}"),
     "tariff-charge-true": (
         _with_derived_theta("tariff", daily_warehouse_charge=True), DomainError,
         "daily_warehouse_charge must be a number, got True",
@@ -1035,7 +1036,7 @@ def _checkpointed(tmp_path, lines) -> LedgerFile:
     """A ledger file holding ``lines`` with a checkpoint sidecar written for it."""
     ledger_file = LedgerFile(tmp_path / "ledger.log", 4)
     _write_lines(ledger_file.path, lines)
-    ledger_file.write_checkpoint(ledger_file.load(), ())
+    ledger_file.write_checkpoint(ledger_file.load())
     return ledger_file
 
 
@@ -1064,9 +1065,8 @@ class TestCheckpoint:
         ledger_file = _checkpointed(tmp_path, lme_registry.ledger.to_lines())
         registry = ledger_file.load()
         registry.transfer(lme_cert.cert_id, "client-2", 10)
-        appended = registry.ledger.events
-        _write_lines(ledger_file.path, [event.line for event in appended])
-        ledger_file.write_checkpoint(registry, appended)
+        ledger_file.append(registry.ledger.events)
+        ledger_file.write_checkpoint(registry)
         resumed = ledger_file.load()
         assert ledger_file.ignored is None
         assert resumed.ledger.events == () and len(resumed.ledger) == resumed.ledger.last_seq == 2
@@ -1124,13 +1124,19 @@ class TestCheckpoint:
         with pytest.raises(LedgerIntegrityError, match="checkpoint disagrees with the ledger at seq 19"):
             ledger_file.verify()
 
-    def test_no_checkpoint_is_written_after_lines_that_ran_into_an_open_last_line(self, tmp_path, lme_registry, lme_cert):
-        ledger_file = LedgerFile(tmp_path / "ledger.log", 4)
-        ledger_file.path.write_text(lme_registry.ledger.to_lines()[0], encoding="utf-8")
-        registry = ledger_file.load()
-        registry.transfer(lme_cert.cert_id, "client-2", 10)
-        ledger_file.write_checkpoint(registry, registry.ledger.events)
-        assert not ledger_file.sidecar.exists()
+    def test_a_file_that_ends_inside_a_line_is_not_loaded_even_with_a_sidecar_for_the_lines_before_it(
+        self, tmp_path, lme_registry, lme_cert
+    ):
+        # the last line is a whole event but for its newline: an append would run into it
+        lme_registry.transfer(lme_cert.cert_id, "client-2", 10)
+        first, last = lme_registry.ledger.to_lines()
+        ledger_file = _checkpointed(tmp_path, [first])
+        ledger_file.path.write_text(f"{first}\n{last}", encoding="utf-8")
+        before = ledger_file.path.read_bytes(), ledger_file.sidecar.read_bytes()
+        with pytest.raises(LedgerIntegrityError, match="^line 2: the ledger file ends inside this line, which has no "
+                                                       "final newline"):
+            ledger_file.load(touch=(lme_cert.cert_id,))
+        assert (ledger_file.path.read_bytes(), ledger_file.sidecar.read_bytes()) == before
 
     def test_a_resumed_load_builds_only_the_certificates_its_tail_touches(self, tmp_path, built):
         registry = _random_walk(5, 40)
@@ -1428,7 +1434,7 @@ LIVE_NUMBER_REFUSALS = {
         for value in (True, "5", None)
     },
     **{
-        f"{case}-huge": (call, f"{field} must be finite, got {HUGE!r}")
+        f"{case}-huge": (call, f"{field} must be finite, got {HUGE_SHOWN}")
         for case, field, call in (
             ("issue-face-weight", "face_weight", lambda registry: _issue_one(registry, face_weight=HUGE)),
             ("issue-purity", "purity", lambda registry: _issue_one(registry, purity=HUGE)),
@@ -1444,7 +1450,8 @@ LIVE_NUMBER_REFUSALS = {
     **{
         f"{target}-{label}": (
             (lambda build, value: lambda registry: build(value))(build, value),
-            f"{field} must be {'finite' if value is HUGE else 'a number'}, got {value!r}",
+            f"{field} must be finite, got {HUGE_SHOWN}" if value is HUGE
+            else f"{field} must be a number, got {value!r}",
         )
         for target, field, build in (
             ("tariff-warehouse", "daily_warehouse_charge", lambda x: StorageTariff(x)),

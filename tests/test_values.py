@@ -36,7 +36,7 @@ from dcm.decay import residual_weight, wealth_projection
 from dcm.registry import Registry
 from dcm.rounding import fmt, quantize
 from dcm.scenario import IssuerTerms
-from dcm.values import require_date, require_integer
+from dcm.values import require_date, require_integer, require_number
 
 DAY = date(2020, 1, 1)
 TARIFF = StorageTariff(0.2, 0.1, 0.05)
@@ -213,6 +213,7 @@ def test_replace_and_make_run_the_type_checks():
         (DeliveryRules, "validity_days", 2.5, "validity_days must be an integer, got 2.5"),
         (DeliveryRules, "validity_days", True, "validity_days must be an integer, got True"),
         (DeliveryRules, "validity_days", "365", "validity_days must be an integer, got '365'"),
+        (Certificate, "cert_id", 123, "cert_id 123 must be non-empty and use only [A-Za-z0-9_.:-]"),
         (Certificate, "issuer", 5, "issuer must be a non-empty string, got 5"),
         (Certificate, "issuer", "", "issuer must be a non-empty string, got ''"),
         (Certificate, "material", None, "material must be a non-empty string, got None"),
@@ -235,7 +236,7 @@ def test_replace_and_make_run_the_type_checks():
         ),
     ],
     ids=[
-        "location-number", "validity-fraction", "validity-boolean", "validity-text", "issuer-number",
+        "location-number", "validity-fraction", "validity-boolean", "validity-text", "cert-id-number", "issuer-number",
         "issuer-empty", "material-none", "material-empty", "weight-unit-number", "issue-date-text",
         "issue-date-datetime", "weight-places-text", "weight-places-fraction", "money-places-boolean",
         "cif-material-number", "cif-location-none", "cif-as-of-text", "cif-as-of-datetime",
@@ -285,8 +286,8 @@ FLOAT_INT_BOUND = 2**1024 - 2**970  # the smallest int that float() rounds past 
     "value, result",
     [
         (0, 0), (-3, -3), (Days(3), 3), (FLOAT_INT_BOUND - 1, FLOAT_INT_BOUND - 1),
-        (FLOAT_INT_BOUND, f"n must be finite, got {FLOAT_INT_BOUND!r}"),
-        (-FLOAT_INT_BOUND, f"n must be finite, got {-FLOAT_INT_BOUND!r}"),
+        (FLOAT_INT_BOUND, "n must be finite, got an int of 1024 bits"),
+        (-FLOAT_INT_BOUND, "n must be finite, got a negative int of 1024 bits"),
         (True, "n must be an integer, got True"), (3.0, "n must be an integer, got 3.0"),
         ("3", "n must be an integer, got '3'"), (None, "n must be an integer, got None"),
     ],
@@ -302,6 +303,22 @@ def test_require_integer_gives_a_plain_int_that_a_float_can_hold(value, result):
         checked = require_integer("n", value)
         assert (checked.__class__, checked) == (int, result)
         float(checked)  # does not overflow
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: require_number("n", 10**5000), "n must be finite, got an int of 16610 bits"),
+        (lambda: require_integer("n", -(10**5000)), "n must be finite, got a negative int of 16610 bits"),
+        (lambda: DeliveryRules(0.0, 0.0, 1.0, "", 10**5000), "validity_days must be finite, got an int of 16610 bits"),
+    ],
+    ids=["number", "integer", "validity-days"],
+)
+def test_an_int_too_long_to_write_is_refused_by_its_size(call, message):
+    # past 4,300 digits repr() raises ValueError, so the refusal cannot show the value
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("value", [datetime(2020, 1, 1), "2020-01-01", None, 737425], ids=repr)
