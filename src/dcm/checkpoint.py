@@ -1,12 +1,12 @@
-"""Verified state checkpoint: a ledger file's sidecar, so a command replays only new events.
+"""Verified state checkpoint: a ledger file's sidecar, so a command skips the replay.
 
 ``LedgerFile`` owns a ledger file's bytes: it reads them, appends a
 command's events in one write and rewrites ``<ledger>.ckpt``, the sidecar next
 to the file, through a temporary file and ``os.replace``.  The sidecar is text,
 one header line (wrapped here) and then the state lines:
 
-    {"head_hash":"...","issue_counts":[["X","copper",n],...],"last_seq":N,"prefix_bytes":L,
-     "prefix_sha256":"...","state_sha256":"...","version":3}
+    {"issue_counts":[["X","copper",n],...],"prefix_bytes":L,"prefix_sha256":"...",
+     "state_sha256":"...","version":4}
     ["X-copper-0001",{...}]
     ...
 
@@ -14,27 +14,25 @@ The header and every state line are canonical JSON.  The state lines are
 ``Registry.state_lines()``: one ``[cert_id, form]`` pair per certificate, in
 issue order.  ``issue_counts`` holds the registry's issue counters, so that a
 resumed ``issue`` numbers its certificate without reading a state line.
-``prefix_sha256`` digests the first ``prefix_bytes`` bytes of the ledger file,
-which hold events 1..N and end at a line end; ``state_sha256`` digests the
-canonical JSON of ``issue_counts``, a newline, and the state lines, newlines
-included.  The chain head, ``last_seq`` and ``head_hash``, must be the seq and
-hash of the prefix's last line, or of genesis for an empty prefix.
+``prefix_bytes`` and ``prefix_sha256`` are the size and digest of the whole
+ledger file the state was written for; ``state_sha256`` digests the canonical
+JSON of ``issue_counts``, a newline, and the state lines, newlines included.
 
-A command that finds both digests and the head right trusts the state as the
-replay of that prefix.  It indexes the state lines by the cert_id each opens
-with and decodes none of them: a certificate is built from its line, with
-every value revalidated, when it is first read.  The certificates the command
-names and those the events after the prefix touch are built before the
-command runs, and those events are parsed, verified and applied with every
-check.  A missing, unreadable or stale sidecar, one of another version, one
-whose head is not its prefix's, one that the lines after its prefix do not
-continue, or one with a touched line that does not build, means a full
-replay.  ``replay-verify`` never trusts the sidecar:
-it replays the whole file and, when the sidecar's prefix is the file's,
-checks the sidecar's counters and every state line against the replayed state.
-A file that ends inside a line is never resumed, nor compared with its
-sidecar: every command replays it in full and refuses it once the lines before
-that one verify.
+A sidecar is used only for exactly the bytes it was written for.  A command
+that finds the file's size and both digests right trusts the state as the
+replay of the file, and takes the chain head from the file's last line, or
+genesis for an empty file.  It indexes the state lines by the cert_id each
+opens with and decodes none of them: a certificate is built from its line,
+with every value revalidated, when it is first read, and the certificates the
+command names are built before it runs.  A missing, unreadable or stale
+sidecar, one of another version, one written for fewer or more bytes than the
+file holds (after a crash between the append and the sidecar's rewrite, or
+after another writer appended), or one with a named line that does not build,
+means a full replay.  ``replay-verify`` never trusts the sidecar: it replays
+the whole file and, when the sidecar was written for it, checks the sidecar's
+counters and every state line against the replayed state.  A file that ends
+inside a line is never resumed, nor compared with its sidecar: every command
+replays it in full and refuses it once the lines before that one verify.
 
 ``load``'s fallback and ``verify`` share one full replay (``_replay``), which
 runs on two processes where it can (``_replay_checked``): a forked child
@@ -53,7 +51,6 @@ import os
 import re
 import stat
 import threading
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn
 
@@ -63,7 +60,7 @@ from .ledger import (
 )
 from .registry import Registry, replay
 
-VERSION = 3
+VERSION = 4
 
 # the cert_id a state line opens with, matched after the newline before the line: the id charset has no quote or
 # backslash, so the JSON string is the id (a literal first character lets the scan skip ahead, where ``^`` cannot)
@@ -82,14 +79,13 @@ def _split(text: str) -> list[str]:
     return lines
 
 
-def _lines(data: memoryview, start: int = 0) -> list[str]:
-    """The text lines of ``data[start:]``, where ``data`` holds the whole ledger file."""
+def _lines(data: memoryview) -> list[str]:
+    """The text lines of ``data``, the whole ledger file."""
     try:
-        return _split(str(data[start:], "utf-8"))
+        return _split(str(data, "utf-8"))
     except UnicodeDecodeError as exc:
-        offset = start + exc.start
-        line = bytes(data[:offset]).count(b"\n") + 1
-        raise LedgerIntegrityError(f"line {line}, byte offset {offset}: not UTF-8 ({exc.reason})") from None
+        line = bytes(data[: exc.start]).count(b"\n") + 1
+        raise LedgerIntegrityError(f"line {line}, byte offset {exc.start}: not UTF-8 ({exc.reason})") from None
 
 
 def _ends_inside_a_line(data: memoryview) -> bool:
@@ -126,9 +122,9 @@ def _header(text: bytes) -> dict:
         raise CheckpointError(f"version {header.get('version')!r}, not {VERSION}")
     counts = header.get("issue_counts")
     if not (
-        all(type(header.get(key)) is int and header[key] >= 0 for key in ("last_seq", "prefix_bytes"))
+        type(header.get("prefix_bytes")) is int
         and all(isinstance(header.get(key), str) and _HASH_RE.fullmatch(header[key])
-                for key in ("head_hash", "prefix_sha256", "state_sha256"))
+                for key in ("prefix_sha256", "state_sha256"))
         and isinstance(counts, list)
         and all(_is_counter(entry) for entry in counts)
         and len({(issuer, material) for issuer, material, _ in counts}) == len(counts)
@@ -191,7 +187,7 @@ def _replay_checked(lines: list[str], replayed: Callable[[Iterator[LedgerEvent]]
 class LedgerFile:
     """A ledger file read once by one command, which appends to it and rewrites its checkpoint sidecar.
 
-    ``load`` keeps what ``write_checkpoint`` needs, the running digest and
+    A read keeps what ``write_checkpoint`` needs, the running digest and
     size of the bytes read, and ``append`` advances both by the bytes it
     writes.  ``ignored`` says why a sidecar that exists was not used.
     """
@@ -213,10 +209,11 @@ class LedgerFile:
             raise ConfigError(f"cannot read ledger file {self.path}: {exc}") from None
         self.ignored = None
         self._size = len(raw)
+        self._digest = hashlib.sha256(raw)
         return memoryview(raw)
 
     def _checkpoint(self, data: memoryview) -> tuple | None:
-        """The sidecar's header, state text and prefix digest if its prefix opens ``data``.
+        """The sidecar's header and state text if the sidecar was written for ``data``, the bytes read.
 
         None when there is no sidecar, or when ``data`` ends inside a line: the
         full replay alone reads such a file, and refuses it.  CheckpointError
@@ -232,25 +229,25 @@ class LedgerFile:
             raise CheckpointError(f"cannot read it: {exc}") from None
         head, _, state = raw.partition(b"\n")
         header = _header(head)
+        if header["prefix_bytes"] != len(data):
+            raise CheckpointError(
+                f"it was written for {header['prefix_bytes']} bytes of the ledger file, which holds {len(data)}"
+            )
         if _state_digest(header["issue_counts"], state) != header["state_sha256"]:
             raise CheckpointError("state digest mismatch")
-        size = header["prefix_bytes"]
-        if size > len(data) or (size and data[size - 1] != 0x0A):
-            raise CheckpointError("its prefix is not part of the ledger file")
-        digest = hashlib.sha256(data[:size])
-        if digest.hexdigest() != header["prefix_sha256"]:
-            raise CheckpointError("its prefix is not part of the ledger file")
+        if self._digest.hexdigest() != header["prefix_sha256"]:
+            raise CheckpointError("it does not match the ledger file's bytes")
         try:
-            return header, state.decode("utf-8"), digest
+            return header, state.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"bad state: {exc}") from None
 
     def load(self, touch: Iterable[str] = ()) -> Registry:
-        """The file's registry: the sidecar's state plus the verified tail, else a full replay.
+        """The file's registry: the state of a sidecar written for the file, else a full replay.
 
-        From the sidecar, the certificates ``touch`` names and those the tail
-        touches are built here, so a line of theirs that does not build means
-        a full replay; the others are built when first read.
+        From the sidecar, the certificates ``touch`` names are built here, so a
+        line of theirs that does not build means a full replay; the others are
+        built when first read.
         """
         data = self._read()
         try:
@@ -259,20 +256,16 @@ class LedgerFile:
                 return self._resume(data, *found, touch)
         except CheckpointError as exc:
             self.ignored = str(exc)
-        self._digest = hashlib.sha256(data)
         return self._replay(data)
 
-    def _resume(self, data: memoryview, header: dict, state: str, digest, touch: Iterable[str]) -> Registry:
-        last_seq, head_hash, size = header["last_seq"], header["head_hash"], header["prefix_bytes"]
+    def _resume(self, data: memoryview, header: dict, state: str, touch: Iterable[str]) -> Registry:
         head = (0, GENESIS_HASH)
-        if size:  # the prefix's last line, which its digest covers, just before ``size``
+        if data:  # the file's last line, which the digest covers
             try:
-                last = parse_line(str(data[data.obj.rfind(b"\n", 0, size - 1) + 1 : size - 1], "utf-8"))
+                last = parse_line(str(data[data.obj.rfind(b"\n", 0, len(data) - 1) + 1 : -1], "utf-8"))
             except (LedgerIntegrityError, UnicodeDecodeError) as exc:
-                raise CheckpointError(f"bad prefix: {exc}") from None
+                raise CheckpointError(f"bad last line: {exc}") from None
             head = (last.seq, last.hash)
-        if head != (last_seq, head_hash):
-            raise CheckpointError(f"the ledger does not continue it: its prefix ends at seq {head[0]}, not at its head")
         lines = _split(state)
         ids = _STATE_ID.findall(f"\n{state}")  # at most one per line, at its start
         index = dict(zip(ids, lines))
@@ -280,29 +273,17 @@ class LedgerFile:
             raise CheckpointError("bad state: a line does not open with a cert_id, or a cert_id repeats")
         if sum(n for _, _, n in header["issue_counts"]) != len(lines):
             raise CheckpointError(f"bad state: the issue counters do not count its {len(lines)} certificates")
-        try:
-            events = list(read_events(_lines(data, size), last_seq=last_seq, head_hash=head_hash))
-        except LedgerIntegrityError as exc:
-            # the full replay reports the ledger's own error, or shows that the sidecar was wrong
-            raise CheckpointError(f"the ledger does not continue it: {exc}") from None
         registry = Registry.from_state_lines(
-            index, header["issue_counts"], last_seq, head_hash, source=str(self.sidecar),
-            weight_places=self.weight_places,
+            index, header["issue_counts"], *head, source=str(self.sidecar), weight_places=self.weight_places
         )
         try:
-            registry.build([*touch, *(event.cert_id for event in events)])
+            registry.build(touch)
         except LedgerIntegrityError as exc:
             raise CheckpointError(str(exc)) from None
-        try:
-            registry.apply_events(events)
-        except LedgerIntegrityError as exc:
-            raise CheckpointError(f"the ledger does not continue it: {exc}") from None
-        digest.update(data[size:])
-        self._digest = digest
         return registry
 
     def verify(self) -> Registry:
-        """Replay the whole file; raises LedgerIntegrityError if a sidecar for its prefix disagrees."""
+        """Replay the whole file; raises LedgerIntegrityError if a sidecar written for it disagrees."""
         data = self._read()
         try:
             found = self._checkpoint(data)
@@ -312,12 +293,11 @@ class LedgerFile:
         return self._replay(data, found)
 
     def _replay(self, data: memoryview, found: tuple | None = None) -> Registry:
-        """The registry of ``data``, the whole file, by a full replay; ``found``, a sidecar's, is checked at its prefix.
+        """The registry of ``data``, the whole file, by a full replay; ``found``, a sidecar's, is checked against it.
 
         A file that ends inside a line is refused once every line before that
         one verifies.  This releases ``data``: the lines hold its text.
         """
-        covered = 0 if found is None else data.obj.count(b"\n", 0, found[0]["prefix_bytes"])
         lines = _lines(data)
         open_line = len(lines) if _ends_inside_a_line(data) else None
         data.release()  # the file's bytes need not outlive the replay
@@ -325,22 +305,17 @@ class LedgerFile:
             del lines[-1]
 
         def verified(events: Iterator[LedgerEvent]) -> Registry:
-            registry = replay(islice(events, covered), weight_places=self.weight_places)
-            if found is not None:
-                header, state, _ = found
-                ledger = registry.ledger
-                if not (
-                    (ledger.last_seq, ledger.head_hash) == (header["last_seq"], header["head_hash"])
-                    and header["issue_counts"] == registry.issue_counts()
-                    and _split(state) == registry.state_lines()
-                ):
-                    raise LedgerIntegrityError(f"checkpoint disagrees with the ledger at seq {header['last_seq']}")
-            registry.apply_events(events)
+            registry = replay(events, weight_places=self.weight_places)
             if open_line is not None:
                 raise LedgerIntegrityError(
                     f"line {open_line}: the ledger file ends inside this line, which has no final newline "
                     "(a torn record?); every line before it verifies"
                 )
+            if found is not None:
+                header, state = found
+                if header["issue_counts"] != registry.issue_counts() or _split(state) != registry.state_lines():
+                    seq = registry.ledger.last_seq
+                    raise LedgerIntegrityError(f"checkpoint disagrees with the ledger at seq {seq}")
             return registry
 
         if open_line is not None:
@@ -366,8 +341,6 @@ class LedgerFile:
         counts = registry.issue_counts()
         header = canonical_payload({
             "version": VERSION,
-            "last_seq": registry.ledger.last_seq,
-            "head_hash": registry.ledger.head_hash,
             "issue_counts": counts,
             "prefix_bytes": self._size,
             "prefix_sha256": self._digest.hexdigest(),

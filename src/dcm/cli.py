@@ -16,15 +16,17 @@ import os
 import re
 import sys
 from datetime import date
+from functools import cached_property
 from pathlib import Path
 
 from .checkpoint import LedgerFile
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, wealth_projection
-from .errors import ConfigError, DCMError
+from .errors import ConfigError, DCMError, DomainError
 from .ledger import Ledger, iso_date
 from .market import load_series, quote_at, read_text
 from .registry import DeliveryRules, MarketQuote, Registry, export_certificate
 from .rounding import RoundingProfile, fmt
+from .values import require_number
 
 _MODE_CHOICES = [m.value for m in ThetaMode if m is not ThetaMode.EXPLICIT]
 
@@ -35,7 +37,11 @@ class AppContext:
         self.prices_path = prices_path
         self.per_units = per_units
         self.profile = profile
-        self.ledger_file = LedgerFile(ledger_path, profile.weight_places)
+
+    @cached_property
+    def ledger_file(self) -> LedgerFile:
+        """Built on first use, so that a command that never reads the ledger accepts any ``--ledger``."""
+        return LedgerFile(self.ledger_path, self.profile.weight_places)
 
     def _warn_if_ignored(self) -> None:
         if self.ledger_file.ignored is not None:
@@ -284,7 +290,11 @@ def main() -> None:
     gc.disable()
     try:
         args = _parser().parse_args()  # a usage error exits 2 here
-        if args.price_per_units <= 0:
+        try:
+            per_units = require_number("--price-per-units", args.price_per_units)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
+        if per_units <= 0:
             raise ConfigError("--price-per-units must be > 0")
         profile = RoundingProfile(weight_places=args.weight_places, money_places=args.money_places)
         args.handler(AppContext(args.ledger_path, args.prices_path, args.price_per_units, profile), args)

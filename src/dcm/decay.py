@@ -157,7 +157,7 @@ class AttenuationSpec(Value, namedtuple("AttenuationSpec", "theta_daily mode tar
     """A daily retention factor theta in (0, 1) with its provenance.
 
     For derived modes the tariff and cif inputs are retained so the value can
-    be audited against its own derivation.
+    be audited against its own derivation; an explicit theta carries neither.
     """
 
     __slots__ = ()
@@ -174,9 +174,12 @@ class AttenuationSpec(Value, namedtuple("AttenuationSpec", "theta_daily mode tar
             raise DerivationError(
                 f"theta_daily {theta_daily:.6f} ({mode.value}) outside the open interval (0, 1)"
             )
-        if mode is not _EXPLICIT:
-            if tariff is None or cif is None:
-                raise DomainError(f"mode {mode.value} requires tariff and cif inputs")
+        if mode is _EXPLICIT:
+            if tariff is not None or cif is not None:
+                raise DomainError("explicit mode carries no derivation inputs")
+        elif tariff is None or cif is None:
+            raise DomainError(f"mode {mode.value} requires tariff and cif inputs")
+        else:
             rederived = 1.0 - _daily_decay_fraction(tariff, cif, mode)
             if not math.isclose(theta_daily, rederived, rel_tol=1e-12):
                 raise DomainError(

@@ -324,17 +324,15 @@ def decode_line(line: str) -> LedgerEvent:
     ))
 
 
-def read_events(lines: Iterable[str], *, last_seq: int = 0, head_hash: str = GENESIS_HASH) -> Iterator[LedgerEvent]:
-    """Parse and verify a stream; raises at the first bad record.
+def read_events(lines: Iterable[str]) -> Iterator[LedgerEvent]:
+    """Parse and verify a whole ledger's lines; raises at the first bad record.
 
     Checks per line: digest over the raw bytes, canonical fields.  Across
-    lines: seq increases without gaps from ``last_seq`` + 1 and each prev_hash
-    equals the previous hash, the first one ``head_hash``.  By default the
-    stream is a whole ledger; a tail after a verified head passes that head,
-    and its line numbers continue from it (one line per event).
+    lines: seq increases without gaps from 1 and each prev_hash equals the
+    previous hash, the first one genesis.
     """
-    link = Ledger(last_seq, head_hash).link
-    for lineno, raw in enumerate(lines, start=last_seq + 1):
+    link = Ledger().link
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line:
             raise LedgerIntegrityError(f"line {lineno}: empty record")

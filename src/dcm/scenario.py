@@ -348,7 +348,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if "prices" in raw:
         prices_cfg = raw["prices"]
         _check_keys(prices_cfg, {"path", "per_units"}, "prices")
-        series_path = path.parent / str(_require(prices_cfg, "path", "prices"))
+        series_path = path.parent / _text(prices_cfg, "path", "prices")
         if not series_path.exists():
             raise ConfigError(f"price series file not found: {series_path}")
         prices = load_series(

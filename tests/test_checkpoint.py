@@ -87,13 +87,11 @@ class TestSameResult:
         assert_no_child_left()
 
     def test_a_perfbench_shaped_ledger_with_its_checkpoint(self, tmp_path, sequential_reads):
-        # thousands of events and a sidecar for a prefix, as a benchmark session's replay-verify reads them
+        # thousands of events and a sidecar for the whole file, as a benchmark session's replay-verify reads them
         lines = _random_operations(random.Random(1), 3000).ledger.to_lines()
         expected = state(replay(read_events(lines)))
-        ledger_file = write_ledger(tmp_path / "ledger.log", lines[:2000])
+        ledger_file = write_ledger(tmp_path / "ledger.log", lines)
         ledger_file.write_checkpoint(ledger_file.load())
-        with ledger_file.path.open("a", encoding="utf-8") as handle:
-            handle.write("".join(line + "\n" for line in lines[2000:]))
         assert state(ledger_file.verify()) == expected
         assert ledger_file.ignored is None
         forge_sidecar(ledger_file.sidecar, lambda state: state, lambda header: {**header, "version": 1})

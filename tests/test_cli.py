@@ -221,19 +221,22 @@ class TestLifecycleFlow:
         written.write_checkpoint(written.load())  # the sidecar covers the ISSUE, and the forgery follows it
         with ledger_file.open("a", encoding="utf-8") as handle:
             handle.write(forged + "\n")
+        # the sidecar is not written for the whole file, so each command reaches the forgery by the full replay
+        warning = (
+            f"warning: ignoring checkpoint {SIDECAR}: it was written for {len(issue) + 1} bytes of the ledger file, "
+            f"which holds {len(issue) + len(forged) + 2}\n"
+        )
         error = f"error: seq 2: {SEALED_REFUSALS[case][-1]}\n"
-        verified = dcm("replay-verify", cwd=tmp_path)
-        assert (verified.returncode, verified.stdout, verified.stderr) == (4, "", error)
-        delivered = dcm("deliver", "--cert", "LME-copper-0001", "--dt", "1", cwd=tmp_path)
-        warning, refusal = delivered.stderr.splitlines(keepends=True)
-        assert (delivered.returncode, delivered.stdout, refusal) == (4, "", error)
-        assert warning.startswith(f"warning: ignoring checkpoint {SIDECAR}: the ledger does not continue it: seq 2: ")
+        for args in (["replay-verify"], ["deliver", "--cert", "LME-copper-0001", "--dt", "1"]):
+            result = dcm(*args, cwd=tmp_path)
+            assert (result.returncode, result.stdout, result.stderr) == (4, "", warning + error)
 
     @pytest.mark.parametrize(
         "case",
         [
             "issue-face-weight-true", "issue-face-weight-quoted", "issue-min-delivery-true", "issue-face-weight-huge",
             "issue-min-delivery-huge", "issue-theta-huge", "issue-tariff-charge-true", "issue-cif-price-quoted",
+            "issue-theta-explicit-with-inputs",
         ],
     )
     def test_a_sealed_issue_whose_weight_is_not_a_number_exits_integrity(self, tmp_path, lme_registry, lme_cert, case):
@@ -400,6 +403,32 @@ class TestLifecycleFlow:
         assert result.stderr.count("\n") == 1
         assert sorted(path.name for path in tmp_path.iterdir()) == ["a-directory"]
 
+    @pytest.mark.parametrize("ledger", [".", "/"], ids=["dot", "root"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["theta", "--warehouse-charge", "0.01", "--cif", "100"],
+            ["run", "lme_copper"],
+            ["project", "--weight", "1000", "--theta", "0.99", "--days", "3"],
+        ],
+        ids=["theta", "run", "project"],
+    )
+    def test_a_command_that_never_reads_the_ledger_takes_any_ledger_path(self, tmp_path, args, ledger):
+        usual = dcm(*args, cwd=tmp_path)
+        result = dcm("--ledger", ledger, *args, cwd=tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (0, usual.stdout, "")
+        assert usual.returncode == 0 and usual.stdout
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_price_per_units_that_is_not_finite_is_refused_before_the_ledger_is_read(self, tmp_path, value):
+        (tmp_path / "prices.csv").write_text(PRICES, encoding="utf-8")
+        (tmp_path / "dcm-ledger.log").write_text("not a ledger\n", encoding="utf-8")
+        result = dcm("--prices", "prices.csv", "--price-per-units", value, "quote", "--cert", "LME-copper-0001",
+                     "--dt", "3", cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: --price-per-units must be finite, got {value}\n"
+
     def test_a_sidecar_that_is_a_directory_only_warns(self, tmp_path):
         (tmp_path / SIDECAR).mkdir()
         issued = dcm(*ISSUE_ARGS, cwd=tmp_path)
@@ -491,7 +520,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "spoil",
-        ["garbled", "truncated", "version-1", "version-2", "forged-state", "deep-header", "deep-state", "stale"],
+        ["garbled", "truncated", "version-1", "version-2", "version-3", "forged-state", "deep-header", "deep-state",
+         "stale"],
     )
     def test_unusable_checkpoint_gives_the_same_output_as_none_and_a_warning(self, tmp_path, spoil):
         spoiled, plain = tmp_path / "spoiled", tmp_path / "plain"
@@ -510,6 +540,11 @@ class TestCheckpoint:
         elif spoil == "version-2":  # the header of the format whose state digest leaves out the issue counters
             header, state = sidecar.read_bytes().split(b"\n", 1)
             fields = {**json.loads(header), "version": 2, "state_sha256": hashlib.sha256(state).hexdigest()}
+            sidecar.write_bytes(canonical_payload(fields).encode("utf-8") + b"\n" + state)
+        elif spoil == "version-3":  # the header of the format that also held the chain head
+            header, state = sidecar.read_bytes().split(b"\n", 1)
+            head = (spoiled / "dcm-ledger.log").read_text(encoding="utf-8").rstrip("\n").rsplit("|", 1)[1]
+            fields = {**json.loads(header), "version": 3, "last_seq": 1, "head_hash": head}
             sidecar.write_bytes(canonical_payload(fields).encode("utf-8") + b"\n" + state)
         elif spoil == "forged-state":  # on the line of the certificate the command names
             forge_sidecar(sidecar, lambda state: [line.replace('"ACTIVE"', '"LOST"') for line in state])
@@ -530,7 +565,9 @@ class TestCheckpoint:
         assert results[0].stdout == results[1].stdout
         assert f"warning: ignoring checkpoint {SIDECAR}" in results[0].stderr
         assert results[1].stderr == ""
-        assert json.loads(sidecar.read_bytes().split(b"\n", 1)[0])["version"] == 3
+        if spoil == "version-3":
+            assert results[0].stderr == f"warning: ignoring checkpoint {SIDECAR}: version 3, not 4\n"
+        assert json.loads(sidecar.read_bytes().split(b"\n", 1)[0])["version"] == 4
 
     def test_forged_issue_counters_fail_replay_verify(self, tmp_path):
         dcm(*ISSUE_ARGS, cwd=tmp_path)
@@ -559,8 +596,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("head_hash", "f" * 64), ("last_seq", 1), ("issue_counts", [["LMX", "copper", 2]])],
-        ids=["head-hash", "last-seq", "renamed-issuer"],
+        [("issue_counts", [["LMX", "copper", 2]])],
+        ids=["renamed-issuer"],
     )
     def test_a_forged_header_field_means_a_full_replay_and_an_append_that_chains(self, tmp_path, field, value):
         dcm(*ISSUE_ARGS, cwd=tmp_path)
@@ -778,7 +815,7 @@ GOLDEN_SESSION = [
 ]
 GOLDEN_FILES = {
     "dcm-ledger.log": "ad0b3f2d769a530b017c5425ec6a35d816d787a5e8156f94c2c2895b4b2b408a",
-    SIDECAR: "d6eeefd1621316d651ebb09b84a1eaa8cfefaf54254641839216ebf873d86fa1",
+    SIDECAR: "a94a2652a581a4b61ae6b111889aaa3a8cb1126b54677d68dfdd4515d30f7dc3",
 }
 
 
@@ -840,6 +877,8 @@ LOCAL_USAGE_ERRORS = {
 GROUP_USAGE_ERRORS = {
     "float": ["--price-per-units", "ten"],
     "not-positive": ["--price-per-units", "0"],
+    "nan": ["--price-per-units", "nan"],
+    "inf": ["--price-per-units", "inf"],
     "int": ["--weight-places", "2.5"],
     "prices": ["--prices", "no-such-prices.csv"],
     "abbreviated": ["--pri", "prices.csv"],

@@ -7,7 +7,7 @@ issuance to past validity.  The model below is written from the rules the
 engine documents, not from its code: it predicts which operations are
 refused and with which error, and what each certificate's status and owner
 become.  After every step the live registry must equal its own replay, and
-its ledger, saved to a file with a checkpoint sidecar for a drawn prefix, must
+its ledger, saved to a file with a checkpoint sidecar written for it, must
 resume to that replay, and each event it appended must hold the very payload
 its wire line reads back to.
 """
@@ -197,16 +197,25 @@ class LegalityMachine(RuleBasedStateMachine):
         self.prefix, self.touch = prefix, touch
 
     def resume(self, lines: list[str]) -> Registry:
-        """``lines`` written to a file with a sidecar for the drawn prefix, loaded touching the drawn certificates.
+        """``lines`` written to a file with a sidecar written for it, loaded touching the drawn certificates.
 
-        An index past the issued certificates names one that was never issued.
+        The sidecar is first written for the drawn prefix, as by a command that
+        ran then; when the prefix is shorter than the file, the next load
+        replays in full and warns, and rewrites the sidecar for the whole file,
+        as the next command does.  An index past the issued certificates names
+        one that was never issued.
         """
         path = Path(self.directory.name) / "ledger.log"
         path.write_text("".join(line + "\n" for line in lines[: self.prefix]), encoding="utf-8")
-        covering = LedgerFile(path, 4)  # as a command does: load the prefix, checkpoint it, then the rest is appended
+        covering = LedgerFile(path, 4)
         covering.write_checkpoint(covering.load())
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write("".join(line + "\n" for line in lines[self.prefix :]))
+        if self.prefix < len(lines):
+            with path.open("a", encoding="utf-8") as handle:
+                handle.write("".join(line + "\n" for line in lines[self.prefix :]))
+            covering = LedgerFile(path, 4)
+            registry = covering.load()
+            assert covering.ignored.startswith("it was written for ")
+            covering.write_checkpoint(registry)
         ids = list(self.model)
         ledger_file = LedgerFile(path, 4)
         loaded = ledger_file.load(touch=[ids[index] if index < len(ids) else UNKNOWN for index in sorted(self.touch)])

@@ -639,6 +639,11 @@ VALUE_REFUSALS = {
         "theta_daily 1.000000 (explicit) outside the open interval (0, 1)",
     ),
     "theta-mode-unknown": (_with_theta(mode="daily"), ValueError, "'daily' is not a valid ThetaMode"),
+    # an explicit theta that records a tariff and a landed price, which nothing would check it against
+    "theta-explicit-with-inputs": (
+        lambda form: {**form, "theta": {**DERIVED_THETA, "mode": "explicit"}}, DomainError,
+        "explicit mode carries no derivation inputs",
+    ),
     "face-weight-text": (
         lambda form: {**form, "face_weight": "five"}, DomainError, "face_weight must be a number, got 'five'"
     ),
@@ -1040,6 +1045,15 @@ def _checkpointed(tmp_path, lines) -> LedgerFile:
     return ledger_file
 
 
+def _state(registry: Registry) -> tuple:
+    return registry.snapshot(), registry.state_lines(), registry.issue_counts()
+
+
+def _written_for(covered: int, path) -> str:
+    """Why a sidecar written for ``covered`` bytes of the ledger file at ``path`` is ignored, if that is not its size."""
+    return f"it was written for {covered} bytes of the ledger file, which holds {path.stat().st_size}"
+
+
 @pytest.fixture
 def built(monkeypatch) -> list[str]:
     """The cert_id of each certificate built from a payload or a state line, in order; clear it to start."""
@@ -1051,15 +1065,21 @@ def built(monkeypatch) -> list[str]:
 
 
 class TestCheckpoint:
-    def test_load_restores_the_state_and_reads_only_the_tail(self, tmp_path):
+    def test_a_sidecar_for_fewer_lines_than_the_file_means_a_full_replay(self, tmp_path):
         registry = _random_walk(3, 150)
         lines = registry.ledger.to_lines()
         ledger_file = _checkpointed(tmp_path, lines[:100])
+        covered = ledger_file.path.stat().st_size
         _write_lines(ledger_file.path, lines[100:])
-        resumed = ledger_file.load()
-        assert ledger_file.ignored is None
-        assert resumed.snapshot() == registry.snapshot()
-        assert resumed.ledger.events == () and len(resumed.ledger) == resumed.ledger.last_seq == len(lines)
+        warning = _written_for(covered, ledger_file.path)
+        expected = _state(replay(read_events(lines)))
+        # a stale sidecar is not compared either: its forged line would fail the compare
+        forge_sidecar(ledger_file.sidecar, lambda state: [state[0].replace('"holder-', '"Holder-', 1), *state[1:]])
+        for read in (ledger_file.load, ledger_file.verify):
+            rebuilt = read()
+            assert ledger_file.ignored == warning
+            assert _state(rebuilt) == expected
+            assert rebuilt.ledger.events == () and len(rebuilt.ledger) == rebuilt.ledger.last_seq == len(lines)
 
     def test_checkpoint_after_an_append_covers_the_appended_events(self, tmp_path, lme_registry, lme_cert):
         ledger_file = _checkpointed(tmp_path, lme_registry.ledger.to_lines())
@@ -1111,18 +1131,17 @@ class TestCheckpoint:
         assert loaded == expected
         assert ledger_file.ignored
 
-    def test_a_sidecar_the_ledger_does_not_continue_means_a_full_replay(self, tmp_path):
-        registry = _random_walk(5, 40)
-        lines = registry.ledger.to_lines()
-        ledger_file = _checkpointed(tmp_path, lines[:20])
-        _write_lines(ledger_file.path, lines[20:])
-        header, state = ledger_file.sidecar.read_bytes().split(b"\n", 1)
-        fields = {**json.loads(header), "last_seq": 19}
-        ledger_file.sidecar.write_bytes(canonical_payload(fields).encode("utf-8") + b"\n" + state)
-        assert ledger_file.load().snapshot() == registry.snapshot()
-        assert "does not continue" in ledger_file.ignored
-        with pytest.raises(LedgerIntegrityError, match="checkpoint disagrees with the ledger at seq 19"):
-            ledger_file.verify()
+    def test_a_sidecar_for_more_lines_than_the_file_means_a_full_replay(self, tmp_path):
+        # an older ledger file restored under a newer sidecar, as at the start of each benchmark round
+        lines = _random_walk(5, 40).ledger.to_lines()
+        ledger_file = _checkpointed(tmp_path, lines)
+        covered = ledger_file.path.stat().st_size
+        ledger_file.path.write_text("".join(line + "\n" for line in lines[:20]), encoding="utf-8")
+        warning = _written_for(covered, ledger_file.path)
+        expected = _state(replay(read_events(lines[:20])))
+        for read in (ledger_file.load, ledger_file.verify):
+            assert _state(read()) == expected
+            assert ledger_file.ignored == warning
 
     def test_a_file_that_ends_inside_a_line_is_not_loaded_even_with_a_sidecar_for_the_lines_before_it(
         self, tmp_path, lme_registry, lme_cert
@@ -1138,17 +1157,26 @@ class TestCheckpoint:
             ledger_file.load(touch=(lme_cert.cert_id,))
         assert (ledger_file.path.read_bytes(), ledger_file.sidecar.read_bytes()) == before
 
-    def test_a_resumed_load_builds_only_the_certificates_its_tail_touches(self, tmp_path, built):
+    def test_a_load_over_a_sidecar_for_fewer_lines_builds_every_certificate_from_the_ledger(self, tmp_path, built):
         registry = _random_walk(5, 40)
         lines = registry.ledger.to_lines()
         ledger_file = _checkpointed(tmp_path, lines[:30])
+        covered = ledger_file.path.stat().st_size
         _write_lines(ledger_file.path, lines[30:])
         built.clear()
-        resumed = ledger_file.load()
+        loaded = ledger_file.load()
+        assert ledger_file.ignored == _written_for(covered, ledger_file.path)
+        assert built == list(registry.certificates)  # each from its ISSUE, in issue order: no state line is read
+        assert loaded.snapshot() == registry.snapshot()
+
+    def test_a_resumed_load_builds_only_the_certificates_it_names(self, tmp_path, built):
+        registry = _random_walk(5, 40)
+        ledger_file = _checkpointed(tmp_path, registry.ledger.to_lines())
+        named = list(registry.certificates)[1::3]
+        built.clear()
+        resumed = ledger_file.load(touch=named)
         assert ledger_file.ignored is None
-        tail = {event.cert_id for event in registry.ledger.events[30:]}
-        assert sorted(built) == sorted(tail)
-        assert len(tail) < len(registry.certificates)
+        assert built == named
         assert resumed.snapshot() == registry.snapshot()
 
     def test_a_resumed_issue_numbers_like_a_full_replay(self, tmp_path, built):
@@ -1182,10 +1210,8 @@ class TestCheckpoint:
             ledger_file.verify()
 
     @pytest.mark.parametrize(
-        "covered, fields",
+        "events, fields",
         [
-            (1, {"last_seq": True}),
-            (0, {"last_seq": False}),
             (0, {"prefix_bytes": False}),
             (1, {"version": 1}),
             (1, {"issue_counts": None}),
@@ -1198,36 +1224,29 @@ class TestCheckpoint:
             (2, {"issue_counts": [["LME", "copper", 1], ["LME", "copper", 1]]}),
             (2, {"issue_counts": [["LME", "copper", 2], ["LME", "steel", 0]]}),
         ],
-        ids=["last-seq-true", "last-seq-false", "prefix-bytes-false", "version-1", "no-counters", "count-true",
+        ids=["prefix-bytes-false", "version-1", "no-counters", "count-true",
              "count-float", "empty-issuer", "material-null", "count-missing", "count-wrong", "pair-repeated",
              "count-zero"],
     )
-    def test_a_malformed_header_means_a_full_replay(self, tmp_path, lme_registry, lme_cert, covered, fields):
+    def test_a_malformed_header_means_a_full_replay(self, tmp_path, lme_registry, lme_cert, events, fields):
+        # the sidecar is written for the whole file, so only the forged field can refuse it
         lme_registry.issue("LME", "copper", 1000, 0.9999, LME_ISSUE_DATE, lme_cert.theta, lme_cert.rules, "client-2")
-        lines = lme_registry.ledger.to_lines()
-        ledger_file = _checkpointed(tmp_path, lines[:covered])
-        _write_lines(ledger_file.path, lines[covered:])
+        lines = lme_registry.ledger.to_lines()[:events]
+        ledger_file = _checkpointed(tmp_path, lines)
         header, state = ledger_file.sidecar.read_bytes().split(b"\n", 1)
         forged = canonical_payload({**json.loads(header), **fields})
         ledger_file.sidecar.write_bytes(forged.encode("utf-8") + b"\n" + state)
-        assert ledger_file.load().snapshot() == lme_registry.snapshot()
+        assert ledger_file.load().snapshot() == replay(read_events(lines)).snapshot()
         assert ledger_file.ignored
 
     @pytest.mark.parametrize(
         "events, fields",
-        [
-            (2, {"head_hash": "f" * 64}),
-            (2, {"last_seq": 1}),
-            (2, {"issue_counts": [["LMX", "copper", 2]]}),
-            (0, {"head_hash": "f" * 64}),
-            (0, {"last_seq": 1}),
-        ],
-        ids=["head-hash", "last-seq", "renamed-issuer", "empty-prefix-head-hash", "empty-prefix-last-seq"],
+        [(2, {"issue_counts": [["LMX", "copper", 2]]})],
+        ids=["renamed-issuer"],
     )
     def test_a_forged_header_field_with_the_digests_kept_means_a_full_replay(
         self, tmp_path, lme_registry, lme_cert, events, fields
     ):
-        # the sidecar's prefix is the whole file, so no line after it checks the head
         lme_registry.issue("LME", "copper", 1000, 0.9999, LME_ISSUE_DATE, lme_cert.theta, lme_cert.rules, "client-2")
         lines = lme_registry.ledger.to_lines()[:events]
         ledger_file = _checkpointed(tmp_path, lines)
@@ -1239,11 +1258,10 @@ class TestCheckpoint:
 
 
 def _rebuilt(tmp_path, how: str, lines: list[str]) -> Registry:
-    """The registry of ``lines`` rebuilt ``how``; a ledger file's checkpoint sidecar covers its first 100 lines."""
+    """The registry of ``lines`` rebuilt ``how``; a ledger file's checkpoint sidecar is written for the whole file."""
     if how == "replay":
         return replay(read_events(lines))
-    ledger_file = _checkpointed(tmp_path, lines[:100])
-    _write_lines(ledger_file.path, lines[100:])
+    ledger_file = _checkpointed(tmp_path, lines)
     if how == "full-load":
         ledger_file.sidecar.unlink()
         return ledger_file.load()

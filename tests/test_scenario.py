@@ -424,9 +424,13 @@ class TestScenarioLoading:
             (("cert: c1", "cert: ~"), "script step 1: cert must be a string, got None"),
             (("cert: c1", "cert: [a]"), "script step 1: cert must be a string, got ['a']"),
             (("action: issue", "action: ~"), "script step 1: action must be a string, got None"),
+            (("path: prices.csv", "path: ~"), "prices: path must be a string, got None"),
+            (("path: prices.csv", "path: 5"), "prices: path must be a string, got 5"),
+            (("path: prices.csv", "path: [a]"), "prices: path must be a string, got ['a']"),
         ],
         ids=["name-null", "name-integer", "currency-list", "issuer-id-list", "material-integer", "weight-unit-null",
-             "location-mapping", "cert-null", "cert-list", "action-null"],
+             "location-mapping", "cert-null", "cert-list", "action-null", "prices-path-null", "prices-path-integer",
+             "prices-path-list"],
     )
     def test_a_text_field_that_is_not_a_string_is_a_config_error(self, tmp_path, edit, message):
         path = write_scenario(tmp_path, ISSUE_STEP)

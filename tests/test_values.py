@@ -207,6 +207,15 @@ def test_replace_and_make_run_the_type_checks():
 
 
 @pytest.mark.parametrize(
+    "tariff, cif", [(StorageTariff(5.0), CifQuote(100.0)), (None, CIF)], ids=["tariff-and-cif", "cif-only"]
+)
+def test_an_explicit_theta_carries_no_derivation_inputs(tariff, cif):
+    with pytest.raises(DomainError) as excinfo:
+        AttenuationSpec(0.99, ThetaMode.EXPLICIT, tariff, cif)
+    assert str(excinfo.value) == "explicit mode carries no derivation inputs"
+
+
+@pytest.mark.parametrize(
     "cls, field, value, message",
     [
         (DeliveryRules, "delivery_location", 7, "delivery_location must be a string, got 7"),
