@@ -11,12 +11,9 @@ from .decay import (
     StorageTariff,
     ThetaMode,
     WealthProjection,
-    accrued_capital_interest,
-    accrued_storage_cost,
     attenuation_coefficient,
     cif_price,
     optimal_order_quantity,
-    price_after_storage,
     residual_weight,
     storage_increment,
     total_logistics_cost,
@@ -53,7 +50,6 @@ from .registry import (
     Registry,
     RegistrySnapshot,
     export_certificate,
-    import_certificate,
     replay,
 )
 from .rounding import RoundingProfile, fmt, quantize, quantize_to_float
@@ -118,18 +114,14 @@ __all__ = [
     "UnboundedCostError",
     "ValidationError",
     "WealthProjection",
-    "accrued_capital_interest",
-    "accrued_storage_cost",
     "attenuation_coefficient",
     "bundled_scenario_path",
     "cif_price",
     "export_certificate",
     "fmt",
-    "import_certificate",
     "load_scenario",
     "load_series",
     "optimal_order_quantity",
-    "price_after_storage",
     "quantize",
     "quantize_to_float",
     "quote_at",

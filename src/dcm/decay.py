@@ -195,13 +195,14 @@ def total_logistics_cost(params: LogisticsParams, order_quantity: float) -> floa
     Terms: order placement, purchase, average-inventory carrying, transport,
     and interest on capital in transit.
     """
-    if order_quantity <= 0:
+    quantity = require_number("order_quantity", order_quantity)
+    if quantity <= 0:
         raise DomainError("order_quantity must be > 0")
     p = params
     return (
-        p.ordering_cost * p.annual_demand / order_quantity
+        p.ordering_cost * p.annual_demand / quantity
         + p.purchase_price * p.annual_demand
-        + order_quantity / 2.0 * p.carrying_rate()
+        + quantity / 2.0 * p.carrying_rate()
         + p.transport_cost * p.annual_demand
         + p.bank_rate * p.purchase_price * p.annual_demand * p.transit_days / DAYS_PER_YEAR
     )
@@ -243,43 +244,24 @@ def cif_price(
     return CifQuote(price_per_unit=price, material=material, location=location, as_of=as_of)
 
 
-def accrued_storage_cost(tariff: StorageTariff, delta_t: float) -> float:
-    """Warehouse charge accrued on one unit over ``delta_t`` days."""
-    if delta_t < 0:
-        raise DomainError("delta_t must be >= 0")
-    return tariff.daily_warehouse_charge * delta_t
-
-
-def accrued_capital_interest(cif: CifQuote, bank_rate: float, delta_t: float) -> float:
-    """Interest on the capital one stored unit ties up over ``delta_t`` days."""
-    if delta_t < 0:
-        raise DomainError("delta_t must be >= 0")
-    return delta_t / DAYS_PER_YEAR * cif.price_per_unit * bank_rate
-
-
 def storage_increment(
     cif: CifQuote,
     tariff: StorageTariff,
     delta_t: float,
     include_transfer: bool = False,
 ) -> float:
-    """Cost added on top of the landed price after ``delta_t`` stored days."""
-    increment = accrued_storage_cost(tariff, delta_t) + accrued_capital_interest(
-        cif, tariff.bank_rate, delta_t
-    )
+    """Cost added on top of the landed price after ``delta_t`` stored days.
+
+    The warehouse charge for the days, plus interest on the capital the unit
+    ties up, plus the outbound transfer charge when ``include_transfer``.
+    """
+    days = require_number("delta_t", delta_t)
+    if days < 0:
+        raise DomainError("delta_t must be >= 0")
+    increment = tariff.daily_warehouse_charge * days + days / DAYS_PER_YEAR * cif.price_per_unit * tariff.bank_rate
     if include_transfer:
         increment += tariff.outbound_transfer_charge
     return increment
-
-
-def price_after_storage(
-    cif: CifQuote,
-    tariff: StorageTariff,
-    delta_t: float,
-    include_transfer: bool = False,
-) -> float:
-    """Unit price after storage: landed price plus the accrued increment."""
-    return cif.price_per_unit + storage_increment(cif, tariff, delta_t, include_transfer)
 
 
 def attenuation_coefficient(

@@ -662,85 +662,26 @@ def _cert_from_payload(cert_id: str, payload: dict, status: CertStatus = CertSta
 
 # -- certificate paper format -------------------------------------------------
 
-_EXPORT_FIELDS = (
-    "code",
-    "issuer",
-    "material",
-    "face_weight",
-    "weight_unit",
-    "purity",
-    "issue_date",
-    "theta",
-    "delivery_charge_ratio",
-    "withdrawal_charge_ratio",
-    "min_delivery_weight",
-    "delivery_location",
-    "validity_days",
-)
-
 
 def export_certificate(cert: Certificate) -> str:
     """Printable certificate text: the metadata a holder sees, one field per line.
 
     Theta is printed to 6 decimal places, the precision certificates carry.
     """
-    values = {
-        "code": cert.cert_id,
-        "issuer": cert.issuer,
-        "material": cert.material,
-        "face_weight": repr(cert.face_weight),
-        "weight_unit": cert.weight_unit,
-        "purity": repr(cert.purity),
-        "issue_date": cert.issue_date.isoformat(),
-        "theta": fmt(cert.theta.theta_daily, 6),
-        "delivery_charge_ratio": repr(cert.rules.delivery_charge_ratio),
-        "withdrawal_charge_ratio": repr(cert.rules.withdrawal_charge_ratio),
-        "min_delivery_weight": repr(cert.rules.min_delivery_weight),
-        "delivery_location": cert.rules.delivery_location,
-        "validity_days": "none" if cert.rules.validity_days is None else str(cert.rules.validity_days),
-    }
-    return "\n".join(f"{name}: {values[name]}" for name in _EXPORT_FIELDS) + "\n"
-
-
-def import_certificate(text: str) -> Certificate:
-    """Parse an exported certificate back into an instrument.
-
-    The paper format carries no ownership, so the result is an ACTIVE
-    bearer certificate.  Theta is read at the printed 6-decimal precision.
-    """
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if ": " not in line:
-            raise ParseError(f"expected 'field: value', got {line!r}", lineno=lineno)
-        name, value = line.split(": ", 1)
-        if name not in _EXPORT_FIELDS:
-            raise ParseError(f"unknown field {name!r}", lineno=lineno)
-        if name in values:
-            raise ParseError(f"duplicate field {name!r}", lineno=lineno)
-        values[name] = value
-    missing = [name for name in _EXPORT_FIELDS if name not in values]
-    if missing:
-        raise ParseError(f"missing fields: {', '.join(missing)}")
-    try:
-        validity = None if values["validity_days"] == "none" else int(values["validity_days"])
-        return Certificate(
-            cert_id=values["code"],
-            issuer=values["issuer"],
-            material=values["material"],
-            face_weight=float(values["face_weight"]),
-            purity=float(values["purity"]),
-            issue_date=iso_date(values["issue_date"]),
-            theta=AttenuationSpec(theta_daily=float(values["theta"])),
-            rules=DeliveryRules(
-                delivery_charge_ratio=float(values["delivery_charge_ratio"]),
-                withdrawal_charge_ratio=float(values["withdrawal_charge_ratio"]),
-                min_delivery_weight=float(values["min_delivery_weight"]),
-                delivery_location=values["delivery_location"],
-                validity_days=validity,
-            ),
-            owner="bearer",
-        )
-    except ValueError as exc:
-        raise ParseError(f"bad field value: {exc}") from None
+    rules = cert.rules
+    fields = (
+        ("code", cert.cert_id),
+        ("issuer", cert.issuer),
+        ("material", cert.material),
+        ("face_weight", repr(cert.face_weight)),
+        ("weight_unit", cert.weight_unit),
+        ("purity", repr(cert.purity)),
+        ("issue_date", cert.issue_date.isoformat()),
+        ("theta", fmt(cert.theta.theta_daily, 6)),
+        ("delivery_charge_ratio", repr(rules.delivery_charge_ratio)),
+        ("withdrawal_charge_ratio", repr(rules.withdrawal_charge_ratio)),
+        ("min_delivery_weight", repr(rules.min_delivery_weight)),
+        ("delivery_location", rules.delivery_location),
+        ("validity_days", "none" if rules.validity_days is None else str(rules.validity_days)),
+    )
+    return "".join(f"{name}: {value}\n" for name, value in fields)

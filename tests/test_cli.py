@@ -60,7 +60,7 @@ script:
 """
 
 
-def python(*args, cwd):
+def python(*args, cwd, stdout=subprocess.PIPE):
     """Run Python with the absolute ``src`` on PYTHONPATH: a relative entry would miss under ``cwd``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -68,7 +68,8 @@ def python(*args, cwd):
         [sys.executable, *args],
         cwd=cwd,
         env=env,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
     )
@@ -207,8 +208,8 @@ class TestLifecycleFlow:
         [
             "deliver-past-validity", "quote-empty", "expire-before-lapse", "buyback-cash-only", "deliver-below-lot",
             "transfer-negative-day", "expire-open-ended", "issue-extra-key", "deliver-off-calendar",
-            "quote-off-calendar", "issue-issue-date-basic", "issue-issue-date-week", "issue-cif-as-of-basic",
-            "issue-cif-as-of-empty", "issue-cif-as-of-False", "issue-cif-material-number",
+            "quote-off-calendar", "issue-face-weight-zero", "issue-issue-date-basic", "issue-issue-date-week",
+            "issue-cif-as-of-basic", "issue-cif-as-of-empty", "issue-cif-as-of-False", "issue-cif-material-number",
         ],
     )
     def test_a_sealed_forgery_exits_integrity_also_when_a_command_resumes_before_it(
@@ -314,6 +315,13 @@ class TestLifecycleFlow:
         assert result.returncode == 2
         assert "error: cannot read price series p.csv: byte 23 is not UTF-8" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_a_price_path_that_names_a_directory_exits_validation(self, tmp_path):
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        (tmp_path / "prices").mkdir()
+        result = dcm("--prices", "prices", "quote", "--cert", "LME-copper-0001", "--dt", "3", cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: cannot read price series prices: [Errno 21] Is a directory: 'prices'\n"
 
     def test_priced_command_does_not_import_the_scenario_loader(self, tmp_path, monkeypatch):
         (tmp_path / "prices.csv").write_text(PRICES, encoding="utf-8")
@@ -520,8 +528,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "spoil",
-        ["garbled", "truncated", "version-1", "version-2", "version-3", "forged-state", "deep-header", "deep-state",
-         "stale"],
+        ["garbled", "truncated", "list-header", "version-1", "version-2", "version-3", "forged-state",
+         "state-not-utf8", "deep-header", "deep-state", "stale"],
     )
     def test_unusable_checkpoint_gives_the_same_output_as_none_and_a_warning(self, tmp_path, spoil):
         spoiled, plain = tmp_path / "spoiled", tmp_path / "plain"
@@ -529,10 +537,14 @@ class TestCheckpoint:
         (spoiled / "prices.csv").write_text(PRICES, encoding="utf-8")
         dcm(*ISSUE_ARGS, cwd=spoiled)
         sidecar = spoiled / SIDECAR
+        warning = None  # the reason the warning gives, where a row pins it
         if spoil == "garbled":
             sidecar.write_bytes(b"\x00\x01 not a checkpoint")
         elif spoil == "truncated":
             sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
+        elif spoil == "list-header":  # JSON, but not an object
+            sidecar.write_bytes(b"[]\n" + sidecar.read_bytes().split(b"\n", 1)[1])
+            warning = "unknown header"
         elif spoil == "version-1":  # the header of the format without issue counters
             header, state = sidecar.read_bytes().split(b"\n", 1)
             fields = {key: value for key, value in json.loads(header).items() if key != "issue_counts"}
@@ -546,8 +558,18 @@ class TestCheckpoint:
             head = (spoiled / "dcm-ledger.log").read_text(encoding="utf-8").rstrip("\n").rsplit("|", 1)[1]
             fields = {**json.loads(header), "version": 3, "last_seq": 1, "head_hash": head}
             sidecar.write_bytes(canonical_payload(fields).encode("utf-8") + b"\n" + state)
+            warning = "version 3, not 4"
         elif spoil == "forged-state":  # on the line of the certificate the command names
             forge_sidecar(sidecar, lambda state: [line.replace('"ACTIVE"', '"LOST"') for line in state])
+        elif spoil == "state-not-utf8":  # under a state digest recomputed to match it
+            header, state = sidecar.read_bytes().split(b"\n", 1)
+            state = state.replace(b'"ACTIVE"', b'"\xffACTIVE"')
+            fields = json.loads(header)
+            counts = canonical_payload(fields["issue_counts"]).encode("utf-8")
+            fields["state_sha256"] = hashlib.sha256(counts + b"\n" + state).hexdigest()
+            sidecar.write_bytes(canonical_payload(fields).encode("utf-8") + b"\n" + state)
+            at = state.index(0xFF)
+            warning = f"bad state: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
         elif spoil == "deep-header":
             sidecar.write_bytes(b"[" * DEEP + b"]" * DEEP + b"\n" + sidecar.read_bytes().split(b"\n", 1)[1])
         elif spoil == "deep-state":  # each line keeps its cert_id, and its form nests too deep to decode
@@ -565,9 +587,25 @@ class TestCheckpoint:
         assert results[0].stdout == results[1].stdout
         assert f"warning: ignoring checkpoint {SIDECAR}" in results[0].stderr
         assert results[1].stderr == ""
-        if spoil == "version-3":
-            assert results[0].stderr == f"warning: ignoring checkpoint {SIDECAR}: version 3, not 4\n"
+        if warning is not None:
+            assert results[0].stderr == f"warning: ignoring checkpoint {SIDECAR}: {warning}\n"
         assert json.loads(sidecar.read_bytes().split(b"\n", 1)[0])["version"] == 4
+
+    def test_a_sidecar_for_a_file_whose_last_line_does_not_parse_means_the_replay_that_refuses_it(self, tmp_path):
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        ledger_file = tmp_path / "dcm-ledger.log"
+        with ledger_file.open("ab") as handle:
+            handle.write(b"not a record\n")
+        data = ledger_file.read_bytes()
+        digests = {"prefix_bytes": len(data), "prefix_sha256": hashlib.sha256(data).hexdigest()}
+        forge_sidecar(tmp_path / SIDECAR, lambda state: state, lambda header: {**header, **digests})
+        result = dcm("deliver", "--cert", "LME-copper-0001", "--dt", "10", cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr == (
+            f"warning: ignoring checkpoint {SIDECAR}: bad last line: line ?: malformed record (wrong field count)\n"
+            "error: line 2: malformed record (wrong field count)\n"
+        )
+        assert ledger_file.read_bytes() == data
 
     def test_forged_issue_counters_fail_replay_verify(self, tmp_path):
         dcm(*ISSUE_ARGS, cwd=tmp_path)
@@ -871,7 +909,8 @@ LOCAL_USAGE_ERRORS = {
                 "int": _edit("project", "--days", "36.5"), "abbreviated": _edit("project", "--day", "3"),
                 # not usage errors but values the computation refuses: exit 2 all the same
                 "days-beyond-float": _edit("project", "--days", "1" + "0" * 400),
-                "places-beyond-precision": ["--weight-places", "30", *SUBCOMMANDS["project"]]},
+                "places-beyond-precision": ["--weight-places", "30", *SUBCOMMANDS["project"]],
+                "negative-places": ["--weight-places", "-1", *SUBCOMMANDS["project"]]},
     "replay-verify": {},
 }
 GROUP_USAGE_ERRORS = {
@@ -924,6 +963,25 @@ class TestExitCodeContract:
         assert code == 0
         assert "--help" in out
         assert err == ""
+
+    def test_a_closed_stdout_pipe_exits_1_without_a_message(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts, so its first write to stdout finds no reader
+        try:
+            result = python("-m", "dcm.cli", *SUBCOMMANDS["project"], cwd=tmp_path, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, "")
+
+    def test_an_interrupt_exits_130_with_one_newline(self, tmp_path, monkeypatch, capsys):
+        from dcm import cli
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "wealth_projection", interrupted)
+        assert _run_in_process(SUBCOMMANDS["project"], monkeypatch, capsys) == (130, "", "\n")
 
     def test_a_negative_number_in_exponent_form_is_a_value(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,8 +1,9 @@
-"""Decay-core oracles: costing, landed price, accrual, theta derivation, decay."""
+"""Decay-core oracles: costing, landed price, storage increment, theta derivation, decay."""
 
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,9 @@ from dcm import (
     StorageTariff,
     ThetaMode,
     UnboundedCostError,
-    accrued_capital_interest,
-    accrued_storage_cost,
     attenuation_coefficient,
     cif_price,
     optimal_order_quantity,
-    price_after_storage,
     residual_weight,
     storage_increment,
     total_logistics_cost,
@@ -156,63 +154,105 @@ class TestCifPrice:
         assert (quote.material, quote.location) == ("copper", "LME")
 
 
-class TestAccruals:
+def _parent_increment(cif, tariff, delta_t, include_transfer):
+    """Reference: the warehouse accrual and the interest accrual computed apart and summed, then the transfer."""
+    storage = tariff.daily_warehouse_charge * delta_t
+    interest = delta_t / 365.0 * cif.price_per_unit * tariff.bank_rate
+    increment = storage + interest
+    if include_transfer:
+        increment += tariff.outbound_transfer_charge
+    return increment
+
+
+def _increment_cases(count: int):
+    """Seeded (cif, tariff, delta_t, include_transfer) cases over several magnitudes, whole and fractional days."""
+    rng = random.Random(0xC0577)
+    for _ in range(count):
+        tariff = StorageTariff(
+            daily_warehouse_charge=rng.choice([0.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 500.0)]),
+            outbound_transfer_charge=rng.choice([0.0, rng.uniform(0.0, 10.0), rng.uniform(0.0, 1e4)]),
+            bank_rate=rng.choice([0.0, rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.999)]),
+        )
+        price = rng.choice([rng.uniform(1e-3, 1.0), rng.uniform(1.0, 1e4), rng.uniform(1e4, 1e9)])
+        cif = CifQuote(price_per_unit=price)
+        delta_t = rng.choice([0, rng.randrange(1, 40000), rng.uniform(0.0, 40000.0)])
+        yield cif, tariff, delta_t, rng.random() < 0.5
+
+
+class TestStorageIncrement:
     tariff = StorageTariff(daily_warehouse_charge=0.2, outbound_transfer_charge=1.5, bank_rate=0.0365)
     cif = CifQuote(price_per_unit=5000.0)
 
-    def test_storage_zero_days(self):
-        assert accrued_storage_cost(self.tariff, 0) == 0.0
+    def test_zero_days_add_nothing(self):
+        assert storage_increment(self.cif, self.tariff, 0) == 0.0
 
-    def test_storage_one_year(self):
-        assert accrued_storage_cost(self.tariff, 365) == pytest.approx(73.0, rel=1e-12)
+    def test_warehouse_term_alone(self):
+        tariff = self.tariff._replace(bank_rate=0.0)
+        assert storage_increment(self.cif, tariff, 365) == pytest.approx(73.0, rel=1e-12)
 
-    def test_storage_is_linear(self):
+    def test_interest_term_alone(self):
+        tariff = self.tariff._replace(daily_warehouse_charge=0.0)
+        # 10/365 * 5000 * 0.0365 = 5.0
+        assert storage_increment(self.cif, tariff, 10) == pytest.approx(5.0, rel=1e-12)
+        assert storage_increment(self.cif, tariff, 365) == self.cif.price_per_unit * 0.0365
+
+    def test_additive_over_days(self):
         a, b = 17, 214
-        assert accrued_storage_cost(self.tariff, a + b) == pytest.approx(
-            accrued_storage_cost(self.tariff, a) + accrued_storage_cost(self.tariff, b), rel=1e-12
+        assert storage_increment(self.cif, self.tariff, a + b) == pytest.approx(
+            storage_increment(self.cif, self.tariff, a) + storage_increment(self.cif, self.tariff, b), rel=1e-12
         )
 
-    def test_storage_rejects_negative_days(self):
-        with pytest.raises(DomainError):
-            accrued_storage_cost(self.tariff, -1)
+    def test_transfer_charge_is_added_once(self):
+        # 0.2*10 + (10/365)*5000*0.0365 + 1.5 = 2 + 5 + 1.5
+        with_transfer = storage_increment(self.cif, self.tariff, 10, include_transfer=True)
+        assert with_transfer == pytest.approx(8.5, rel=1e-12)
+        assert with_transfer == storage_increment(self.cif, self.tariff, 10) + self.tariff.outbound_transfer_charge
 
-    def test_interest_zero_rate(self):
-        assert accrued_capital_interest(self.cif, 0.0, 1000) == 0.0
+    def test_negative_days_are_refused(self):
+        with pytest.raises(DomainError) as excinfo:
+            storage_increment(self.cif, self.tariff, -1)
+        assert str(excinfo.value) == "delta_t must be >= 0"
 
-    def test_interest_reference_case(self):
-        # 10/365 * 5000 * 0.0365 = 5.0
-        assert accrued_capital_interest(self.cif, 0.0365, 10) == pytest.approx(5.0, rel=1e-12)
-
-    def test_interest_full_year_is_price_times_rate(self):
-        assert accrued_capital_interest(self.cif, 0.0365, 365) == self.cif.price_per_unit * 0.0365
-
-    def test_interest_rejects_negative_days(self):
-        with pytest.raises(DomainError):
-            accrued_capital_interest(self.cif, 0.0365, -1)
+    def test_equals_the_accruals_summed_in_order_to_the_bit(self):
+        cases = list(_increment_cases(1200))
+        assert {include for *_, include in cases} == {False, True}
+        for cif, tariff, delta_t, include_transfer in cases:
+            assert storage_increment(cif, tariff, delta_t, include_transfer) == _parent_increment(
+                cif, tariff, delta_t, include_transfer
+            ), (cif, tariff, delta_t, include_transfer)
 
 
-class TestPriceAfterStorage:
-    tariff = StorageTariff(daily_warehouse_charge=0.2, outbound_transfer_charge=1.5, bank_rate=0.0365)
-    cif = CifQuote(price_per_unit=5000.0)
+# a day count or a lot size given to a costing function must be a finite int or float: (call, name it refuses)
+COSTING_CALLS = {
+    "increment": (lambda value: storage_increment(CifQuote(5000.0), StorageTariff(0.2, 1.5, 0.0365), value), "delta_t"),
+    "total-cost": (lambda value: total_logistics_cost(params(), value), "order_quantity"),
+}
 
-    def test_zero_days_without_transfer_is_unchanged(self):
-        assert price_after_storage(self.cif, self.tariff, 0) == self.cif.price_per_unit
 
-    def test_reference_case_with_transfer(self):
-        # 5000 + 0.2*10 + (10/365)*5000*0.0365 + 1.5 = 5000 + 2 + 5 + 1.5
-        value = price_after_storage(self.cif, self.tariff, 10, include_transfer=True)
-        assert value == pytest.approx(5008.5, rel=1e-12)
+@pytest.mark.parametrize(
+    "value, refusal",
+    [
+        (float("nan"), "finite, got nan"),
+        (float("inf"), "finite, got inf"),
+        (float("-inf"), "finite, got -inf"),
+        (True, "a number, got True"),
+        ("5", "a number, got '5'"),
+    ],
+    ids=["nan", "inf", "minus-inf", "true", "text"],
+)
+@pytest.mark.parametrize("call", list(COSTING_CALLS))
+def test_a_costing_argument_that_is_not_a_finite_number_is_a_domain_error(call, value, refusal):
+    compute, name = COSTING_CALLS[call]
+    with pytest.raises(DomainError) as excinfo:
+        compute(value)
+    assert str(excinfo.value) == f"{name} must be {refusal}"
 
-    def test_increment_decomposition_is_exact(self):
-        # the stored price is built from the increment, so the identity is exact
-        for dt in (0, 1, 10, 365, 1000):
-            increment = storage_increment(self.cif, self.tariff, dt, include_transfer=True)
-            assert price_after_storage(self.cif, self.tariff, dt, include_transfer=True) == (
-                self.cif.price_per_unit + increment
-            )
-            assert increment == accrued_storage_cost(self.tariff, dt) + accrued_capital_interest(
-                self.cif, self.tariff.bank_rate, dt
-            ) + self.tariff.outbound_transfer_charge
+
+@pytest.mark.parametrize("field", StorageTariff._fields)
+def test_a_negative_tariff_field_is_a_domain_error(field):
+    with pytest.raises(DomainError) as excinfo:
+        StorageTariff(**{**dict(zip(StorageTariff._fields, (0.2, 1.5, 0.0365))), field: -0.01})
+    assert str(excinfo.value) == f"{field} must be >= 0"
 
 
 class TestAttenuationCoefficient:

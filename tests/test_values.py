@@ -284,6 +284,21 @@ def test_an_integer_or_date_argument_of_another_type_is_a_domain_error(case):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: quantize(1.2, -1), "places must be >= 0"),
+        (lambda: RoundingProfile(weight_places=-1), "rounding places must be >= 0"),
+        (lambda: RoundingProfile(money_places=-1), "rounding places must be >= 0"),
+    ],
+    ids=["quantize", "weight-places", "money-places"],
+)
+def test_a_negative_number_of_places_is_a_domain_error(call, message):
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 class Days(int):
     pass
 
