@@ -34,6 +34,14 @@ counters and every state line against the replayed state.  A file that ends
 inside a line is never resumed, nor compared with its sidecar: every command
 replays it in full and refuses it once the lines before that one verify.
 
+A command that appends holds an exclusive ``flock`` on the ledger file
+(``locked``) from before it reads the file until after the sidecar's
+``os.replace``, so a second writer waits for the first and reads what it
+wrote; ``replay-verify`` holds a shared one.  The lock ends with the
+command's block: ``load``, ``verify``, ``append`` and ``write_checkpoint``
+take none, so two ``LedgerFile`` objects on one path in one process never
+block each other.
+
 ``load``'s fallback and ``verify`` share one full replay (``_replay``), which
 runs on two processes where it can (``_replay_checked``): a forked child
 checks every line with ``read_events`` while the parent builds the events
@@ -45,12 +53,14 @@ always has.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import re
 import stat
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn
 
@@ -202,6 +212,25 @@ class LedgerFile:
         self._digest = hashlib.sha256()
         self._size = 0
 
+    @contextmanager
+    def locked(self, shared: bool = False) -> Iterator[None]:
+        """Hold ``flock`` on the ledger file for the block: exclusive, or shared with ``shared``.
+
+        A writer creates a missing file, empty, to lock it.  The lock ends with
+        the block, not with this object.  A file that cannot be opened is not
+        locked: reading it, or appending to it, fails and says why.
+        """
+        try:
+            fd = os.open(self.path, os.O_RDONLY if shared else os.O_RDONLY | os.O_CREAT, 0o666)
+        except OSError:
+            yield
+            return
+        try:
+            fcntl.flock(fd, fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)
+
     def _read(self) -> memoryview:
         try:
             raw = self.path.read_bytes() if self.path.exists() else b""
@@ -261,10 +290,17 @@ class LedgerFile:
     def _resume(self, data: memoryview, header: dict, state: str, touch: Iterable[str]) -> Registry:
         head = (0, GENESIS_HASH)
         if data:  # the file's last line, which the digest covers
+            start = data.obj.rfind(b"\n", 0, len(data) - 1) + 1
             try:
-                last = parse_line(str(data[data.obj.rfind(b"\n", 0, len(data) - 1) + 1 : -1], "utf-8"))
-            except (LedgerIntegrityError, UnicodeDecodeError) as exc:
-                raise CheckpointError(f"bad last line: {exc}") from None
+                last = parse_line(str(data[start:-1], "utf-8"))
+            except (LedgerIntegrityError, UnicodeDecodeError):
+                lineno = data.obj.count(b"\n", 0, start) + 1  # counted here only: a resume that parses pays nothing
+                try:  # again, naming the line
+                    parse_line(str(data[start:-1], "utf-8"), lineno)
+                except UnicodeDecodeError as exc:
+                    raise CheckpointError(f"bad last line: line {lineno}: not UTF-8 ({exc.reason})") from None
+                except LedgerIntegrityError as exc:
+                    raise CheckpointError(f"bad last line: {exc}") from None
             head = (last.seq, last.hash)
         lines = _split(state)
         ids = _STATE_ID.findall(f"\n{state}")  # at most one per line, at its start

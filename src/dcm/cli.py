@@ -104,54 +104,58 @@ def issue(app: AppContext, args: argparse.Namespace) -> None:
         denoms = [float(d) for d in args.denominations.split(",") if d.strip()]
     except ValueError:
         raise ConfigError(f"bad denomination list {args.denominations!r}") from None
-    registry = app.load_registry()
-    registry.register_issuer(args.issuer, denoms)
-    cert = registry.issue(
-        issuer=args.issuer,
-        material=args.material,
-        face_weight=args.face_weight,
-        purity=args.purity,
-        issue_date=args.issue_date,
-        theta=AttenuationSpec(theta_daily=args.theta),
-        rules=DeliveryRules(
-            delivery_charge_ratio=args.delivery_charge,
-            withdrawal_charge_ratio=args.withdrawal_charge,
-            min_delivery_weight=args.min_delivery,
-            delivery_location=args.location,
-            validity_days=args.validity_days,
-        ),
-        owner=args.owner,
-        weight_unit=args.weight_unit,
-    )
-    app.save(registry)
+    with app.ledger_file.locked():
+        registry = app.load_registry()
+        registry.register_issuer(args.issuer, denoms)
+        cert = registry.issue(
+            issuer=args.issuer,
+            material=args.material,
+            face_weight=args.face_weight,
+            purity=args.purity,
+            issue_date=args.issue_date,
+            theta=AttenuationSpec(theta_daily=args.theta),
+            rules=DeliveryRules(
+                delivery_charge_ratio=args.delivery_charge,
+                withdrawal_charge_ratio=args.withdrawal_charge,
+                min_delivery_weight=args.min_delivery,
+                delivery_location=args.location,
+                validity_days=args.validity_days,
+            ),
+            owner=args.owner,
+            weight_unit=args.weight_unit,
+        )
+        app.save(registry)
     sys.stdout.write(export_certificate(cert))
 
 
 def quote(app: AppContext, args: argparse.Namespace) -> None:
     """Price a certificate against the market series."""
-    registry = app.load_registry((args.cert,))
-    market = app.market_quote(registry.certificate(args.cert), args.dt, args.premium)
-    result = registry.quote_transaction_price(args.cert, market, args.dt)
-    app.save(registry)
+    with app.ledger_file.locked():
+        registry = app.load_registry((args.cert,))
+        market = app.market_quote(registry.certificate(args.cert), args.dt, args.premium)
+        result = registry.quote_transaction_price(args.cert, market, args.dt)
+        app.save(registry)
     print(f"residual_weight: {app.profile.weight(result.residual_weight)}")
     print(f"price: {app.profile.money(result.price)}")
 
 
 def deliver(app: AppContext, args: argparse.Namespace) -> None:
     """Settle a certificate by physical delivery."""
-    registry = app.load_registry((args.cert,))
-    result = registry.physical_delivery(args.cert, args.dt)
-    app.save(registry)
+    with app.ledger_file.locked():
+        registry = app.load_registry((args.cert,))
+        result = registry.physical_delivery(args.cert, args.dt)
+        app.save(registry)
     print(f"residual_weight: {app.profile.weight(result.residual_weight)}")
     print(f"delivered_weight: {app.profile.weight(result.delivered_weight)}")
 
 
 def buyback(app: AppContext, args: argparse.Namespace) -> None:
     """Settle a certificate for cash at the day's quotation."""
-    registry = app.load_registry((args.cert,))
-    market = app.market_quote(registry.certificate(args.cert), args.dt, 0.0)
-    result = registry.buyback(args.cert, args.dt, market)
-    app.save(registry)
+    with app.ledger_file.locked():
+        registry = app.load_registry((args.cert,))
+        market = app.market_quote(registry.certificate(args.cert), args.dt, 0.0)
+        result = registry.buyback(args.cert, args.dt, market)
+        app.save(registry)
     print(f"buyback_weight: {app.profile.weight(result.buyback_weight)}")
     print(f"cash: {app.profile.money(result.cash)}")
 
@@ -184,7 +188,8 @@ def replay_verify(app: AppContext, _args: argparse.Namespace) -> None:
     """Verify the ledger's hash chain and replayability end to end."""
     if not app.ledger_path.exists():
         raise ConfigError(f"ledger file not found: {app.ledger_path}")
-    registry = app.verify_registry()
+    with app.ledger_file.locked(shared=True):
+        registry = app.verify_registry()
     print(
         f"ok: {len(registry.ledger)} events, {len(registry.certificates)} certificates, "
         f"head {registry.ledger.head_hash}"

@@ -7,10 +7,10 @@ import io
 from bisect import bisect_right
 from collections import namedtuple
 from datetime import date
-from math import isfinite
+from operator import itemgetter
 from pathlib import Path
 
-from .errors import ConfigError, DomainError, NoQuoteError, ParseError, ValidationError
+from .errors import ConfigError, NoQuoteError, ParseError, ValidationError
 from .ledger import iso_date
 from .values import Value, require_number
 
@@ -34,12 +34,11 @@ class PriceSeries(Value, namedtuple("PriceSeries", "material currency points dat
     __slots__ = ()
 
     def __new__(cls, material: str, currency: str, points: tuple[tuple[date, float], ...]):
-        dates = tuple(d for d, _ in points)
-        _check_monotone_dates(dates)
-        for d, price in points:  # each price is kept as given: an int stays an int
-            if require_number("price", price) <= 0:
-                raise ValidationError(f"price at {d.isoformat()} must be > 0")
-        return tuple.__new__(cls, (material, currency, points, dates))
+        previous = None
+        for when, price in points:  # each price is kept as given: an int stays an int
+            _check_quotation(previous, when, price)
+            previous = when
+        return tuple.__new__(cls, (material, currency, points, tuple(map(itemgetter(0), points))))
 
     def __getnewargs__(self):
         return self[:3]  # the constructor's arguments, for copies and _replace: dates is derived
@@ -48,12 +47,14 @@ class PriceSeries(Value, namedtuple("PriceSeries", "material currency points dat
         return f"PriceSeries(material={self.material!r}, currency={self.currency!r}, points={self.points!r})"
 
 
-def _check_monotone_dates(dates: tuple[date, ...]) -> None:
-    for previous, current in zip(dates, dates[1:]):
-        if current == previous:
-            raise ValidationError(f"duplicate date {current.isoformat()}")
-        if current < previous:
-            raise ValidationError(f"dates not increasing at {current.isoformat()}")
+def _check_quotation(previous: date | None, when: date, price) -> None:
+    """Refuse a price that is not a finite number > 0, or a date that does not follow ``previous``, the one before."""
+    if require_number("price", price) <= 0:
+        raise ValidationError(f"price at {when.isoformat()} must be > 0")
+    if previous is not None and when <= previous:
+        if when == previous:
+            raise ValidationError(f"duplicate date {when.isoformat()}")
+        raise ValidationError(f"dates not increasing at {when.isoformat()}")
 
 
 def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSeries:
@@ -66,10 +67,11 @@ def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSe
     if header != ["date", "price"]:
         raise ParseError("expected header 'date,price'", lineno=1)
     points: list[tuple[date, float]] = []
+    previous = None
     for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
         if len(row) != 2:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # blank line
             raise ParseError(f"expected 2 fields, got {len(row)}", lineno=lineno)
         raw_date, raw_value = row[0].strip(), row[1].strip()
         try:
@@ -80,20 +82,16 @@ def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSe
             value = float(raw_value)
         except ValueError:
             raise ParseError(f"bad number {raw_value!r}", lineno=lineno) from None
-        if not isfinite(value):
-            raise DomainError(f"line {lineno}: price must be finite, got {value!r}")
-        if value <= 0:
-            raise ValidationError(f"line {lineno}: price at {when.isoformat()} must be > 0")
-        if points:
-            if when == points[-1][0]:
-                raise ValidationError(f"line {lineno}: duplicate date {raw_date}")
-            if when < points[-1][0]:
-                raise ValidationError(f"line {lineno}: dates not increasing")
+        try:
+            _check_quotation(previous, when, value)
+        except ValidationError as exc:  # a DomainError for a price that is not finite
+            raise type(exc)(f"line {lineno}: {exc}") from None
         points.append((when, value))
+        previous = when
     if not points:
         raise ValidationError("empty series: no data rows")
-    # built directly: every row's date order and price were checked above
-    return tuple.__new__(PriceSeries, (material, currency, tuple(points), tuple(d for d, _ in points)))
+    # built directly: each point was checked as the type checks it
+    return tuple.__new__(PriceSeries, (material, currency, tuple(points), tuple(map(itemgetter(0), points))))
 
 
 def quote_at(series: PriceSeries, when: date) -> float:

@@ -51,8 +51,8 @@ _STEP_FIELDS = frozenset({"dt", "action", "cert", "date"})
 # libyaml's parser where PyYAML was built with it; both loaders build values
 # with the same SafeConstructor and resolver
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-# a scenario nests 3 deep; a document nested past this is refused before
-# libyaml's recursive composer, or the repr of one of its values, can
+# a scenario nests 3 deep; a document nested past this is refused, so that no
+# recursive walk of one of its values (a repr in an error message) can
 # exhaust the stack
 _MAX_DEPTH = 32
 _SCALAR_TAGS = frozenset("tag:yaml.org,2002:" + kind for kind in ("null", "bool", "int", "float", "timestamp", "str"))
@@ -187,20 +187,23 @@ def _theta_from_config(issuer_cfg: dict) -> AttenuationSpec:
     return attenuation_coefficient(tariff, cif, mode)
 
 
-def _too_deep(event: Any) -> yaml.YAMLError:
+def _refused(what: str, event: Any) -> yaml.YAMLError:
     mark = event.start_mark
-    return yaml.YAMLError(f"nested deeper than {_MAX_DEPTH} levels at line {mark.line + 1}, column {mark.column + 1}")
+    return yaml.YAMLError(f"{what} at line {mark.line + 1}, column {mark.column + 1}")
 
 
 def _load_yaml(text: str) -> Any:
-    """``yaml.load(text, Loader=_LOADER)``, built from the parser's events without a node graph.
+    """The one document of ``text``, built from the parser's events without a node graph.
 
-    The loader's own resolver and safe constructors build each scalar,
-    memoized by text and implicit flags: SafeLoader has no path resolvers and
-    its scalars are immutable.  An anchor, an alias, an explicit tag other
-    than ``!``, a merge or value key, a collection key, a second document or
-    a scalar its constructor refuses sends the document to ``yaml.load``,
-    once the rest of the stream is checked for depth.
+    For a document it accepts this is ``yaml.load(text, Loader=_LOADER)``:
+    the loader's own resolver and safe constructors build each scalar,
+    memoized by text and implicit flags (SafeLoader has no path resolvers and
+    its scalars are immutable).  A YAMLError naming the line and column
+    refuses an anchor, an alias, an explicit tag other than ``!``, a merge key
+    ``<<``, a value key ``=``, a collection as a mapping key, a second
+    document, and nesting deeper than ``_MAX_DEPTH``.  A scalar its
+    constructor refuses raises the constructor's ValueError once the rest of
+    the stream parses, as ``yaml.load`` does.
     """
     loader = _LOADER(text)
     try:
@@ -209,29 +212,33 @@ def _load_yaml(text: str) -> Any:
         root = top = None  # the document, and its innermost open collection
         key: Any = _KEY  # in an open mapping, the key awaiting its value
         outer: list = []  # (collection, key) of each enclosing open collection
+        refusal = None  # the ValueError of the first scalar the constructor refused
         documents = 0
         while True:
             event = get_event()
             kind = event.__class__
             if kind is ScalarEvent or kind is MappingStartEvent or kind is SequenceStartEvent:
-                if event.anchor is not None or event.tag not in (None, "!"):
-                    break
+                if event.anchor is not None:
+                    raise _refused(f"unsupported anchor &{event.anchor}", event)
+                if event.tag not in (None, "!"):
+                    raise _refused(f"unsupported tag {event.tag}", event)
                 if kind is ScalarEvent:
                     memo = (event.value, event.implicit)
                     value = built.get(memo, _KEY)
                     if value is _KEY:
                         tag = resolve(ScalarNode, event.value, event.implicit)
-                        if tag not in _SCALAR_TAGS:
-                            break
+                        if tag not in _SCALAR_TAGS:  # merge or value: the resolver gives no other implicit tag
+                            raise _refused(f"unsupported {tag.rpartition(':')[2]} key {event.value}", event)
                         try:
                             value = built[memo] = constructors[tag](loader, ScalarNode(tag, event.value))
-                        except ValueError:
-                            break
+                        except ValueError as exc:
+                            refusal = refusal or exc
+                            value = None
                 else:
                     if len(outer) == _MAX_DEPTH:
-                        raise _too_deep(event)
+                        raise _refused(f"nested deeper than {_MAX_DEPTH} levels", event)
                     if key is _KEY and top.__class__ is dict:
-                        break
+                        raise _refused("unsupported collection as a mapping key", event)
                     value = {} if kind is MappingStartEvent else []
                 if top.__class__ is list:
                     top.append(value)
@@ -248,54 +255,17 @@ def _load_yaml(text: str) -> Any:
             elif kind is MappingEndEvent or kind is SequenceEndEvent:
                 top, key = outer.pop()
             elif kind is AliasEvent:
-                break
+                raise _refused(f"unsupported alias *{event.anchor}", event)
             elif kind is DocumentStartEvent:
                 documents += 1
                 if documents > 1:
-                    break
+                    raise _refused("unsupported second document", event)
             elif kind is StreamEndEvent:
+                if refusal is not None:
+                    raise refusal
                 return root
-        _check_depth(event, get_event, len(outer))
     finally:
         loader.dispose()
-    return yaml.load(text, Loader=_LOADER)
-
-
-def _check_depth(event: Any, get_event: Any, depth: int) -> None:
-    """Read the stream on from ``event``, inside ``depth`` open collections, refusing nesting past ``_MAX_DEPTH``.
-
-    An alias counts as deep as its anchor's collection, so the value
-    ``yaml.load`` builds is bounded too.  A parse error ends the reading, for
-    the load to raise.
-    """
-    anchored: dict = {}  # anchor -> height of its collection
-    heights: list = []  # [anchor, height] of each collection opened here
-    while True:
-        kind = event.__class__
-        if kind is MappingStartEvent or kind is SequenceStartEvent:
-            depth += 1
-            if depth > _MAX_DEPTH:
-                raise _too_deep(event)
-            heights.append([event.anchor, 1])
-        elif kind is MappingEndEvent or kind is SequenceEndEvent:
-            depth -= 1
-            if heights:
-                anchor, height = heights.pop()
-                anchored[anchor] = height
-                if heights:
-                    heights[-1][1] = max(heights[-1][1], height + 1)
-        elif kind is AliasEvent:
-            height = anchored.get(event.anchor, 0)
-            if depth + height > _MAX_DEPTH:
-                raise _too_deep(event)
-            if heights:
-                heights[-1][1] = max(heights[-1][1], height + 1)
-        elif kind is StreamEndEvent:
-            return
-        try:
-            event = get_event()
-        except yaml.YAMLError:
-            return
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

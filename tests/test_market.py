@@ -86,21 +86,32 @@ class TestLoadSeries:
         assert (type(excinfo.value), str(excinfo.value)) == (error, message)
 
 
+BAD_POINTS = pytest.mark.parametrize(
+    "points, error, message",
+    [
+        (((date(2020, 7, 1), 5000), (date(2020, 8, 1), 0)), ValidationError, "price at 2020-08-01 must be > 0"),
+        (((date(2020, 7, 1), -1.5),), ValidationError, "price at 2020-07-01 must be > 0"),
+        (((date(2020, 7, 1), 5000), (date(2020, 8, 1), float("nan"))), DomainError, "price must be finite, got nan"),
+        (((date(2020, 7, 1), 5000), (date(2020, 7, 1), 5100)), ValidationError, "duplicate date 2020-07-01"),
+        (((date(2020, 7, 1), 5000), (date(2020, 6, 1), 4900)), ValidationError, "dates not increasing at 2020-06-01"),
+    ],
+    ids=["zero-price", "negative-price", "nan-price", "duplicate-date", "decreasing-date"],
+)
+
+
 class TestPriceSeries:
-    @pytest.mark.parametrize(
-        "points, message",
-        [
-            (((date(2020, 7, 1), 5000), (date(2020, 8, 1), 0)), "price at 2020-08-01 must be > 0"),
-            (((date(2020, 7, 1), -1.5),), "price at 2020-07-01 must be > 0"),
-            (((date(2020, 7, 1), 5000), (date(2020, 7, 1), 5100)), "duplicate date 2020-07-01"),
-            (((date(2020, 7, 1), 5000), (date(2020, 6, 1), 4900)), "dates not increasing at 2020-06-01"),
-        ],
-        ids=["zero-price", "negative-price", "duplicate-date", "decreasing-date"],
-    )
-    def test_a_bad_point_is_a_validation_error(self, points, message):
+    @BAD_POINTS
+    def test_a_bad_point_is_a_validation_error(self, points, error, message):
         with pytest.raises(ValidationError) as excinfo:
             PriceSeries("copper", "USD", points)
-        assert (type(excinfo.value), str(excinfo.value)) == (ValidationError, message)
+        assert (type(excinfo.value), str(excinfo.value)) == (error, message)
+
+    @BAD_POINTS
+    def test_load_series_refuses_a_bad_point_by_the_same_rule_naming_its_line(self, points, error, message):
+        text = "date,price\n" + "".join(f"{when.isoformat()},{price}\n" for when, price in points)
+        with pytest.raises(ValidationError) as excinfo:
+            load_series(text)
+        assert (type(excinfo.value), str(excinfo.value)) == (error, f"line {len(points) + 1}: {message}")
 
 
 class TestQuoteAt:

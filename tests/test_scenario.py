@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
 import yaml
 
+import dcm.cli
 import dcm.scenario
 from dcm import (
     AttenuationSpec,
@@ -587,10 +589,24 @@ def perfbench_shaped_scenario(tmp_path, n_steps: int = 300):
     return path
 
 
+YAML_LOAD = yaml.load  # the reference the event builder is held to; the tests here run with it patched away
+
+
+def _no_composer(*args, **kwargs):
+    raise AssertionError("a scenario input reached PyYAML's composer")
+
+
+@pytest.fixture(autouse=True)
+def no_composer(monkeypatch):
+    """Every test here runs with ``yaml.load``, ``yaml.compose`` and ``yaml.compose_all`` raising."""
+    for name in ("load", "compose", "compose_all"):
+        monkeypatch.setattr(yaml, name, _no_composer)
+
+
 def load_scenario_through_yaml_load(path, monkeypatch):
     """``load_scenario`` as it was before the event builder: ``yaml.load`` with the same loader."""
     with monkeypatch.context() as patch:
-        patch.setattr(dcm.scenario, "_load_yaml", lambda text: yaml.load(text, Loader=dcm.scenario._LOADER))
+        patch.setattr(dcm.scenario, "_load_yaml", lambda text: YAML_LOAD(text, Loader=dcm.scenario._LOADER))
         return load_scenario(path)
 
 
@@ -631,21 +647,17 @@ class TestLoaders:
         ],
         ids=["lme_copper", "shfe_steel", "generated", "perfbench-shaped"],
     )
-    def test_real_scenarios_load_without_yaml_load(self, tmp_path, monkeypatch, make_path):
+    def test_real_scenarios_load_as_yaml_load_reads_them(self, tmp_path, monkeypatch, make_path):
         path = make_path(tmp_path)
-        reference = load_scenario_through_yaml_load(path, monkeypatch)
-        monkeypatch.setattr(dcm.scenario.yaml, "load", None)
-        assert load_scenario(path) == reference
+        assert load_scenario(path) == load_scenario_through_yaml_load(path, monkeypatch)
 
-    def test_an_anchored_issuer_block_loads_through_yaml_load(self, tmp_path, monkeypatch):
+    def test_an_anchored_issuer_block_is_a_config_error(self, tmp_path):
         path = write_scenario(tmp_path, ISSUE_STEP)
         path.write_text(path.read_text(encoding="utf-8").replace("issuer:\n", "issuer: &terms\n"), encoding="utf-8")
-        reference = load_scenario_through_yaml_load(path, monkeypatch)
-        calls = []
-        load = yaml.load
-        monkeypatch.setattr(dcm.scenario.yaml, "load", lambda *args, **kwargs: calls.append(args) or load(*args, **kwargs))
-        assert load_scenario(path) == reference
-        assert len(calls) == 1
+        with pytest.raises(ConfigError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value) == f"cannot parse scenario {path}: unsupported anchor &terms at line 4, column 9"
+        assert excinfo.value.exit_code == 2
 
     @pytest.mark.parametrize("reference", [False, True], ids=["default", "safe-loader"])
     def test_malformed_yaml_is_a_config_error(self, tmp_path, monkeypatch, reference):
@@ -668,8 +680,48 @@ def outcome(load, text):
 
 
 def assert_builds_like_yaml_load(text):
-    reference = outcome(lambda text: yaml.load(text, Loader=dcm.scenario._LOADER), text)
+    reference = outcome(lambda text: YAML_LOAD(text, Loader=dcm.scenario._LOADER), text)
     assert outcome(dcm.scenario._load_yaml, text) == reference, text
+
+
+def refused_construct(text):
+    """The refusal the event builder owes ``text``: its first construct outside the accepted subset, or None.
+
+    The parser's events are read up to the first parse error, which ends the
+    search: the builder raises that error first, as ``yaml.load`` does.
+    """
+    documents = 0
+    collections = []  # [is a mapping, nodes read in it] for each open collection
+    try:
+        for event in yaml.parse(text, Loader=dcm.scenario._LOADER):
+            mark = event.start_mark
+            where = f" at line {mark.line + 1}, column {mark.column + 1}"
+            if isinstance(event, yaml.DocumentStartEvent):
+                documents += 1
+                if documents == 2:
+                    return "unsupported second document" + where
+            elif isinstance(event, yaml.CollectionEndEvent):
+                collections.pop()
+            elif isinstance(event, yaml.NodeEvent):
+                if isinstance(event, yaml.AliasEvent):
+                    return f"unsupported alias *{event.anchor}" + where
+                if event.anchor is not None:
+                    return f"unsupported anchor &{event.anchor}" + where
+                if event.tag not in (None, "!"):
+                    return f"unsupported tag {event.tag}" + where
+                plain = isinstance(event, yaml.ScalarEvent) and event.implicit[0]
+                if plain and event.value in ("<<", "="):
+                    return f"unsupported {'merge' if event.value == '<<' else 'value'} key {event.value}" + where
+                if collections:
+                    is_mapping, count = collections[-1]
+                    if is_mapping and count % 2 == 0 and isinstance(event, yaml.CollectionStartEvent):
+                        return "unsupported collection as a mapping key" + where
+                    collections[-1][1] += 1
+                if isinstance(event, yaml.CollectionStartEvent):
+                    collections.append([isinstance(event, yaml.MappingStartEvent), 0])
+    except yaml.YAMLError:
+        pass
+    return None
 
 
 LOADERS = pytest.mark.parametrize("loader", ["default", "safe-loader"], indirect=True)
@@ -681,6 +733,7 @@ def loader(request, monkeypatch):
         monkeypatch.setattr(dcm.scenario, "_LOADER", yaml.SafeLoader)
 
 
+# documents the event builder reads: it builds what yaml.load builds, or raises what yaml.load raises
 DOCUMENTS = {
     "booleans": "[yes, No, on, OFF, true, False, y, n, YES]",
     "nulls": "a: ~\nb:\nc: null\nd: [~, Null, '']\n",
@@ -696,31 +749,9 @@ DOCUMENTS = {
     "explicit-key": "? a\n: 1\n? b\n",
     "nested": "a:\n  - {b: [1, {c: d}], e: []}\n  - - x\n    - {}\nf: {g: {h: {i: j}}}\n",
     "scenario-step": "script:\n  - {dt: 0, action: issue, cert: c1, face_weight: 1.0e+2, owner: 'caf\\u00e9'}\n",
-    # every construct that falls back to yaml.load
-    "anchored-scalar": "a: &x 1\nb: *x\n",
-    "anchored-mapping": "a: &x {k: [1, 2]}\nb: *x\nc: [*x, *x]\n",
-    "recursive-alias": "- &a [*a]\n",
-    "duplicate-anchor": "- &a 1\n- &a 2\n",
-    "undefined-alias": "- *nothing\n",
-    "explicit-str": "!!str 3",
-    "explicit-map": "!!map {a: 1}",
-    "binary": "!!binary aGVsbG8=",
-    "set": "!!set {a, b}",
-    "omap": "!!omap [a: 1, b: 2]",
-    "local-tag": "a: !foo bar\n",
-    "handle-tag": "%TAG !e! tag:example.com,2000:\n---\na: !e!x 1\n",
     "tagged-collection": "a: ! [1, 2]\nb: ! {c: d}\n",
-    "merge-key": "base: &b {x: 1, y: 2}\nthis: {<<: *b, y: 3}\n",
-    "merge-without-alias": "{<<: {x: 1}, y: 2}",
-    "merge-list": "- &a {x: 1}\n- &b {y: 2}\n- {<<: [*a, *b], z: 3}\n",
-    "merge-scalar": "{<<: 1}",
-    "merge-as-value": "a: <<\n",
-    "value-key": "{=: 1, a: 2}",
-    "value-as-value": "a: =\n",
-    "sequence-key": "? [1, 2]\n: x\n",
-    "mapping-key": "? {a: 1}\n: x\n",
-    "second-document": "a: 1\n---\nb: 2\n",
-    "second-document-unparsable": "a: 1\n---\nb: [\n",
+    "quoted-merge-and-value": "{'<<': 1, \"=\": 2, a: '<<'}",
+    # a scalar its constructor refuses raises its ValueError, unless the stream does not parse
     "bad-int": "a: 0b_\n",
     "bad-date": "a: 2020-02-30\n",
     "bad-date-then-parse-error": "a: 2020-02-30\nb: [\n",
@@ -738,19 +769,70 @@ DOCUMENTS = {
     "extra-bracket": "{a: 1}}\n",
     "tab-indent": "a:\n\t- 1\n",
     "control-character": "a: \x07\n",
+    "parse-error-then-anchor": "a: [1\nb: &x 2\n",
+}
+
+# each construct the event builder refuses, where it starts: (document, the refusal)
+REFUSALS = {
+    "anchored-scalar": ("a: &x 1\nb: *x\n", "unsupported anchor &x at line 1, column 4"),
+    "anchored-mapping": ("a: &x {k: [1, 2]}\nb: *x\nc: [*x, *x]\n", "unsupported anchor &x at line 1, column 4"),
+    "anchored-sequence": ("a:\n  - 1\nb: &seq\n  - 2\n", "unsupported anchor &seq at line 3, column 4"),
+    "recursive-alias": ("- &a [*a]\n", "unsupported anchor &a at line 1, column 3"),
+    "duplicate-anchor": ("- &a 1\n- &a 2\n", "unsupported anchor &a at line 1, column 3"),
+    "merge-key": ("base: &b {x: 1, y: 2}\nthis: {<<: *b, y: 3}\n", "unsupported anchor &b at line 1, column 7"),
+    "alias": ("a: 1\nb: *x\n", "unsupported alias *x at line 2, column 4"),
+    "undefined-alias": ("- *nothing\n", "unsupported alias *nothing at line 1, column 3"),
+    "explicit-str": ("!!str 3", "unsupported tag tag:yaml.org,2002:str at line 1, column 1"),
+    "explicit-map": ("!!map {a: 1}", "unsupported tag tag:yaml.org,2002:map at line 1, column 1"),
+    "explicit-seq": ("a: !!seq [1]\n", "unsupported tag tag:yaml.org,2002:seq at line 1, column 4"),
+    "binary": ("!!binary aGVsbG8=", "unsupported tag tag:yaml.org,2002:binary at line 1, column 1"),
+    "set": ("!!set {a, b}", "unsupported tag tag:yaml.org,2002:set at line 1, column 1"),
+    "omap": ("!!omap [a: 1, b: 2]", "unsupported tag tag:yaml.org,2002:omap at line 1, column 1"),
+    "local-tag": ("a: !foo bar\n", "unsupported tag !foo at line 1, column 4"),
+    "handle-tag": ("%TAG !e! tag:example.com,2000:\n---\na: !e!x 1\n", "unsupported tag tag:example.com,2000:x at line 3, column 4"),
+    "merge-list": ("- &a {x: 1}\n- &b {y: 2}\n- {<<: [*a, *b], z: 3}\n", "unsupported anchor &a at line 1, column 3"),
+    "merge-without-alias": ("{<<: {x: 1}, y: 2}", "unsupported merge key << at line 1, column 2"),
+    "merge-scalar": ("{<<: 1}", "unsupported merge key << at line 1, column 2"),
+    "merge-as-value": ("a: <<\n", "unsupported merge key << at line 1, column 4"),
+    "value-key": ("{=: 1, a: 2}", "unsupported value key = at line 1, column 2"),
+    "value-as-value": ("a: =\n", "unsupported value key = at line 1, column 4"),
+    "sequence-key": ("? [1, 2]\n: x\n", "unsupported collection as a mapping key at line 1, column 3"),
+    "mapping-key": ("? {a: 1}\n: x\n", "unsupported collection as a mapping key at line 1, column 3"),
+    "flow-key": ("{[1]: 2}", "unsupported collection as a mapping key at line 1, column 2"),
+    "second-document": ("a: 1\n---\nb: 2\n", "unsupported second document at line 2, column 1"),
+    "second-document-unparsable": ("a: 1\n---\nb: [\n", "unsupported second document at line 2, column 1"),
+    "bad-date-then-anchor": ("a: 2020-02-30\nb: &x 1\n", "unsupported anchor &x at line 2, column 4"),
 }
 
 
 class TestEventBuilder:
-    """``_load_yaml`` against ``yaml.load`` with the same loader, and the depth limit on both of its paths."""
+    """``_load_yaml`` against ``yaml.load`` with the same loader, its refusals and its depth limit."""
 
     @LOADERS
     @pytest.mark.parametrize("text", DOCUMENTS.values(), ids=DOCUMENTS.keys())
     def test_builds_what_yaml_load_builds(self, loader, text):
+        assert refused_construct(text) is None
         assert_builds_like_yaml_load(text)
 
     @LOADERS
-    def test_random_documents_build_what_yaml_load_builds(self, loader):
+    @pytest.mark.parametrize("text, refusal", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_a_construct_outside_the_subset_is_refused_where_it_starts(self, loader, text, refusal):
+        assert refused_construct(text) == refusal
+        assert outcome(dcm.scenario._load_yaml, text) == (yaml.YAMLError, refusal)
+
+    @pytest.mark.parametrize("text, refusal", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_dcm_run_refuses_the_construct_and_writes_nothing(self, tmp_path, monkeypatch, capsys, text, refusal):
+        path = tmp_path / "refused.yaml"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(sys, "argv", ["dcm", "run", str(path), "--report", str(tmp_path / "report.jsonl")])
+        with pytest.raises(SystemExit) as excinfo:
+            dcm.cli.main()
+        assert excinfo.value.code == 2
+        assert capsys.readouterr() == ("", f"error: cannot parse scenario {path}: {refusal}\n")
+        assert sorted(child.name for child in tmp_path.iterdir()) == ["refused.yaml"]
+
+    @LOADERS
+    def test_random_documents_build_what_yaml_load_builds_or_are_refused(self, loader):
         rng = random.Random(13)
         words = ["yes", "No", "1e3", "0x1F", "1_000", "~", "", "null", "2020-01-01", "a: b", "- x", "#c", "'q'",
                  "two\nlines", "tab\there", "caf\u00e9", "<<", "=", "&a", "*a", "!t", " lead", "trail ", "[]"]
@@ -778,34 +860,29 @@ class TestEventBuilder:
             return built
 
         noise = ":-[]{},&*!|>'\"#%@?=< \n\tab1."
+        refused = 0
         for _ in range(300):
             shared.clear()
             text = yaml.safe_dump(value(0), default_flow_style=rng.choice([True, False, None]), sort_keys=False)
             if rng.random() < 0.3:
                 at = rng.randrange(len(text))
                 text = text[:at] + rng.choice(noise) + text[at + 1:]
-            assert_builds_like_yaml_load(text)
+            refusal = refused_construct(text)
+            if refusal is None:
+                assert_builds_like_yaml_load(text)
+            else:
+                refused += 1
+                assert outcome(dcm.scenario._load_yaml, text) == (yaml.YAMLError, refusal), text
+        assert 0 < refused < 300  # both sides of the oracle are exercised
 
     @LOADERS
-    @pytest.mark.parametrize("anchor", ["", "&deep "], ids=["plain", "anchored"])
-    def test_nesting_past_the_limit_is_refused_where_it_starts(self, loader, anchor, monkeypatch):
+    def test_nesting_past_the_limit_is_refused_where_it_starts(self, loader):
         limit = dcm.scenario._MAX_DEPTH
-        assert_builds_like_yaml_load(f"a: {anchor}" + "[" * (limit - 1) + "]" * (limit - 1))
-        monkeypatch.setattr(dcm.scenario.yaml, "load", None)  # the limit holds before yaml.load could run
-        text = f"a: 1\nb: {anchor}" + "[" * limit + "]" * limit + "\n"
+        assert_builds_like_yaml_load("a: " + "[" * (limit - 1) + "]" * (limit - 1))
+        text = "a: 1\nb: " + "[" * limit + "]" * limit + "\n"
         with pytest.raises(yaml.YAMLError) as excinfo:
             dcm.scenario._load_yaml(text)
-        column = len(f"b: {anchor}") + limit
-        assert str(excinfo.value) == f"nested deeper than {limit} levels at line 2, column {column}"
-
-    @LOADERS
-    def test_an_alias_counts_as_deep_as_its_anchor(self, loader, monkeypatch):
-        limit = dcm.scenario._MAX_DEPTH
-        anchored = "[" * (limit - 1) + "]" * (limit - 1)
-        assert_builds_like_yaml_load(f"- &a {anchored}\n- *a\n")
-        monkeypatch.setattr(dcm.scenario.yaml, "load", None)
-        with pytest.raises(yaml.YAMLError, match=f"nested deeper than {limit} levels at line 2, column 4$"):
-            dcm.scenario._load_yaml(f"- &a {anchored}\n- [*a]\n")
+        assert str(excinfo.value) == f"nested deeper than {limit} levels at line 2, column {len('b: ') + limit}"
 
     def test_failing_step_reports_its_index_and_keeps_the_cause(self, tmp_path):
         path = write_scenario(
