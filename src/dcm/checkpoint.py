@@ -37,10 +37,12 @@ replays it in full and refuses it once the lines before that one verify.
 A command that appends holds an exclusive ``flock`` on the ledger file
 (``locked``) from before it reads the file until after the sidecar's
 ``os.replace``, so a second writer waits for the first and reads what it
-wrote; ``replay-verify`` holds a shared one.  The lock ends with the
-command's block: ``load``, ``verify``, ``append`` and ``write_checkpoint``
-take none, so two ``LedgerFile`` objects on one path in one process never
-block each other.
+wrote; ``replay-verify`` holds a shared one.  The CLI takes the exclusive
+lock in one block, ``AppContext.updating``, which loads, lets the command
+operate and, when that raised nothing, appends and rewrites the sidecar.
+The lock ends with the block: ``load``, ``verify``, ``append`` and
+``write_checkpoint`` take none, so two ``LedgerFile`` objects on one path in
+one process never block each other.
 
 ``load``'s fallback and ``verify`` share one full replay (``_replay``), which
 runs on two processes where it can (``_replay_checked``): a forked child
@@ -202,12 +204,11 @@ class LedgerFile:
     writes.  ``ignored`` says why a sidecar that exists was not used.
     """
 
-    def __init__(self, path: Path, weight_places: int):
+    def __init__(self, path: Path):
         if not path.name:  # ".", "/": no file, and no name to build the sidecar's from
             raise ConfigError(f"ledger path {path} names no file")
         self.path = path
         self.sidecar = path.with_name(path.name + ".ckpt")
-        self.weight_places = weight_places
         self.ignored: str | None = None
         self._digest = hashlib.sha256()
         self._size = 0
@@ -231,10 +232,15 @@ class LedgerFile:
         finally:
             os.close(fd)
 
-    def _read(self) -> memoryview:
+    def _read(self, verifying: bool = False) -> memoryview:
+        """The file's bytes; a missing file reads as empty, unless ``verifying``, which refuses it."""
         try:
-            raw = self.path.read_bytes() if self.path.exists() else b""
-        except OSError as exc:  # a directory, or a file without read permission
+            raw = self.path.read_bytes()
+        except (FileNotFoundError, NotADirectoryError):  # no file at the path, or a file where a directory should be
+            if verifying:
+                raise ConfigError(f"ledger file not found: {self.path}") from None
+            raw = b""
+        except OSError as exc:  # a directory, a file without read permission, a name too long
             raise ConfigError(f"cannot read ledger file {self.path}: {exc}") from None
         self.ignored = None
         self._size = len(raw)
@@ -309,9 +315,7 @@ class LedgerFile:
             raise CheckpointError("bad state: a line does not open with a cert_id, or a cert_id repeats")
         if sum(n for _, _, n in header["issue_counts"]) != len(lines):
             raise CheckpointError(f"bad state: the issue counters do not count its {len(lines)} certificates")
-        registry = Registry.from_state_lines(
-            index, header["issue_counts"], *head, source=str(self.sidecar), weight_places=self.weight_places
-        )
+        registry = Registry.from_state_lines(index, header["issue_counts"], *head, source=str(self.sidecar))
         try:
             registry.build(touch)
         except LedgerIntegrityError as exc:
@@ -319,8 +323,11 @@ class LedgerFile:
         return registry
 
     def verify(self) -> Registry:
-        """Replay the whole file; raises LedgerIntegrityError if a sidecar written for it disagrees."""
-        data = self._read()
+        """Replay the whole file; raises LedgerIntegrityError if a sidecar written for it disagrees.
+
+        A missing file is a ConfigError.
+        """
+        data = self._read(verifying=True)
         try:
             found = self._checkpoint(data)
         except CheckpointError as exc:
@@ -341,7 +348,7 @@ class LedgerFile:
             del lines[-1]
 
         def verified(events: Iterator[LedgerEvent]) -> Registry:
-            registry = replay(events, weight_places=self.weight_places)
+            registry = replay(events)
             if open_line is not None:
                 raise LedgerIntegrityError(
                     f"line {open_line}: the ledger file ends inside this line, which has no final newline "

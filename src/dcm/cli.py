@@ -15,9 +15,11 @@ import gc
 import os
 import re
 import sys
+from contextlib import contextmanager
 from datetime import date
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 from .checkpoint import LedgerFile
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, wealth_projection
@@ -41,7 +43,7 @@ class AppContext:
     @cached_property
     def ledger_file(self) -> LedgerFile:
         """Built on first use, so that a command that never reads the ledger accepts any ``--ledger``."""
-        return LedgerFile(self.ledger_path, self.profile.weight_places)
+        return LedgerFile(self.ledger_path)
 
     def _warn_if_ignored(self) -> None:
         if self.ledger_file.ignored is not None:
@@ -58,20 +60,23 @@ class AppContext:
         finally:
             self._warn_if_ignored()
 
-    def verify_registry(self) -> Registry:
-        """The ledger file's registry by a full replay, checked against its checkpoint sidecar."""
-        try:
-            return self.ledger_file.verify()
-        finally:
-            self._warn_if_ignored()
+    @contextmanager
+    def updating(self, touch: tuple[str, ...] = ()) -> Iterator[Registry]:
+        """The ledger file's registry, under its exclusive lock, for a block that settles or issues on it.
 
-    def save(self, registry: Registry) -> None:
-        """Append the command's events, the loaded registry's only ones, then rewrite the checkpoint sidecar."""
-        self.ledger_file.append(registry.ledger.events)
-        try:
-            self.ledger_file.write_checkpoint(registry)
-        except OSError as exc:
-            print(f"warning: cannot write checkpoint {self.ledger_file.sidecar}: {exc}", file=sys.stderr)
+        The registry settles on the profile's weight places.  When the block
+        raises nothing, its events are appended and the checkpoint sidecar is
+        rewritten; a sidecar that cannot be written only warns.
+        """
+        with self.ledger_file.locked():
+            registry = self.load_registry(touch)
+            registry.weight_places = self.profile.weight_places
+            yield registry
+            self.ledger_file.append(registry.ledger.events)  # the loaded registry holds only the block's events
+            try:
+                self.ledger_file.write_checkpoint(registry)
+            except OSError as exc:
+                print(f"warning: cannot write checkpoint {self.ledger_file.sidecar}: {exc}", file=sys.stderr)
 
     def append_new_events(self, ledger: Ledger, known: int) -> None:
         """Append the events after seq ``known`` to the ledger file."""
@@ -104,8 +109,7 @@ def issue(app: AppContext, args: argparse.Namespace) -> None:
         denoms = [float(d) for d in args.denominations.split(",") if d.strip()]
     except ValueError:
         raise ConfigError(f"bad denomination list {args.denominations!r}") from None
-    with app.ledger_file.locked():
-        registry = app.load_registry()
+    with app.updating() as registry:
         registry.register_issuer(args.issuer, denoms)
         cert = registry.issue(
             issuer=args.issuer,
@@ -124,38 +128,31 @@ def issue(app: AppContext, args: argparse.Namespace) -> None:
             owner=args.owner,
             weight_unit=args.weight_unit,
         )
-        app.save(registry)
     sys.stdout.write(export_certificate(cert))
 
 
 def quote(app: AppContext, args: argparse.Namespace) -> None:
     """Price a certificate against the market series."""
-    with app.ledger_file.locked():
-        registry = app.load_registry((args.cert,))
+    with app.updating((args.cert,)) as registry:
         market = app.market_quote(registry.certificate(args.cert), args.dt, args.premium)
         result = registry.quote_transaction_price(args.cert, market, args.dt)
-        app.save(registry)
     print(f"residual_weight: {app.profile.weight(result.residual_weight)}")
     print(f"price: {app.profile.money(result.price)}")
 
 
 def deliver(app: AppContext, args: argparse.Namespace) -> None:
     """Settle a certificate by physical delivery."""
-    with app.ledger_file.locked():
-        registry = app.load_registry((args.cert,))
+    with app.updating((args.cert,)) as registry:
         result = registry.physical_delivery(args.cert, args.dt)
-        app.save(registry)
     print(f"residual_weight: {app.profile.weight(result.residual_weight)}")
     print(f"delivered_weight: {app.profile.weight(result.delivered_weight)}")
 
 
 def buyback(app: AppContext, args: argparse.Namespace) -> None:
     """Settle a certificate for cash at the day's quotation."""
-    with app.ledger_file.locked():
-        registry = app.load_registry((args.cert,))
+    with app.updating((args.cert,)) as registry:
         market = app.market_quote(registry.certificate(args.cert), args.dt, 0.0)
         result = registry.buyback(args.cert, args.dt, market)
-        app.save(registry)
     print(f"buyback_weight: {app.profile.weight(result.buyback_weight)}")
     print(f"cash: {app.profile.money(result.cash)}")
 
@@ -164,9 +161,8 @@ def run(_app: AppContext, args: argparse.Namespace) -> None:
     """Run a scenario file or a bundled scenario by name."""
     from .scenario import bundled_scenario_path, load_scenario, run_scenario
 
-    path = Path(args.scenario)
-    if not path.exists():
-        path = bundled_scenario_path(args.scenario)
+    # os.path.exists, unlike Path.exists, is False for a name too long for the file system
+    path = Path(args.scenario) if os.path.exists(args.scenario) else bundled_scenario_path(args.scenario)
     report, _registry = run_scenario(load_scenario(path))
     json_lines = report.to_json_lines() if args.format == "json" or args.report is not None else ""
     if args.report is not None:  # before anything is printed, so a report that cannot be written prints nothing
@@ -186,10 +182,11 @@ def project(app: AppContext, args: argparse.Namespace) -> None:
 
 def replay_verify(app: AppContext, _args: argparse.Namespace) -> None:
     """Verify the ledger's hash chain and replayability end to end."""
-    if not app.ledger_path.exists():
-        raise ConfigError(f"ledger file not found: {app.ledger_path}")
     with app.ledger_file.locked(shared=True):
-        registry = app.verify_registry()
+        try:
+            registry = app.ledger_file.verify()
+        finally:
+            app._warn_if_ignored()
     print(
         f"ok: {len(registry.ledger)} events, {len(registry.certificates)} certificates, "
         f"head {registry.ledger.head_hash}"
@@ -220,10 +217,9 @@ def _iso_date(value: str) -> date:
 
 
 def _existing_path(value: str) -> Path:
-    path = Path(value)
-    if not path.exists():
+    if not os.path.exists(value):  # False, not OSError, for a name too long for the file system
         raise argparse.ArgumentTypeError(f"path {value!r} does not exist")
-    return path
+    return Path(value)
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -25,11 +25,8 @@ def read_text(path: Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
 
 
-class PriceSeries(Value, namedtuple("PriceSeries", "material currency points dates")):
-    """Ordered quotations for one material in one currency.
-
-    ``dates`` is not an argument: it holds the points' dates, for lookup.
-    """
+class PriceSeries(Value, namedtuple("PriceSeries", "material currency points")):
+    """Ordered quotations for one material in one currency."""
 
     __slots__ = ()
 
@@ -38,13 +35,7 @@ class PriceSeries(Value, namedtuple("PriceSeries", "material currency points dat
         for when, price in points:  # each price is kept as given: an int stays an int
             _check_quotation(previous, when, price)
             previous = when
-        return tuple.__new__(cls, (material, currency, points, tuple(map(itemgetter(0), points))))
-
-    def __getnewargs__(self):
-        return self[:3]  # the constructor's arguments, for copies and _replace: dates is derived
-
-    def __repr__(self):
-        return f"PriceSeries(material={self.material!r}, currency={self.currency!r}, points={self.points!r})"
+        return tuple.__new__(cls, (material, currency, points))
 
 
 def _check_quotation(previous: date | None, when: date, price) -> None:
@@ -60,7 +51,10 @@ def _check_quotation(previous: date | None, when: date, price) -> None:
 def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSeries:
     """Parse ``date,price`` CSV text: header required, ISO dates strictly increasing, finite prices > 0."""
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a field past csv.field_size_limit(), which is the whole process's to set
+        raise ParseError(str(exc), lineno=reader.line_num) from None
     if not rows:
         raise ParseError("missing header row", lineno=1)
     header = [cell.strip().lower() for cell in rows[0]]
@@ -91,12 +85,12 @@ def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSe
     if not points:
         raise ValidationError("empty series: no data rows")
     # built directly: each point was checked as the type checks it
-    return tuple.__new__(PriceSeries, (material, currency, tuple(points), tuple(map(itemgetter(0), points))))
+    return tuple.__new__(PriceSeries, (material, currency, tuple(points)))
 
 
 def quote_at(series: PriceSeries, when: date) -> float:
     """Latest quotation on or before ``when``: carry-forward steps, no interpolation."""
-    i = bisect_right(series.dates, when)
+    i = bisect_right(series.points, when, key=itemgetter(0))
     if i == 0:
         raise NoQuoteError(f"no {series.material or 'price'} quotation on or before {when.isoformat()}")
     return series.points[i - 1][1]

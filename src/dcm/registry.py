@@ -314,16 +314,7 @@ class Registry:
         return [[issuer, material, n] for (issuer, material), n in self._issue_counts.items()]
 
     @classmethod
-    def from_state_lines(
-        cls,
-        lines: dict[str, str],
-        issue_counts: list,
-        last_seq: int,
-        head_hash: str,
-        *,
-        source: str,
-        weight_places: int = 4,
-    ) -> Registry:
+    def from_state_lines(cls, lines: dict[str, str], issue_counts: list, last_seq: int, head_hash: str, *, source: str):
         """The registry holding the state ``lines`` index, built a certificate at a time on first read.
 
         ``lines`` maps each cert_id, in issue order, to its ``state_lines()``
@@ -332,7 +323,7 @@ class Registry:
         replayed ISSUE passes, so every value is revalidated, and a line that
         fails them is a LedgerIntegrityError naming ``source`` and the cert_id.
         """
-        registry = cls(weight_places=weight_places)
+        registry = cls()
         registry.ledger = Ledger(last_seq, head_hash)
         registry._certs = dict(lines)
         registry._unbuilt = len(lines)
@@ -552,7 +543,7 @@ class Registry:
 # -- replay -----------------------------------------------------------------
 
 
-def replay(events: Iterable[LedgerEvent], *, weight_places: int = 4) -> Registry:
+def replay(events: Iterable[LedgerEvent]) -> Registry:
     """Rebuild a registry from an event stream.
 
     The stream must already be hash-verified (see ledger.read_events); replay
@@ -561,7 +552,7 @@ def replay(events: Iterable[LedgerEvent], *, weight_places: int = 4) -> Registry
     ``last_seq``.  An event that ``_apply`` refuses is a LedgerIntegrityError
     at its seq.
     """
-    return Registry(weight_places=weight_places).apply_events(events)
+    return Registry().apply_events(events)
 
 
 # -- payload / metadata serialization ----------------------------------------

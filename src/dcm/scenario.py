@@ -318,11 +318,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if "prices" in raw:
         prices_cfg = raw["prices"]
         _check_keys(prices_cfg, {"path", "per_units"}, "prices")
-        series_path = path.parent / _text(prices_cfg, "path", "prices")
-        if not series_path.exists():
-            raise ConfigError(f"price series file not found: {series_path}")
         prices = load_series(
-            read_text(series_path, "price series"),
+            read_text(path.parent / _text(prices_cfg, "path", "prices"), "price series"),
             material=issuer.material,
             currency=currency,
         )
@@ -372,11 +369,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 def bundled_scenario_path(name: str) -> Path:
     """Path of a scenario shipped with the package (``lme_copper``, ``shfe_steel``)."""
     root = resources.files("dcm") / "data"
-    candidate = root / f"{name}.yaml"
-    if not candidate.is_file():
-        available = sorted(p.name[: -len(".yaml")] for p in root.iterdir() if p.name.endswith(".yaml"))
+    available = sorted(p.name[: -len(".yaml")] for p in root.iterdir() if p.name.endswith(".yaml"))
+    if name not in available:
         raise ConfigError(f"no bundled scenario {name!r}; available: {', '.join(available)}")
-    return Path(str(candidate))
+    return Path(str(root / f"{name}.yaml"))
 
 
 class ScenarioReport(Value, namedtuple("ScenarioReport", "scenario currency steps")):

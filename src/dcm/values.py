@@ -89,8 +89,7 @@ class Value:
         return cls(*iterable)
 
     def _replace(self, /, **changes):
-        # __getnewargs__ holds the constructor's arguments, which are the leading fields
-        value = type(self)(*map(changes.pop, self._fields, self.__getnewargs__()))
+        value = type(self)(*map(changes.pop, self._fields, self))  # the fields are the constructor's arguments
         if changes:
             raise ValueError(f"got unexpected field names: {list(changes)!r}")
         return value

@@ -48,7 +48,7 @@ def assert_no_child_left() -> None:
 
 def write_ledger(path, lines) -> LedgerFile:
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return LedgerFile(path, 4)
+    return LedgerFile(path)
 
 
 def state(registry) -> tuple:
@@ -284,4 +284,4 @@ class TestSidecarFuzz:
             ledger_file = write_ledger(Path(directory) / "ledger.log", lines)
             ledger_file.write_checkpoint(ledger_file.load())
             ledger_file.sidecar.write_bytes(data.draw(_spoiled(ledger_file.sidecar.read_bytes()), label="sidecar"))
-            assert state(LedgerFile(ledger_file.path, 4).load()) == state(replay(read_events(lines)))
+            assert state(LedgerFile(ledger_file.path).load()) == state(replay(read_events(lines)))

@@ -29,6 +29,8 @@ PRICES = "date,price\n2020-01-01,40\n2020-07-01,50\n"
 
 DEEP = 100_000  # JSON arrays nested this deep exceed the decoder's recursion limit
 
+LONG = "x" * 300  # a file name longer than a Linux file system takes: opening it is ENAMETOOLONG, not ENOENT
+
 ISSUE_ARGS = [
     "issue",
     "--issuer", "LME",
@@ -233,7 +235,7 @@ class TestLifecycleFlow:
         issue, forged = sealed_refusal_lines(lme_registry.ledger.events[0], case)
         ledger_file = tmp_path / "dcm-ledger.log"
         ledger_file.write_text(issue + "\n", encoding="utf-8")
-        written = LedgerFile(ledger_file, 4)
+        written = LedgerFile(ledger_file)
         written.write_checkpoint(written.load())  # the sidecar covers the ISSUE, and the forgery follows it
         with ledger_file.open("a", encoding="utf-8") as handle:
             handle.write(forged + "\n")
@@ -397,7 +399,9 @@ class TestLifecycleFlow:
 
     def test_missing_ledger_exits_validation(self, tmp_path):
         result = dcm("replay-verify", cwd=tmp_path)
-        assert result.returncode == 2
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: ledger file not found: dcm-ledger.log\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "args, message",
@@ -414,17 +418,25 @@ class TestLifecycleFlow:
             (["--ledger", ".", *ISSUE_ARGS], "error: ledger path . names no file"),
             (["--ledger", "/", "replay-verify"], "error: ledger path / names no file"),
             (["--ledger", "/", *ISSUE_ARGS], "error: ledger path / names no file"),
+            (["--ledger", LONG, "replay-verify"], f"error: cannot read ledger file {LONG}: [Errno 36] File name too"),
+            (["--ledger", LONG, *ISSUE_ARGS], f"error: cannot read ledger file {LONG}: [Errno 36] File name too"),
+            (["run", LONG], f"error: no bundled scenario {LONG!r}; available: lme_copper, shfe_steel"),
+            (["run", "long-prices.yaml"], f"error: cannot read price series {LONG}: [Errno 36] File name too long"),
         ],
         ids=["append-in-a-missing-directory", "verify-a-directory", "issue-into-a-directory",
-             "report-in-a-missing-directory", "verify-dot", "issue-into-dot", "verify-root", "issue-into-root"],
+             "report-in-a-missing-directory", "verify-dot", "issue-into-dot", "verify-root", "issue-into-root",
+             "verify-a-long-name", "issue-into-a-long-name", "run-a-long-name", "run-with-a-long-price-path"],
     )
     def test_a_file_that_cannot_be_read_or_written_exits_validation(self, tmp_path, args, message):
         (tmp_path / "a-directory").mkdir()
+        bundled = package.bundled_scenario_path("lme_copper").read_text(encoding="utf-8")
+        (tmp_path / "long-prices.yaml").write_text(bundled.replace("lme_copper_prices.csv", LONG), encoding="utf-8")
         result = dcm(*args, cwd=tmp_path)
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith(message)
         assert result.stderr.count("\n") == 1
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["a-directory"]
+        assert "Traceback" not in result.stderr
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a-directory", "long-prices.yaml"]
 
     @pytest.mark.parametrize("ledger", [".", "/"], ids=["dot", "root"])
     @pytest.mark.parametrize(
@@ -477,6 +489,31 @@ class TestLifecycleFlow:
         assert (result.returncode, result.stdout, result.stderr) == (2, "", error)
         assert ledger_file.read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "prices, dt, code, error",
+        [
+            (PRICES, "183", 3, "error: certificate LME-copper-0001 expired: day 183 exceeds validity of 100 days\n"),
+            (None, "90", 2, "error: cannot read price series prices.csv: [Errno 21] Is a directory: 'prices.csv'\n"),
+            # past the csv module's default field limit of 131,072 characters
+            (f"date,price\n2020-01-01,{'4' * 200_000}\n", "90", 2,
+             "error: line 2: field larger than field limit (131072)\n"),
+        ],
+        ids=["past-validity", "price-file-a-directory", "price-field-too-long"],
+    )
+    def test_an_operation_refused_in_its_session_leaves_the_ledger_and_sidecar_as_they_were(
+        self, tmp_path, prices, dt, code, error
+    ):
+        if prices is None:
+            (tmp_path / "prices.csv").mkdir()
+        else:
+            (tmp_path / "prices.csv").write_text(prices, encoding="utf-8")
+        dcm(*ISSUE_ARGS, "--validity-days", "100", cwd=tmp_path)
+        files = tmp_path / "dcm-ledger.log", tmp_path / SIDECAR
+        before = [path.read_bytes() for path in files]
+        result = dcm(*PRICED, "quote", "--cert", "LME-copper-0001", "--dt", dt, cwd=tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (code, "", error)
+        assert [path.read_bytes() for path in files] == before
+
     def test_unknown_certificate_exits_validation(self, tmp_path):
         (tmp_path / "prices.csv").write_text(PRICES, encoding="utf-8")
         dcm(*ISSUE_ARGS, cwd=tmp_path)
@@ -517,9 +554,28 @@ class TestCheckpoint:
         assert [code for code, _ in outputs[with_sidecar]] == [0, 0, 0, 0, 3, 0, 3, 0]
         assert outputs[with_sidecar] == outputs[without]
         assert (with_sidecar / "dcm-ledger.log").read_bytes() == (without / "dcm-ledger.log").read_bytes()
-        resumed = LedgerFile(with_sidecar / "dcm-ledger.log", 4)
+        resumed = LedgerFile(with_sidecar / "dcm-ledger.log")
         assert resumed.load().ledger.events == () and resumed.ignored is None
         assert "ok: 6 events, 3 certificates" in dcm("replay-verify", cwd=with_sidecar).stdout
+
+    @pytest.mark.parametrize(
+        "command, stdout, docket",
+        [
+            ("quote", "residual_weight: 996.41\nprice: 39.8564\n", 996.41),  # 39.8563 on the 4-place docket
+            ("buyback", "buyback_weight: 994.41\ncash: 39.7764\n", 994.41),  # 39.7765 on the 4-place docket
+        ],
+        ids=["quote", "buyback"],
+    )
+    @pytest.mark.parametrize("sidecar", ["resumed", "replayed"])
+    def test_a_settling_command_settles_on_the_weight_places_docket(self, tmp_path, command, stdout, docket, sidecar):
+        (tmp_path / "prices.csv").write_text(PRICES, encoding="utf-8")
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        if sidecar == "replayed":
+            (tmp_path / SIDECAR).unlink()
+        result = dcm(*PRICED, "--weight-places", "2", command, "--cert", "LME-copper-0001", "--dt", "90", cwd=tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
+        *_, settled = read_events((tmp_path / "dcm-ledger.log").read_text(encoding="utf-8").splitlines())
+        assert settled.payload["docket_weight"] == docket
 
     def test_tampered_prefix_with_a_valid_checkpoint_exits_integrity(self, tmp_path):
         dcm(*ISSUE_ARGS, cwd=tmp_path)
@@ -752,7 +808,7 @@ class TestLedgerLock:
         path = tmp_path / "dcm-ledger.log"
         fd = os.open(path, os.O_RDONLY)
         try:
-            with LedgerFile(path, 4).locked():
+            with LedgerFile(path).locked():
                 with pytest.raises(BlockingIOError):
                     fcntl.flock(fd, fcntl.LOCK_SH | fcntl.LOCK_NB)
                 app = AppContext(path, None, 1.0, RoundingProfile())
@@ -1035,6 +1091,7 @@ GROUP_USAGE_ERRORS = {
     "inf": ["--price-per-units", "inf"],
     "int": ["--weight-places", "2.5"],
     "prices": ["--prices", "no-such-prices.csv"],
+    "prices-long-name": ["--prices", LONG],
     "abbreviated": ["--pri", "prices.csv"],
 }
 CONTRACT = [

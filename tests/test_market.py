@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from datetime import date, timedelta
 
 import pytest
@@ -65,6 +66,15 @@ class TestLoadSeries:
             load_series("date,price\n2020-07-01,5000\n2020-08-01,abc\n")
         with pytest.raises(ParseError, match="line 2"):
             load_series("date,price\n2020-07-01\n")
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bare", "quoted"])
+    def test_a_field_past_the_csv_field_limit_names_its_line(self, quoted):
+        field = "9" * (csv.field_size_limit() + 1)
+        if quoted:
+            field = f'"{field}"'
+        with pytest.raises(ParseError) as excinfo:
+            load_series(f"date,price\n2020-07-01,5000\n2020-08-01,{field}\n")
+        assert str(excinfo.value) == f"line 3: field larger than field limit ({csv.field_size_limit()})"
 
     def test_nonpositive_price_is_rejected(self):
         with pytest.raises(ValidationError):

@@ -207,17 +207,17 @@ class LegalityMachine(RuleBasedStateMachine):
         """
         path = Path(self.directory.name) / "ledger.log"
         path.write_text("".join(line + "\n" for line in lines[: self.prefix]), encoding="utf-8")
-        covering = LedgerFile(path, 4)
+        covering = LedgerFile(path)
         covering.write_checkpoint(covering.load())
         if self.prefix < len(lines):
             with path.open("a", encoding="utf-8") as handle:
                 handle.write("".join(line + "\n" for line in lines[self.prefix :]))
-            covering = LedgerFile(path, 4)
+            covering = LedgerFile(path)
             registry = covering.load()
             assert covering.ignored.startswith("it was written for ")
             covering.write_checkpoint(registry)
         ids = list(self.model)
-        ledger_file = LedgerFile(path, 4)
+        ledger_file = LedgerFile(path)
         loaded = ledger_file.load(touch=[ids[index] if index < len(ids) else UNKNOWN for index in sorted(self.touch)])
         assert ledger_file.ignored is None
         return loaded

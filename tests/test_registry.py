@@ -1039,7 +1039,7 @@ def _count_one_more(header: dict) -> dict:
 
 def _checkpointed(tmp_path, lines) -> LedgerFile:
     """A ledger file holding ``lines`` with a checkpoint sidecar written for it."""
-    ledger_file = LedgerFile(tmp_path / "ledger.log", 4)
+    ledger_file = LedgerFile(tmp_path / "ledger.log")
     _write_lines(ledger_file.path, lines)
     ledger_file.write_checkpoint(ledger_file.load())
     return ledger_file

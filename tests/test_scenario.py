@@ -197,7 +197,7 @@ class TestScenarioLoading:
         path.write_text(
             MINIMAL_SCENARIO.format(script="  []"), encoding="utf-8"
         )  # prices.csv intentionally absent
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(ConfigError, match=r"^cannot read price series .*prices\.csv: \[Errno 2\] No such file"):
             load_scenario(path)
 
     def test_theta_and_derivation_are_mutually_exclusive(self, tmp_path):

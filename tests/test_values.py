@@ -382,11 +382,9 @@ def test_a_bad_script_is_a_config_error(build, message):
     assert str(excinfo.value) == message
 
 
-def test_a_price_series_derives_its_dates_and_keeps_them_out_of_repr():
+def test_a_price_series_holds_only_its_fields():
     series = PriceSeries("copper", "USD", ((DAY, 40.0), (date(2020, 1, 2), 41.0)))
-    assert series.dates == (DAY, date(2020, 1, 2))
     assert repr(series) == f"PriceSeries(material='copper', currency='USD', points={series.points!r})"
-    assert series._replace(points=((DAY, 1.0),)).dates == (DAY,)
     with pytest.raises(ValueError, match="unexpected field names"):
         series._replace(dates=())
 
