@@ -341,19 +341,12 @@ class LedgerFile:
         A file that ends inside a line is refused once every line before that
         one verifies.  This releases ``data``: the lines hold its text.
         """
+        torn = _ends_inside_a_line(data)
         lines = _lines(data)
-        open_line = len(lines) if _ends_inside_a_line(data) else None
         data.release()  # the file's bytes need not outlive the replay
-        if open_line is not None:
-            del lines[-1]
 
         def verified(events: Iterator[LedgerEvent]) -> Registry:
             registry = replay(events)
-            if open_line is not None:
-                raise LedgerIntegrityError(
-                    f"line {open_line}: the ledger file ends inside this line, which has no final newline "
-                    "(a torn record?); every line before it verifies"
-                )
             if found is not None:
                 header, state = found
                 if header["issue_counts"] != registry.issue_counts() or _split(state) != registry.state_lines():
@@ -361,9 +354,13 @@ class LedgerFile:
                     raise LedgerIntegrityError(f"checkpoint disagrees with the ledger at seq {seq}")
             return registry
 
-        if open_line is not None:
-            return verified(read_events(lines))  # refused either way: one sequential replay finds the first error
-        return _replay_checked(lines, verified)
+        registry = _replay_checked(lines[:-1] if torn else lines, verified)
+        if torn:
+            raise LedgerIntegrityError(
+                f"line {len(lines)}: the ledger file ends inside this line, which has no final newline "
+                "(a torn record?); every line before it verifies"
+            )
+        return registry
 
     def append(self, events: Iterable[LedgerEvent]) -> None:
         """Write the lines of ``events`` after the bytes read, in one write, and count them in the running digest."""

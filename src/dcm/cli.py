@@ -25,7 +25,7 @@ from .checkpoint import LedgerFile
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, wealth_projection
 from .errors import ConfigError, DCMError, DomainError
 from .ledger import Ledger, iso_date
-from .market import load_series, quote_at, read_text
+from .market import quote_at, read_series
 from .registry import DeliveryRules, MarketQuote, Registry, export_certificate
 from .rounding import RoundingProfile, fmt
 from .values import require_number
@@ -85,7 +85,7 @@ class AppContext:
     def market_quote(self, cert, dt: int, premium: float) -> MarketQuote:
         if self.prices_path is None:
             raise ConfigError("this command needs a price series; pass --prices")
-        series = load_series(read_text(self.prices_path, "price series"))
+        series = read_series(self.prices_path)
         return MarketQuote(quotation=quote_at(series, cert.date_at(dt)) / self.per_units, premium=premium)
 
 

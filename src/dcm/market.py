@@ -88,6 +88,16 @@ def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSe
     return tuple.__new__(PriceSeries, (material, currency, tuple(points)))
 
 
+def read_series(path: Path, *, material: str = "", currency: str = "") -> PriceSeries:
+    """``load_series`` of the file at ``path``; a refusal of its text or of a row names the file."""
+    text = read_text(path, "price series")
+    try:
+        return load_series(text, material=material, currency=currency)
+    except ValidationError as exc:  # the same error, with its ``line N:`` text
+        exc.args = (f"price series {path}: {exc}",)
+        raise
+
+
 def quote_at(series: PriceSeries, when: date) -> float:
     """Latest quotation on or before ``when``: carry-forward steps, no interpolation."""
     i = bisect_right(series.points, when, key=itemgetter(0))

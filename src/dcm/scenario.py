@@ -22,30 +22,29 @@ from datetime import date, timedelta
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
-from typing import AbstractSet, Any
+from typing import AbstractSet, Any, Callable
 
 import yaml
 from yaml import AliasEvent, DocumentStartEvent, MappingEndEvent, MappingStartEvent, ScalarEvent, ScalarNode
 from yaml import SequenceEndEvent, SequenceStartEvent, StreamEndEvent
 
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient
-from .errors import ConfigError, DCMError, DomainError, ScenarioStepError
+from .errors import ConfigError, DCMError, DerivationError, DomainError, ScenarioStepError
 from .ledger import EventKind, LedgerEvent, canonical_payload, iso_date
-from .market import PriceSeries, load_series, quote_at, read_text
+from .market import PriceSeries, quote_at, read_series, read_text
 from .registry import DeliveryRules, MarketQuote, Registry
 from .rounding import RoundingProfile, fmt
 from .values import Value, require_integer, require_number
 
-# each action and the step arguments it reads
+# each action's step arguments, and whether a step must give each; the runner gives owner and premium defaults
 _ACTIONS = {
-    "issue": frozenset({"face_weight", "owner"}),
-    "quote": frozenset({"premium"}),
-    "transfer": frozenset({"new_owner"}),
-    "deliver": frozenset(),
-    "buyback": frozenset(),
-    "expire": frozenset(),
+    "issue": {"face_weight": True, "owner": False},
+    "quote": {"premium": False},
+    "transfer": {"new_owner": True},
+    "deliver": {},
+    "buyback": {},
+    "expire": {},
 }
-_NUMERIC_ARGS = frozenset({"face_weight", "premium"})
 _OWNER_ARGS = frozenset({"owner", "new_owner"})
 _STEP_FIELDS = frozenset({"dt", "action", "cert", "date"})
 # libyaml's parser where PyYAML was built with it; both loaders build values
@@ -67,10 +66,6 @@ class ScriptStep(Value, namedtuple("ScriptStep", "dt action cert date args")):
     def __new__(
         cls, dt: int, action: str, cert: str, date: date | None = None, args: dict[str, Any] | None = None
     ):
-        if dt < 0:
-            raise ConfigError("step dt must be >= 0")
-        if action not in _ACTIONS:
-            raise ConfigError(f"unknown action {action!r}")
         return tuple.__new__(cls, (dt, action, cert, date, {} if args is None else args))
 
 
@@ -100,19 +95,37 @@ class ScenarioConfig(Value, namedtuple(
         price_per_units: float = 1.0,
         rounding: RoundingProfile = RoundingProfile(),
     ):
+        """Check ``script`` in step order, the one place a script is refused: a ConfigError names the step."""
+        last_dt = date.max.toordinal() - issue_date.toordinal()
         previous = 0
-        for step in script:
-            if step.dt < previous:
-                raise ConfigError("script dt values must be non-decreasing")
+        issued: dict[str, int] = {}  # each alias, and the step that issued it
+        for index, step in enumerate(script, start=1):
+            reads = _ACTIONS.get(step.action)
+            if reads is None:
+                raise ConfigError(f"script step {index}: unknown action {step.action!r}")
+            for key in step.args:
+                if key not in reads:
+                    raise _refused_step(index, step, f"unknown key {key!r}")
+            for key, required in reads.items():
+                if required and key not in step.args:
+                    raise _refused_step(index, step, f"missing key {key!r}")
+            if not previous <= step.dt <= last_dt:
+                raise _refused_step(index, step, f"dt {step.dt} " + (
+                    f"is below {previous}: dt starts at 0 and never decreases" if step.dt < previous
+                    else f"after {issue_date} falls outside the calendar, {date.min} to {date.max}"))
             previous = step.dt
-        if previous > date.max.toordinal() - issue_date.toordinal():
-            raise ConfigError(
-                f"script dt {previous} after {issue_date} falls outside the calendar, {date.min} to {date.max}"
-            )
-        needs_prices = any(s.action in ("quote", "buyback") for s in script)
-        if needs_prices and prices is None:
-            raise ConfigError("script quotes or buys back but no price series is configured")
+            if step.action == "issue":
+                if issued.setdefault(step.cert, index) != index:
+                    raise _refused_step(index, step, f"alias {step.cert!r} was issued by step {issued[step.cert]}")
+            elif step.cert not in issued:
+                raise _refused_step(index, step, f"alias {step.cert!r} names no certificate an earlier step issued")
+            elif prices is None and step.action in ("quote", "buyback"):
+                raise _refused_step(index, step, "no price series is configured")
         return tuple.__new__(cls, (name, currency, issue_date, issuer, script, prices, price_per_units, rounding))
+
+
+def _refused_step(index: int, step: ScriptStep, problem: str) -> ConfigError:
+    return ConfigError(f"script step {index} ({step.action}): {problem}")
 
 
 def _require(mapping: dict, key: str, context: str) -> Any:
@@ -143,6 +156,14 @@ def _number(mapping: dict, key: str, context: str, kind: Any = require_number, d
         raise ConfigError(f"{context}: {key} must be {wanted}, got {value!r}") from None
 
 
+def _built(section: str, kind: Callable, *args: Any, **fields: Any) -> Any:
+    """``kind(*args, **fields)``; a DomainError or DerivationError it raises is a ConfigError naming ``section``."""
+    try:
+        return kind(*args, **fields)
+    except (DomainError, DerivationError) as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
 def _text(mapping: dict, key: str, context: str, default: Any = _REQUIRED) -> str:
     """``mapping[key]``, which must be a YAML string; a missing key or another value is a ConfigError naming both."""
     value = _require(mapping, key, context) if default is _REQUIRED else mapping.get(key, default)
@@ -167,7 +188,7 @@ def _theta_from_config(issuer_cfg: dict) -> AttenuationSpec:
     if (explicit is None) == (derivation is None):
         raise ConfigError("issuer must set exactly one of 'theta' or 'theta_derivation'")
     if explicit is not None:
-        return AttenuationSpec(theta_daily=_number(issuer_cfg, "theta", "issuer"))
+        return _built("issuer", AttenuationSpec, theta_daily=_number(issuer_cfg, "theta", "issuer"))
     _check_keys(
         derivation,
         {"mode", "daily_warehouse_charge", "outbound_transfer_charge", "bank_rate", "cif_price"},
@@ -178,13 +199,14 @@ def _theta_from_config(issuer_cfg: dict) -> AttenuationSpec:
         mode = ThetaMode(mode)
     except ValueError:
         raise ConfigError(f"theta_derivation: unknown mode {mode!r}") from None
-    tariff = StorageTariff(
+    tariff = _built(
+        "theta_derivation", StorageTariff,
         daily_warehouse_charge=_number(derivation, "daily_warehouse_charge", "theta_derivation"),
         outbound_transfer_charge=_number(derivation, "outbound_transfer_charge", "theta_derivation", default=0.0),
         bank_rate=_number(derivation, "bank_rate", "theta_derivation", default=0.0),
     )
-    cif = CifQuote(price_per_unit=_number(derivation, "cif_price", "theta_derivation"))
-    return attenuation_coefficient(tariff, cif, mode)
+    cif = _built("theta_derivation", CifQuote, price_per_unit=_number(derivation, "cif_price", "theta_derivation"))
+    return _built("theta_derivation", attenuation_coefficient, tariff, cif, mode)
 
 
 def _refused(what: str, event: Any) -> yaml.YAMLError:
@@ -269,7 +291,7 @@ def _load_yaml(text: str) -> Any:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Load and validate a UTF-8 scenario file; referenced data paths resolve relative to it."""
+    """Load a UTF-8 scenario file, whose data paths resolve relative to it; ``ScenarioConfig`` checks the script."""
     path = Path(path)
     text = read_text(path, "scenario")
     try:
@@ -299,7 +321,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             issuer_cfg, "denominations", "issuer", lambda key, values: tuple(require_number(key, v) for v in values)
         ),
         theta=_theta_from_config(issuer_cfg),
-        rules=DeliveryRules(
+        rules=_built(
+            "delivery_rules", DeliveryRules,
             delivery_charge_ratio=_number(rules_cfg, "delivery_charge_ratio", "delivery_rules"),
             withdrawal_charge_ratio=_number(rules_cfg, "withdrawal_charge_ratio", "delivery_rules"),
             min_delivery_weight=_number(rules_cfg, "min_delivery_weight", "delivery_rules"),
@@ -318,10 +341,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if "prices" in raw:
         prices_cfg = raw["prices"]
         _check_keys(prices_cfg, {"path", "per_units"}, "prices")
-        prices = load_series(
-            read_text(path.parent / _text(prices_cfg, "path", "prices"), "price series"),
-            material=issuer.material,
-            currency=currency,
+        prices = read_series(
+            path.parent / _text(prices_cfg, "path", "prices"), material=issuer.material, currency=currency
         )
         per_units = _number(prices_cfg, "per_units", "prices", default=1.0)
         if per_units <= 0:
@@ -329,7 +350,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
     rounding_cfg = raw.get("rounding", {})
     _check_keys(rounding_cfg, {"weight_places", "money_places"}, "rounding")
-    rounding = RoundingProfile(
+    rounding = _built(
+        "rounding", RoundingProfile,
         weight_places=_number(rounding_cfg, "weight_places", "rounding", require_integer, 4),
         money_places=_number(rounding_cfg, "money_places", "rounding", require_integer, 4),
     )
@@ -347,11 +369,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             args={k: v for k, v in step_cfg.items() if k not in _STEP_FIELDS},
         )
         where = f"{where} ({step.action})"
-        _check_keys(step.args, _ACTIONS[step.action], where)
-        for key in _NUMERIC_ARGS & step.args.keys():
-            step.args[key] = _number(step.args, key, where)
-        for key in _OWNER_ARGS & step.args.keys():
-            _text(step.args, key, where)
+        for key in _ACTIONS.get(step.action, ()):  # the action's arguments: ScenarioConfig refuses any other
+            if key in step.args:
+                step.args[key] = (_text if key in _OWNER_ARGS else _number)(step.args, key, where)
         steps.append(step)
 
     return ScenarioConfig(
@@ -405,15 +425,16 @@ def run_scenario(config: ScenarioConfig) -> tuple[ScenarioReport, Registry]:
     """Execute the script against a fresh registry.
 
     Returns the report and the registry (whose ledger holds the full event
-    stream).  The first failing step aborts with ScenarioStepError carrying
-    the 1-based step index.
+    stream).  Denominations the registry refuses are a ConfigError before the
+    first step; a step the registry refuses, or whose record cannot be
+    displayed, aborts with ScenarioStepError carrying its 1-based index.
     """
     registry = Registry(weight_places=config.rounding.weight_places)
-    registry.register_issuer(config.issuer.issuer_id, config.issuer.denominations)
+    _built("issuer", registry.register_issuer, config.issuer.issuer_id, config.issuer.denominations)
     aliases: dict[str, str] = {}
     for index, step in enumerate(config.script, start=1):
         try:
-            _run_step(config, registry, aliases, index, step)
+            _run_step(config, registry, aliases, step)
         except DCMError as exc:
             _records(config, registry.ledger.events[: index - 1])  # a record an earlier step cannot display fails first
             raise ScenarioStepError(index, step.action, exc) from exc
@@ -482,23 +503,14 @@ def _market_quote(config: ScenarioConfig, when: date, premium: float) -> MarketQ
     return MarketQuote(quotation=unit_price, premium=premium)
 
 
-def _cert_id(aliases: dict[str, str], alias: str) -> str:
-    try:
-        return aliases[alias]
-    except KeyError:
-        raise DomainError(f"script alias {alias!r} does not name an issued certificate") from None
-
-
-def _run_step(
-    config: ScenarioConfig, registry: Registry, aliases: dict[str, str], index: int, step: ScriptStep
-) -> None:
-    """Run script step ``index``, ``step``, which records exactly one event in ``registry``."""
+def _run_step(config: ScenarioConfig, registry: Registry, aliases: dict[str, str], step: ScriptStep) -> None:
+    """Run ``step``, which ``config`` checked, and which records exactly one event in ``registry``."""
     when = step.date if step.date is not None else config.issue_date + timedelta(days=step.dt)
     if step.action == "issue":
-        cert_id = registry.issue(
+        aliases[step.cert] = registry.issue(
             issuer=config.issuer.issuer_id,
             material=config.issuer.material,
-            face_weight=step.args.get("face_weight", 0.0),
+            face_weight=step.args["face_weight"],
             purity=config.issuer.purity,
             issue_date=config.issue_date,
             theta=config.issuer.theta,
@@ -506,16 +518,13 @@ def _run_step(
             owner=step.args.get("owner", "bearer"),
             weight_unit=config.issuer.weight_unit,
         ).cert_id
-        if step.cert in aliases:
-            raise DomainError(f"script alias {step.cert!r} already used")
-        aliases[step.cert] = cert_id
         return
-    cert_id = _cert_id(aliases, step.cert)
+    cert_id = aliases[step.cert]
     if step.action == "quote":
         quote = _market_quote(config, when, step.args.get("premium", 0.0))
         registry.quote_transaction_price(cert_id, quote, step.dt, timestamp=when)
     elif step.action == "transfer":
-        registry.transfer(cert_id, _require(step.args, "new_owner", f"script step {index}"), step.dt, timestamp=when)
+        registry.transfer(cert_id, step.args["new_owner"], step.dt, timestamp=when)
     elif step.action == "deliver":
         registry.physical_delivery(cert_id, step.dt, timestamp=when)
     elif step.action == "buyback":

@@ -155,14 +155,27 @@ class TestSameRefusal:
         assert outcome(read) == expected
         assert_no_child_left()
 
-    def test_verify_does_not_fork_for_a_file_that_ends_inside_a_line(self, tmp_path, monkeypatch):
-        ledger_file = write_ledger(tmp_path / "ledger.log", _random_operations(random.Random(7), 60).ledger.to_lines())
+    @pytest.mark.parametrize("method", ["load", "verify"])
+    def test_a_file_that_ends_inside_a_line_is_refused_after_one_replay(
+        self, tmp_path, monkeypatch, method, sequential_reads
+    ):
+        lines = _random_operations(random.Random(7), 60).ledger.to_lines()
+        ledger_file = write_ledger(tmp_path / "ledger.log", lines)
         ledger_file.path.write_bytes(ledger_file.path.read_bytes()[:-1])
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked to replay a file it refuses"))
-        with pytest.raises(LedgerIntegrityError, match="ends inside this line"):
-            ledger_file.verify()
-        with pytest.raises(LedgerIntegrityError, match="ends inside this line"):
-            ledger_file.load()
+        statuses = []
+        waitpid = os.waitpid
+
+        def reaped(pid, options):
+            status = waitpid(pid, options)
+            statuses.append(status[1])
+            return status
+
+        monkeypatch.setattr(os, "waitpid", reaped)
+        with pytest.raises(LedgerIntegrityError, match=rf"^line {len(lines)}: the ledger file ends inside this line"):
+            getattr(ledger_file, method)()
+        assert statuses == [0]  # the child accepted every line before the open one
+        assert sequential_reads == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("method", ["load", "verify"])
     def test_an_earlier_bad_line_is_reported_before_an_open_last_line(self, tmp_path, method):

@@ -496,9 +496,11 @@ class TestLifecycleFlow:
             (None, "90", 2, "error: cannot read price series prices.csv: [Errno 21] Is a directory: 'prices.csv'\n"),
             # past the csv module's default field limit of 131,072 characters
             (f"date,price\n2020-01-01,{'4' * 200_000}\n", "90", 2,
-             "error: line 2: field larger than field limit (131072)\n"),
+             "error: price series prices.csv: line 2: field larger than field limit (131072)\n"),
+            ("date,price\n2020-01-01,40\n2020-07-01,nan\n", "90", 2,
+             "error: price series prices.csv: line 3: price must be finite, got nan\n"),
         ],
-        ids=["past-validity", "price-file-a-directory", "price-field-too-long"],
+        ids=["past-validity", "price-file-a-directory", "price-field-too-long", "price-not-finite"],
     )
     def test_an_operation_refused_in_its_session_leaves_the_ledger_and_sidecar_as_they_were(
         self, tmp_path, prices, dt, code, error

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcm import (
+    ConfigError,
     DomainError,
     NoQuoteError,
     ParseError,
@@ -18,6 +19,7 @@ from dcm import (
     load_series,
     quote_at,
 )
+from dcm.market import read_series
 
 COPPER_CSV = "date,price\n2020-07-01,5000\n2021-01-01,5500\n"
 
@@ -94,6 +96,41 @@ class TestLoadSeries:
         with pytest.raises(ValidationError) as excinfo:
             load_series(f"date,price\n2020-07-01,5000\n2020-08-01,{price}\n2020-07-15,5100\n")
         assert (type(excinfo.value), str(excinfo.value)) == (error, message)
+
+
+class TestReadSeries:
+    def test_reads_the_series_of_a_file(self, tmp_path):
+        path = tmp_path / "copper.csv"
+        path.write_text(COPPER_CSV, encoding="utf-8")
+        assert read_series(path, material="copper", currency="USD") == load_series(
+            COPPER_CSV, material="copper", currency="USD"
+        )
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("date,price\n2020-07-01,5000\n2020-08-01,nan\n", DomainError, "line 3: price must be finite, got nan"),
+            ("date,price\n2020-07-01,0\n", ValidationError, "line 2: price at 2020-07-01 must be > 0"),
+            ("date,price\n2020-07-01,x\n", ParseError, "line 2: bad number 'x'"),
+            ("day,price\n", ParseError, "line 1: expected header 'date,price'"),
+            ("date,price\n", ValidationError, "empty series: no data rows"),
+        ],
+        ids=["not-finite", "not-positive", "not-a-number", "bad-header", "no-rows"],
+    )
+    def test_a_refusal_of_the_text_names_the_file_and_keeps_its_type(self, tmp_path, text, error, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as excinfo:
+            read_series(path)
+        assert (type(excinfo.value), str(excinfo.value)) == (error, f"price series {path}: {message}")
+        if error is ParseError:
+            assert excinfo.value.lineno == int(message.split(":")[0].split()[1])
+
+    def test_a_file_that_cannot_be_read_is_named_once(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        with pytest.raises(ConfigError) as excinfo:
+            read_series(path)
+        assert str(excinfo.value).startswith(f"cannot read price series {path}: [Errno 2] ")  # not prefixed again
 
 
 BAD_POINTS = pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import sys
 from datetime import date, timedelta
@@ -17,7 +18,9 @@ from dcm import (
     AttenuationSpec,
     CertStatus,
     ConfigError,
+    ScenarioConfig,
     ScenarioStepError,
+    ScriptStep,
     bundled_scenario_path,
     load_scenario,
     run_scenario,
@@ -173,15 +176,6 @@ class TestScenarioLoading:
         assert report.steps == []
         assert len(registry.ledger) == 0
 
-    def test_decreasing_dt_is_rejected(self, tmp_path):
-        path = write_scenario(
-            tmp_path,
-            "  - {dt: 10, action: issue, cert: c1, face_weight: 5, owner: a}\n"
-            "  - {dt: 5, action: quote, cert: c1}\n",
-        )
-        with pytest.raises(ConfigError, match="non-decreasing"):
-            load_scenario(path)
-
     def test_quote_without_prices_is_rejected(self, tmp_path):
         text = MINIMAL_SCENARIO.format(
             script="  - {dt: 0, action: issue, cert: c1, face_weight: 5, owner: a}\n"
@@ -323,11 +317,6 @@ class TestScenarioLoading:
                 None,
                 r"script step 2 \(transfer\): new_owner must be a string, got 123",
             ),
-            (
-                ISSUE_STEP + "  - {dt: 3000000, action: deliver, cert: c1}\n",
-                None,
-                "script dt 3000000 after 2020-01-01 falls outside the calendar, 0001-01-01 to 9999-12-31",
-            ),
             (ISSUE_STEP, ("issue_date: 2020-01-01", "issue_date: 20200101"), "issue_date: bad date 20200101"),
             (
                 ISSUE_STEP,
@@ -394,7 +383,7 @@ class TestScenarioLoading:
         ids=[
             "face-weight", "dt", "purity", "theta-mode", "dt-fraction", "dt-infinite", "validity-fraction",
             "places-fraction", "dt-boolean", "face-weight-boolean", "denomination-boolean", "owner-null",
-            "owner-list", "new-owner-integer", "dt-off-calendar", "issue-date-basic-form", "issue-date-week-form",
+            "owner-list", "new-owner-integer", "issue-date-basic-form", "issue-date-week-form",
             "issue-date-with-time", "step-date-basic-form", "face-weight-quoted", "face-weight-exponent-text",
             "premium-quoted", "purity-quoted", "cif-price-quoted", "per-units-quoted", "denomination-quoted",
             "missing-key", "per-units-zero", "step-not-a-mapping",
@@ -908,17 +897,144 @@ class TestEventBuilder:
         assert excinfo.value.exit_code == 2
         assert "cannot round 4.9995 to 30 places in 28 digits" in str(excinfo.value)
 
-    def test_unknown_alias_fails_the_step(self, tmp_path):
-        path = write_scenario(tmp_path, "  - {dt: 0, action: quote, cert: ghost}\n")
-        with pytest.raises(ScenarioStepError) as excinfo:
-            run_scenario(load_scenario(path))
-        assert excinfo.value.step_index == 1
+def _step(dt, action, cert="c1", **args):
+    return {"dt": dt, "action": action, "cert": cert, **args}
 
-    def test_a_reused_alias_fails_the_step(self, tmp_path):
-        path = write_scenario(tmp_path, ISSUE_STEP + ISSUE_STEP)
-        with pytest.raises(ScenarioStepError) as excinfo:
-            run_scenario(load_scenario(path))
-        assert str(excinfo.value) == "step 2 (issue): script alias 'c1' already used"
+
+ISSUE_C1 = _step(0, "issue", face_weight=5, owner="a")
+
+# a script, whether the scenario has prices, and the refusal of the script
+SCRIPT_REFUSALS = {
+    "unknown-action": ([ISSUE_C1, _step(1, "melt")], True, "script step 2: unknown action 'melt'"),
+    "dt-below-zero": (
+        [_step(-1, "issue", face_weight=5)], True,
+        "script step 1 (issue): dt -1 is below 0: dt starts at 0 and never decreases",
+    ),
+    "dt-below-the-step-before": (
+        [_step(10, "issue", face_weight=5), _step(5, "quote")], True,
+        "script step 2 (quote): dt 5 is below 10: dt starts at 0 and never decreases",
+    ),
+    "dt-past-the-calendar": (
+        [ISSUE_C1, _step(3_000_000, "deliver")], True,
+        "script step 2 (deliver): dt 3000000 after 2020-01-01 falls outside the calendar, 0001-01-01 to 9999-12-31",
+    ),
+    "unknown-key": (
+        [ISSUE_C1, _step(1, "deliver", premium=0.5)], True, "script step 2 (deliver): unknown key 'premium'"
+    ),
+    "missing-face-weight": ([_step(0, "issue", owner="a")], True, "script step 1 (issue): missing key 'face_weight'"),
+    "missing-new-owner": ([ISSUE_C1, _step(1, "transfer")], True, "script step 2 (transfer): missing key 'new_owner'"),
+    "reused-alias": (
+        [ISSUE_C1, _step(0, "issue", "c2", face_weight=5), _step(1, "issue", face_weight=5)], True,
+        "script step 3 (issue): alias 'c1' was issued by step 1",
+    ),
+    "unissued-alias": (
+        [ISSUE_C1, _step(1, "deliver", "c2")], True,
+        "script step 2 (deliver): alias 'c2' names no certificate an earlier step issued",
+    ),
+    "quote-without-prices": (
+        [ISSUE_C1, _step(1, "quote")], False, "script step 2 (quote): no price series is configured"
+    ),
+    "buyback-without-prices": (
+        [ISSUE_C1, _step(1, "buyback")], False, "script step 2 (buyback): no price series is configured"
+    ),
+}
+
+
+def scripted_scenario(tmp_path, steps, prices: bool = True):
+    """A scenario file running ``steps``, each written as a YAML flow mapping (JSON is one)."""
+    path = write_scenario(tmp_path, "".join(f"  - {json.dumps(step)}\n" for step in steps))
+    if not prices:
+        path.write_text(path.read_text(encoding="utf-8").replace("prices:\n  path: prices.csv\n", ""))
+    return path
+
+
+def dcm_run(monkeypatch, capsys, *args) -> tuple[int, str, str]:
+    """``dcm run ARGS`` in this process: its exit status, stdout and stderr."""
+    monkeypatch.setattr(sys, "argv", ["dcm", "run", *map(str, args)])
+    try:
+        dcm.cli.main()
+        status = 0
+    except SystemExit as exc:
+        status = exc.code
+    return (status, *capsys.readouterr())
+
+
+class TestScriptRefusals:
+    """``ScenarioConfig`` refuses a script before any step runs, naming the step, in the library and in ``dcm run``."""
+
+    @pytest.mark.parametrize("steps, prices, message", SCRIPT_REFUSALS.values(), ids=SCRIPT_REFUSALS.keys())
+    def test_the_library_refuses_the_script(self, tmp_path, steps, prices, message):
+        base = load_scenario(write_scenario(tmp_path, ISSUE_STEP))
+        fields = ("dt", "action", "cert")
+        script = tuple(
+            ScriptStep(*map(step.get, fields), args={key: step[key] for key in step if key not in fields})
+            for step in steps
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            ScenarioConfig(*base[:4], script, base.prices if prices else None)
+        assert type(excinfo.value) is ConfigError
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("steps, prices, message", SCRIPT_REFUSALS.values(), ids=SCRIPT_REFUSALS.keys())
+    def test_dcm_run_refuses_the_script_and_writes_nothing(self, tmp_path, monkeypatch, capsys, steps, prices, message):
+        path = scripted_scenario(tmp_path, steps, prices)
+        before = sorted(child.name for child in tmp_path.iterdir())
+        status = dcm_run(monkeypatch, capsys, path, "--report", tmp_path / "report.jsonl")
+        assert status == (2, "", f"error: {message}\n")  # exit 2, nothing on stdout, one stderr line
+        assert sorted(child.name for child in tmp_path.iterdir()) == before
+
+    def test_an_issue_without_an_owner_issues_to_the_bearer(self, tmp_path):
+        path = scripted_scenario(tmp_path, [_step(0, "issue", face_weight=5), _step(1, "quote")])
+        report, registry = run_scenario(load_scenario(path))
+        assert report.steps[0]["owner"] == "bearer"
+        assert registry.certificate(report.steps[0]["cert_id"]).owner == "bearer"
+        assert report.steps[1]["premium"] == 0.0
+
+
+# an issuer term a value type refuses, and the refusal naming its section
+ISSUER_TERM_REFUSALS = {
+    "delivery-charge-ratio": (
+        ("    delivery_charge_ratio: 0.003\n", "    delivery_charge_ratio: 0.5\n"),
+        "delivery_rules: delivery_charge_ratio must lie in [0, 0.1]",
+    ),
+    "weight-places": (
+        ("script:\n", "rounding: {weight_places: -1}\nscript:\n"), "rounding: rounding places must be >= 0"
+    ),
+    "no-denominations": (
+        ("  denominations: [5]\n", "  denominations: []\n"), "issuer: denomination set must not be empty"
+    ),
+    "theta": (
+        ("  theta: 0.9999\n", "  theta: 1.5\n"),
+        "issuer: theta_daily 1.500000 (explicit) outside the open interval (0, 1)",
+    ),
+    "derived-theta": (
+        (
+            "  theta: 0.9999\n",
+            "  theta_derivation: {mode: warehouse-only, daily_warehouse_charge: 5000, cif_price: 5000}\n",
+        ),
+        "theta_derivation: theta_daily 0.000000 (warehouse-only) outside the open interval (0, 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, message", ISSUER_TERM_REFUSALS.values(), ids=ISSUER_TERM_REFUSALS.keys())
+def test_an_issuer_term_refusal_names_its_section_before_the_first_step(tmp_path, monkeypatch, capsys, edit, message):
+    path = write_scenario(tmp_path, ISSUE_STEP)
+    path.write_text(path.read_text(encoding="utf-8").replace(*edit), encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:  # not a ScenarioStepError: no step ran
+        run_scenario(load_scenario(path))
+    assert str(excinfo.value) == message
+    assert dcm_run(monkeypatch, capsys, path) == (2, "", f"error: {message}\n")
+
+
+def test_dcm_run_names_a_price_file_it_refuses(tmp_path, monkeypatch, capsys):
+    path = write_scenario(tmp_path, ISSUE_STEP)
+    (tmp_path / "prices.csv").write_text("date,price\n2020-07-01,nan\n", encoding="utf-8")
+    before = {child.name: child.read_bytes() for child in tmp_path.iterdir()}
+    assert dcm_run(monkeypatch, capsys, path, "--report", tmp_path / "report.jsonl") == (
+        2, "", f"error: price series {tmp_path / 'prices.csv'}: line 2: price must be finite, got nan\n"
+    )
+    assert {child.name: child.read_bytes() for child in tmp_path.iterdir()} == before
 
 
 class TestWealthProjection:
