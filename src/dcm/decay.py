@@ -320,6 +320,9 @@ def wealth_projection(
     residual = anchor x theta^horizon; the issuer share is the complement, so
     the pair sums back to the anchor weight.
     """
+    anchor_weight = require_number("anchor_weight", anchor_weight)
+    if anchor_weight <= 0:
+        raise DomainError("anchor_weight must be > 0")
     if require_integer("horizon_days", horizon_days) < 0:
         raise DomainError("horizon_days must be >= 0")
     residual = residual_weight(anchor_weight, theta, horizon_days)

@@ -88,44 +88,64 @@ class ScenarioConfig(Value, namedtuple(
         cls,
         name: str,
         currency: str,
-        issue_date: date,
+        issue_date: date | str,
         issuer: IssuerTerms,
         script: tuple[ScriptStep, ...],
         prices: PriceSeries | None = None,
         price_per_units: float = 1.0,
         rounding: RoundingProfile = RoundingProfile(),
     ):
-        """Check ``script`` in step order, the one place a script is refused: a ConfigError names the step."""
+        """Check the fields, then each step in order, rebuilt with float figures: a ConfigError names any refusal."""
+        name = _built("scenario", _string, "name", name)
+        currency = _built("scenario", _string, "currency", currency)
+        issue_date = _as_date(issue_date, "issue_date")
+        price_per_units = _built("prices", require_number, "per_units", price_per_units)
+        if price_per_units <= 0:
+            raise ConfigError("prices.per_units must be > 0")
         last_dt = date.max.toordinal() - issue_date.toordinal()
         previous = 0
         issued: dict[str, int] = {}  # each alias, and the step that issued it
-        for index, step in enumerate(script, start=1):
-            reads = _ACTIONS.get(step.action)
+        steps = []
+        for index, (dt, action, cert, when, args) in enumerate(script, start=1):
+            where = f"script step {index}"
+            try:
+                dt = require_integer("dt", dt)
+                _string("action", action)
+                _string("cert", cert)
+            except DomainError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            if when is not None:
+                when = _as_date(when, where)
+            reads = _ACTIONS.get(action)
             if reads is None:
-                raise ConfigError(f"script step {index}: unknown action {step.action!r}")
-            for key in step.args:
+                raise ConfigError(f"{where}: unknown action {action!r}")
+            args = dict(args)
+            try:
+                for key in reads:  # the action's arguments, each read by its kind; any other key is refused below
+                    if key in args:
+                        args[key] = (_string if key in _OWNER_ARGS else require_number)(key, args[key])
+            except DomainError as exc:
+                raise ConfigError(f"{where} ({action}): {exc}") from None
+            for key in args:
                 if key not in reads:
-                    raise _refused_step(index, step, f"unknown key {key!r}")
+                    raise ConfigError(f"{where} ({action}): unknown key {key!r}")
             for key, required in reads.items():
-                if required and key not in step.args:
-                    raise _refused_step(index, step, f"missing key {key!r}")
-            if not previous <= step.dt <= last_dt:
-                raise _refused_step(index, step, f"dt {step.dt} " + (
-                    f"is below {previous}: dt starts at 0 and never decreases" if step.dt < previous
+                if required and key not in args:
+                    raise ConfigError(f"{where} ({action}): missing key {key!r}")
+            if not previous <= dt <= last_dt:
+                raise ConfigError(f"{where} ({action}): dt {dt} " + (
+                    f"is below {previous}: dt starts at 0 and never decreases" if dt < previous
                     else f"after {issue_date} falls outside the calendar, {date.min} to {date.max}"))
-            previous = step.dt
-            if step.action == "issue":
-                if issued.setdefault(step.cert, index) != index:
-                    raise _refused_step(index, step, f"alias {step.cert!r} was issued by step {issued[step.cert]}")
-            elif step.cert not in issued:
-                raise _refused_step(index, step, f"alias {step.cert!r} names no certificate an earlier step issued")
-            elif prices is None and step.action in ("quote", "buyback"):
-                raise _refused_step(index, step, "no price series is configured")
-        return tuple.__new__(cls, (name, currency, issue_date, issuer, script, prices, price_per_units, rounding))
-
-
-def _refused_step(index: int, step: ScriptStep, problem: str) -> ConfigError:
-    return ConfigError(f"script step {index} ({step.action}): {problem}")
+            previous = dt
+            if action == "issue":
+                if issued.setdefault(cert, index) != index:
+                    raise ConfigError(f"{where} ({action}): alias {cert!r} was issued by step {issued[cert]}")
+            elif cert not in issued:
+                raise ConfigError(f"{where} ({action}): alias {cert!r} names no certificate an earlier step issued")
+            elif prices is None and action in ("quote", "buyback"):
+                raise ConfigError(f"{where} ({action}): no price series is configured")
+            steps.append(tuple.__new__(ScriptStep, (dt, action, cert, when, args)))
+        return tuple.__new__(cls, (name, currency, issue_date, issuer, tuple(steps), prices, price_per_units, rounding))
 
 
 def _require(mapping: dict, key: str, context: str) -> Any:
@@ -146,14 +166,10 @@ def _check_keys(mapping: Any, allowed: AbstractSet[str], context: str) -> None:
 _REQUIRED = object()
 
 
-def _number(mapping: dict, key: str, context: str, kind: Any = require_number, default: Any = _REQUIRED) -> Any:
-    """``kind(key, mapping[key])``; a missing key or a value ``kind`` refuses is a ConfigError naming both."""
+def _read(mapping: dict, key: str, context: str, kind: Callable = require_number, default: Any = _REQUIRED) -> Any:
+    """``kind(key, mapping[key])``; a missing key, or a value ``kind`` refuses, is a ConfigError naming ``context``."""
     value = _require(mapping, key, context) if default is _REQUIRED else mapping.get(key, default)
-    try:
-        return kind(key, value)
-    except (DomainError, TypeError):  # TypeError: a denominations value that is not a list
-        wanted = "an integer" if kind is require_integer else "numeric"
-        raise ConfigError(f"{context}: {key} must be {wanted}, got {value!r}") from None
+    return _built(context, kind, key, value)
 
 
 def _built(section: str, kind: Callable, *args: Any, **fields: Any) -> Any:
@@ -164,12 +180,18 @@ def _built(section: str, kind: Callable, *args: Any, **fields: Any) -> Any:
         raise ConfigError(f"{section}: {exc}") from None
 
 
-def _text(mapping: dict, key: str, context: str, default: Any = _REQUIRED) -> str:
-    """``mapping[key]``, which must be a YAML string; a missing key or another value is a ConfigError naming both."""
-    value = _require(mapping, key, context) if default is _REQUIRED else mapping.get(key, default)
+def _string(key: str, value: Any) -> str:
+    """``value``, which must be a string; DomainError naming ``key`` otherwise."""
     if not isinstance(value, str):
-        raise ConfigError(f"{context}: {key} must be a string, got {value!r}")
+        raise DomainError(f"{key} must be a string, got {value!r}")
     return value
+
+
+def _figures(key: str, values: Any) -> tuple[float, ...]:
+    """Each of ``values``, a YAML list, read by ``require_number``."""
+    if not isinstance(values, list):
+        raise DomainError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(require_number(key, value) for value in values)
 
 
 def _as_date(value: Any, context: str) -> date:
@@ -188,7 +210,7 @@ def _theta_from_config(issuer_cfg: dict) -> AttenuationSpec:
     if (explicit is None) == (derivation is None):
         raise ConfigError("issuer must set exactly one of 'theta' or 'theta_derivation'")
     if explicit is not None:
-        return _built("issuer", AttenuationSpec, theta_daily=_number(issuer_cfg, "theta", "issuer"))
+        return _built("issuer", AttenuationSpec, theta_daily=_read(issuer_cfg, "theta", "issuer"))
     _check_keys(
         derivation,
         {"mode", "daily_warehouse_charge", "outbound_transfer_charge", "bank_rate", "cif_price"},
@@ -201,11 +223,11 @@ def _theta_from_config(issuer_cfg: dict) -> AttenuationSpec:
         raise ConfigError(f"theta_derivation: unknown mode {mode!r}") from None
     tariff = _built(
         "theta_derivation", StorageTariff,
-        daily_warehouse_charge=_number(derivation, "daily_warehouse_charge", "theta_derivation"),
-        outbound_transfer_charge=_number(derivation, "outbound_transfer_charge", "theta_derivation", default=0.0),
-        bank_rate=_number(derivation, "bank_rate", "theta_derivation", default=0.0),
+        daily_warehouse_charge=_require(derivation, "daily_warehouse_charge", "theta_derivation"),
+        outbound_transfer_charge=derivation.get("outbound_transfer_charge", 0.0),
+        bank_rate=derivation.get("bank_rate", 0.0),
     )
-    cif = _built("theta_derivation", CifQuote, price_per_unit=_number(derivation, "cif_price", "theta_derivation"))
+    cif = _built("theta_derivation", CifQuote, price_per_unit=_read(derivation, "cif_price", "theta_derivation"))
     return _built("theta_derivation", attenuation_coefficient, tariff, cif, mode)
 
 
@@ -291,7 +313,7 @@ def _load_yaml(text: str) -> Any:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Load a UTF-8 scenario file, whose data paths resolve relative to it; ``ScenarioConfig`` checks the script."""
+    """Load a UTF-8 scenario file, whose data paths resolve relative to it; the types check the values it reads."""
     path = Path(path)
     text = read_text(path, "scenario")
     try:
@@ -312,77 +334,54 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         {"delivery_charge_ratio", "withdrawal_charge_ratio", "min_delivery_weight", "delivery_location", "validity_days"},
         "delivery_rules",
     )
+    for key in ("delivery_charge_ratio", "withdrawal_charge_ratio", "min_delivery_weight"):
+        _require(rules_cfg, key, "delivery_rules")
     issuer = IssuerTerms(
-        issuer_id=_text(issuer_cfg, "id", "issuer"),
-        material=_text(issuer_cfg, "material", "issuer"),
-        weight_unit=_text(issuer_cfg, "weight_unit", "issuer", "kg"),
-        purity=_number(issuer_cfg, "purity", "issuer", default=1.0),
-        denominations=_number(
-            issuer_cfg, "denominations", "issuer", lambda key, values: tuple(require_number(key, v) for v in values)
-        ),
+        issuer_id=_read(issuer_cfg, "id", "issuer", _string),
+        material=_read(issuer_cfg, "material", "issuer", _string),
+        weight_unit=_read(issuer_cfg, "weight_unit", "issuer", _string, "kg"),
+        purity=_read(issuer_cfg, "purity", "issuer", default=1.0),
+        denominations=_read(issuer_cfg, "denominations", "issuer", _figures),
         theta=_theta_from_config(issuer_cfg),
-        rules=_built(
-            "delivery_rules", DeliveryRules,
-            delivery_charge_ratio=_number(rules_cfg, "delivery_charge_ratio", "delivery_rules"),
-            withdrawal_charge_ratio=_number(rules_cfg, "withdrawal_charge_ratio", "delivery_rules"),
-            min_delivery_weight=_number(rules_cfg, "min_delivery_weight", "delivery_rules"),
-            delivery_location=_text(rules_cfg, "delivery_location", "delivery_rules", ""),
-            validity_days=(
-                None if rules_cfg.get("validity_days") is None
-                else _number(rules_cfg, "validity_days", "delivery_rules", require_integer)
-            ),
-        ),
+        rules=_built("delivery_rules", DeliveryRules, **rules_cfg),
     )
 
-    name = _text(raw, "name", "scenario", path.stem)
-    currency = _text(raw, "currency", "scenario", "")
+    currency = raw.get("currency", "")
     prices = None
     per_units = 1.0
     if "prices" in raw:
         prices_cfg = raw["prices"]
         _check_keys(prices_cfg, {"path", "per_units"}, "prices")
         prices = read_series(
-            path.parent / _text(prices_cfg, "path", "prices"), material=issuer.material, currency=currency
+            path.parent / _read(prices_cfg, "path", "prices", _string), material=issuer.material, currency=currency
         )
-        per_units = _number(prices_cfg, "per_units", "prices", default=1.0)
-        if per_units <= 0:
-            raise ConfigError("prices.per_units must be > 0")
+        per_units = prices_cfg.get("per_units", 1.0)
 
     rounding_cfg = raw.get("rounding", {})
     _check_keys(rounding_cfg, {"weight_places", "money_places"}, "rounding")
-    rounding = _built(
-        "rounding", RoundingProfile,
-        weight_places=_number(rounding_cfg, "weight_places", "rounding", require_integer, 4),
-        money_places=_number(rounding_cfg, "money_places", "rounding", require_integer, 4),
-    )
 
+    script = [] if raw.get("script") is None else raw["script"]
+    if not isinstance(script, list):
+        raise ConfigError(f"script must be a list of steps, got {script!r}")
     steps = []
-    for index, step_cfg in enumerate(raw.get("script", []) or [], start=1):
+    for index, step_cfg in enumerate(script, start=1):
         if not isinstance(step_cfg, dict):
             raise ConfigError(f"script step {index} must be a mapping")
         where = f"script step {index}"
-        step = ScriptStep(
-            dt=_number(step_cfg, "dt", where, require_integer),
-            action=_text(step_cfg, "action", where),
-            cert=_text(step_cfg, "cert", where),
-            date=_as_date(step_cfg["date"], where) if "date" in step_cfg else None,
-            args={k: v for k, v in step_cfg.items() if k not in _STEP_FIELDS},
-        )
-        where = f"{where} ({step.action})"
-        for key in _ACTIONS.get(step.action, ()):  # the action's arguments: ScenarioConfig refuses any other
-            if key in step.args:
-                step.args[key] = (_text if key in _OWNER_ARGS else _number)(step.args, key, where)
-        steps.append(step)
+        steps.append(ScriptStep(
+            _require(step_cfg, "dt", where), _require(step_cfg, "action", where), _require(step_cfg, "cert", where),
+            step_cfg.get("date"), {key: value for key, value in step_cfg.items() if key not in _STEP_FIELDS},
+        ))
 
     return ScenarioConfig(
-        name=name,
+        name=raw.get("name", path.stem),
         currency=currency,
-        issue_date=_as_date(_require(raw, "issue_date", "scenario"), "issue_date"),
+        issue_date=_require(raw, "issue_date", "scenario"),
         issuer=issuer,
         script=tuple(steps),
         prices=prices,
         price_per_units=per_units,
-        rounding=rounding,
+        rounding=_built("rounding", RoundingProfile, **rounding_cfg),
     )
 
 

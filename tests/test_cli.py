@@ -854,16 +854,16 @@ class TestRun:
         "old, new, message",
         [
             ("face_weight: 1000, owner: LME-float}", "face_weight: '1000', owner: LME-float}",
-             "script step 1 (issue): face_weight must be numeric, got '1000'"),
+             "script step 1 (issue): face_weight must be a number, got '1000'"),
             ("cert: c1, date: 2020-07-01}", "cert: c1, date: 2020-07-01, premium: '0.25'}",
-             "script step 3 (quote): premium must be numeric, got '0.25'"),
-            ("purity: 0.9999", "purity: '0.9999'", "issuer: purity must be numeric, got '0.9999'"),
+             "script step 3 (quote): premium must be a number, got '0.25'"),
+            ("purity: 0.9999", "purity: '0.9999'", "issuer: purity must be a number, got '0.9999'"),
             ("theta: 0.99996",
              "theta_derivation: {mode: warehouse-only, daily_warehouse_charge: 0.2, cif_price: '5000'}",
-             "theta_derivation: cif_price must be numeric, got '5000'"),
-            ("per_units: 1000", "per_units: '1000'", "prices: per_units must be numeric, got '1000'"),
+             "theta_derivation: cif_price must be a number, got '5000'"),
+            ("per_units: 1000", "per_units: '1000'", "prices: per_units must be a number, got '1000'"),
             ("[1, 10, 100, 1000]", "[1, 10, 100, '1000']",
-             "issuer: denominations must be numeric, got [1, 10, 100, '1000']"),
+             "issuer: denominations must be a number, got '1000'"),
             ("cert: c1, face_weight", "cert: ~, face_weight", "script step 1: cert must be a string, got None"),
             ("cert: c1, face_weight", "cert: [a], face_weight", "script step 1: cert must be a string, got ['a']"),
             ("action: issue,    cert: c1", "action: ~,    cert: c1",
@@ -894,7 +894,7 @@ class TestRun:
         (tmp_path / "bad.yaml").write_text(FAILING_SCENARIO.replace("face_weight: 5", "face_weight: five"), encoding="utf-8")
         result = dcm("run", "bad.yaml", cwd=tmp_path)
         assert result.returncode == 2
-        assert "face_weight must be numeric, got 'five'" in result.stderr
+        assert "face_weight must be a number, got 'five'" in result.stderr
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize(
@@ -967,6 +967,19 @@ class TestProject:
         assert result.returncode == 0
         assert "residual_weight: 327244967.4214" in result.stdout
         assert "issuer_accrued_weight: 72755032.5786" in result.stdout
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [("nan", "anchor_weight must be finite, got nan"), ("-1", "anchor_weight must be > 0")],
+        ids=["nan", "negative"],
+    )
+    def test_the_anchor_weight_is_refused_by_its_own_name(self, tmp_path, monkeypatch, capsys, weight, message):
+        with pytest.raises(package.DomainError) as excinfo:
+            package.wealth_projection(float(weight), 0.99, 3)
+        assert str(excinfo.value) == message
+        monkeypatch.chdir(tmp_path)
+        argv = _edit("project", "--weight", weight)
+        assert _run_in_process(argv, monkeypatch, capsys) == (2, "", f"error: {message}\n")
 
 
 GOLDEN_SESSION = [

@@ -254,14 +254,14 @@ class TestScenarioLoading:
             (
                 "  - {dt: 0, action: issue, cert: c1, face_weight: five, owner: a}\n",
                 None,
-                r"script step 1 \(issue\): face_weight must be numeric, got 'five'",
+                r"script step 1 \(issue\): face_weight must be a number, got 'five'",
             ),
             (
                 "  - {dt: zero, action: issue, cert: c1, face_weight: 5, owner: a}\n",
                 None,
                 "script step 1: dt must be an integer, got 'zero'",
             ),
-            (ISSUE_STEP, ("  theta: 0.9999\n", "  theta: 0.9999\n  purity: x\n"), "issuer: purity must be numeric, got 'x'"),
+            (ISSUE_STEP, ("  theta: 0.9999\n", "  theta: 0.9999\n  purity: x\n"), "issuer: purity must be a number, got 'x'"),
             (
                 ISSUE_STEP,
                 ("  theta: 0.9999\n", "  theta_derivation: {mode: daily, daily_warehouse_charge: 0.2, cif_price: 5000}\n"),
@@ -295,12 +295,12 @@ class TestScenarioLoading:
             (
                 "  - {dt: 0, action: issue, cert: c1, face_weight: yes, owner: a}\n",
                 None,
-                r"script step 1 \(issue\): face_weight must be numeric, got True",
+                r"script step 1 \(issue\): face_weight must be a number, got True",
             ),
             (
                 ISSUE_STEP,
                 ("  denominations: [5]\n", "  denominations: [1, true]\n"),
-                r"issuer: denominations must be numeric, got \[1, True\]",
+                r"issuer: denominations must be a number, got True",
             ),
             (
                 "  - {dt: 0, action: issue, cert: c1, face_weight: 5, owner: ~}\n",
@@ -337,22 +337,22 @@ class TestScenarioLoading:
             (
                 "  - {dt: 0, action: issue, cert: c1, face_weight: '5', owner: a}\n",
                 None,
-                r"script step 1 \(issue\): face_weight must be numeric, got '5'",
+                r"script step 1 \(issue\): face_weight must be a number, got '5'",
             ),
             (
                 "  - {dt: 0, action: issue, cert: c1, face_weight: 5e0, owner: a}\n",
                 None,
-                r"script step 1 \(issue\): face_weight must be numeric, got '5e0'",
+                r"script step 1 \(issue\): face_weight must be a number, got '5e0'",
             ),
             (
                 ISSUE_STEP + "  - {dt: 1, action: quote, cert: c1, premium: '0.5'}\n",
                 None,
-                r"script step 2 \(quote\): premium must be numeric, got '0.5'",
+                r"script step 2 \(quote\): premium must be a number, got '0.5'",
             ),
             (
                 ISSUE_STEP,
                 ("  theta: 0.9999\n", "  theta: 0.9999\n  purity: '0.9'\n"),
-                "issuer: purity must be numeric, got '0.9'",
+                "issuer: purity must be a number, got '0.9'",
             ),
             (
                 ISSUE_STEP,
@@ -360,17 +360,22 @@ class TestScenarioLoading:
                     "  theta: 0.9999\n",
                     "  theta_derivation: {mode: warehouse-only, daily_warehouse_charge: 0.2, cif_price: '5000'}\n",
                 ),
-                "theta_derivation: cif_price must be numeric, got '5000'",
+                "theta_derivation: cif_price must be a number, got '5000'",
             ),
             (
                 ISSUE_STEP,
                 ("  path: prices.csv\n", "  path: prices.csv\n  per_units: '1000'\n"),
-                "prices: per_units must be numeric, got '1000'",
+                "prices: per_units must be a number, got '1000'",
             ),
             (
                 ISSUE_STEP,
                 ("  denominations: [5]\n", "  denominations: [1, '5']\n"),
-                r"issuer: denominations must be numeric, got \[1, '5'\]",
+                r"issuer: denominations must be a number, got '5'",
+            ),
+            (
+                ISSUE_STEP,
+                ("  denominations: [5]\n", "  denominations: 5\n"),
+                "issuer: denominations must be a list of numbers, got 5",
             ),
             (ISSUE_STEP, ("  id: X\n", ""), "issuer: missing key 'id'"),
             (
@@ -379,6 +384,9 @@ class TestScenarioLoading:
                 r"prices\.per_units must be > 0",
             ),
             ("  - [0, issue, c1]\n", None, "script step 1 must be a mapping"),
+            ("", ("script:\n", "script: 5\n"), "script must be a list of steps, got 5"),
+            ("", ("script:\n", "script: {a: 1}\n"), r"script must be a list of steps, got \{'a': 1\}"),
+            ("", ("script:\n", "script: abc\n"), "script must be a list of steps, got 'abc'"),
         ],
         ids=[
             "face-weight", "dt", "purity", "theta-mode", "dt-fraction", "dt-infinite", "validity-fraction",
@@ -386,7 +394,8 @@ class TestScenarioLoading:
             "owner-list", "new-owner-integer", "issue-date-basic-form", "issue-date-week-form",
             "issue-date-with-time", "step-date-basic-form", "face-weight-quoted", "face-weight-exponent-text",
             "premium-quoted", "purity-quoted", "cif-price-quoted", "per-units-quoted", "denomination-quoted",
-            "missing-key", "per-units-zero", "step-not-a-mapping",
+            "denominations-not-a-list", "missing-key", "per-units-zero", "step-not-a-mapping",
+            "script-integer", "script-mapping", "script-text",
         ],
     )
     def test_values_of_the_wrong_type_are_config_errors(self, tmp_path, script, edit, message):
@@ -937,6 +946,28 @@ SCRIPT_REFUSALS = {
     "buyback-without-prices": (
         [ISSUE_C1, _step(1, "buyback")], False, "script step 2 (buyback): no price series is configured"
     ),
+    # each step's types, checked in the same pass: a quoted or whole-float day count is no integer
+    "dt-quoted": ([ISSUE_C1, _step("183", "quote")], True, "script step 2: dt must be an integer, got '183'"),
+    "dt-boolean": ([_step(True, "issue", face_weight=5)], True, "script step 1: dt must be an integer, got True"),
+    "dt-fraction": ([ISSUE_C1, _step(0.5, "deliver")], True, "script step 2: dt must be an integer, got 0.5"),
+    "action-integer": ([ISSUE_C1, _step(1, 5)], True, "script step 2: action must be a string, got 5"),
+    "cert-integer": ([_step(0, "issue", 7, face_weight=5)], True, "script step 1: cert must be a string, got 7"),
+    "cert-null": ([ISSUE_C1, _step(1, "deliver", None)], True, "script step 2: cert must be a string, got None"),
+    "date-quoted-invalid": (
+        [_step(0, "issue", face_weight=5, date="2020-02-30")], True, "script step 1: bad date '2020-02-30'"
+    ),
+    "face-weight-quoted": (
+        [_step(0, "issue", face_weight="1000")], True, "script step 1 (issue): face_weight must be a number, got '1000'"
+    ),
+    "new-owner-integer": (
+        [ISSUE_C1, _step(1, "transfer", new_owner=123)], True,
+        "script step 2 (transfer): new_owner must be a string, got 123",
+    ),
+    # the first bad step is refused, whatever a later one holds
+    "reused-alias-before-a-bad-owner": (
+        [ISSUE_C1, _step(1, "issue", face_weight=5), _step(2, "quote"), _step(3, "transfer", new_owner=123)], True,
+        "script step 2 (issue): alias 'c1' was issued by step 1",
+    ),
 }
 
 
@@ -965,15 +996,17 @@ class TestScriptRefusals:
     @pytest.mark.parametrize("steps, prices, message", SCRIPT_REFUSALS.values(), ids=SCRIPT_REFUSALS.keys())
     def test_the_library_refuses_the_script(self, tmp_path, steps, prices, message):
         base = load_scenario(write_scenario(tmp_path, ISSUE_STEP))
-        fields = ("dt", "action", "cert")
+        fields = ("dt", "action", "cert", "date")
         script = tuple(
             ScriptStep(*map(step.get, fields), args={key: step[key] for key in step if key not in fields})
             for step in steps
         )
+        before = [(*step[:4], dict(step.args)) for step in script]
         with pytest.raises(ConfigError) as excinfo:
             ScenarioConfig(*base[:4], script, base.prices if prices else None)
         assert type(excinfo.value) is ConfigError
         assert str(excinfo.value) == message
+        assert [(*step[:4], step.args) for step in script] == before  # the caller's steps are left as they were
 
     @pytest.mark.parametrize("steps, prices, message", SCRIPT_REFUSALS.values(), ids=SCRIPT_REFUSALS.keys())
     def test_dcm_run_refuses_the_script_and_writes_nothing(self, tmp_path, monkeypatch, capsys, steps, prices, message):
@@ -989,6 +1022,76 @@ class TestScriptRefusals:
         assert report.steps[0]["owner"] == "bearer"
         assert registry.certificate(report.steps[0]["cert_id"]).owner == "bearer"
         assert report.steps[1]["premium"] == 0.0
+
+
+# a field given to the library ScenarioConfig, the scenario-file edit that gives load_scenario the same value,
+# and the refusal both give
+CONFIG_FIELD_REFUSALS = {
+    "issue-date-integer": ({"issue_date": 5}, ("issue_date: 2020-01-01", "issue_date: 5"), "issue_date: bad date 5"),
+    "issue-date-invalid-text": (
+        {"issue_date": "2020-02-30"}, ("issue_date: 2020-01-01", "issue_date: '2020-02-30'"),
+        "issue_date: bad date '2020-02-30'",
+    ),
+    "name-null": ({"name": None}, ("name: toy", "name: ~"), "scenario: name must be a string, got None"),
+    "currency-integer": (
+        {"currency": 5}, ("currency: USD", "currency: 5"), "scenario: currency must be a string, got 5"
+    ),
+    "per-units-zero": (
+        {"price_per_units": 0}, ("  path: prices.csv\n", "  path: prices.csv\n  per_units: 0\n"),
+        "prices.per_units must be > 0",
+    ),
+    "per-units-text": (
+        {"price_per_units": "1"}, ("  path: prices.csv\n", "  path: prices.csv\n  per_units: '1'\n"),
+        "prices: per_units must be a number, got '1'",
+    ),
+    "per-units-nan": (
+        {"price_per_units": float("nan")}, ("  path: prices.csv\n", "  path: prices.csv\n  per_units: .nan\n"),
+        "prices: per_units must be finite, got nan",
+    ),
+}
+
+
+class TestConfigFields:
+    """``ScenarioConfig`` checks its own fields, so the library and ``load_scenario`` read and refuse them alike."""
+
+    @pytest.mark.parametrize("fields, edit, message", CONFIG_FIELD_REFUSALS.values(), ids=CONFIG_FIELD_REFUSALS.keys())
+    def test_the_library_and_the_loader_refuse_a_field_alike(self, tmp_path, fields, edit, message):
+        path = write_scenario(tmp_path, ISSUE_STEP)
+        base = load_scenario(path)
+        with pytest.raises(ConfigError) as library:
+            base._replace(**fields)
+        path.write_text(path.read_text(encoding="utf-8").replace(*edit), encoding="utf-8")
+        with pytest.raises(ConfigError) as loaded:
+            load_scenario(path)
+        assert type(library.value) is type(loaded.value) is ConfigError
+        assert str(library.value) == str(loaded.value) == message
+
+    def test_an_iso_text_issue_date_is_read_as_the_loader_reads_it(self, tmp_path):
+        path = write_scenario(tmp_path, ISSUE_STEP)
+        base = load_scenario(path)
+        assert base._replace(issue_date="2020-01-01").issue_date == date(2020, 1, 1)
+        path.write_text(path.read_text(encoding="utf-8").replace("2020-01-01", "'2020-01-01'", 1), encoding="utf-8")
+        assert load_scenario(path) == base
+
+    def test_a_library_step_reports_as_the_same_yaml_step(self, tmp_path):
+        quote = "  - {dt: 1, action: quote, cert: c1, premium: 0, date: '2020-01-03'}\n"
+        path = write_scenario(tmp_path, ISSUE_STEP + quote)
+        loaded = load_scenario(path)
+        args = {"premium": 0}
+        built = loaded._replace(script=(
+            ScriptStep(0, "issue", "c1", None, {"face_weight": 5, "owner": "a"}),
+            ScriptStep(1, "quote", "c1", "2020-01-03", args),
+        ))
+        assert built.script[1] == ScriptStep(1, "quote", "c1", date(2020, 1, 3), {"premium": 0.0})
+        assert type(args["premium"]) is int  # the caller's step is left as it was
+        lines = run_scenario(built)[0].to_json_lines()
+        assert lines == run_scenario(loaded)[0].to_json_lines()
+        assert '"premium":0.0' in lines
+
+
+def test_a_null_script_runs_no_step(tmp_path):
+    report, registry = run_scenario(load_scenario(write_scenario(tmp_path, "")))
+    assert (report.steps, registry.ledger.last_seq) == ([], 0)
 
 
 # an issuer term a value type refuses, and the refusal naming its section
