@@ -207,10 +207,10 @@ class Ledger:
             raise DomainError(f"payload cannot be recorded as canonical JSON: {exc}") from None
         if not (keep and _exact(payload)):
             payload = _loads(payload_json)
-        seq = self.last_seq + 1
-        prev = self.head_hash
-        line = _seal(seq, timestamp.isoformat(), kind.value, cert_id, payload_json, prev)
-        return LedgerEvent(seq, timestamp, kind, cert_id, payload, prev, line[-64:], line)
+        seq = self._last_seq + 1
+        prev = self._head_hash
+        line = _seal(seq, timestamp.isoformat(), kind._value_, cert_id, payload_json, prev)
+        return _new(LedgerEvent, (seq, timestamp, kind, cert_id, payload, prev, line[-64:], line))
 
     def append(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date) -> LedgerEvent:
         """Seal and append one event; returns it.

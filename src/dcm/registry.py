@@ -559,7 +559,7 @@ def replay(events: Iterable[LedgerEvent]) -> Registry:
 
 
 def _theta_to_payload(theta: AttenuationSpec) -> dict:
-    payload: dict = {"theta_daily": theta.theta_daily, "mode": theta.mode.value}
+    payload: dict = {"theta_daily": theta.theta_daily, "mode": theta.mode._value_}
     if theta.tariff is not None:
         payload["tariff"] = theta.tariff._asdict()
     if theta.cif is not None:

@@ -3,6 +3,11 @@
 Quantities are computed in double precision throughout the engine and only
 quantized where a number is printed or settled.  Quantization goes through the
 shortest round-tripping decimal form of the float, then rounds half-even.
+
+The quantum of each ``places`` from 0 to 28 is built once, at import; every
+other ``places`` is checked by ``require_integer`` and its quantum built per
+call, so ``places`` is refused as before: ``True``, ``2.0``, ``'2'`` and ``[2]``
+are no integer, and a negative one is below 0.
 """
 
 from __future__ import annotations
@@ -14,12 +19,20 @@ from .errors import DomainError
 from .values import Value, require_integer
 
 
+# 10**-places for each places a value below 1 can be rounded to in the default context's 28 digits
+_QUANTA = {places: Decimal(1).scaleb(-places) for places in range(29)}
+
+
 def quantize(value: float, places: int) -> Decimal:
     """Round ``value`` half-even to ``places`` decimal digits."""
-    if require_integer("places", places) < 0:
-        raise DomainError("places must be >= 0")
+    # looked up for an exact int alone: True and 2.0 hash as 1 and 2, and [2] does not hash
+    quantum = _QUANTA.get(places) if places.__class__ is int else None
+    if quantum is None:
+        if require_integer("places", places) < 0:
+            raise DomainError("places must be >= 0")
+        quantum = Decimal(1).scaleb(-places)
     try:
-        return Decimal(repr(float(value))).quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN)
+        return Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_EVEN)
     except InvalidOperation:  # the result needs more digits than the decimal context holds
         raise DomainError(f"cannot round {value!r} to {places} places in {getcontext().prec} digits") from None
 

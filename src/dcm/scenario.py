@@ -18,6 +18,7 @@ issue_date + dt.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
 from datetime import date, timedelta
 from decimal import Decimal
 from importlib import resources
@@ -46,6 +47,7 @@ _ACTIONS = {
     "expire": {},
 }
 _OWNER_ARGS = frozenset({"owner", "new_owner"})
+_ISSUE, _TRANSFER, _QUOTE, _DELIVER, _BUYBACK, _EXPIRE = EventKind  # the members in definition order
 _STEP_FIELDS = frozenset({"dt", "action", "cert", "date"})
 # libyaml's parser where PyYAML was built with it; both loaders build values
 # with the same SafeConstructor and resolver
@@ -80,7 +82,11 @@ class IssuerTerms(Value, namedtuple(
 class ScenarioConfig(Value, namedtuple(
     "ScenarioConfig", "name currency issue_date issuer script prices price_per_units rounding"
 )):
-    """``price_per_units`` is the certificate weight units per quoted price unit."""
+    """``price_per_units`` is the certificate weight units per quoted price unit.
+
+    ``script`` is a list or tuple of steps, each a ``ScriptStep`` or five
+    values in its field order, whose ``args`` is a mapping.
+    """
 
     __slots__ = ()
 
@@ -102,12 +108,20 @@ class ScenarioConfig(Value, namedtuple(
         price_per_units = _built("prices", require_number, "per_units", price_per_units)
         if price_per_units <= 0:
             raise ConfigError("prices.per_units must be > 0")
+        if not isinstance(script, (list, tuple)):
+            raise ConfigError(f"script must be a list of steps, got {script!r}")
         last_dt = date.max.toordinal() - issue_date.toordinal()
         previous = 0
         issued: dict[str, int] = {}  # each alias, and the step that issued it
         steps = []
-        for index, (dt, action, cert, when, args) in enumerate(script, start=1):
+        for index, step in enumerate(script, start=1):
             where = f"script step {index}"
+            try:
+                dt, action, cert, when, args = step
+            except (TypeError, ValueError):  # not iterable, or not five fields
+                raise ConfigError(f"{where} must be a ScriptStep of five fields, got {step!r}") from None
+            if not isinstance(args, Mapping):
+                raise ConfigError(f"{where}: args must be a mapping, got {args!r}")
             try:
                 dt = require_integer("dt", dt)
                 _string("action", action)
@@ -460,41 +474,62 @@ def report_record(event: LedgerEvent, profile: RoundingProfile, index: int, step
     """
     payload = event.payload
     kind = event.kind
-    record: dict[str, Any] = {"step": index, "action": step.action, "cert": step.cert, "cert_id": event.cert_id}
-    if kind is EventKind.ISSUE:
+    if kind is _ISSUE:
         when = step.date if step.date is not None else event.timestamp + timedelta(days=step.dt)
         theta = payload["theta"]["theta_daily"]
-        record.update(
-            dt=step.dt, date=when.isoformat(), face_weight=payload["face_weight"], owner=payload["owner"],
-            theta=theta, theta_display=fmt(theta, 6),
-        )
-        return record
-    record.update(dt=payload["t"], date=event.timestamp.isoformat())
-    if kind is EventKind.TRANSFER:
-        record["to_owner"] = payload["to_owner"]
-    elif kind is EventKind.QUOTE:
+        return {
+            "step": index, "action": step.action, "cert": step.cert, "cert_id": event.cert_id,
+            "dt": step.dt, "date": when.isoformat(), "face_weight": payload["face_weight"], "owner": payload["owner"],
+            "theta": theta, "theta_display": _theta_display(theta),
+        }
+    dt, day = payload["t"], event.timestamp.isoformat()
+    if kind is _TRANSFER:
+        return {
+            "step": index, "action": step.action, "cert": step.cert, "cert_id": event.cert_id, "dt": dt, "date": day,
+            "to_owner": payload["to_owner"],
+        }
+    if kind is _QUOTE:
         residual, price = payload["residual_weight"], payload["price"]
-        record.update(
-            quotation=payload["quotation"], premium=payload["premium"], residual_weight=residual,
-            residual_weight_display=profile.weight(residual), settlement_weight=payload["docket_weight"],
-            price=price, price_display=profile.money(price),
-        )
-    elif kind is EventKind.EXPIRE:
+        return {
+            "step": index, "action": step.action, "cert": step.cert, "cert_id": event.cert_id, "dt": dt, "date": day,
+            "quotation": payload["quotation"], "premium": payload["premium"], "residual_weight": residual,
+            "residual_weight_display": profile.weight(residual), "settlement_weight": payload["docket_weight"],
+            "price": price, "price_display": profile.money(price),
+        }
+    if kind is _EXPIRE:
         accrued = payload["issuer_accrued_weight"]
-        record.update(issuer_accrued_weight=accrued, issuer_accrued_weight_display=profile.weight(accrued))
-    else:  # DELIVER or BUYBACK: the residual splits into the holder's weight and the custodian's charge
-        held = "delivered_weight" if kind is EventKind.DELIVER else "buyback_weight"
-        residual, shown = profile.weight(payload["residual_weight"]), profile.weight(payload[held])
-        record.update({
-            "residual_weight": payload["residual_weight"], "residual_weight_display": residual,
-            held: payload[held], f"{held}_display": shown, "charged_weight": payload["charged_weight"],
-            # printed charge = printed residual - printed held weight: the displayed line balances to the last digit
-            "charged_weight_display": str(Decimal(residual) - Decimal(shown)),
-        })
-        if kind is EventKind.BUYBACK:
-            cash = payload["cash"]
-            record.update(quotation=payload["quotation"], cash=cash, cash_display=profile.money(cash))
+        return {
+            "step": index, "action": step.action, "cert": step.cert, "cert_id": event.cert_id, "dt": dt, "date": day,
+            "issuer_accrued_weight": accrued, "issuer_accrued_weight_display": profile.weight(accrued),
+        }
+    # DELIVER or BUYBACK: the residual splits into the holder's weight and the custodian's charge; the printed
+    # charge is the printed residual less the printed held weight, so the displayed line balances to the last digit
+    held = "delivered_weight" if kind is _DELIVER else "buyback_weight"
+    residual, shown = profile.weight(payload["residual_weight"]), profile.weight(payload[held])
+    record = {
+        "step": index, "action": step.action, "cert": step.cert, "cert_id": event.cert_id, "dt": dt, "date": day,
+        "residual_weight": payload["residual_weight"], "residual_weight_display": residual,
+        held: payload[held], f"{held}_display": shown, "charged_weight": payload["charged_weight"],
+        "charged_weight_display": str(Decimal(residual) - Decimal(shown)),
+    }
+    if kind is _BUYBACK:
+        cash = payload["cash"]
+        record.update(quotation=payload["quotation"], cash=cash, cash_display=profile.money(cash))
     return record
+
+
+# fmt(theta, 6) of the first 64 float thetas in (0, 1) shown, where equal floats print alike: every ISSUE of a
+# scenario shows one theta
+_THETA_SHOWN: dict[float, str] = {}
+
+
+def _theta_display(theta: float) -> str:
+    shown = _THETA_SHOWN.get(theta) if theta.__class__ is float else None
+    if shown is None:
+        shown = fmt(theta, 6)
+        if theta.__class__ is float and 0.0 < theta < 1.0 and len(_THETA_SHOWN) < 64:
+            _THETA_SHOWN[theta] = shown
+    return shown
 
 
 def _market_quote(config: ScenarioConfig, when: date, premium: float) -> MarketQuote:
@@ -504,7 +539,6 @@ def _market_quote(config: ScenarioConfig, when: date, premium: float) -> MarketQ
 
 def _run_step(config: ScenarioConfig, registry: Registry, aliases: dict[str, str], step: ScriptStep) -> None:
     """Run ``step``, which ``config`` checked, and which records exactly one event in ``registry``."""
-    when = step.date if step.date is not None else config.issue_date + timedelta(days=step.dt)
     if step.action == "issue":
         aliases[step.cert] = registry.issue(
             issuer=config.issuer.issuer_id,
@@ -519,6 +553,7 @@ def _run_step(config: ScenarioConfig, registry: Registry, aliases: dict[str, str
         ).cert_id
         return
     cert_id = aliases[step.cert]
+    when = step.date if step.date is not None else config.issue_date + timedelta(days=step.dt)
     if step.action == "quote":
         quote = _market_quote(config, when, step.args.get("premium", 0.0))
         registry.quote_transaction_price(cert_id, quote, step.dt, timestamp=when)

@@ -587,6 +587,35 @@ def perfbench_shaped_scenario(tmp_path, n_steps: int = 300):
     return path
 
 
+# sha256 of a generated scenario's to_json_lines(), to_text() and ledger lines: between them every action,
+# date: overrides, int and float figures, quoted owners, and 3/2- and 4/4-place rounding
+GENERATED_SHA256 = {
+    "generated": (
+        generated_scenario,
+        "b5b908ea2b754a1e853eea0d035f155a80356aa2d6ff8c8d84683082d2f59779",
+        "60b7feef57bf3d248df54fd80eb319f06464a03f0ac8b32a10065f277396cb88",
+        "22fd0e2cf0724f1cc1e02cb56af93fd171d1eb5f3c9dfa8dc9d95eb7c4a92b9d",
+    ),
+    "perfbench-shaped": (
+        perfbench_shaped_scenario,
+        "f2cb6c85edd143ae48d4862b8d30839fad713e7cb48202827b6c522f5598267c",
+        "30d6b021733d409f1ff8991e6135e65c9ef2a466c8ecd6b82d3ab32fd6991e5d",
+        "f7e03adc3b377cb321be49ced2c02f11568b9df15082974ad249c5aded602d82",
+    ),
+}
+
+
+@pytest.mark.parametrize("make_path, json_sha256, text_sha256, ledger_sha256", GENERATED_SHA256.values(),
+                         ids=GENERATED_SHA256.keys())
+def test_generated_reports_and_ledgers_have_the_pinned_bytes(tmp_path, make_path, json_sha256, text_sha256,
+                                                             ledger_sha256):
+    report, registry = run_scenario(load_scenario(make_path(tmp_path)))
+    ledger = "".join(line + "\n" for line in registry.ledger.to_lines())
+    assert [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in (
+        report.to_json_lines(), report.to_text(), ledger
+    )] == [json_sha256, text_sha256, ledger_sha256]
+
+
 YAML_LOAD = yaml.load  # the reference the event builder is held to; the tests here run with it patched away
 
 
@@ -1087,6 +1116,29 @@ class TestConfigFields:
         lines = run_scenario(built)[0].to_json_lines()
         assert lines == run_scenario(loaded)[0].to_json_lines()
         assert '"premium":0.0' in lines
+
+
+# a script of a shape no scenario file gives, handed to the library ScenarioConfig, and its refusal
+LIBRARY_SCRIPT_REFUSALS = {
+    "integer": (lambda steps: 5, "script must be a list of steps, got 5"),
+    "none": (lambda steps: None, "script must be a list of steps, got None"),
+    "three-fields": (
+        lambda steps: (steps[0], (0, "issue", "c2"), *steps[2:]),
+        "script step 2 must be a ScriptStep of five fields, got (0, 'issue', 'c2')",
+    ),
+    "args-integer": (
+        lambda steps: (steps[0], (*steps[1][:4], 5), *steps[2:]), "script step 2: args must be a mapping, got 5"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape, message", LIBRARY_SCRIPT_REFUSALS.values(), ids=LIBRARY_SCRIPT_REFUSALS.keys())
+def test_a_library_script_of_the_wrong_shape_is_a_config_error(shape, message):
+    base = load_scenario(bundled_scenario_path("lme_copper"))
+    with pytest.raises(ConfigError) as excinfo:
+        base._replace(script=shape(base.script))
+    assert type(excinfo.value) is ConfigError
+    assert (str(excinfo.value), excinfo.value.exit_code) == (message, 2)
 
 
 def test_a_null_script_runs_no_step(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from datetime import date, datetime
+from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
 
@@ -34,7 +35,8 @@ from dcm import (
 )
 from dcm.decay import residual_weight, wealth_projection
 from dcm.registry import Registry
-from dcm.rounding import fmt, quantize
+from dcm import rounding
+from dcm.rounding import fmt, quantize, quantize_to_float
 from dcm.scenario import IssuerTerms
 from dcm.values import require_date, require_integer, require_number
 
@@ -258,8 +260,6 @@ def test_a_text_or_integer_field_of_another_type_is_a_domain_error(cls, field, v
 
 # a day count, a number of places or a date given to a function, not a value type: (call, message)
 SCALAR_ARGUMENT_REFUSALS = {
-    "fmt-float-places": (lambda: fmt(1.2, 2.0), "places must be an integer, got 2.0"),
-    "quantize-text-places": (lambda: quantize(1.2, "2"), "places must be an integer, got '2'"),
     "registry-text-places": (lambda: Registry(weight_places="x"), "weight_places must be an integer, got 'x'"),
     "residual-whole-float-days": (
         lambda: residual_weight(1000.0, 0.99, 2.0), "delta_t must be an integer, got 2.0"
@@ -282,19 +282,45 @@ def test_an_integer_or_date_argument_of_another_type_is_a_domain_error(case):
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: quantize(1.2, -1), "places must be >= 0"),
-        (lambda: RoundingProfile(weight_places=-1), "rounding places must be >= 0"),
-        (lambda: RoundingProfile(money_places=-1), "rounding places must be >= 0"),
-    ],
-    ids=["quantize", "weight-places", "money-places"],
-)
-def test_a_negative_number_of_places_is_a_domain_error(call, message):
+# a places refused, a places rounded to just before it (True and 2.0 hash as 1 and 2), and the refusal
+PLACES_REFUSALS = {
+    "true-after-1": (True, 1, "must be an integer, got True"),
+    "float-after-2": (2.0, 2, "must be an integer, got 2.0"),
+    "text": ("2", 2, "must be an integer, got '2'"),
+    "list": ([2], 2, "must be an integer, got [2]"),
+    "negative": (-1, 1, "must be >= 0"),
+}
+# each call that takes a places, and the name its refusal gives it
+PLACES_CALLS = {
+    "quantize": (lambda places: quantize(1.25, places), "places"),
+    "fmt": (lambda places: fmt(1.25, places), "places"),
+    "quantize-to-float": (lambda places: quantize_to_float(1.25, places), "places"),
+    "weight-places": (lambda places: RoundingProfile(weight_places=places), "weight_places"),
+    "money-places": (lambda places: RoundingProfile(money_places=places), "money_places"),
+}
+
+
+@pytest.mark.parametrize("call, name", PLACES_CALLS.values(), ids=PLACES_CALLS.keys())
+@pytest.mark.parametrize("places, warm, refusal", PLACES_REFUSALS.values(), ids=PLACES_REFUSALS.keys())
+def test_places_are_refused_after_their_quantum_is_built(call, name, places, warm, refusal):
+    assert fmt(1.25, warm) == str(quantize(1.25, warm))
     with pytest.raises(DomainError) as excinfo:
-        call()
-    assert str(excinfo.value) == message
+        call(places)
+    if places == -1 and name != "places":
+        name = "rounding places"  # RoundingProfile refuses either field below 0 in one message
+    assert type(excinfo.value) is DomainError
+    assert str(excinfo.value) == f"{name} {refusal}"
+
+
+def test_the_quanta_stay_bounded_and_round_as_built_per_call():
+    quanta = dict(rounding._QUANTA)
+    for places in range(1_000):  # Days(places), an int subclass, is checked and its quantum built per call
+        expected = str(Decimal("0.0").quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))
+        assert fmt(0.0, places) == fmt(0.0, Days(places)) == expected
+    assert rounding._QUANTA == quanta and len(quanta) == 29
+    for value, places in [(0.125, 2), (2.5, 0), (0.0625, 3), (0.314159265358979, 28), (1e-9, 29), (1e-9, 35)]:
+        expected = Decimal(repr(value)).quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN)
+        assert str(quantize(value, places)) == str(expected)
 
 
 class Days(int):
