@@ -1,9 +1,9 @@
 """Certificate lifecycle over the event ledger.
 
-Issue, transfer, quote, deliver, buy back, expire - every mutation seals one
-ledger event, applies it through ``Registry._apply`` and then appends it;
-``replay`` rebuilds the registry by feeding the verified stream through that
-same function.
+Issue, transfer, quote, deliver, buy back, expire - every event is decided once,
+by ``Registry._legal``, and evolved once, by ``Registry._evolve``, the only code
+that changes state: a live operation decides before it settles and seals, and
+``replay`` decides and evolves each verified event through the same two steps.
 
 The registry is a single-writer, multi-reader component: callers must
 serialize mutating operations through one writer; reads see the state as of
@@ -359,12 +359,13 @@ class Registry:
         """Apply verified events that follow the ledger's head, keeping none of them; returns the registry.
 
         Each event must link to the head, which ``Ledger.link`` moves past it;
-        one that ``_apply`` refuses is a LedgerIntegrityError at its seq.
+        one that ``_legal`` or ``_evolve`` refuses is a LedgerIntegrityError at its seq.
         """
         for event in events:
             self.ledger.link(event)
             try:
-                self._apply(event)
+                kind = event.kind
+                self._evolve(event, None if kind is _ISSUE else self._legal(kind, event.cert_id, event.payload["t"])[0])
             except (DCMError, KeyError, TypeError, ValueError) as exc:
                 raise LedgerIntegrityError(
                     f"{event.kind.value} refused: {type(exc).__name__}: {exc}", seq=event.seq
@@ -373,22 +374,21 @@ class Registry:
 
     # -- operations ---------------------------------------------------------
     #
-    # Each operation checks the inputs its computation needs and, through
-    # ``_legal``, the certificate and the day, then builds its payload and
-    # seals one event.  Quote, deliver, buy back and expire share ``_settle``:
-    # each settlement's figures come from one function per kind, and its
-    # payload is the result's fields after cert_id.  ``_apply``, the only code
-    # that decides an event's legality and changes registry state, runs before
-    # the append, so a refused event (StateError and friends: exit 2/3)
-    # records nothing; replay feeds it the ledger, so live and replayed state
-    # cannot drift apart.  On every event it checks a new cert_id and valid
-    # terms with exact keys (ISSUE); through ``_legal``, an int day ``t``, a
-    # known certificate that is not terminal, t >= 0 (not EXPIRE), the
-    # validity window (not TRANSFER), the delivery lot (DELIVER), the lapsed
-    # window (EXPIRE) and a date within the calendar; the owners (TRANSFER);
-    # and that the payload has exactly its kind's top-level keys.  Replay does
-    # not call the settlement functions yet: their figures are recorded, not
-    # re-derived (ROADMAP D6).
+    # Each operation checks the inputs its computation needs (``issue``: a
+    # theta and rules of their value types; quote and buy back: a MarketQuote,
+    # after ``_legal``), decides, builds its payload and seals one event.
+    # Quote, deliver, buy back and expire share ``_settle``: each settlement's
+    # figures come from one function per kind, and its payload is the result's
+    # fields after cert_id.  Every non-ISSUE event is decided once by
+    # ``_legal`` (an int day ``t``, a known certificate that is not terminal,
+    # t >= 0 but for EXPIRE, the validity window but for TRANSFER, the delivery
+    # lot, the lapsed window of EXPIRE, a date within the calendar), live
+    # before the settlement function and on replay as read.  ``_evolve`` then
+    # checks a new cert_id and valid terms (ISSUE), the owners (TRANSFER) and
+    # the payload's exact top-level keys, and alone changes state, before the
+    # append: a refused event (exit 2/3) records nothing, and live and replayed
+    # state cannot drift apart.  Replay does not call the settlement functions
+    # yet: their figures are recorded, not re-derived (ROADMAP D6).
 
     def issue(
         self,
@@ -406,7 +406,7 @@ class Registry:
         """Issue an ACTIVE certificate and append its ISSUE event.
 
         The face weight must be one of the issuer's registered denominations.
-        A duplicate id and purity are refused by ``_apply`` before anything
+        A duplicate id and purity are refused by ``_evolve`` before anything
         is recorded; theta and the delivery rules by their own value types.
         """
         require_date("issue_date", issue_date)  # before its payload form is built from it
@@ -418,10 +418,14 @@ class Registry:
         if weight not in denominations:
             offered = ", ".join(str(d) for d in sorted(denominations))
             raise IssuanceError(f"face weight {face_weight} not offered by {issuer}; denominations: {offered}")
+        if not isinstance(theta, AttenuationSpec):
+            raise DomainError(f"theta must be an AttenuationSpec, got {theta!r}")
+        if not isinstance(rules, DeliveryRules):
+            raise DomainError(f"rules must be a DeliveryRules, got {rules!r}")
         count = self._issue_counts.get((issuer, material), 0) + 1
         cert_id = f"{issuer}-{material}-{count:04d}"
         payload = _issue_form(issuer, material, weight, purity, issue_date, theta, rules, owner, weight_unit)
-        self._record(_ISSUE, cert_id, payload, issue_date)
+        self._record(_ISSUE, cert_id, payload, issue_date, None)
         return self._certs[cert_id]
 
     def _legal(self, kind: EventKind, cert_id: str, t: int) -> tuple[Certificate, int]:
@@ -451,16 +455,16 @@ class Registry:
     # Every payload ``_record`` receives is a dict built for that call alone: ``_issue_form``'s, nested dicts
     # and all, ``_settle``'s ``_asdict()`` and ``transfer``'s literal.  The sealed event keeps it as its payload
     # rather than parsing its own JSON back (``Ledger._seal_fresh``), so no caller may keep or change it.
-    def _record(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date | None) -> None:
-        """Seal, apply and append one event dated ``timestamp``, by default ``t`` days after the issue date."""
+    def _record(self, kind: EventKind, cert_id: str, payload: dict, timestamp: date | None, cert: Certificate | None):
+        """Seal, evolve and append one event on ``_legal``'s ``cert``, dated ``timestamp`` or ``t`` days after issue."""
         if timestamp is None:
-            timestamp = self._certs[cert_id].date_at(payload["t"])
+            timestamp = cert.date_at(payload["t"])
         event = self.ledger._seal_fresh(kind, cert_id, payload, timestamp)
-        self._apply(event)
+        self._evolve(event, cert)
         self.ledger.append_sealed(event)
 
-    def _apply(self, event: LedgerEvent) -> None:
-        """Apply one sealed event to the registry: the single legality check and state transition.
+    def _evolve(self, event: LedgerEvent, cert: Certificate | None) -> None:
+        """Apply one event that ``_legal`` has passed on ``cert`` (None for an ISSUE): the one state transition.
 
         Runs before the append, for live operations and replay alike, and
         raises the engine's own errors; ``replay`` reports them as
@@ -477,7 +481,6 @@ class Registry:
                 raise IssuanceError(f"certificate {cert_id!r} already exists")
             cert = _cert_from_payload(cert_id, payload)
         else:
-            cert = self._legal(kind, cert_id, payload["t"])[0]
             owner = cert.owner
             if kind is _TRANSFER:
                 owner = payload["to_owner"]
@@ -495,10 +498,13 @@ class Registry:
 
     def _settle(self, kind: EventKind, cert_id: str, t: int, quote: MarketQuote | None, timestamp: date | None):
         """Settle ``cert_id`` on day ``t`` by ``kind``'s settlement function and record its figures."""
-        result = _EVENT_RULES[kind][2](*self._legal(kind, cert_id, t), quote, self.weight_places)
+        cert, t = self._legal(kind, cert_id, t)
+        if (kind is _QUOTE or kind is _BUYBACK) and not isinstance(quote, MarketQuote):
+            raise DomainError(f"quote must be a MarketQuote, got {quote!r}")
+        result = _EVENT_RULES[kind][2](cert, t, quote, self.weight_places)
         payload = result._asdict()
         del payload["cert_id"]
-        self._record(kind, cert_id, payload, timestamp)
+        self._record(kind, cert_id, payload, timestamp, cert)
         return result
 
     def quote_transaction_price(
@@ -532,7 +538,7 @@ class Registry:
     ) -> Certificate:
         """Change the registered owner.  Decay depends only on the issue date, never on ownership."""
         cert, t = self._legal(_TRANSFER, cert_id, t)
-        self._record(_TRANSFER, cert_id, {"t": t, "from_owner": cert.owner, "to_owner": new_owner}, timestamp)
+        self._record(_TRANSFER, cert_id, {"t": t, "from_owner": cert.owner, "to_owner": new_owner}, timestamp, cert)
         return self._certs[cert_id]
 
     def expire(self, cert_id: str, t: int, *, timestamp: date | None = None) -> ExpiryResult:
@@ -549,8 +555,8 @@ def replay(events: Iterable[LedgerEvent]) -> Registry:
     The stream must already be hash-verified (see ledger.read_events); replay
     re-checks linkage and applies the recorded state transitions, keeping no
     event: the ledger holds the head, ``events`` is empty and ``len`` is
-    ``last_seq``.  An event that ``_apply`` refuses is a LedgerIntegrityError
-    at its seq.
+    ``last_seq``.  An event that ``_legal`` or ``_evolve`` refuses is a
+    LedgerIntegrityError at its seq.
     """
     return Registry().apply_events(events)
 

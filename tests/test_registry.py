@@ -416,6 +416,7 @@ UNKNOWN = (DomainError, "unknown certificate 'LME-copper-0099'")
 TERMINAL = (StateError, "certificate LME-copper-0004 is DELIVERED; terminal states are absorbing")
 NEGATIVE = (DomainError, "t must be >= 0")
 PAST_VALIDITY = (ExpiryError, "certificate LME-copper-0002 expired: day 101 exceeds validity of 100 days")
+PAST_CALENDAR = (DomainError, "day 3000000 after 2020-01-01 falls outside the calendar, 0001-01-01 to 9999-12-31")
 
 # (operation, cert_id, t) -> the error type and message a live operation refuses with
 LIVE_REFUSALS = {
@@ -441,6 +442,34 @@ LIVE_REFUSALS = {
     ("transfer", "LME-copper-0001", 2.5): (DomainError, "t must be an integer, got 2.5"),
     ("quote", "LME-copper-0001", 2.0): (DomainError, "t must be an integer, got 2.0"),
     ("deliver", "LME-copper-0001", True): (DomainError, "t must be an integer, got True"),
+    # a date past the calendar's last, refused after every other day rule and before any figure is computed
+    **{(op, "LME-copper-0002" if op == "expire" else "LME-copper-0001", 3_000_000): PAST_CALENDAR for op in OPERATIONS},
+}
+
+
+
+def _issue(registry: Registry, face_weight: float = 1000, **changes) -> Certificate:
+    terms = {"theta": AttenuationSpec(theta_daily=0.99996), "rules": DeliveryRules(0.003, 0.002, 1000), **changes}
+    return registry.issue("LME", "copper", face_weight, 0.9999, LME_ISSUE_DATE, owner="client-1", **terms)
+
+
+# a library caller's argument that is not of its value type -> the error type and message it is refused with;
+# the -after- rows refuse the checks that come first, so the type check keeps its place
+LIBRARY_TYPE_REFUSALS = {
+    "theta": (lambda registry: _issue(registry, theta=0.9999), DomainError,
+              "theta must be an AttenuationSpec, got 0.9999"),
+    "rules": (lambda registry: _issue(registry, rules={"delivery_charge_ratio": 0.003}), DomainError,
+              "rules must be a DeliveryRules, got {'delivery_charge_ratio': 0.003}"),
+    "quote": (lambda registry: registry.quote_transaction_price("LME-copper-0001", 5.0, 3), DomainError,
+              "quote must be a MarketQuote, got 5.0"),
+    "buyback": (lambda registry: registry.buyback("LME-copper-0001", 3, None), DomainError,
+                "quote must be a MarketQuote, got None"),
+    "theta-after-denomination": (
+        lambda registry: _issue(registry, 7, theta=0.9999), IssuanceError,
+        "face weight 7 not offered by LME; denominations: 10.0, 1000.0",
+    ),
+    "quote-after-legality": (lambda registry: registry.quote_transaction_price("LME-copper-0004", 5.0, 3), *TERMINAL),
+    "buyback-after-legality": (lambda registry: registry.buyback("LME-copper-0001", -1, None), *NEGATIVE),
 }
 
 
@@ -472,6 +501,35 @@ class TestLiveRefusals:
             else:
                 registry.transfer("LME-copper-0001", "client-2", 3, timestamp=timestamp)
         assert str(excinfo.value) == f"timestamp must be a date, got {timestamp!r}"
+        assert len(registry.ledger) == 5
+        assert registry.snapshot() == before
+
+    @pytest.mark.parametrize(
+        "owner, timestamp, message",
+        [
+            ("", datetime(2020, 1, 4), "timestamp must be a date, got datetime.datetime(2020, 1, 4, 0, 0)"),
+            (object(), None,
+             "payload cannot be recorded as canonical JSON: Object of type object is not JSON serializable"),
+        ],
+        ids=["empty-owner-datetime", "owner-object"],
+    )
+    def test_a_transfer_is_sealed_before_its_owner_is_checked(self, owner, timestamp, message):
+        registry = _refusal_registry()
+        before = registry.snapshot()
+        with pytest.raises(DomainError) as excinfo:
+            registry.transfer("LME-copper-0001", owner, 3, timestamp=timestamp)
+        assert str(excinfo.value) == message
+        assert len(registry.ledger) == 5
+        assert registry.snapshot() == before
+
+    @pytest.mark.parametrize("case", list(LIBRARY_TYPE_REFUSALS))
+    def test_an_argument_of_the_wrong_type_is_a_domain_error_in_its_place(self, case):
+        registry = _refusal_registry()
+        before = registry.snapshot()
+        call, error, message = LIBRARY_TYPE_REFUSALS[case]
+        with pytest.raises(DCMError) as excinfo:
+            call(registry)
+        assert (type(excinfo.value), str(excinfo.value)) == (error, message)
         assert len(registry.ledger) == 5
         assert registry.snapshot() == before
 

@@ -18,11 +18,14 @@ from dcm import (
     AttenuationSpec,
     CertStatus,
     ConfigError,
+    EventKind,
+    Registry,
     ScenarioConfig,
     ScenarioStepError,
     ScriptStep,
     bundled_scenario_path,
     load_scenario,
+    replay,
     run_scenario,
     wealth_projection,
 )
@@ -614,6 +617,28 @@ def test_generated_reports_and_ledgers_have_the_pinned_bytes(tmp_path, make_path
     assert [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in (
         report.to_json_lines(), report.to_text(), ledger
     )] == [json_sha256, text_sha256, ledger_sha256]
+
+
+@pytest.mark.parametrize("make_path", [generated_scenario, perfbench_shaped_scenario],
+                         ids=["generated", "perfbench-shaped"])
+def test_each_event_is_decided_once_live_and_on_replay(tmp_path, monkeypatch, make_path):
+    config = load_scenario(make_path(tmp_path))
+    decided = []
+    legal = Registry._legal
+
+    def counted(self, kind, cert_id, t):
+        decided.append((kind, cert_id))
+        return legal(self, kind, cert_id, t)
+
+    monkeypatch.setattr(Registry, "_legal", counted)
+    _, registry = run_scenario(config)
+    events = list(read_events(registry.ledger.to_lines()))
+    expected = [(event.kind, event.cert_id) for event in events if event.kind is not EventKind.ISSUE]
+    assert 0 < len(expected) < len(events)
+    assert decided == expected
+    decided.clear()
+    assert replay(events).snapshot() == registry.snapshot()
+    assert decided == expected
 
 
 YAML_LOAD = yaml.load  # the reference the event builder is held to; the tests here run with it patched away
