@@ -24,11 +24,11 @@ from typing import Iterator
 from .checkpoint import LedgerFile
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient, wealth_projection
 from .errors import ConfigError, DCMError, DomainError
-from .ledger import Ledger, iso_date
+from .ledger import EventKind, Ledger
 from .market import quote_at, read_series
 from .registry import DeliveryRules, MarketQuote, Registry, export_certificate
 from .rounding import RoundingProfile, fmt
-from .values import require_number
+from .values import iso_date, require_number
 
 _MODE_CHOICES = [m.value for m in ThetaMode if m is not ThetaMode.EXPLICIT]
 
@@ -82,11 +82,16 @@ class AppContext:
         """Append the events after seq ``known`` to the ledger file."""
         self.ledger_file.append(event for event in ledger.events if event.seq > known)
 
-    def market_quote(self, cert, dt: int, premium: float) -> MarketQuote:
-        if self.prices_path is None:
-            raise ConfigError("this command needs a price series; pass --prices")
-        series = read_series(self.prices_path)
-        return MarketQuote(quotation=quote_at(series, cert.date_at(dt)) / self.per_units, premium=premium)
+    def market_quote(self, registry: Registry, kind: EventKind, cert_id: str, dt: int, premium: float) -> MarketQuote:
+        """The day's quote for settling ``cert_id`` by ``kind`` on day ``dt``, which the registry decides first."""
+        try:
+            if self.prices_path is None:
+                raise ConfigError("this command needs a price series; pass --prices")
+            quotation = quote_at(read_series(self.prices_path), registry.certificate(cert_id).date_at(dt))
+        except DCMError:  # a refusal of the event itself comes before the price's
+            registry._legal(kind, cert_id, dt)
+            raise
+        return MarketQuote(quotation=quotation / self.per_units, premium=premium)
 
 
 # -- commands: each takes the context and the parsed arguments ---------------
@@ -134,7 +139,7 @@ def issue(app: AppContext, args: argparse.Namespace) -> None:
 def quote(app: AppContext, args: argparse.Namespace) -> None:
     """Price a certificate against the market series."""
     with app.updating((args.cert,)) as registry:
-        market = app.market_quote(registry.certificate(args.cert), args.dt, args.premium)
+        market = app.market_quote(registry, EventKind.QUOTE, args.cert, args.dt, args.premium)
         result = registry.quote_transaction_price(args.cert, market, args.dt)
     print(f"residual_weight: {app.profile.weight(result.residual_weight)}")
     print(f"price: {app.profile.money(result.price)}")
@@ -151,7 +156,7 @@ def deliver(app: AppContext, args: argparse.Namespace) -> None:
 def buyback(app: AppContext, args: argparse.Namespace) -> None:
     """Settle a certificate for cash at the day's quotation."""
     with app.updating((args.cert,)) as registry:
-        market = app.market_quote(registry.certificate(args.cert), args.dt, 0.0)
+        market = app.market_quote(registry, EventKind.BUYBACK, args.cert, args.dt, 0.0)
         result = registry.buyback(args.cert, args.dt, market)
     print(f"buyback_weight: {app.profile.weight(result.buyback_weight)}")
     print(f"cash: {app.profile.money(result.cash)}")

@@ -13,7 +13,7 @@ from datetime import date
 from enum import Enum
 
 from .errors import DerivationError, DomainError, UnboundedCostError
-from .values import Value, require_date, require_integer, require_number
+from .values import Value, require_date, require_integer, require_number, require_text
 
 _new = tuple.__new__
 
@@ -82,9 +82,8 @@ class CifQuote(Value, namedtuple("CifQuote", "price_per_unit material location a
         price = require_number("price_per_unit", price_per_unit)
         if price <= 0:
             raise DomainError("price_per_unit must be > 0")
-        for name, text in (("material", material), ("location", location)):
-            if not isinstance(text, str):
-                raise DomainError(f"{name} must be a string, got {text!r}")
+        require_text("material", material)
+        require_text("location", location)
         if as_of is not None:
             require_date("as_of", as_of)
         return _new(cls, (price, material, location, as_of))

@@ -27,7 +27,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .errors import DomainError, LedgerIntegrityError
-from .values import Value, require_date
+from .values import Value, iso_date, require_date, shown
 
 GENESIS_HASH = "0" * 64
 
@@ -153,9 +153,7 @@ class LedgerEvent(Value, namedtuple("LedgerEvent", "seq timestamp kind cert_id p
 
 def validate_cert_id(cert_id: str) -> str:
     if cert_id.__class__ is not str or not _is_cert_id(cert_id):
-        raise DomainError(
-            f"cert_id {cert_id!r} must be non-empty and use only [A-Za-z0-9_.:-]"
-        )
+        raise DomainError(f"cert_id {shown(cert_id)} must be non-empty and use only [A-Za-z0-9_.:-]")
     return cert_id
 
 
@@ -247,18 +245,6 @@ def _fields(line: str) -> tuple[str, str, str, str, str, str, str, str]:
     head, prev_hash = body.rsplit("|", 1)
     seq_text, ts_text, kind_text, cert_id, payload_json = head.split("|", 4)
     return body, seq_text, ts_text, kind_text, cert_id, payload_json, prev_hash, line_hash
-
-
-def iso_date(text: str) -> date:
-    """The date ``text`` writes in ``date.isoformat()``'s form, YYYY-MM-DD; ValueError for other text.
-
-    From Python 3.11 ``date.fromisoformat`` also reads "20200101" and "2020-W01-3"; this refuses them with
-    3.10's message.  A value that is not a ``str`` is a TypeError.
-    """
-    value = _fromisoformat(text)
-    if value.isoformat() != text:
-        raise ValueError(f"Invalid isoformat string: {text!r}")
-    return value
 
 
 def parse_line(line: str, lineno: int | None = None) -> LedgerEvent:

@@ -11,8 +11,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import ConfigError, NoQuoteError, ParseError, ValidationError
-from .ledger import iso_date
-from .values import Value, require_number
+from .values import Value, iso_date, require_date, require_number, require_text
 
 
 def read_text(path: Path, what: str) -> str:
@@ -50,7 +49,7 @@ def _check_quotation(previous: date | None, when: date, price) -> None:
 
 def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSeries:
     """Parse ``date,price`` CSV text: header required, ISO dates strictly increasing, finite prices > 0."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(require_text("text", text)))
     try:
         rows = list(reader)
     except csv.Error as exc:  # a field past csv.field_size_limit(), which is the whole process's to set
@@ -100,7 +99,7 @@ def read_series(path: Path, *, material: str = "", currency: str = "") -> PriceS
 
 def quote_at(series: PriceSeries, when: date) -> float:
     """Latest quotation on or before ``when``: carry-forward steps, no interpolation."""
-    i = bisect_right(series.points, when, key=itemgetter(0))
+    i = bisect_right(series.points, require_date("when", when), key=itemgetter(0))
     if i == 0:
         raise NoQuoteError(f"no {series.material or 'price'} quotation on or before {when.isoformat()}")
     return series.points[i - 1][1]

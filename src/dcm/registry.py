@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from collections.abc import Iterable
 from datetime import date, timedelta
 from enum import Enum
-from typing import Iterable
 
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, residual_weight
 from .errors import (
@@ -35,9 +35,9 @@ from .errors import (
     ParseError,
     StateError,
 )
-from .ledger import EventKind, Ledger, LedgerEvent, canonical_payload, iso_date, member_lookup, validate_cert_id
+from .ledger import EventKind, Ledger, LedgerEvent, canonical_payload, member_lookup, validate_cert_id
 from .rounding import fmt, quantize_to_float
-from .values import Value, require_date, require_integer, require_number
+from .values import Value, iso_date, require_date, require_integer, require_number, require_text, shown
 
 
 class CertStatus(str, Enum):
@@ -87,8 +87,7 @@ class DeliveryRules(Value, namedtuple(
             raise DomainError("withdrawal_charge_ratio must lie in [0, 0.1]")
         if minimum <= 0:
             raise DomainError("min_delivery_weight must be > 0")
-        if not isinstance(delivery_location, str):
-            raise DomainError(f"delivery_location must be a string, got {delivery_location!r}")
+        require_text("delivery_location", delivery_location)
         if validity_days is not None:
             validity_days = require_integer("validity_days", validity_days)
             if validity_days <= 0:
@@ -140,11 +139,10 @@ class Certificate(Value, namedtuple(
         status: CertStatus = CertStatus.ACTIVE,
     ):
         validate_cert_id(cert_id)
-        _check_text("issuer", issuer)
-        _check_text("material", material)
-        _check_text("owner", owner)
-        if not isinstance(weight_unit, str):
-            raise DomainError(f"weight_unit must be a string, got {weight_unit!r}")
+        require_text("issuer", issuer, non_empty=True)
+        require_text("material", material, non_empty=True)
+        require_text("owner", owner, non_empty=True)
+        require_text("weight_unit", weight_unit)
         face_weight = require_number("face_weight", face_weight)
         purity = require_number("purity", purity)
         require_date("issue_date", issue_date)
@@ -166,9 +164,13 @@ class Certificate(Value, namedtuple(
         return self.issue_date + timedelta(days=t)
 
 
-def _check_text(name: str, value) -> None:
-    if not isinstance(value, str) or not value:
-        raise DomainError(f"{name} must be a non-empty string, got {value!r}")
+def _key(name: str, value):
+    """``value``, to key a dict by; one that cannot is no text, and is refused as ``Certificate`` refuses it."""
+    try:
+        hash(value)
+    except TypeError:
+        require_text(name, value, non_empty=True)
+    return value
 
 
 class QuoteResult(Value, namedtuple("QuoteResult", "cert_id t residual_weight docket_weight quotation premium price")):
@@ -264,12 +266,14 @@ class Registry:
 
     def register_issuer(self, issuer: str, denominations: Iterable[float]) -> None:
         """Declare the face weights an issuer offers.  Membership is exact."""
+        if not isinstance(denominations, Iterable):
+            raise DomainError(f"denominations must be a collection of numbers, got {shown(denominations)}")
         denoms = frozenset(require_number("denomination", d) for d in denominations)
         if not denoms:
             raise DomainError("denomination set must not be empty")
         if any(d <= 0 for d in denoms):
             raise DomainError("denominations must be > 0")
-        self._denominations[issuer] = denoms
+        self._denominations[_key("issuer", issuer)] = denoms
 
     # -- reads ------------------------------------------------------------
 
@@ -277,7 +281,7 @@ class Registry:
         try:
             cert = self._certs[cert_id]
         except KeyError:
-            raise DomainError(f"unknown certificate {cert_id!r}") from None
+            raise DomainError(f"unknown certificate {shown(cert_id)}") from None
         if cert.__class__ is str:
             cert = self._build(cert_id, cert)
         return cert
@@ -374,12 +378,13 @@ class Registry:
 
     # -- operations ---------------------------------------------------------
     #
-    # Each operation checks the inputs its computation needs (``issue``: a
-    # theta and rules of their value types; quote and buy back: a MarketQuote,
-    # after ``_legal``), decides, builds its payload and seals one event.
-    # Quote, deliver, buy back and expire share ``_settle``: each settlement's
-    # figures come from one function per kind, and its payload is the result's
-    # fields after cert_id.  Every non-ISSUE event is decided once by
+    # Each operation checks the inputs its computation needs (``issue``: an
+    # issuer and material that key its lookups, a theta and rules of their
+    # value types; quote and buy back: a MarketQuote, after ``_legal``),
+    # decides, builds its payload and seals one event.  Quote, deliver, buy
+    # back and expire share ``_settle``: each settlement's figures come from
+    # one function per kind, and its payload is the result's fields after
+    # cert_id.  Every non-ISSUE event is decided once by
     # ``_legal`` (an int day ``t``, a known certificate that is not terminal,
     # t >= 0 but for EXPIRE, the validity window but for TRANSFER, the delivery
     # lot, the lapsed window of EXPIRE, a date within the calendar), live
@@ -412,17 +417,17 @@ class Registry:
         require_date("issue_date", issue_date)  # before its payload form is built from it
         weight = require_number("face_weight", face_weight)
         purity = require_number("purity", purity)
-        denominations = self._denominations.get(issuer)
+        denominations = self._denominations.get(_key("issuer", issuer))
         if denominations is None:
-            raise IssuanceError(f"issuer {issuer!r} has no registered denomination set")
+            raise IssuanceError(f"issuer {shown(issuer)} has no registered denomination set")
         if weight not in denominations:
             offered = ", ".join(str(d) for d in sorted(denominations))
             raise IssuanceError(f"face weight {face_weight} not offered by {issuer}; denominations: {offered}")
         if not isinstance(theta, AttenuationSpec):
-            raise DomainError(f"theta must be an AttenuationSpec, got {theta!r}")
+            raise DomainError(f"theta must be an AttenuationSpec, got {shown(theta)}")
         if not isinstance(rules, DeliveryRules):
-            raise DomainError(f"rules must be a DeliveryRules, got {rules!r}")
-        count = self._issue_counts.get((issuer, material), 0) + 1
+            raise DomainError(f"rules must be a DeliveryRules, got {shown(rules)}")
+        count = self._issue_counts.get((issuer, _key("material", material)), 0) + 1
         cert_id = f"{issuer}-{material}-{count:04d}"
         payload = _issue_form(issuer, material, weight, purity, issue_date, theta, rules, owner, weight_unit)
         self._record(_ISSUE, cert_id, payload, issue_date, None)
@@ -484,7 +489,7 @@ class Registry:
             owner = cert.owner
             if kind is _TRANSFER:
                 owner = payload["to_owner"]
-                _check_text("owner", owner)
+                require_text("owner", owner, non_empty=True)
                 from_owner = payload["from_owner"]
                 if from_owner != cert.owner:
                     raise StateError(f"certificate {cert_id} is owned by {cert.owner!r}, not {from_owner!r}")
@@ -500,7 +505,7 @@ class Registry:
         """Settle ``cert_id`` on day ``t`` by ``kind``'s settlement function and record its figures."""
         cert, t = self._legal(kind, cert_id, t)
         if (kind is _QUOTE or kind is _BUYBACK) and not isinstance(quote, MarketQuote):
-            raise DomainError(f"quote must be a MarketQuote, got {quote!r}")
+            raise DomainError(f"quote must be a MarketQuote, got {shown(quote)}")
         result = _EVENT_RULES[kind][2](cert, t, quote, self.weight_places)
         payload = result._asdict()
         del payload["cert_id"]

@@ -16,7 +16,7 @@ from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, getcontext
 
 from .errors import DomainError
-from .values import Value, require_integer
+from .values import Value, require_integer, require_number, shown
 
 
 # 10**-places for each places a value below 1 can be rounded to in the default context's 28 digits
@@ -24,17 +24,19 @@ _QUANTA = {places: Decimal(1).scaleb(-places) for places in range(29)}
 
 
 def quantize(value: float, places: int) -> Decimal:
-    """Round ``value`` half-even to ``places`` decimal digits."""
+    """Round ``value``, a finite int or float, half-even to ``places`` decimal digits."""
     # looked up for an exact int alone: True and 2.0 hash as 1 and 2, and [2] does not hash
     quantum = _QUANTA.get(places) if places.__class__ is int else None
     if quantum is None:
         if require_integer("places", places) < 0:
             raise DomainError("places must be >= 0")
         quantum = Decimal(1).scaleb(-places)
+    # a plain float but NaN goes straight to Decimal, whose quantize refuses an infinity below
+    number = value if value.__class__ is float and value == value else require_number("value", value)
     try:
-        return Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_EVEN)
+        return Decimal(repr(number)).quantize(quantum, rounding=ROUND_HALF_EVEN)
     except InvalidOperation:  # the result needs more digits than the decimal context holds
-        raise DomainError(f"cannot round {value!r} to {places} places in {getcontext().prec} digits") from None
+        raise DomainError(f"cannot round {shown(value)} to {places} places in {getcontext().prec} digits") from None
 
 
 def quantize_to_float(value: float, places: int) -> float:

@@ -30,12 +30,12 @@ from yaml import AliasEvent, DocumentStartEvent, MappingEndEvent, MappingStartEv
 from yaml import SequenceEndEvent, SequenceStartEvent, StreamEndEvent
 
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, attenuation_coefficient
-from .errors import ConfigError, DCMError, DerivationError, DomainError, ScenarioStepError
-from .ledger import EventKind, LedgerEvent, canonical_payload, iso_date
+from .errors import ConfigError, DCMError, DerivationError, DomainError, NoQuoteError, ScenarioStepError
+from .ledger import EventKind, LedgerEvent, canonical_payload
 from .market import PriceSeries, quote_at, read_series, read_text
 from .registry import DeliveryRules, MarketQuote, Registry
 from .rounding import RoundingProfile, fmt
-from .values import Value, require_integer, require_number
+from .values import Value, iso_date, require_integer, require_number, require_text, shown
 
 # each action's step arguments, and whether a step must give each; the runner gives owner and premium defaults
 _ACTIONS = {
@@ -102,14 +102,14 @@ class ScenarioConfig(Value, namedtuple(
         rounding: RoundingProfile = RoundingProfile(),
     ):
         """Check the fields, then each step in order, rebuilt with float figures: a ConfigError names any refusal."""
-        name = _built("scenario", _string, "name", name)
-        currency = _built("scenario", _string, "currency", currency)
+        name = _built("scenario", require_text, "name", name)
+        currency = _built("scenario", require_text, "currency", currency)
         issue_date = _as_date(issue_date, "issue_date")
         price_per_units = _built("prices", require_number, "per_units", price_per_units)
         if price_per_units <= 0:
             raise ConfigError("prices.per_units must be > 0")
         if not isinstance(script, (list, tuple)):
-            raise ConfigError(f"script must be a list of steps, got {script!r}")
+            raise ConfigError(f"script must be a list of steps, got {shown(script)}")
         last_dt = date.max.toordinal() - issue_date.toordinal()
         previous = 0
         issued: dict[str, int] = {}  # each alias, and the step that issued it
@@ -119,13 +119,13 @@ class ScenarioConfig(Value, namedtuple(
             try:
                 dt, action, cert, when, args = step
             except (TypeError, ValueError):  # not iterable, or not five fields
-                raise ConfigError(f"{where} must be a ScriptStep of five fields, got {step!r}") from None
+                raise ConfigError(f"{where} must be a ScriptStep of five fields, got {shown(step)}") from None
             if not isinstance(args, Mapping):
-                raise ConfigError(f"{where}: args must be a mapping, got {args!r}")
+                raise ConfigError(f"{where}: args must be a mapping, got {shown(args)}")
             try:
                 dt = require_integer("dt", dt)
-                _string("action", action)
-                _string("cert", cert)
+                require_text("action", action)
+                require_text("cert", cert)
             except DomainError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
             if when is not None:
@@ -137,12 +137,12 @@ class ScenarioConfig(Value, namedtuple(
             try:
                 for key in reads:  # the action's arguments, each read by its kind; any other key is refused below
                     if key in args:
-                        args[key] = (_string if key in _OWNER_ARGS else require_number)(key, args[key])
+                        args[key] = (require_text if key in _OWNER_ARGS else require_number)(key, args[key])
             except DomainError as exc:
                 raise ConfigError(f"{where} ({action}): {exc}") from None
             for key in args:
                 if key not in reads:
-                    raise ConfigError(f"{where} ({action}): unknown key {key!r}")
+                    raise ConfigError(f"{where} ({action}): unknown key {shown(key)}")
             for key, required in reads.items():
                 if required and key not in args:
                     raise ConfigError(f"{where} ({action}): missing key {key!r}")
@@ -174,7 +174,7 @@ def _check_keys(mapping: Any, allowed: AbstractSet[str], context: str) -> None:
         raise ConfigError(f"{context} must be a mapping")
     for key in mapping:
         if key not in allowed:
-            raise ConfigError(f"{context}: unknown key {key!r}")
+            raise ConfigError(f"{context}: unknown key {shown(key)}")
 
 
 _REQUIRED = object()
@@ -194,28 +194,19 @@ def _built(section: str, kind: Callable, *args: Any, **fields: Any) -> Any:
         raise ConfigError(f"{section}: {exc}") from None
 
 
-def _string(key: str, value: Any) -> str:
-    """``value``, which must be a string; DomainError naming ``key`` otherwise."""
-    if not isinstance(value, str):
-        raise DomainError(f"{key} must be a string, got {value!r}")
-    return value
-
-
 def _figures(key: str, values: Any) -> tuple[float, ...]:
     """Each of ``values``, a YAML list, read by ``require_number``."""
     if not isinstance(values, list):
-        raise DomainError(f"{key} must be a list of numbers, got {values!r}")
+        raise DomainError(f"{key} must be a list of numbers, got {shown(values)}")
     return tuple(require_number(key, value) for value in values)
 
 
 def _as_date(value: Any, context: str) -> date:
     """A YAML date (not a timestamp with a time), or a string in YYYY-MM-DD form."""
-    if value.__class__ is date:
-        return value
     try:
         return iso_date(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{context}: bad date {value!r}") from None
+        raise ConfigError(f"{context}: bad date {shown(value)}") from None
 
 
 def _theta_from_config(issuer_cfg: dict) -> AttenuationSpec:
@@ -234,7 +225,7 @@ def _theta_from_config(issuer_cfg: dict) -> AttenuationSpec:
     try:
         mode = ThetaMode(mode)
     except ValueError:
-        raise ConfigError(f"theta_derivation: unknown mode {mode!r}") from None
+        raise ConfigError(f"theta_derivation: unknown mode {shown(mode)}") from None
     tariff = _built(
         "theta_derivation", StorageTariff,
         daily_warehouse_charge=_require(derivation, "daily_warehouse_charge", "theta_derivation"),
@@ -351,9 +342,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     for key in ("delivery_charge_ratio", "withdrawal_charge_ratio", "min_delivery_weight"):
         _require(rules_cfg, key, "delivery_rules")
     issuer = IssuerTerms(
-        issuer_id=_read(issuer_cfg, "id", "issuer", _string),
-        material=_read(issuer_cfg, "material", "issuer", _string),
-        weight_unit=_read(issuer_cfg, "weight_unit", "issuer", _string, "kg"),
+        issuer_id=_read(issuer_cfg, "id", "issuer", require_text),
+        material=_read(issuer_cfg, "material", "issuer", require_text),
+        weight_unit=_read(issuer_cfg, "weight_unit", "issuer", require_text, "kg"),
         purity=_read(issuer_cfg, "purity", "issuer", default=1.0),
         denominations=_read(issuer_cfg, "denominations", "issuer", _figures),
         theta=_theta_from_config(issuer_cfg),
@@ -367,7 +358,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         prices_cfg = raw["prices"]
         _check_keys(prices_cfg, {"path", "per_units"}, "prices")
         prices = read_series(
-            path.parent / _read(prices_cfg, "path", "prices", _string), material=issuer.material, currency=currency
+            path.parent / _read(prices_cfg, "path", "prices", require_text), material=issuer.material, currency=currency
         )
         per_units = prices_cfg.get("per_units", 1.0)
 
@@ -376,7 +367,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
     script = [] if raw.get("script") is None else raw["script"]
     if not isinstance(script, list):
-        raise ConfigError(f"script must be a list of steps, got {script!r}")
+        raise ConfigError(f"script must be a list of steps, got {shown(script)}")
     steps = []
     for index, step_cfg in enumerate(script, start=1):
         if not isinstance(step_cfg, dict):
@@ -532,9 +523,13 @@ def _theta_display(theta: float) -> str:
     return shown
 
 
-def _market_quote(config: ScenarioConfig, when: date, premium: float) -> MarketQuote:
-    unit_price = quote_at(config.prices, when) / config.price_per_units
-    return MarketQuote(quotation=unit_price, premium=premium)
+def _market_quote(config: ScenarioConfig, registry: Registry, cert_id: str, step: ScriptStep, when: date) -> MarketQuote:
+    try:
+        unit_price = quote_at(config.prices, when) / config.price_per_units
+    except NoQuoteError:  # a refusal of the event itself comes before the price's
+        registry._legal(_QUOTE if step.action == "quote" else _BUYBACK, cert_id, step.dt)
+        raise
+    return MarketQuote(quotation=unit_price, premium=step.args.get("premium", 0.0))
 
 
 def _run_step(config: ScenarioConfig, registry: Registry, aliases: dict[str, str], step: ScriptStep) -> None:
@@ -555,13 +550,13 @@ def _run_step(config: ScenarioConfig, registry: Registry, aliases: dict[str, str
     cert_id = aliases[step.cert]
     when = step.date if step.date is not None else config.issue_date + timedelta(days=step.dt)
     if step.action == "quote":
-        quote = _market_quote(config, when, step.args.get("premium", 0.0))
+        quote = _market_quote(config, registry, cert_id, step, when)
         registry.quote_transaction_price(cert_id, quote, step.dt, timestamp=when)
     elif step.action == "transfer":
         registry.transfer(cert_id, step.args["new_owner"], step.dt, timestamp=when)
     elif step.action == "deliver":
         registry.physical_delivery(cert_id, step.dt, timestamp=when)
     elif step.action == "buyback":
-        registry.buyback(cert_id, step.dt, _market_quote(config, when, 0.0), timestamp=when)
+        registry.buyback(cert_id, step.dt, _market_quote(config, registry, cert_id, step, when), timestamp=when)
     elif step.action == "expire":
         registry.expire(cert_id, step.dt, timestamp=when)

@@ -1,4 +1,4 @@
-"""The base of the engine's immutable value types, and the checks of their scalar inputs.
+"""The base of the engine's immutable value types, and the one place that decides what a caller's value may be.
 
 Every value type in the package, the scenario types included, is a
 ``collections.namedtuple`` subclass with ``Value`` first among its bases and
@@ -6,6 +6,10 @@ Every value type in the package, the scenario types included, is a
 its instance with ``tuple.__new__``.  Creating such a class generates one
 small function, where a frozen dataclass generates several, and building an
 instance sets no attribute, so both cost a fraction of a frozen dataclass's.
+
+Each scalar a caller gives is read here: by ``require_number``, ``require_integer``, ``require_date``,
+``require_text`` or ``iso_date`` (a date or its YYYY-MM-DD text).  Every refusal that echoes a caller's
+value shows it by ``shown``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,18 @@ from .errors import DomainError
 
 # the ints float() can hold: from this magnitude on, an int rounds to 2**1024, past the largest float
 _FLOAT_INT_BOUND = 2**1024 - 2**970
+_fromisoformat = date.fromisoformat
+
+
+def shown(value) -> str:
+    """``value`` as a refusal shows it: its repr, but an int beyond float range (whose repr fails past 4,300
+    digits) by its sign and size, and a value whose repr raises ValueError (a list of such ints) by its type."""
+    if isinstance(value, int) and not -_FLOAT_INT_BOUND < value < _FLOAT_INT_BOUND:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a value of type {type(value).__name__}"
 
 
 def require_number(name: str, value) -> float:
@@ -30,14 +46,13 @@ def require_number(name: str, value) -> float:
             return value
     elif cls is int or (cls is not bool and isinstance(value, (int, float))):  # a JSON number, not true or "5"
         try:
-            number = float(value)
-        except OverflowError:
-            raise _past_float_range(name, value) from None
-        if isfinite(number):
-            return number
+            if isfinite(number := float(value)):
+                return number
+        except OverflowError:  # an int beyond float range
+            pass
     else:
-        raise DomainError(f"{name} must be a number, got {value!r}")
-    raise DomainError(f"{name} must be finite, got {value!r}")
+        raise DomainError(f"{name} must be a number, got {shown(value)}")
+    raise DomainError(f"{name} must be finite, got {shown(value)}")
 
 
 def require_integer(name: str, value) -> int:
@@ -47,24 +62,38 @@ def require_integer(name: str, value) -> int:
     """
     if value.__class__ is not int:
         if value.__class__ is bool or not isinstance(value, int):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
+            raise DomainError(f"{name} must be an integer, got {shown(value)}")
         value = int(value)  # an int subclass
     if -_FLOAT_INT_BOUND < value < _FLOAT_INT_BOUND:
         return value
-    raise _past_float_range(name, value)
-
-
-def _past_float_range(name: str, value: int) -> DomainError:
-    """The refusal of an int beyond float range, which names its size: past 4,300 digits, ``repr`` refuses it."""
-    sign = "a negative" if value < 0 else "an"
-    return DomainError(f"{name} must be finite, got {sign} int of {value.bit_length()} bits")
+    raise DomainError(f"{name} must be finite, got {shown(value)}")
 
 
 def require_date(name: str, value) -> date:
     """``value``, which must be exactly a date: a datetime, whose isoformat is not a date's, is not one."""
     if value.__class__ is date:
         return value
-    raise DomainError(f"{name} must be a date, got {value!r}")
+    raise DomainError(f"{name} must be a date, got {shown(value)}")
+
+
+def require_text(name: str, value, *, non_empty: bool = False) -> str:
+    """``value``, which must be a str, and not empty where ``non_empty``; DomainError naming ``name`` otherwise."""
+    if isinstance(value, str) and (value or not non_empty):
+        return value
+    raise DomainError(f"{name} must be a {'non-empty ' if non_empty else ''}string, got {shown(value)}")
+
+
+def iso_date(value) -> date:
+    """``value`` if it is exactly a date, else the date its text writes in ``date.isoformat()``'s form, YYYY-MM-DD.
+
+    Other text, such as the "20200101" and "2020-W01-3" that Python 3.11+ also reads, is a ValueError with 3.10's
+    message, and a value that is neither text nor a date a TypeError."""
+    if value.__class__ is date:
+        return value
+    day = _fromisoformat(value)
+    if day.isoformat() != value:
+        raise ValueError(f"Invalid isoformat string: {value!r}")
+    return day
 
 
 class Value:

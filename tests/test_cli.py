@@ -486,6 +486,8 @@ class TestLifecycleFlow:
         before = ledger_file.read_bytes()
         result = dcm(*PRICED, command, "--cert", "LME-copper-0001", "--dt", dt, cwd=tmp_path)
         error = f"error: day {dt} after 2020-01-01 falls outside the calendar, 0001-01-01 to 9999-12-31\n"
+        if dt.startswith("-"):  # the registry decides the event, and refuses a day before issuance, before pricing it
+            error = "error: t must be >= 0\n"
         assert (result.returncode, result.stdout, result.stderr) == (2, "", error)
         assert ledger_file.read_bytes() == before
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 from datetime import date, datetime
 from decimal import ROUND_HALF_EVEN, Decimal
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,11 +16,13 @@ from dcm import (
     Certificate,
     CifQuote,
     ConfigError,
+    DCMError,
     DeliveryResult,
     DeliveryRules,
     DomainError,
     EventKind,
     ExpiryResult,
+    IssuanceError,
     Ledger,
     LedgerEvent,
     LogisticsParams,
@@ -29,11 +33,18 @@ from dcm import (
     RoundingProfile,
     ScenarioConfig,
     ScenarioReport,
+    ScenarioStepError,
     ScriptStep,
+    StateError,
     StorageTariff,
     ThetaMode,
+    load_series,
+    quote_at,
+    run_scenario,
 )
+from dcm import cli
 from dcm.decay import residual_weight, wealth_projection
+from dcm.ledger import validate_cert_id
 from dcm.registry import Registry
 from dcm import rounding
 from dcm.rounding import fmt, quantize, quantize_to_float
@@ -399,3 +410,163 @@ def test_ledger_event_repr_leaves_out_the_line():
 
 def test_repr_names_every_field():
     assert repr(MarketQuote(5.0)) == "MarketQuote(quotation=5.0, premium=0.0)"
+
+
+HUGE = 10**5000  # past 4,300 digits, so repr() raises ValueError
+
+
+@pytest.fixture
+def world(tmp_path):
+    """A registry holding an ACTIVE LME-copper-0001 and a DELIVERED LME-copper-0002, and its ledger file."""
+    registry = Registry()
+    registry.register_issuer("LME", [1000])
+    for owner in ("a", "b"):
+        registry.issue("LME", "copper", 1000, 0.9999, DAY, THETA, RULES, owner)
+    registry.physical_delivery("LME-copper-0002", 3)
+    (tmp_path / "ledger.log").write_text("".join(line + "\n" for line in registry.ledger.to_lines()), encoding="utf-8")
+    (tmp_path / "prices.csv").write_text("date,price\n2020-01-01,40\n", encoding="utf-8")
+    return SimpleNamespace(registry=registry, path=tmp_path)
+
+
+def _command(world, command: str, cert_id: str, dt: int, prices: bool = True) -> None:
+    """The ``dcm quote`` or ``dcm buyback`` command on the world's ledger file, run in-process."""
+    app = cli.AppContext(world.path / "ledger.log", world.path / "prices.csv" if prices else None, 1.0, RoundingProfile())
+    getattr(cli, command)(app, argparse.Namespace(cert=cert_id, dt=dt, premium=0.0))
+
+
+def _run(action: str) -> None:
+    """A scenario whose third step, ``action``, settles a delivered certificate on a day before its prices."""
+    script = (ISSUE, ScriptStep(3, "deliver", "c1"), ScriptStep(4, action, "c1", date(2019, 6, 1)))
+    run_scenario(ScenarioConfig("s", "USD", DAY, ISSUER, script, SERIES))
+
+
+def _issue(world, **fields) -> None:
+    arguments = {"issuer": "LME", "material": "copper", "face_weight": 1000, "purity": 0.9999, "issue_date": DAY,
+                 "theta": THETA, "rules": RULES, "owner": "c", **fields}
+    world.registry.issue(**arguments)
+
+
+DELIVERED = "certificate LME-copper-0002 is DELIVERED; terminal states are absorbing"
+# each input that raised a bare exception, or that was refused for its price before its event was decided, with
+# the call given the world, and the refusal's exact type, exit code and message
+REFUSALS = {
+    "cli-quote-before-issue": (lambda w: _command(w, "quote", "LME-copper-0001", -1), DomainError, 2, "t must be >= 0"),
+    "cli-buyback-before-issue": (
+        lambda w: _command(w, "buyback", "LME-copper-0001", -1), DomainError, 2, "t must be >= 0"
+    ),
+    "cli-quote-delivered-without-prices": (
+        lambda w: _command(w, "quote", "LME-copper-0002", 400, prices=False), StateError, 3, DELIVERED
+    ),
+    "cli-buyback-delivered-without-prices": (
+        lambda w: _command(w, "buyback", "LME-copper-0002", 400, prices=False), StateError, 3, DELIVERED
+    ),
+    "scenario-quote-delivered-before-prices": (
+        lambda w: _run("quote"), ScenarioStepError, 3, f"step 3 (quote): {DELIVERED.replace('0002', '0001')}"
+    ),
+    "scenario-buyback-delivered-before-prices": (
+        lambda w: _run("buyback"), ScenarioStepError, 3, f"step 3 (buyback): {DELIVERED.replace('0002', '0001')}"
+    ),
+    "issue-list-issuer": (
+        lambda w: _issue(w, issuer=["LME"]), DomainError, 2, "issuer must be a non-empty string, got ['LME']"
+    ),
+    "issue-list-material": (
+        lambda w: _issue(w, material=["copper"]), DomainError, 2, "material must be a non-empty string, got ['copper']"
+    ),
+    "issue-huge-issuer": (
+        lambda w: _issue(w, issuer=HUGE), IssuanceError, 2,
+        "issuer an int of 16610 bits has no registered denomination set",
+    ),
+    "issue-huge-theta": (
+        lambda w: _issue(w, theta=HUGE), DomainError, 2, "theta must be an AttenuationSpec, got an int of 16610 bits"
+    ),
+    "register-list-issuer": (
+        lambda w: w.registry.register_issuer(["LME"], [1]), DomainError, 2,
+        "issuer must be a non-empty string, got ['LME']",
+    ),
+    "register-number-denominations": (
+        lambda w: w.registry.register_issuer("LME", 5), DomainError, 2,
+        "denominations must be a collection of numbers, got 5",
+    ),
+    "quote-huge-quote": (
+        lambda w: w.registry.quote_transaction_price("LME-copper-0001", HUGE, 3), DomainError, 2,
+        "quote must be a MarketQuote, got an int of 16610 bits",
+    ),
+    "certificate-huge-id": (
+        lambda w: w.registry.certificate(HUGE), DomainError, 2, "unknown certificate an int of 16610 bits"
+    ),
+    "fmt-text": (lambda w: fmt("1.5", 2), DomainError, 2, "value must be a number, got '1.5'"),
+    "fmt-bool": (lambda w: fmt(True, 2), DomainError, 2, "value must be a number, got True"),
+    "fmt-nan": (lambda w: fmt(float("nan"), 2), DomainError, 2, "value must be finite, got nan"),
+    "fmt-none": (lambda w: fmt(None, 2), DomainError, 2, "value must be a number, got None"),
+    "quantize-huge": (lambda w: quantize(HUGE, 2), DomainError, 2, "value must be finite, got an int of 16610 bits"),
+    "quantize-to-float-text": (
+        lambda w: quantize_to_float("1", 2), DomainError, 2, "value must be a number, got '1'"
+    ),
+    "profile-weight-text": (
+        lambda w: RoundingProfile().weight("1.5"), DomainError, 2, "value must be a number, got '1.5'"
+    ),
+    "profile-money-none": (lambda w: RoundingProfile().money(None), DomainError, 2, "value must be a number, got None"),
+    "quote-at-text": (
+        lambda w: quote_at(SERIES, "2020-01-02"), DomainError, 2, "when must be a date, got '2020-01-02'"
+    ),
+    "load-series-bytes": (
+        lambda w: load_series(b"date,price\n"), DomainError, 2, "text must be a string, got b'date,price\\n'"
+    ),
+    "require-date-huge": (
+        lambda w: require_date("d", HUGE), DomainError, 2, "d must be a date, got an int of 16610 bits"
+    ),
+    "cert-id-huge": (
+        lambda w: validate_cert_id(HUGE), DomainError, 2,
+        "cert_id an int of 16610 bits must be non-empty and use only [A-Za-z0-9_.:-]",
+    ),
+    "certificate-huge-owner": (
+        lambda w: _sample(Certificate)._replace(owner=HUGE), DomainError, 2,
+        "owner must be a non-empty string, got an int of 16610 bits",
+    ),
+    "cif-huge-material": (
+        lambda w: CifQuote(1.0, material=HUGE), DomainError, 2, "material must be a string, got an int of 16610 bits"
+    ),
+    "market-quote-list-of-huge": (
+        lambda w: MarketQuote([HUGE]), DomainError, 2, "quotation must be a number, got a value of type list"
+    ),
+    "rules-huge-location": (
+        lambda w: DeliveryRules(0.003, 0.002, 1000, HUGE), DomainError, 2,
+        "delivery_location must be a string, got an int of 16610 bits",
+    ),
+    "scenario-huge-name": (
+        lambda w: ScenarioConfig(HUGE, "USD", DAY, ISSUER, (ISSUE,)), ConfigError, 2,
+        "scenario: name must be a string, got an int of 16610 bits",
+    ),
+    "scenario-huge-issue-date": (
+        lambda w: ScenarioConfig("s", "USD", HUGE, ISSUER, (ISSUE,)), ConfigError, 2,
+        "issue_date: bad date an int of 16610 bits",
+    ),
+    "scenario-huge-script": (
+        lambda w: ScenarioConfig("s", "USD", DAY, ISSUER, HUGE), ConfigError, 2,
+        "script must be a list of steps, got an int of 16610 bits",
+    ),
+    "scenario-huge-step": (
+        lambda w: ScenarioConfig("s", "USD", DAY, ISSUER, (HUGE,)), ConfigError, 2,
+        "script step 1 must be a ScriptStep of five fields, got an int of 16610 bits",
+    ),
+    "scenario-list-of-huge-args": (
+        lambda w: ScenarioConfig("s", "USD", DAY, ISSUER, ((0, "issue", "c1", None, [HUGE]),)), ConfigError, 2,
+        "script step 1: args must be a mapping, got a value of type list",
+    ),
+    "scenario-huge-arg-key": (
+        lambda w: ScenarioConfig("s", "USD", DAY, ISSUER, (ISSUE._replace(args={HUGE: 1}),)), ConfigError, 2,
+        "script step 1 (issue): unknown key an int of 16610 bits",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, code, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refused_input_is_a_dcm_error_with_its_exit_code_and_records_nothing(world, call, error, code, message):
+    snapshot, events = world.registry.snapshot(), world.registry.ledger.events
+    ledger = (world.path / "ledger.log").read_bytes()
+    with pytest.raises(DCMError) as excinfo:
+        call(world)
+    assert (type(excinfo.value), excinfo.value.exit_code, str(excinfo.value)) == (error, code, message)
+    assert world.registry.snapshot() == snapshot
+    assert world.registry.ledger.events == events
+    assert (world.path / "ledger.log").read_bytes() == ledger
