@@ -19,20 +19,31 @@ ledger file the state was written for; ``state_sha256`` digests the canonical
 JSON of ``issue_counts``, a newline, and the state lines, newlines included.
 
 A sidecar is used only for exactly the bytes it was written for.  A command
-that finds the file's size and both digests right trusts the state as the
-replay of the file, and takes the chain head from the file's last line, or
-genesis for an empty file.  It indexes the state lines by the cert_id each
-opens with and decodes none of them: a certificate is built from its line,
-with every value revalidated, when it is first read, and the certificates the
-command names are built before it runs.  A missing, unreadable or stale
-sidecar, one of another version, one written for fewer or more bytes than the
-file holds (after a crash between the append and the sidecar's rewrite, or
-after another writer appended), or one with a named line that does not build,
-means a full replay.  ``replay-verify`` never trusts the sidecar: it replays
-the whole file and, when the sidecar was written for it, checks the sidecar's
-counters and every state line against the replayed state.  A file that ends
-inside a line is never resumed, nor compared with its sidecar: every command
-replays it in full and refuses it once the lines before that one verify.
+compares the file's size with ``prefix_bytes`` before it hashes anything,
+then checks the state digest and hashes the file in blocks; it reads the file
+only for its last line, which gives the chain head (genesis for an empty
+file).  If all match, it trusts the state as the replay of the file.  It
+keeps the state as the sidecar's bytes, checked once as UTF-8 and refused
+unless its newline count is the sum of the issue counters, and indexes none
+of its lines: ``Registry.from_state`` finds a certificate's line by one
+search for ``\n["<cert_id>",`` when the certificate is first read, and the
+certificates the command names are built before it runs.  A line that opens
+with no cert_id, or a cert_id on two lines, is not refused up front: it is
+found when every certificate is read, or by ``replay-verify``.  A missing,
+unreadable or stale sidecar, one of another version, one written for fewer
+or more bytes than the file holds (after a crash between the append and the
+sidecar's rewrite, or after another writer appended), or one with a named
+line that does not build, means a full replay.  ``write_checkpoint`` streams
+``Registry.state_pieces()`` through one digest and one write: the unchanged
+byte ranges of a resumed state are copied, and only the lines of the
+certificates the command built, changed or issued are encoded.  The two
+state digests, the file digest, the newline count and the write are the
+floor of a resumed command's cost.  ``replay-verify`` never trusts the
+sidecar: it replays the whole file and, when the sidecar was written for it,
+checks the sidecar's counters and state bytes against the replayed state.  A
+file that ends inside a line is never resumed, nor compared with its sidecar:
+every command replays it in full and refuses it once the lines before that
+one verify.
 
 A command that appends holds an exclusive ``flock`` on the ledger file
 (``locked``) from before it reads the file until after the sidecar's
@@ -59,7 +70,6 @@ import fcntl
 import hashlib
 import json
 import os
-import re
 import stat
 import threading
 from contextlib import contextmanager
@@ -68,40 +78,32 @@ from typing import Callable, Iterable, Iterator, NoReturn
 
 from .errors import ConfigError, LedgerIntegrityError
 from .ledger import (
-    _CERT_ID_RE, _HASH_RE, GENESIS_HASH, LedgerEvent, canonical_payload, decode_line, parse_line, read_events,
+    _HASH_RE, GENESIS_HASH, LedgerEvent, canonical_payload, decode_line, parse_line, read_events,
 )
 from .registry import Registry, replay
 
 VERSION = 4
-
-# the cert_id a state line opens with, matched after the newline before the line: the id charset has no quote or
-# backslash, so the JSON string is the id (a literal first character lets the scan skip ahead, where ``^`` cannot)
-_STATE_ID = re.compile(rf'\n\["({_CERT_ID_RE.pattern})",')
+_BLOCK = 1 << 17  # the ledger file is hashed this many bytes at a time, through a buffer that stays in cache
 
 
 class CheckpointError(Exception):
     """The sidecar cannot be read, or it does not describe the ledger file."""
 
 
-def _split(text: str) -> list[str]:
-    """The lines of ``text``, ended only by ``\n``: any other byte stays inside its line."""
-    lines = text.split("\n")
-    if not lines[-1]:
-        del lines[-1]  # the end of the last line, or of an empty text
-    return lines
-
-
 def _lines(data: memoryview) -> list[str]:
-    """The text lines of ``data``, the whole ledger file."""
+    """The text lines of ``data``, the whole ledger file, ended only by ``\n``: any other byte stays inside its line."""
     try:
-        return _split(str(data, "utf-8"))
+        lines = str(data, "utf-8").split("\n")
     except UnicodeDecodeError as exc:
         line = bytes(data[: exc.start]).count(b"\n") + 1
         raise LedgerIntegrityError(f"line {line}, byte offset {exc.start}: not UTF-8 ({exc.reason})") from None
+    if not lines[-1]:
+        del lines[-1]  # the end of the last line, or of an empty file
+    return lines
 
 
-def _ends_inside_a_line(data: memoryview) -> bool:
-    """Whether the file's bytes end without a final newline: its last line is open, perhaps a torn record."""
+def _ends_inside_a_line(data) -> bool:
+    """Whether the file's bytes, or its last line's, end without a final newline: its last line is open."""
     return len(data) > 0 and data[-1] != 0x0A
 
 
@@ -116,11 +118,38 @@ def _is_counter(entry) -> bool:
     )
 
 
-def _state_digest(issue_counts: list, state: bytes) -> str:
-    """``state_sha256`` of a sidecar: the digest of the canonical ``issue_counts``, a newline and ``state``."""
+def _state_digest(issue_counts: list, pieces: Iterable) -> str:
+    """``state_sha256``: the digest of the canonical ``issue_counts``, a newline and the state ``pieces`` in order."""
     digest = hashlib.sha256(canonical_payload(issue_counts).encode("utf-8") + b"\n")
-    digest.update(state)
+    for piece in pieces:
+        digest.update(piece)
     return digest.hexdigest()
+
+
+def _last_line(fd: int, size: int) -> tuple[int, bytes]:
+    """Where the last line of the file's first ``size`` bytes starts, and its bytes, newline included."""
+    step = 4096
+    while True:
+        start = max(0, size - step)
+        tail = os.pread(fd, size - start, start)
+        cut = tail.rfind(b"\n", 0, len(tail) - 1) + 1
+        if cut or not start:
+            return start + cut, tail[cut:]
+        step *= 16
+
+
+def _hashed(handle, size: int):
+    """The SHA-256 of the file's first ``size`` bytes, read ``_BLOCK`` bytes at a time."""
+    digest = hashlib.sha256()
+    block = memoryview(bytearray(min(size, _BLOCK)))
+    handle.seek(0)
+    while size:
+        read = handle.readinto(block[: min(size, _BLOCK)])
+        if not read:  # the file shrank: the digest is of fewer bytes, and matches no sidecar's
+            break
+        digest.update(block[:read])
+        size -= read
+    return digest
 
 
 def _header(text: bytes) -> dict:
@@ -242,40 +271,42 @@ class LedgerFile:
             raw = b""
         except OSError as exc:  # a directory, a file without read permission, a name too long
             raise ConfigError(f"cannot read ledger file {self.path}: {exc}") from None
-        self.ignored = None
         self._size = len(raw)
         self._digest = hashlib.sha256(raw)
         return memoryview(raw)
 
-    def _checkpoint(self, data: memoryview) -> tuple | None:
-        """The sidecar's header and state text if the sidecar was written for ``data``, the bytes read.
+    def _checkpoint(self, size: int, ledger_sha256: Callable[[], str]) -> tuple | None:
+        """The sidecar's header, its bytes and where its state starts, if it was written for the file's ``size`` bytes.
 
-        None when there is no sidecar, or when ``data`` ends inside a line: the
-        full replay alone reads such a file, and refuses it.  CheckpointError
-        when the sidecar cannot be used.
+        ``ledger_sha256`` digests those bytes; it is called once the header
+        and the state digest agree.  None when there is no sidecar;
+        CheckpointError when it cannot be used.
         """
-        if _ends_inside_a_line(data):
-            return None
         try:
             raw = self.sidecar.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as exc:
             raise CheckpointError(f"cannot read it: {exc}") from None
-        head, _, state = raw.partition(b"\n")
-        header = _header(head)
-        if header["prefix_bytes"] != len(data):
+        end = raw.find(b"\n")
+        if end < 0:
+            end = len(raw)
+        header = _header(raw[:end])
+        if header["prefix_bytes"] != size:
             raise CheckpointError(
-                f"it was written for {header['prefix_bytes']} bytes of the ledger file, which holds {len(data)}"
+                f"it was written for {header['prefix_bytes']} bytes of the ledger file, which holds {size}"
             )
-        if _state_digest(header["issue_counts"], state) != header["state_sha256"]:
+        state = memoryview(raw)[end + 1 :]
+        if _state_digest(header["issue_counts"], (state,)) != header["state_sha256"]:
             raise CheckpointError("state digest mismatch")
-        if self._digest.hexdigest() != header["prefix_sha256"]:
+        if ledger_sha256() != header["prefix_sha256"]:
             raise CheckpointError("it does not match the ledger file's bytes")
-        try:
-            return header, state.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"bad state: {exc}") from None
+        if not raw.isascii():  # else every byte is UTF-8 already
+            try:
+                str(state, "utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"bad state: {exc}") from None
+        return header, raw, end + 1
 
     def load(self, touch: Iterable[str] = ()) -> Registry:
         """The file's registry: the state of a sidecar written for the file, else a full replay.
@@ -284,38 +315,66 @@ class LedgerFile:
         line of theirs that does not build means a full replay; the others are
         built when first read.
         """
-        data = self._read()
+        self.ignored = None
         try:
-            found = self._checkpoint(data)
-            if found is not None:
-                return self._resume(data, *found, touch)
+            registry = self._resume(touch)
+            if registry is not None:
+                return registry
         except CheckpointError as exc:
             self.ignored = str(exc)
-        return self._replay(data)
+        return self._replay(self._read())
 
-    def _resume(self, data: memoryview, header: dict, state: str, touch: Iterable[str]) -> Registry:
+    def _resume(self, touch: Iterable[str]) -> Registry | None:
+        """The registry of a sidecar written for the file, read without reading the whole file; None without one.
+
+        The file is hashed in blocks and only its last line is read, within the
+        size the sidecar was written for.  A file that ends inside a line is
+        not resumed: the full replay alone reads it, and refuses it.
+        """
+        try:
+            with open(self.path, "rb", buffering=0) as handle:
+                return self._resume_from(handle, touch)
+        except (FileNotFoundError, NotADirectoryError):  # no file: an empty ledger
+            return self._resume_from(None, touch)
+        except OSError as exc:  # a directory, a file without read permission, a name too long
+            raise ConfigError(f"cannot read ledger file {self.path}: {exc}") from None
+
+    def _resume_from(self, handle, touch: Iterable[str]) -> Registry | None:
+        size = 0 if handle is None else os.fstat(handle.fileno()).st_size
+        line_start, last = _last_line(handle.fileno(), size) if size else (0, b"")
+        if _ends_inside_a_line(last):
+            return None
+        self._size, self._digest = size, hashlib.sha256()
+
+        def ledger_sha256() -> str:
+            if size:
+                self._digest = _hashed(handle, size)
+            return self._digest.hexdigest()
+
+        found = self._checkpoint(size, ledger_sha256)
+        if found is None:
+            return None
+        header, raw, start = found
         head = (0, GENESIS_HASH)
-        if data:  # the file's last line, which the digest covers
-            start = data.obj.rfind(b"\n", 0, len(data) - 1) + 1
+        if last:  # the file's last line, which the digest covers
             try:
-                last = parse_line(str(data[start:-1], "utf-8"))
+                parsed = parse_line(str(last[:-1], "utf-8"))
             except (LedgerIntegrityError, UnicodeDecodeError):
-                lineno = data.obj.count(b"\n", 0, start) + 1  # counted here only: a resume that parses pays nothing
+                lineno = os.pread(handle.fileno(), line_start, 0).count(b"\n") + 1  # counted on this path only
                 try:  # again, naming the line
-                    parse_line(str(data[start:-1], "utf-8"), lineno)
+                    parse_line(str(last[:-1], "utf-8"), lineno)
                 except UnicodeDecodeError as exc:
                     raise CheckpointError(f"bad last line: line {lineno}: not UTF-8 ({exc.reason})") from None
                 except LedgerIntegrityError as exc:
                     raise CheckpointError(f"bad last line: {exc}") from None
-            head = (last.seq, last.hash)
-        lines = _split(state)
-        ids = _STATE_ID.findall(f"\n{state}")  # at most one per line, at its start
-        index = dict(zip(ids, lines))
-        if not len(lines) == len(ids) == len(index):
-            raise CheckpointError("bad state: a line does not open with a cert_id, or a cert_id repeats")
-        if sum(n for _, _, n in header["issue_counts"]) != len(lines):
-            raise CheckpointError(f"bad state: the issue counters do not count its {len(lines)} certificates")
-        registry = Registry.from_state_lines(index, header["issue_counts"], *head, source=str(self.sidecar))
+            head = (parsed.seq, parsed.hash)
+        open_line = len(raw) > start and raw[-1] != 0x0A
+        lines = raw.count(b"\n", start) + open_line
+        if sum(n for _, _, n in header["issue_counts"]) != lines:
+            raise CheckpointError(f"bad state: the issue counters do not count its {lines} certificates")
+        if open_line:
+            raise CheckpointError("bad state: its last line has no final newline")
+        registry = Registry.from_state(raw, header["issue_counts"], *head, source=str(self.sidecar), start=start)
         try:
             registry.build(touch)
         except LedgerIntegrityError as exc:
@@ -327,12 +386,14 @@ class LedgerFile:
 
         A missing file is a ConfigError.
         """
+        self.ignored = None
         data = self._read(verifying=True)
-        try:
-            found = self._checkpoint(data)
-        except CheckpointError as exc:
-            self.ignored = str(exc)
-            found = None
+        found = None
+        if not _ends_inside_a_line(data):  # such a file is refused, and never compared with its sidecar
+            try:
+                found = self._checkpoint(len(data), self._digest.hexdigest)
+            except CheckpointError as exc:
+                self.ignored = str(exc)
         return self._replay(data, found)
 
     def _replay(self, data: memoryview, found: tuple | None = None) -> Registry:
@@ -348,8 +409,11 @@ class LedgerFile:
         def verified(events: Iterator[LedgerEvent]) -> Registry:
             registry = replay(events)
             if found is not None:
-                header, state = found
-                if header["issue_counts"] != registry.issue_counts() or _split(state) != registry.state_lines():
+                header, raw, start = found
+                if (
+                    header["issue_counts"] != registry.issue_counts()
+                    or memoryview(raw)[start:] != b"".join(registry.state_pieces())
+                ):
                     seq = registry.ledger.last_seq
                     raise LedgerIntegrityError(f"checkpoint disagrees with the ledger at seq {seq}")
             return registry
@@ -374,23 +438,28 @@ class LedgerFile:
         self._size += len(written)
 
     def write_checkpoint(self, registry: Registry) -> None:
-        """Rewrite the sidecar for the file as read plus what ``append`` wrote, whose state ``registry`` holds."""
+        """Rewrite the sidecar for the file as read plus what ``append`` wrote, whose state ``registry`` holds.
+
+        The state goes through one digest and one write as ``state_pieces()``:
+        a resumed registry's unchanged byte ranges are copied, not re-encoded.
+        """
         import tempfile  # here: only a command that appends needs it
 
-        state = "".join(line + "\n" for line in registry.state_lines()).encode("utf-8")
+        pieces = registry.state_pieces()
         counts = registry.issue_counts()
         header = canonical_payload({
             "version": VERSION,
             "issue_counts": counts,
             "prefix_bytes": self._size,
             "prefix_sha256": self._digest.hexdigest(),
-            "state_sha256": _state_digest(counts, state),
+            "state_sha256": _state_digest(counts, pieces),
         })
         handle, temporary = tempfile.mkstemp(dir=self.sidecar.parent, prefix=self.sidecar.name, suffix=".tmp")
         try:
             os.chmod(temporary, stat.S_IMODE(self.path.stat().st_mode))  # readable by whoever reads the ledger
             with open(handle, "wb") as out:
-                out.write(header.encode("utf-8") + b"\n" + state)
+                out.write(header.encode("utf-8") + b"\n")
+                out.writelines(pieces)
             os.replace(temporary, self.sidecar)
         except BaseException:
             os.unlink(temporary)

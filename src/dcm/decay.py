@@ -13,7 +13,7 @@ from datetime import date
 from enum import Enum
 
 from .errors import DerivationError, DomainError, UnboundedCostError
-from .values import Value, require_date, require_integer, require_number, require_text
+from .values import Value, require_date, require_integer, require_number, require_text, shown
 
 _new = tuple.__new__
 
@@ -134,12 +134,21 @@ class ThetaMode(str, Enum):
 _EXPLICIT = ThetaMode.EXPLICIT  # a module global is cheaper to read than an Enum class attribute
 
 
+def _check_mode(mode) -> None:
+    if mode.__class__ is not ThetaMode:
+        raise DomainError(f"mode must be a ThetaMode, got {shown(mode)}")
+
+
 def _daily_decay_fraction(tariff: StorageTariff, cif: CifQuote, mode: ThetaMode) -> float:
     """Fraction of anchor value consumed per stored day under the given mode.
 
     Computed in small-magnitude space so that theta = 1 - fraction keeps the
     fraction's full precision through the single final subtraction.
     """
+    if not isinstance(tariff, StorageTariff):
+        raise DomainError(f"tariff must be a StorageTariff, got {shown(tariff)}")
+    if not isinstance(cif, CifQuote):
+        raise DomainError(f"cif must be a CifQuote, got {shown(cif)}")
     charge_ratio = tariff.daily_warehouse_charge / cif.price_per_unit
     transfer_ratio = tariff.outbound_transfer_charge / cif.price_per_unit
     daily_interest = tariff.bank_rate / DAYS_PER_YEAR
@@ -169,6 +178,7 @@ class AttenuationSpec(Value, namedtuple("AttenuationSpec", "theta_daily mode tar
         cif: CifQuote | None = None,
     ):
         theta_daily = require_number("theta_daily", theta_daily)
+        _check_mode(mode)
         if not 0.0 < theta_daily < 1.0:
             raise DerivationError(
                 f"theta_daily {theta_daily:.6f} ({mode.value}) outside the open interval (0, 1)"
@@ -276,6 +286,7 @@ def attenuation_coefficient(
     relative to the anchor value, or a rate pathology (INTEREST_CREDITED with
     interest outweighing the charges pushes theta above 1).
     """
+    _check_mode(mode)
     theta = 1.0 - _daily_decay_fraction(tariff, cif, mode)
     return AttenuationSpec(theta_daily=theta, mode=mode, tariff=tariff, cif=cif)
 

@@ -50,6 +50,8 @@ def _check_quotation(previous: date | None, when: date, price) -> None:
 def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSeries:
     """Parse ``date,price`` CSV text: header required, ISO dates strictly increasing, finite prices > 0."""
     reader = csv.reader(io.StringIO(require_text("text", text)))
+    require_text("material", material)
+    require_text("currency", currency)
     try:
         rows = list(reader)
     except csv.Error as exc:  # a field past csv.field_size_limit(), which is the whole process's to set
@@ -89,6 +91,8 @@ def load_series(text: str, *, material: str = "", currency: str = "") -> PriceSe
 
 def read_series(path: Path, *, material: str = "", currency: str = "") -> PriceSeries:
     """``load_series`` of the file at ``path``; a refusal of its text or of a row names the file."""
+    require_text("material", material)  # here, before the file is read: its refusal does not name the file
+    require_text("currency", currency)
     text = read_text(path, "price series")
     try:
         return load_series(text, material=material, currency=currency)
@@ -99,7 +103,7 @@ def read_series(path: Path, *, material: str = "", currency: str = "") -> PriceS
 
 def quote_at(series: PriceSeries, when: date) -> float:
     """Latest quotation on or before ``when``: carry-forward steps, no interpolation."""
-    i = bisect_right(series.points, require_date("when", when), key=itemgetter(0))
+    i = bisect_right(series.points, when if when.__class__ is date else require_date("when", when), key=itemgetter(0))
     if i == 0:
         raise NoQuoteError(f"no {series.material or 'price'} quotation on or before {when.isoformat()}")
     return series.points[i - 1][1]

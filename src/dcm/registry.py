@@ -19,10 +19,12 @@ reference case-study figures are only reproducible under this convention.
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 from collections.abc import Iterable
 from datetime import date, timedelta
 from enum import Enum
+from operator import itemgetter
 
 from .decay import AttenuationSpec, CifQuote, StorageTariff, ThetaMode, residual_weight
 from .errors import (
@@ -35,7 +37,9 @@ from .errors import (
     ParseError,
     StateError,
 )
-from .ledger import EventKind, Ledger, LedgerEvent, canonical_payload, member_lookup, validate_cert_id
+from .ledger import (
+    _CERT_ID_RE, EventKind, Ledger, LedgerEvent, _is_cert_id, canonical_payload, member_lookup, validate_cert_id,
+)
 from .rounding import fmt, quantize_to_float
 from .values import Value, iso_date, require_date, require_integer, require_number, require_text, shown
 
@@ -54,6 +58,9 @@ _mode_of = member_lookup(ThetaMode)
 _ACTIVE = CertStatus.ACTIVE
 _ISSUE, _TRANSFER, _QUOTE, _DELIVER, _BUYBACK, _EXPIRE = EventKind  # the members in definition order
 _LAST_DAY = date.max.toordinal()
+# the cert_id a restored state line opens with: the id charset has no quote or backslash, so the JSON string is the id;
+# compiled when first used, which no command that resumes does
+_STATE_LINE_ID = rb'\["(%s)",' % _CERT_ID_RE.pattern.encode("ascii")
 
 
 class DeliveryRules(Value, namedtuple(
@@ -139,10 +146,14 @@ class Certificate(Value, namedtuple(
         status: CertStatus = CertStatus.ACTIVE,
     ):
         validate_cert_id(cert_id)
-        require_text("issuer", issuer, non_empty=True)
-        require_text("material", material, non_empty=True)
-        require_text("owner", owner, non_empty=True)
-        require_text("weight_unit", weight_unit)
+        if not (  # plain non-empty text passes without a call; anything else gets require_text's refusal
+            issuer.__class__ is str and issuer and material.__class__ is str and material
+            and owner.__class__ is str and owner and weight_unit.__class__ is str
+        ):
+            require_text("issuer", issuer, non_empty=True)
+            require_text("material", material, non_empty=True)
+            require_text("owner", owner, non_empty=True)
+            require_text("weight_unit", weight_unit)
         face_weight = require_number("face_weight", face_weight)
         purity = require_number("purity", purity)
         require_date("issue_date", issue_date)
@@ -166,10 +177,11 @@ class Certificate(Value, namedtuple(
 
 def _key(name: str, value):
     """``value``, to key a dict by; one that cannot is no text, and is refused as ``Certificate`` refuses it."""
-    try:
-        hash(value)
-    except TypeError:
-        require_text(name, value, non_empty=True)
+    if value.__class__ is not str:
+        try:
+            hash(value)
+        except TypeError:
+            require_text(name, value, non_empty=True)
     return value
 
 
@@ -255,10 +267,12 @@ class Registry:
     def __init__(self, *, weight_places: int = 4):
         self.ledger = Ledger()
         self.weight_places = require_integer("weight_places", weight_places)
-        # a certificate restored by ``from_state_lines`` stays its state line until first read
-        self._certs: dict[str, Certificate | str] = {}
-        self._unbuilt = 0
+        self._certs: dict[str, Certificate] = {}
+        # a registry restored by ``from_state`` keeps the state's bytes, and each line's byte range once it is built
+        self._state = b""
+        self._state_start = 0
         self._state_source = ""
+        self._spans: dict[str, tuple[int, int]] = {}
         self._denominations: dict[str, frozenset[float]] = {}
         self._issue_counts: dict[tuple[str, str], int] = {}
 
@@ -279,20 +293,21 @@ class Registry:
 
     def certificate(self, cert_id: str) -> Certificate:
         try:
-            cert = self._certs[cert_id]
-        except KeyError:
-            raise DomainError(f"unknown certificate {shown(cert_id)}") from None
-        if cert.__class__ is str:
-            cert = self._build(cert_id, cert)
+            return self._certs[cert_id]
+        except (KeyError, TypeError):  # TypeError: a value that cannot key a dict, which is no cert_id either
+            pass
+        cert = self._restore(cert_id) if self._state else None
+        if cert is None:
+            raise DomainError(f"unknown certificate {shown(cert_id)}")
         return cert
 
     @property
     def certificates(self) -> dict[str, Certificate]:
-        self.build(self._certs)
+        self._build_all()
         return dict(self._certs)
 
     def snapshot(self) -> RegistrySnapshot:
-        self.build(self._certs)
+        self._build_all()
         return RegistrySnapshot(
             certificates=dict(self._certs),
             issue_counts=dict(self._issue_counts),
@@ -305,50 +320,120 @@ class Registry:
     def state_lines(self) -> list[str]:
         """Each certificate's canonical JSON ``[cert_id, form]`` line, in issue order.
 
-        A certificate still unread since ``from_state_lines`` gives its line
-        as restored, without building it.
+        A certificate still unread since ``from_state`` gives its line as
+        restored, without building it.
         """
-        return [
-            cert if cert.__class__ is str else canonical_payload([cert_id, certificate_state(cert)])
-            for cert_id, cert in self._certs.items()
-        ]
+        return b"".join(self.state_pieces()).decode("utf-8").split("\n")[:-1]
+
+    def state_pieces(self) -> list[bytes | memoryview]:
+        """The UTF-8 text of ``state_lines()``, each line ended by a newline, as pieces to digest and write in order.
+
+        A restored registry gives the unchanged byte ranges of its state
+        between the re-encoded lines of the certificates it built, then the
+        lines of the certificates it issued; no piece is a copy of the state.
+        """
+        pieces: list[bytes | memoryview] = []
+        certs, spans = self._certs, self._spans
+        if self._state:
+            state = memoryview(self._state)
+            at = self._state_start
+            for cert_id, (start, end) in sorted(spans.items(), key=itemgetter(1)):
+                pieces += state[at:start], _state_line(cert_id, certs[cert_id]).encode("utf-8")
+                at = end
+            pieces.append(state[at:])
+        issued = "".join(_state_line(cert_id, cert) for cert_id, cert in certs.items() if cert_id not in spans)
+        pieces.append(issued.encode("utf-8"))
+        return pieces
 
     def issue_counts(self) -> list[list]:
         """The issue counters as ``[issuer, material, n]`` triples, in first-issue order."""
         return [[issuer, material, n] for (issuer, material), n in self._issue_counts.items()]
 
     @classmethod
-    def from_state_lines(cls, lines: dict[str, str], issue_counts: list, last_seq: int, head_hash: str, *, source: str):
-        """The registry holding the state ``lines`` index, built a certificate at a time on first read.
+    def from_state(
+        cls, state: bytes, issue_counts: list, last_seq: int, head_hash: str, *, source: str, start: int = 0
+    ) -> Registry:
+        """The registry whose certificates are the lines of ``state[start:]``, built one at a time on first read.
 
-        ``lines`` maps each cert_id, in issue order, to its ``state_lines()``
-        line; ``issue_counts`` holds ``issue_counts()`` triples.  Nothing is
-        decoded here: ``certificate`` builds a line through the checks a
-        replayed ISSUE passes, so every value is revalidated, and a line that
-        fails them is a LedgerIntegrityError naming ``source`` and the cert_id.
+        ``state[start:]`` is UTF-8 text of ``state_lines()`` lines, each
+        ended by a newline, and ``issue_counts`` holds ``issue_counts()``
+        triples that count them; the caller checks both.  Nothing is decoded
+        here: ``certificate`` finds a line by one search for ``["<cert_id>",``
+        at a line's start, for an id in the cert_id charset only, and builds
+        it through the checks a replayed ISSUE passes, so every value is
+        revalidated.  A line that fails them, a line that opens with no
+        cert_id and a cert_id on two lines are LedgerIntegrityErrors naming
+        ``source`` when the line is read; the last two are read only when
+        every certificate is (``certificates``, ``snapshot``).
         """
         registry = cls()
         registry.ledger = Ledger(last_seq, head_hash)
-        registry._certs = dict(lines)
-        registry._unbuilt = len(lines)
+        if len(state) > start:
+            registry._state = state
+            registry._state_start = start
         registry._state_source = source
         registry._issue_counts = {(issuer, material): n for issuer, material, n in issue_counts}
         return registry
 
     def build(self, cert_ids: Iterable[str]) -> None:
-        """Build each of ``cert_ids`` that is still a restored state line; other ids are skipped."""
-        if self._unbuilt:
-            certs = self._certs
-            for cert_id in list(cert_ids):
-                line = certs.get(cert_id)
-                if line.__class__ is str:
-                    self._build(cert_id, line)
+        """Build each of ``cert_ids`` that is still an unread line of the restored state; other ids are skipped."""
+        if self._state:
+            for cert_id in cert_ids:
+                if cert_id not in self._certs:
+                    self._restore(cert_id)
 
-    def _build(self, cert_id: str, line: str) -> Certificate:
+    def _find(self, cert_id) -> int:
+        """Where the restored state's line of ``cert_id`` starts, or -1; a value that is no cert_id opens no line."""
+        if cert_id.__class__ is not str or not _is_cert_id(cert_id):
+            return -1
+        opening = f'["{cert_id}",'.encode("ascii")
+        state, start = self._state, self._state_start
+        if state.startswith(opening, start):
+            return start
+        at = state.find(b"\n" + opening, start)
+        return at if at < 0 else at + 1
+
+    def _restore(self, cert_id) -> Certificate | None:
+        """The certificate built from ``cert_id``'s line of the restored state, or None when it has none."""
+        start = self._find(cert_id)
+        if start < 0:
+            return None
+        end = self._state.index(b"\n", start) + 1
+        cert = self._build(cert_id, self._state[start : end - 1])
+        self._spans[cert_id] = (start, end)
+        return cert
+
+    def _build_all(self) -> None:
+        """Build every line of the restored state still unread, and keep every certificate in issue order."""
+        state = self._state
+        if not state:
+            return
+        restored = {}
+        line_id = re.compile(_STATE_LINE_ID).match
+        at, number = self._state_start, 0
+        while at < len(state):
+            end = state.index(b"\n", at) + 1
+            number += 1
+            match = line_id(state, at)
+            if match is None:
+                raise LedgerIntegrityError(f"state line {number} in {self._state_source} does not open with a cert_id")
+            cert_id = match[1].decode("ascii")
+            if cert_id in restored:
+                raise LedgerIntegrityError(
+                    f"certificate {cert_id!r} in {self._state_source} repeats at state line {number}"
+                )
+            cert = self._certs.get(cert_id)
+            if cert is None:
+                cert = self._build(cert_id, state[at : end - 1])
+                self._spans[cert_id] = (at, end)  # so the pieces stay whole if a later line fails
+            restored[cert_id] = cert
+            at = end
+        self._certs = {**restored, **self._certs}  # the state's certificates first, then those issued since
+        self._state, self._state_start, self._spans = b"", 0, {}
+
+    def _build(self, cert_id: str, line: bytes) -> Certificate:
         try:
-            state_id, form = json.loads(line)
-            if state_id != cert_id:
-                raise ValueError(f"the line holds {state_id!r}")
+            _, form = json.loads(line)
             cert = _cert_from_payload(cert_id, form, _status_of(form["status"]))
             _check_keys("state", form, _STATE_KEYS)
         except (DCMError, KeyError, TypeError, ValueError, RecursionError) as exc:
@@ -356,7 +441,6 @@ class Registry:
                 f"certificate {cert_id!r} in {self._state_source} does not build: {type(exc).__name__}: {exc}"
             ) from None
         self._certs[cert_id] = cert
-        self._unbuilt -= 1
         return cert
 
     def apply_events(self, events: Iterable[LedgerEvent]) -> Registry:
@@ -482,7 +566,8 @@ class Registry:
         payload = event.payload
         keys, status, _ = _EVENT_RULES[kind]
         if kind is _ISSUE:
-            if cert_id in self._certs:  # ids of different pairs can collide: ("A-b", "c") and ("A", "b-c")
+            # ids of different pairs can collide: ("A-b", "c") and ("A", "b-c")
+            if cert_id in self._certs or (self._state and self._find(cert_id) >= 0):
                 raise IssuanceError(f"certificate {cert_id!r} already exists")
             cert = _cert_from_payload(cert_id, payload)
         else:
@@ -633,6 +718,11 @@ def _issue_form(issuer, material, face_weight, purity, issue_date, theta, rules,
 def certificate_state(cert: Certificate) -> dict:
     """The ISSUE payload form of ``cert`` with its current owner, plus its status."""
     return {**_issue_form(*cert[1:10]), "status": cert.status.value}
+
+
+def _state_line(cert_id: str, cert: Certificate) -> str:
+    """``cert``'s ``state_lines()`` line, newline included."""
+    return canonical_payload([cert_id, certificate_state(cert)]) + "\n"
 
 
 def _cert_from_payload(cert_id: str, payload: dict, status: CertStatus = CertStatus.ACTIVE) -> Certificate:

@@ -357,6 +357,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if "prices" in raw:
         prices_cfg = raw["prices"]
         _check_keys(prices_cfg, {"path", "per_units"}, "prices")
+        _read(raw, "currency", "scenario", require_text, "")  # as ScenarioConfig words it: read_series refuses it too
         prices = read_series(
             path.parent / _read(prices_cfg, "path", "prices", require_text), material=issuer.material, currency=currency
         )

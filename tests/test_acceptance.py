@@ -276,9 +276,8 @@ def test_reducer_state_round_trips_through_its_json_form():
         registry = _random_operations(rng, rng.randrange(1, 1001))
         lines = registry.state_lines()
         head = registry.ledger
-        restored = Registry.from_state_lines(
-            dict(zip(registry.certificates, lines)), registry.issue_counts(), head.last_seq, head.head_hash,
-            source="state",
+        restored = Registry.from_state(
+            b"".join(registry.state_pieces()), registry.issue_counts(), head.last_seq, head.head_hash, source="state"
         )
         assert restored.snapshot() == registry.snapshot()
         assert restored.state_lines() == lines  # each line built above, and encoded again

@@ -7,6 +7,8 @@ left behind.  A spoiled sidecar must give the full replay's registry.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import random
 import signal
@@ -19,8 +21,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dcm.checkpoint as checkpoint
-from dcm import EventKind, LedgerIntegrityError, read_events, replay
+from dcm import CertStatus, DCMError, EventKind, LedgerIntegrityError, RoundingProfile, read_events, replay
+from dcm import cli
 from dcm.checkpoint import LedgerFile
+from dcm.scenario import bundled_scenario_path, load_scenario, run_scenario
 from dcm.ledger import _seal
 from conftest import forge_sidecar
 from test_acceptance import _random_operations
@@ -298,3 +302,70 @@ class TestSidecarFuzz:
             ledger_file.write_checkpoint(ledger_file.load())
             ledger_file.sidecar.write_bytes(data.draw(_spoiled(ledger_file.sidecar.read_bytes()), label="sidecar"))
             assert state(LedgerFile(ledger_file.path).load()) == state(replay(read_events(lines)))
+
+
+def _with_an_active_certificate(lines: list[str]) -> list[str]:
+    """The longest prefix of ``lines`` whose replay holds an ACTIVE certificate."""
+    for end in range(len(lines), 0, -1):
+        if any(cert.status is CertStatus.ACTIVE for cert in replay(read_events(lines[:end])).certificates.values()):
+            return lines[:end]
+    raise AssertionError("no certificate is ever active")
+
+
+def _ledger(source: str) -> list[str]:
+    """The lines of a bundled scenario's ledger, cut where a certificate is still active, or of a random one."""
+    if source == "lme_copper":
+        registry = run_scenario(load_scenario(bundled_scenario_path(source)))[1]
+        return _with_an_active_certificate(registry.ledger.to_lines())
+    return _random_operations(random.Random(int(source.removeprefix("random-"))), 300).ledger.to_lines()
+
+
+def _argv(kind: str, registry) -> list[str]:
+    """The arguments of a ``kind`` command that ``registry`` accepts: on an ACTIVE certificate in the middle of it."""
+    if kind == "issue":
+        cert = next(iter(registry.certificates.values()))  # numbered after the counter the sidecar's header holds
+        return [
+            "issue", "--issuer", cert.issuer, "--material", cert.material, "--face-weight", "1000",
+            "--issue-date", "2020-01-01", "--theta", "0.9999", "--denominations", "1,10,100,1000",
+            "--delivery-charge", "0.003", "--withdrawal-charge", "0.002", "--min-delivery", "1", "--owner", "someone",
+        ]
+    legal = []
+    for cert_id in registry.certificates:
+        try:
+            registry._legal(EventKind(kind.upper()), cert_id, 0)
+        except DCMError:
+            continue
+        legal.append(cert_id)
+    return [kind, "--cert", legal[len(legal) // 2], "--dt", "0"]
+
+
+def _command(where: Path, argv: list[str]) -> str | None:
+    """``dcm ARGV`` on the ledger file and price series in ``where``, run in-process; why it ignored the sidecar."""
+    args = cli._parser().parse_args([
+        "--ledger", str(where / "ledger.log"), "--prices", str(where / "prices.csv"), "--price-per-units", "1000", *argv
+    ])
+    app = cli.AppContext(args.ledger_path, args.prices_path, args.price_per_units, RoundingProfile())
+    with contextlib.redirect_stdout(io.StringIO()):
+        args.handler(app, args)
+    return app.ledger_file.ignored
+
+
+class TestResumedRewrite:
+    @pytest.mark.parametrize("kind", ["issue", "quote", "deliver", "buyback"])
+    @pytest.mark.parametrize("source", ["lme_copper", "random-1", "random-2", "random-3"])
+    def test_a_resumed_command_writes_the_sidecar_a_full_replay_writes(self, tmp_path, source, kind):
+        lines = _ledger(source)
+        argv = _argv(kind, replay(read_events(lines)))
+        resumed, replayed = tmp_path / "resumed", tmp_path / "replayed"
+        for where in (resumed, replayed):
+            where.mkdir()
+            (where / "prices.csv").write_text("date,price\n2000-01-01,40\n", encoding="utf-8")
+            ledger_file = write_ledger(where / "ledger.log", lines)
+            ledger_file.write_checkpoint(ledger_file.load())
+        (replayed / "ledger.log.ckpt").unlink()
+        assert _command(resumed, argv) is None
+        assert _command(replayed, argv) is None
+        for name in ("ledger.log", "ledger.log.ckpt"):
+            assert (resumed / name).read_bytes() == (replayed / name).read_bytes()
+        assert len((resumed / "ledger.log").read_bytes().splitlines()) == len(lines) + 1
+        assert_no_child_left()

@@ -527,6 +527,22 @@ class TestLifecycleFlow:
         )
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "cert_id",
+        ['LME-copper-0001"', 'LME-copper-0001",{"face_weight"', "LME-copper-0001\n", "LME-copper-000"],
+        ids=["quote", "line-opening", "newline", "id-prefix"],
+    )
+    def test_a_cert_that_is_no_cert_id_is_unknown_on_the_resumed_path_too(self, tmp_path, cert_id):
+        (tmp_path / "prices.csv").write_text(PRICES, encoding="utf-8")
+        dcm(*ISSUE_ARGS, cwd=tmp_path)
+        files = tmp_path / "dcm-ledger.log", tmp_path / SIDECAR
+        before = [path.read_bytes() for path in files]
+        for args in (["deliver"], [*PRICED, "quote"], [*PRICED, "buyback"]):
+            result = dcm(*args, "--cert", cert_id, "--dt", "1", cwd=tmp_path)
+            refusal = f"error: unknown certificate {cert_id!r}\n"
+            assert (result.returncode, result.stdout, result.stderr) == (2, "", refusal)
+        assert [path.read_bytes() for path in files] == before
+
 
 SIDECAR = "dcm-ledger.log.ckpt"
 PRICED = ["--prices", "prices.csv", "--price-per-units", "1000"]
@@ -604,7 +620,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "spoil",
         ["garbled", "truncated", "list-header", "version-1", "version-2", "version-3", "forged-state",
-         "state-not-utf8", "deep-header", "deep-state", "stale"],
+         "state-not-utf8", "deep-header", "deep-state", "stale", "counted-short", "counted-long"],
     )
     def test_unusable_checkpoint_gives_the_same_output_as_none_and_a_warning(self, tmp_path, spoil):
         spoiled, plain = tmp_path / "spoiled", tmp_path / "plain"
@@ -636,6 +652,12 @@ class TestCheckpoint:
             warning = "version 3, not 4"
         elif spoil == "forged-state":  # on the line of the certificate the command names
             forge_sidecar(sidecar, lambda state: [line.replace('"ACTIVE"', '"LOST"') for line in state])
+            status = "ValueError: 'LOST' is not a valid CertStatus"
+            warning = f"certificate 'LME-copper-0001' in {SIDECAR} does not build: {status}"
+        elif spoil in ("counted-short", "counted-long"):  # counters that disagree with the line count
+            counts = [] if spoil == "counted-short" else [["LME", "copper", 2]]
+            forge_sidecar(sidecar, lambda state: state, lambda header: {**header, "issue_counts": counts})
+            warning = "bad state: the issue counters do not count its 1 certificates"
         elif spoil == "state-not-utf8":  # under a state digest recomputed to match it
             header, state = sidecar.read_bytes().split(b"\n", 1)
             state = state.replace(b'"ACTIVE"', b'"\xffACTIVE"')

@@ -1046,8 +1046,8 @@ class TestState:
         events = registry.ledger.events
         head = events[59]
         partial = replay(events[:60])
-        lines = dict(zip(partial.certificates, partial.state_lines()))
-        restored = Registry.from_state_lines(lines, partial.issue_counts(), head.seq, head.hash, source="state.ckpt")
+        state = b"".join(partial.state_pieces())
+        restored = Registry.from_state(state, partial.issue_counts(), head.seq, head.hash, source="state.ckpt")
         restored.apply_events(events[60:])
         assert restored.snapshot() == registry.snapshot()
         assert restored.ledger.events == () and len(restored.ledger) == restored.ledger.last_seq == events[-1].seq
@@ -1068,7 +1068,7 @@ class TestState:
     def test_a_state_line_is_revalidated_when_first_read(self, lme_registry, lme_cert, edit, error, message):
         [(cert_id, form)] = map(json.loads, lme_registry.state_lines())
         line = json.dumps([cert_id, edit(form)], separators=(",", ":"))  # a forged line may hold Infinity
-        restored = Registry.from_state_lines({cert_id: line}, [["LME", "copper", 1]], 1, "0" * 64, source="state.ckpt")
+        restored = Registry.from_state(f"{line}\n".encode(), [["LME", "copper", 1]], 1, "0" * 64, source="state.ckpt")
         assert restored.state_lines() == [line]
         with pytest.raises(LedgerIntegrityError) as excinfo:
             restored.certificate(cert_id)
@@ -1077,11 +1077,14 @@ class TestState:
         )
 
     def test_a_state_line_must_hold_its_own_id(self, lme_registry, lme_cert):
+        # a line is found by the cert_id it opens with, and only for an id in the cert_id charset
         [line] = lme_registry.state_lines()
-        restored = Registry.from_state_lines({"LME-copper-0002": line}, [["LME", "copper", 1]], 1, "0" * 64,
-                                             source="state.ckpt")
-        with pytest.raises(LedgerIntegrityError, match="'LME-copper-0002' in state.ckpt does not build: ValueError"):
-            restored.snapshot()
+        state = f"{line}\n".encode()
+        restored = Registry.from_state(state, [["LME", "copper", 1]], 1, "0" * 64, source="state.ckpt")
+        for cert_id in ("LME-copper-0002", "LME-copper-000", 'LME-copper-0001"', "LME-copper-0001\n", HUGE, 1.5, None):
+            with pytest.raises(DomainError, match="^unknown certificate "):
+                restored.certificate(cert_id)
+        assert restored.certificate(lme_cert.cert_id) == lme_cert
 
 
 def _write_lines(path, lines) -> None:
@@ -1165,11 +1168,9 @@ class TestCheckpoint:
             ),
             lambda ledger_file: forge_sidecar(ledger_file.sidecar, lambda state: state + ["[1]"]),
             lambda ledger_file: forge_sidecar(ledger_file.sidecar, lambda state: [",".join(state[:2]), *state[2:]]),
-            # the first line again, with its counter raised to match: the repeated cert_id alone refuses it
-            lambda ledger_file: forge_sidecar(ledger_file.sidecar, lambda state: state + state[:1], _count_one_more),
         ],
         ids=["garbled", "truncated", "prefix-changed", "older-ledger", "bad-tail", "invalid-state", "unreadable-state",
-             "two-pairs-on-a-line", "repeated-line"],
+             "two-pairs-on-a-line"],
     )
     def test_an_unusable_sidecar_means_a_full_replay(self, tmp_path, spoil):
         registry = _random_walk(5, 40)
@@ -1264,7 +1265,35 @@ class TestCheckpoint:
         assert ledger_file.ignored is None
         with pytest.raises(LedgerIntegrityError, match=f"certificate '{forged}' in .*ledger.log.ckpt does not build"):
             resumed.snapshot()
+        # the lines built before the forged one keep their places
+        assert resumed.state_lines() == ledger_file.sidecar.read_text(encoding="utf-8").splitlines()[1:]
         with pytest.raises(LedgerIntegrityError, match="checkpoint disagrees with the ledger at seq 40"):
+            ledger_file.verify()
+
+    @pytest.mark.parametrize(
+        "extra, error",
+        [
+            # the first line again, with its counter raised to match
+            (lambda state: state[:1], "certificate '{first}' in {sidecar} repeats at state line {line}"),
+            (lambda state: ["[1]"], "state line {line} in {sidecar} does not open with a cert_id"),
+            (lambda state: [f"[\"#{state[0][2:]}"], "state line {line} in {sidecar} does not open with a cert_id"),
+        ],
+        ids=["repeated-line", "number-for-id", "id-outside-the-charset"],
+    )
+    def test_a_line_of_the_wrong_shape_is_found_when_every_certificate_is_read(self, tmp_path, extra, error):
+        # a line is not checked for its shape up front: a command that names another certificate resumes
+        registry = _random_walk(5, 40)
+        ledger_file = _checkpointed(tmp_path, registry.ledger.to_lines())
+        forge_sidecar(ledger_file.sidecar, lambda state: state + extra(state), _count_one_more)
+        *_, touched = (cert_id for cert_id, cert in registry.certificates.items() if cert.status is CertStatus.ACTIVE)
+        resumed = ledger_file.load(touch=(touched,))
+        assert ledger_file.ignored is None
+        assert resumed.certificate(touched) == registry.certificate(touched)
+        with pytest.raises(LedgerIntegrityError) as excinfo:
+            resumed.snapshot()
+        first, line = next(iter(registry.certificates)), len(registry.certificates) + 1
+        assert str(excinfo.value) == error.format(first=first, sidecar=ledger_file.sidecar, line=line)
+        with pytest.raises(LedgerIntegrityError, match="^checkpoint disagrees with the ledger at seq 40$"):
             ledger_file.verify()
 
     @pytest.mark.parametrize(

@@ -43,8 +43,9 @@ from dcm import (
     run_scenario,
 )
 from dcm import cli
-from dcm.decay import residual_weight, wealth_projection
+from dcm.decay import attenuation_coefficient, residual_weight, wealth_projection
 from dcm.ledger import validate_cert_id
+from dcm.market import read_series
 from dcm.registry import Registry
 from dcm import rounding
 from dcm.rounding import fmt, quantize, quantize_to_float
@@ -494,6 +495,10 @@ REFUSALS = {
     "certificate-huge-id": (
         lambda w: w.registry.certificate(HUGE), DomainError, 2, "unknown certificate an int of 16610 bits"
     ),
+    "deliver-list-id": (
+        lambda w: w.registry.physical_delivery(["LME-copper-0001"], 3), DomainError, 2,
+        "unknown certificate ['LME-copper-0001']",
+    ),
     "fmt-text": (lambda w: fmt("1.5", 2), DomainError, 2, "value must be a number, got '1.5'"),
     "fmt-bool": (lambda w: fmt(True, 2), DomainError, 2, "value must be a number, got True"),
     "fmt-nan": (lambda w: fmt(float("nan"), 2), DomainError, 2, "value must be finite, got nan"),
@@ -511,6 +516,25 @@ REFUSALS = {
     ),
     "load-series-bytes": (
         lambda w: load_series(b"date,price\n"), DomainError, 2, "text must be a string, got b'date,price\\n'"
+    ),
+    "load-series-huge-material": (
+        lambda w: load_series("date,price\n2020-01-01,40\n", material=HUGE), DomainError, 2,
+        "material must be a string, got an int of 16610 bits",
+    ),
+    "read-series-huge-currency": (
+        lambda w: read_series(w.path / "prices.csv", currency=HUGE), DomainError, 2,
+        "currency must be a string, got an int of 16610 bits",
+    ),
+    "theta-text-mode": (
+        lambda w: AttenuationSpec(0.5, mode="explicit"), DomainError, 2, "mode must be a ThetaMode, got 'explicit'"
+    ),
+    "theta-int-inputs": (
+        lambda w: AttenuationSpec(0.5, ThetaMode.FULL_COST, 5, 5), DomainError, 2,
+        "tariff must be a StorageTariff, got 5",
+    ),
+    "coefficient-int-inputs": (
+        lambda w: attenuation_coefficient(5, 5, ThetaMode.FULL_COST), DomainError, 2,
+        "tariff must be a StorageTariff, got 5",
     ),
     "require-date-huge": (
         lambda w: require_date("d", HUGE), DomainError, 2, "d must be a date, got an int of 16610 bits"
